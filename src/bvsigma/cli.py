@@ -240,6 +240,17 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --trials: zero trials would report a vacuous pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvsigma",
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--model", required=True, help="path to a model file")
         cmd.add_argument("--seed", type=int, default=0, help="seed for randomized trials")
-        cmd.add_argument("--trials", type=int, default=200, help="randomized trial count")
+        cmd.add_argument("--trials", type=_positive_int, default=200, help="randomized trial count")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         if name == "compare-identities":
             cmd.add_argument(

@@ -78,11 +78,54 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     """Canonically sort a product of graded variables.
 
     Returns (sign, sorted tuple).  Sign is 0 when the product vanishes
-    because an odd variable appears twice.
+    because an odd variable appears twice.  Works on any items with an
+    order and a ``parity`` (graded variables, worldsheet component fields).
+
+    A product of two canonical monomials is two ascending runs; those are
+    merged in one pass, each item of the right run that overtakes k odd
+    items of the left run contributing (-1)^k when it is odd itself.  Any
+    other input is insertion sorted.  Both place equal items stably, so
+    they agree on the sign.
     """
     items = list(vars_)
+    n = len(items)
+    k = 1
+    while k < n and not items[k] < items[k - 1]:
+        k += 1
+    j = k + 1
+    while j < n and not items[j] < items[j - 1]:
+        j += 1
+    if j >= n:
+        sign, items = _merge_runs(items[:k], items[k:])
+    else:
+        sign = _insertion_sort(items)
+    for a, b in zip(items, items[1:]):
+        if a == b and a.parity == ODD:
+            return 0, ()
+    return sign, tuple(items)
+
+
+def _merge_runs(left: list, right: list) -> tuple[int, list]:
+    """Stable merge of two ascending runs, with its Koszul sign."""
+    out = []
     sign = 1
-    # Insertion sort, tracking odd-odd transpositions.
+    odd_left = sum(v.parity for v in left)
+    i, nl = 0, len(left)
+    for v in right:
+        while i < nl and not v < left[i]:
+            odd_left -= left[i].parity
+            out.append(left[i])
+            i += 1
+        if v.parity and odd_left & 1:
+            sign = -sign
+        out.append(v)
+    out.extend(left[i:])
+    return sign, out
+
+
+def _insertion_sort(items: list) -> int:
+    """Sort ``items`` in place; returns the sign of the odd-odd transpositions."""
+    sign = 1
     for i in range(1, len(items)):
         j = i
         while j > 0 and items[j] < items[j - 1]:
@@ -90,7 +133,4 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
                 sign = -sign
             items[j], items[j - 1] = items[j - 1], items[j]
             j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b and a.parity == ODD:
-            return 0, ()
-    return sign, tuple(items)
+    return sign

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .grading import BASE_BLOCK, GradedVar
+from .grading import BASE_BLOCK, GradedVar, sort_monomial
 from .symalg import (
     ANTISYM,
     SYM,
@@ -126,6 +126,16 @@ class ModelSpec:
                 raise ModelError("metric k must be symmetric")
             if _det(k) == 0:
                 raise ModelError("metric k must be nondegenerate")
+        # Label -> block, in blocks() order.  Set once here and kept out of
+        # the dataclass fields, so equality, hash and fingerprint ignore it.
+        n, q = self.n, (self.n - 1) // 2
+        table = [BlockInfo(BASE_BLOCK, 0, self.d), BlockInfo("B%d" % (n - 1), n - 1, self.d)]
+        for blk in sorted(self.bf_blocks, key=lambda b: b.p):
+            table.append(BlockInfo("A%d" % blk.p, blk.p, blk.rank))
+            table.append(BlockInfo("B%d" % (n - blk.p - 1), n - blk.p - 1, blk.rank))
+        if self.cs_block is not None:
+            table.append(BlockInfo("A%d" % q, q, self.cs_block.rank))
+        object.__setattr__(self, "_blocks", {b.label: b for b in table})
 
     # -- block geometry -----------------------------------------------------
     @property
@@ -134,22 +144,16 @@ class ModelSpec:
 
     def blocks(self) -> list[BlockInfo]:
         """All variable blocks: base, Darboux fibers, optional self block."""
-        out = [BlockInfo(BASE_BLOCK, 0, self.d), BlockInfo("B%d" % (self.n - 1), self.n - 1, self.d)]
-        for blk in sorted(self.bf_blocks, key=lambda b: b.p):
-            out.append(BlockInfo("A%d" % blk.p, blk.p, blk.rank))
-            out.append(BlockInfo("B%d" % (self.n - blk.p - 1), self.n - blk.p - 1, blk.rank))
-        if self.cs_block is not None:
-            out.append(BlockInfo("A%d" % self.cs_degree, self.cs_degree, self.cs_block.rank))
-        return out
+        return list(self._blocks.values())
 
     def fiber_blocks(self) -> list[BlockInfo]:
-        return [b for b in self.blocks() if b.label != BASE_BLOCK]
+        return [b for b in self._blocks.values() if b.label != BASE_BLOCK]
 
     def block(self, label: str) -> BlockInfo:
-        for b in self.blocks():
-            if b.label == label:
-                return b
-        raise ModelError("unknown block %r" % label)
+        try:
+            return self._blocks[label]
+        except KeyError:
+            raise ModelError("unknown block %r" % label) from None
 
     def vars_of(self, label: str) -> list[GradedVar]:
         b = self.block(label)
@@ -256,16 +260,21 @@ def ansatz_families(spec: ModelSpec) -> list[FamilyDecl]:
     Classes are ordered by (factor count, block labels) which reproduces the
     conventional f1..f6 numbering for the n=3 two-block model.
     """
-    fibers = spec.fiber_blocks()
-    positive = [b for b in fibers if b.degree > 0]
+    positive = sorted((b for b in spec.fiber_blocks() if b.degree > 0), key=lambda b: b.label)
     classes: list[tuple[str, ...]] = []
-    max_len = spec.n
-    for k in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(
-            sorted(b.label for b in positive), k
-        ):
-            if sum(spec.block(lbl).degree for lbl in combo) == spec.n:
-                classes.append(combo)
+
+    def rec(start: int, remaining: int, acc: list[str]):
+        if remaining == 0:
+            classes.append(tuple(acc))
+            return
+        for i in range(start, len(positive)):
+            b = positive[i]
+            if b.degree <= remaining:
+                acc.append(b.label)
+                rec(i, remaining - b.degree, acc)
+                acc.pop()
+
+    rec(0, spec.n, [])
     classes.sort(key=lambda c: (len(c), c))
     out: list[FamilyDecl] = []
     for idx, combo in enumerate(classes, start=1):
@@ -297,28 +306,24 @@ def ansatz_families(spec: ModelSpec) -> list[FamilyDecl]:
 def build_S1_generic(spec: ModelSpec) -> Action:
     """Most general degree-n deformation: fresh symbol x monomial per class."""
     scope = spec.fingerprint()
-    total = Expr.zero(scope)
+    acc: dict[tuple[GradedVar, ...], CPoly] = {}
     for fam in ansatz_families(spec):
         norm = Fraction(1)
         for _, grp in itertools.groupby(fam.factor_blocks):
             norm /= factorial(len(list(grp)))
-        ranges = [range(1, spec.block(lbl).rank + 1) for lbl in fam.factor_blocks]
-        for indices in itertools.product(*ranges):
-            lower = tuple(
-                i for i, lbl in zip(indices, fam.factor_blocks) if lbl.startswith("A")
-            )
-            upper = tuple(
-                i for i, lbl in zip(indices, fam.factor_blocks) if lbl.startswith("B")
-            )
+        lower_pos = [k for k, lbl in enumerate(fam.factor_blocks) if lbl.startswith("A")]
+        upper_pos = [k for k, lbl in enumerate(fam.factor_blocks) if lbl.startswith("B")]
+        for fvars in itertools.product(*(spec.vars_of(lbl) for lbl in fam.factor_blocks)):
+            lower = tuple(fvars[k].index for k in lower_pos)
+            upper = tuple(fvars[k].index for k in upper_pos)
             sign, sym = make_symbol(fam.name, lower, upper, (), fam.groups)
             if sym is None:
                 continue
-            term = Expr.from_cpoly(CPoly.symbol(sym, norm * sign), scope)
-            for i, lbl in zip(indices, fam.factor_blocks):
-                b = spec.block(lbl)
-                term = term * Expr.var(GradedVar(b.label, b.degree, i), scope)
-            total = total + term
-    return Action(total, spec.n)
+            vsign, mono = sort_monomial(fvars)
+            if vsign == 0:
+                continue
+            Expr.accumulate(acc, mono, CPoly.symbol(sym, norm * (sign * vsign)))
+    return Action(Expr(acc, scope), spec.n)
 
 
 @dataclass

@@ -111,24 +111,26 @@ class PStructure:
         odd self-paired block the k-term has no second-order generator.
         """
         n = self.n
-        out = Expr.zero()
+        acc: dict = {}
         for pair in self.pairs:
-            sign = -((-1) ** (n * pair.p))
+            neg = (n * pair.p) % 2 == 0  # t2 carries -(-1)^(n p)
             for av, bv in self.pair_vars(pair):
-                t1 = f.right_deriv(av) * g.left_deriv(bv)
-                t2 = f.right_deriv(bv) * g.left_deriv(av)
-                out = out + t1 + t2.scale(sign)
-        return out
+                for m, c in (f.right_deriv(av) * g.left_deriv(bv)).terms.items():
+                    Expr.accumulate(acc, m, c)
+                for m, c in (f.right_deriv(bv) * g.left_deriv(av)).terms.items():
+                    Expr.accumulate(acc, m, -c if neg else c)
+        return Expr._of(acc, f._merged_scope(g))
 
     def bracket(self, f: Expr, g: Expr) -> Expr:
         """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input."""
-        out = self.bracket_darboux(f, g)
+        out = self.bracket_darboux(f, g)  # a fresh Expr: its terms are ours to extend
         for sp in self.self_pairs:
             vs = self.self_vars(sp)
             for a, b in itertools.product(range(len(vs)), repeat=2):
                 k = sp.metric[a][b]
                 if k:
-                    out = out + (f.right_deriv(vs[a]) * g.left_deriv(vs[b])).scale(k)
+                    for m, c in (f.right_deriv(vs[a]) * g.left_deriv(vs[b])).terms.items():
+                        Expr.accumulate(out.terms, m, c.scale(k))
         return out
 
     def laplacian(self, f: Expr) -> Expr:
@@ -141,12 +143,13 @@ class PStructure:
         contribute nothing: k^{ab} d_l/dA^a d_l/dA^b vanishes identically
         for odd A and symmetric k.
         """
-        out = Expr.zero()
+        acc: dict = {}
         for pair in self.pairs:
-            weight = (-1) ** pair.p
+            neg = pair.p % 2 == 1
             for av, bv in self.pair_vars(pair):
-                out = out + f.left_deriv(bv).left_deriv(av).scale(weight)
-        return out
+                for m, c in f.left_deriv(bv).left_deriv(av).terms.items():
+                    Expr.accumulate(acc, m, -c if neg else c)
+        return Expr._of(acc, f.scope)
 
     def bracket_degree(self, f_deg: int, g_deg: int) -> int:
         return f_deg + g_deg - self.n + 1

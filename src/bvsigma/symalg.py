@@ -360,7 +360,26 @@ class Expr:
     def symbol(sym: CoeffSymbol, scope: Optional[str] = None) -> "Expr":
         return Expr({(): CPoly.symbol(sym)}, scope)
 
+    @staticmethod
+    def _of(terms: dict, scope: Optional[str]) -> "Expr":
+        """Wrap a dict that already holds only nonzero terms, without copying."""
+        out = Expr.__new__(Expr)
+        out.terms = terms
+        out.scope = scope
+        return out
+
     # -- helpers -------------------------------------------------------------
+    @staticmethod
+    def accumulate(acc: dict, key, value) -> None:
+        """acc[key] += value, dropping the key when the sum is zero."""
+        prev = acc.get(key)
+        if prev is not None:
+            value = prev + value
+        if value:
+            acc[key] = value
+        elif prev is not None:
+            del acc[key]
+
     def _merged_scope(self, other: "Expr") -> Optional[str]:
         if self.scope is not None and other.scope is not None and self.scope != other.scope:
             raise MixedContextError(
@@ -385,13 +404,8 @@ class Expr:
         scope = self._merged_scope(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = acc.get(m)
-            s = c if s is None else s + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Expr(acc, scope)
+            Expr.accumulate(acc, m, c)
+        return Expr._of(acc, scope)
 
     def __neg__(self) -> "Expr":
         return Expr({m: -c for m, c in self.terms.items()}, self.scope)
@@ -407,14 +421,9 @@ class Expr:
                 sign, mono = sort_monomial(m1 + m2)
                 if sign == 0:
                     continue
-                part = (c1 * c2).scale(sign)
-                prev = acc.get(mono)
-                part = part if prev is None else prev + part
-                if part:
-                    acc[mono] = part
-                else:
-                    acc.pop(mono, None)
-        return Expr(acc, scope)
+                part = c1 * c2
+                Expr.accumulate(acc, mono, part if sign > 0 else -part)
+        return Expr._of(acc, scope)
 
     def scale(self, c) -> "Expr":
         c = Fraction(c)
@@ -448,15 +457,8 @@ class Expr:
                     for u in m[:pos]:
                         if u.parity:
                             sign = -sign
-                rest = m[:pos] + m[pos + 1 :]
-                part = c.scale(sign)
-                prev = acc.get(rest)
-                part = part if prev is None else prev + part
-                if part:
-                    acc[rest] = part
-                else:
-                    acc.pop(rest, None)
-        return Expr(acc, self.scope)
+                Expr.accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
+        return Expr._of(acc, self.scope)
 
     def right_deriv(self, x: GradedVar) -> "Expr":
         """Right derivative: commute x to the rightmost position, then strip."""
@@ -472,29 +474,15 @@ class Expr:
                     for u in m[pos + 1 :]:
                         if u.parity:
                             sign = -sign
-                rest = m[:pos] + m[pos + 1 :]
-                part = c.scale(sign)
-                prev = acc.get(rest)
-                part = part if prev is None else prev + part
-                if part:
-                    acc[rest] = part
-                else:
-                    acc.pop(rest, None)
-        return Expr(acc, self.scope)
+                Expr.accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
+        return Expr._of(acc, self.scope)
 
     def partial_base(self, j: int) -> "Expr":
         """Formal partial derivative with respect to phi_j."""
         acc: dict[Monomial, CPoly] = {}
         for m, c in self.terms.items():
-            dc = c.diff_base(j)
-            if dc:
-                prev = acc.get(m)
-                dc = dc if prev is None else prev + dc
-                if dc:
-                    acc[m] = dc
-                else:
-                    acc.pop(m, None)
-        return Expr(acc, self.scope)
+            Expr.accumulate(acc, m, c.diff_base(j))
+        return Expr._of(acc, self.scope)
 
     # -- substitution and evaluation -----------------------------------------
     def substitute(self, data) -> "Expr":
@@ -505,15 +493,8 @@ class Expr:
         """
         acc: dict[Monomial, CPoly] = {}
         for m, c in self.terms.items():
-            sub = c.substitute(data.value_of)
-            if sub:
-                prev = acc.get(m)
-                sub = sub if prev is None else prev + sub
-                if sub:
-                    acc[m] = sub
-                else:
-                    acc.pop(m, None)
-        return Expr(acc, self.scope)
+            Expr.accumulate(acc, m, c.substitute(data.value_of))
+        return Expr._of(acc, self.scope)
 
     def symbols(self) -> set[CoeffSymbol]:
         out: set[CoeffSymbol] = set()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .grading import sort_monomial
 from .models import Action, KineticPairing, ModelSpec
 from .rowreduce import RowSpan, _eliminate
 
@@ -42,22 +43,6 @@ class ComponentField:
     def __str__(self) -> str:
         core = "%s(%d,%d)" % (self.family, self.form, self.ghost)
         return "d" + core if self.dimage else core
-
-
-def _sort_gens(gens: Sequence[ComponentField]) -> tuple[int, tuple[ComponentField, ...]]:
-    items = list(gens)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j] < items[j - 1]:
-            if items[j].parity and items[j - 1].parity:
-                sign = -sign
-            items[j], items[j - 1] = items[j - 1], items[j]
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b and a.parity:
-            return 0, ()
-    return sign, tuple(items)
 
 
 class DgaExpr:
@@ -120,7 +105,7 @@ class DgaExpr:
             for m2, c2 in other.terms.items():
                 if sum(g.form for g in m1) + sum(g.form for g in m2) > self.n:
                     continue
-                sign, mono = _sort_gens(m1 + m2)
+                sign, mono = sort_monomial(m1 + m2)
                 if sign == 0:
                     continue
                 s = acc.get(mono, Fraction(0)) + c1 * c2 * sign
@@ -233,7 +218,7 @@ def _d_preimage_candidates(mono: tuple[ComponentField, ...]):
     for pos, g in enumerate(mono):
         if g.dimage:
             plain = ComponentField(g.family, g.form - 1, g.ghost)
-            sign, cand = _sort_gens(mono[:pos] + (plain,) + mono[pos + 1 :])
+            sign, cand = sort_monomial(mono[:pos] + (plain,) + mono[pos + 1 :])
             if sign:
                 yield cand
 

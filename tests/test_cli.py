@@ -2,7 +2,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -126,6 +126,19 @@ def test_check_bv_seed_determinism():
     code2, out2 = run_cli(argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_bv_refuses_nonpositive_trials(trials):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(
+            ["check-bv", "--model", str(EXAMPLES / "n2_poisson_so3.model"), "--trials", trials]
+        )
+    assert code == 2
+    assert out == ""  # no vacuous pass report
+    assert err.getvalue().startswith("usage: bvsigma check-bv")
+    assert "--trials: must be a positive integer" in err.getvalue()
 
 
 def test_kinetic_master_and_first_order_commands():

@@ -80,6 +80,29 @@ def test_sort_monomial_keeps_even_powers():
     assert sign == 1 and mono == (even, even)
 
 
+@st.composite
+def _products(draw):
+    """Variable sequences with repeated odd and even variables; half of them
+    are two ascending runs, the shape of a product of two monomials."""
+    pool = [x, y, z, even, V("B2", 2, 2), V("A1", 1, 1), V("A2", 2, 1)]
+    seq = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=8))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(seq)))
+        seq = sorted(seq[:cut]) + sorted(seq[cut:])
+    return seq
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_products())
+def test_sort_monomial_matches_koszul_sign_and_sorted(seq):
+    ordered = sorted(seq)
+    if any(a == b and a.parity for a, b in zip(ordered, ordered[1:])):
+        expected = (0, ())
+    else:
+        expected = (koszul_sign(seq, ordered), tuple(ordered))
+    assert sort_monomial(seq) == expected
+
+
 def test_canonical_order_is_block_degree_index():
     vars_ = [V("phi", 0, 2), V("A1", 1, 2), V("A1", 1, 1), V("B1", 1, 1)]
     assert sorted(vars_) == [V("A1", 1, 1), V("A1", 1, 2), V("B1", 1, 1), V("phi", 0, 2)]

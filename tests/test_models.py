@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,66 @@ def test_n3_cs_ansatz_families():
     assert [(g.kind, g.variance, g.slots) for g in fams[1].groups] == [
         (ANTISYM, LOWER, (0, 1, 2))
     ]
+
+
+def _family_specs():
+    """bf and cs_bf specs for n = 2..8 with several block sets."""
+    out = []
+    for n in range(2, 9):
+        ps = range(1, (n - 1) // 2 + 1)
+        for chosen in ((), tuple(ps), tuple(p for p in ps if p % 2), tuple(ps)[-1:]):
+            out.append(ModelSpec(n=n, d=2, bf_blocks=tuple(BfBlock(p, 2) for p in chosen)))
+        if n % 2:
+            cs_ps = range(1, (n - 3) // 2 + 1)
+            for chosen in ((), tuple(cs_ps)):
+                out.append(
+                    ModelSpec(
+                        n=n,
+                        d=2,
+                        flavor=CS_BF,
+                        bf_blocks=tuple(BfBlock(p, 3) for p in chosen),
+                        cs_block=CsBlock(2, K2),
+                    )
+                )
+    return list(dict.fromkeys(out))
+
+
+@pytest.mark.parametrize("spec", _family_specs(), ids=lambda s: s.fingerprint())
+def test_ansatz_families_match_brute_force_filter(spec):
+    degree = {b.label: b.degree for b in spec.blocks()}
+    labels = sorted(lbl for lbl, deg in degree.items() if deg > 0 and lbl != "phi")
+    classes = [
+        combo
+        for k in range(1, spec.n + 1)
+        for combo in itertools.combinations_with_replacement(labels, k)
+        if sum(degree[lbl] for lbl in combo) == spec.n
+    ]
+    classes.sort(key=lambda c: (len(c), c))
+    fams = ansatz_families(spec)
+    assert [f.factor_blocks for f in fams] == classes
+    assert [f.name for f in fams] == ["f%d" % i for i in range(1, len(classes) + 1)]
+    for f in fams:
+        assert sorted(f.lower_blocks + f.upper_blocks) == list(f.factor_blocks)
+        assert all(lbl.startswith("A") for lbl in f.lower_blocks)
+        assert all(lbl.startswith("B") for lbl in f.upper_blocks)
+
+
+def test_n9_ansatz_has_37_families():
+    spec = ModelSpec(n=9, d=3, bf_blocks=tuple(BfBlock(p, 3) for p in range(1, 5)))
+    fams = ansatz_families(spec)
+    assert len(fams) == 37
+    assert fams[0].factor_blocks == ("A1", "B8")
+    assert fams[-1].factor_blocks == ("A1",) * 9
+
+
+def test_block_table_is_not_a_field():
+    a = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2),))
+    b = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2),))
+    assert a == b and hash(a) == hash(b)
+    assert a.block("B3").rank == 2
+    assert [blk.label for blk in a.blocks()] == ["phi", "B4", "A1", "B3"]
+    with pytest.raises(ModelError):
+        a.block("A2")
 
 
 def test_ansatz_deterministic():

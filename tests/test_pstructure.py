@@ -10,7 +10,7 @@ from bvsigma.pstructure import (
     PStructure,
     check_bv_identities,
 )
-from bvsigma.symalg import CPoly, Expr, make_symbol
+from bvsigma.symalg import CPoly, Expr, MixedContextError, make_symbol
 
 K2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 KOFF = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
@@ -46,6 +46,34 @@ def test_self_block_pairing_is_k():
     assert p.bracket(a1, a2) == Expr.scalar(1)
     assert p.bracket(a1, a1).is_zero()
     assert p.bracket(a2, a2) == Expr.scalar(2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),)),
+        ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, KOFF)),
+    ],
+    ids=["bf", "cs"],
+)
+def test_bracket_keeps_scope_and_rejects_mixed_contexts(spec):
+    p = PStructure.from_model(spec)
+    scope = spec.fingerprint()
+    a = Expr.var(GradedVar("A1", 1, 1), scope)
+    b = Expr.var(GradedVar("B2", 2, 1), scope)
+    stray = Expr.var(GradedVar("B2", 2, 1), "another model")
+    for br in (p.bracket, p.bracket_darboux):
+        assert br(a, b).scope == scope
+        assert br(a, a * b).scope == scope
+        # an unscoped operand adopts the other's scope, on either side
+        assert br(a, Expr.var(GradedVar("B2", 2, 1))).scope == scope
+        assert br(Expr.var(GradedVar("A1", 1, 1)), b).scope == scope
+        with pytest.raises(MixedContextError):
+            br(a, stray)
+        with pytest.raises(MixedContextError):
+            br(stray, a)
+        with pytest.raises(MixedContextError):
+            br(a, Expr.base(1, "another model"))  # a zero bracket still checks
 
 
 def test_base_functions_bracket_to_zero():
