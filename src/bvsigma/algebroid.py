@@ -49,7 +49,7 @@ class SectionBasis:
             raise ValueError("section bases are defined for the n=2 and n=3 models")
         for v in vars_:
             if v.degree != 1:
-                raise ValueError("section generator %s has unexpected degree" % v)
+                raise ValueError("section generator %s has unexpected degree" % (v,))
         return SectionBasis(vars_, n)
 
     def representatives(self) -> list[tuple[str, Expr]]:

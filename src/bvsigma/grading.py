@@ -6,8 +6,7 @@ nonnegative integers and parity is degree mod 2 (odd parity = Grassmann odd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 EVEN = 0
 ODD = 1
@@ -22,12 +21,13 @@ def parity(degree: int) -> int:
     return degree & 1
 
 
-@dataclass(frozen=True, order=True)
-class GradedVar:
+class GradedVar(NamedTuple):
     """A declared coordinate of the target graded bundle.
 
     Sorting is (block, degree, index), which is the canonical variable
-    order used for monomials throughout.
+    order used for monomials throughout.  A named tuple, so that ordering,
+    equality and hashing (the inner loop of every product) run as tuple
+    operations.
     """
 
     block: str
@@ -81,11 +81,10 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     because an odd variable appears twice.  Works on any items with an
     order and a ``parity`` (graded variables, worldsheet component fields).
 
-    A product of two canonical monomials is two ascending runs; those are
-    merged in one pass, each item of the right run that overtakes k odd
-    items of the left run contributing (-1)^k when it is odd itself.  Any
-    other input is insertion sorted.  Both place equal items stably, so
-    they agree on the sign.
+    Input made of two ascending runs, such as a product of two canonical
+    monomials, is merged by :func:`merge_monomials`; any other input is
+    insertion sorted.  Both place equal items stably, so they agree on the
+    sign.
     """
     items = list(vars_)
     n = len(items)
@@ -96,7 +95,9 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     while j < n and not items[j] < items[j - 1]:
         j += 1
     if j >= n:
-        sign, items = _merge_runs(items[:k], items[k:])
+        sign, items = merge_monomials(items[:k], items[k:])
+        if not sign:
+            return 0, ()
     else:
         sign = _insertion_sort(items)
     for a, b in zip(items, items[1:]):
@@ -105,22 +106,41 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     return sign, tuple(items)
 
 
-def _merge_runs(left: list, right: list) -> tuple[int, list]:
-    """Stable merge of two ascending runs, with its Koszul sign."""
+def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
+    """Product of two canonical monomials: (sign, canonical monomial).
+
+    A stable merge of the two ascending runs; each odd item of ``right``
+    that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
+    when an odd item occurs in both.  Repeats inside one run are not looked
+    for: a canonical monomial has none (``sort_monomial`` checks any other
+    input itself).
+    """
+    if not left or not right or not right[0] < left[-1]:
+        # Already in order; only the meeting items can repeat.
+        if left and right and right[0] == left[-1] and right[0].parity:
+            return 0, ()
+        return 1, tuple(left) + tuple(right)
     out = []
     sign = 1
-    odd_left = sum(v.parity for v in left)
+    odd_left = 0
+    for u in left:
+        if u.parity:
+            odd_left += 1
     i, nl = 0, len(left)
     for v in right:
         while i < nl and not v < left[i]:
-            odd_left -= left[i].parity
-            out.append(left[i])
+            u = left[i]
+            if u.parity:
+                if u == v:
+                    return 0, ()
+                odd_left -= 1
+            out.append(u)
             i += 1
-        if v.parity and odd_left & 1:
+        if odd_left & 1 and v.parity:
             sign = -sign
         out.append(v)
     out.extend(left[i:])
-    return sign, out
+    return sign, tuple(out)
 
 
 def _insertion_sort(items: list) -> int:

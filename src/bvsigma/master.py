@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .models import Action, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
 from .rowreduce import span_includes
-from .symalg import CPoly, Expr, make_symbol, monomial_str
+from .symalg import CPoly, Expr, _perm_sign, make_symbol, monomial_str
 
 EXTRACTED = "extracted"
 TRANSCRIBED = "transcribed-from-paper"
@@ -151,21 +151,10 @@ def _sym(spec: ModelSpec, fam_map, name, lower=(), upper=(), deriv=()) -> CPoly:
 
 
 def _perms_signed(indices: Sequence[int]):
+    """Every permutation of ``indices`` with its sign."""
     base = list(indices)
     for perm in itertools.permutations(range(len(base))):
-        sign = 1
-        seen = [False] * len(base)
-        for i in range(len(base)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        yield sign, [base[k] for k in perm]
+        yield _perm_sign(perm), [base[k] for k in perm]
 
 
 def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:

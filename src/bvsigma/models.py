@@ -26,6 +26,7 @@ from .symalg import (
     Expr,
     MissingSymbolError,
     SymGroup,
+    accumulate,
     make_symbol,
 )
 
@@ -322,7 +323,7 @@ def build_S1_generic(spec: ModelSpec) -> Action:
             vsign, mono = sort_monomial(fvars)
             if vsign == 0:
                 continue
-            Expr.accumulate(acc, mono, CPoly.symbol(sym, norm * (sign * vsign)))
+            accumulate(acc, mono, CPoly.symbol(sym, norm * (sign * vsign)))
     return Action(Expr(acc, scope), spec.n)
 
 
@@ -408,7 +409,7 @@ class StructureData:
             raise MissingSymbolError("no data for symbol family %r" % sym.name)
         key = (sym.name, sym.lower, sym.upper)
         if key not in self.values:
-            raise MissingSymbolError("no assignment for symbol %s" % sym)
+            raise MissingSymbolError("no assignment for symbol %s" % (sym,))
         poly = self.values[key]
         for j in sym.deriv:
             poly = poly.diff_base(j)

@@ -15,7 +15,6 @@ Signs are read literally off the Darboux expressions; the identity suite in
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +22,7 @@ from typing import Optional, Sequence
 
 from .grading import GradedVar
 from .models import BASE_BLOCK, Matrix, ModelError, ModelSpec
-from .symalg import CPoly, Expr, make_symbol
+from .symalg import CPoly, Expr, accumulate, make_symbol
 
 
 @dataclass(frozen=True)
@@ -110,28 +109,41 @@ class PStructure:
         This is exactly the bracket generated by the BV Laplacian; for an
         odd self-paired block the k-term has no second-order generator.
         """
-        n = self.n
+        scope = f._merged_scope(g)
         acc: dict = {}
+        self._darboux_into(acc, f, g)
+        return Expr._collect(acc, scope)
+
+    def _darboux_into(self, acc: dict, f: Expr, g: Expr) -> None:
+        """Sum every Darboux derivative product into one Expr.mul_into
+        accumulator."""
+        n = self.n
         for pair in self.pairs:
-            neg = (n * pair.p) % 2 == 0  # t2 carries -(-1)^(n p)
+            sign = -1 if (n * pair.p) % 2 == 0 else 1  # t2 carries -(-1)^(n p)
             for av, bv in self.pair_vars(pair):
-                for m, c in (f.right_deriv(av) * g.left_deriv(bv)).terms.items():
-                    Expr.accumulate(acc, m, c)
-                for m, c in (f.right_deriv(bv) * g.left_deriv(av)).terms.items():
-                    Expr.accumulate(acc, m, -c if neg else c)
-        return Expr._of(acc, f._merged_scope(g))
+                fa = f.right_deriv(av)
+                if fa:
+                    Expr.mul_into(acc, fa, g.left_deriv(bv))
+                fb = f.right_deriv(bv)
+                if fb:
+                    Expr.mul_into(acc, fb, g.left_deriv(av), sign)
 
     def bracket(self, f: Expr, g: Expr) -> Expr:
         """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input."""
-        out = self.bracket_darboux(f, g)  # a fresh Expr: its terms are ours to extend
+        scope = f._merged_scope(g)
+        acc: dict = {}
+        self._darboux_into(acc, f, g)
         for sp in self.self_pairs:
             vs = self.self_vars(sp)
-            for a, b in itertools.product(range(len(vs)), repeat=2):
-                k = sp.metric[a][b]
-                if k:
-                    for m, c in (f.right_deriv(vs[a]) * g.left_deriv(vs[b])).terms.items():
-                        Expr.accumulate(out.terms, m, c.scale(k))
-        return out
+            for a, va in enumerate(vs):
+                fa = f.right_deriv(va)
+                if not fa:
+                    continue
+                for b, vb in enumerate(vs):
+                    k = sp.metric[a][b]
+                    if k:
+                        Expr.mul_into(acc, fa, g.left_deriv(vb), k)
+        return Expr._collect(acc, scope)
 
     def laplacian(self, f: Expr) -> Expr:
         """BV Laplacian: sum over pairs of (-1)^p d_l/dA_p d_l/dB, termwise.
@@ -148,7 +160,7 @@ class PStructure:
             neg = pair.p % 2 == 1
             for av, bv in self.pair_vars(pair):
                 for m, c in f.left_deriv(bv).left_deriv(av).terms.items():
-                    Expr.accumulate(acc, m, -c if neg else c)
+                    accumulate(acc, m, -c if neg else c)
         return Expr._of(acc, f.scope)
 
     def bracket_degree(self, f_deg: int, g_deg: int) -> int:

@@ -5,26 +5,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-Row = dict[int, Fraction]
+from .symalg import Rat, accumulate
+
+Row = dict[int, Rat]
 
 
 def _eliminate(row: Row, basis: dict[int, Row]) -> Row:
-    """Reduce ``row`` against a pivot->row basis of normalized rows."""
+    """Reduce ``row`` against a pivot->row basis of normalized rows.
+
+    The basis is fully reduced (``RowSpan.add`` back-substitutes): each
+    basis row is 1 at its own pivot and 0 at every other pivot.  Subtracting
+    it clears its pivot in ``row`` and adds no entry in any other pivot
+    column, so one pass over the pivot columns ``row`` starts with is enough.
+    """
     row = dict(row)
-    changed = True
-    while changed:
-        changed = False
-        for pivot in sorted(row):
-            if pivot in basis and row[pivot]:
-                factor = row[pivot]
-                for col, val in basis[pivot].items():
-                    new = row.get(col, Fraction(0)) - factor * val
-                    if new:
-                        row[col] = new
-                    else:
-                        row.pop(col, None)
-                changed = True
-                break
+    for pivot in [col for col in row if col in basis]:
+        factor = row[pivot]
+        for col, val in basis[pivot].items():
+            accumulate(row, col, -factor * val)
     return row
 
 
@@ -47,14 +45,10 @@ class RowSpan:
         for p, r in list(self.basis.items()):
             if p == pivot:
                 continue
-            if pivot in r and r[pivot]:
+            if pivot in r:
                 factor = r[pivot]
                 for c, v in norm.items():
-                    new = r.get(c, Fraction(0)) - factor * v
-                    if new:
-                        r[c] = new
-                    else:
-                        r.pop(c, None)
+                    accumulate(r, c, -factor * v)
         return True
 
     def contains(self, row: Row) -> bool:

@@ -4,7 +4,11 @@ An :class:`Expr` is a canonical sum of (coefficient polynomial) x (ordered
 graded monomial in fiber variables).  Coefficient polynomials live in the
 commutative ring generated by explicit base variables ``phi_j`` and indexed
 function symbols ``f[lower;upper]`` that can carry formal base derivatives.
-All scalars are :class:`fractions.Fraction`; nothing here floats.
+Scalars are exact and canonical: an ``int`` when integral, else a
+:class:`fractions.Fraction` (see :func:`exact`); nothing here floats.  The
+two forms mix freely, since ``Fraction(k) == k``, ``hash(Fraction(k)) ==
+hash(k)`` and ``str(Fraction(k)) == str(k)``, and integral coefficients,
+the common case, stay on integer arithmetic.
 
 Exprs are immutable once built, so every operation is safe to run
 concurrently on shared inputs.
@@ -12,13 +16,14 @@ concurrently on shared inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .grading import BASE_BLOCK, GradedVar, sort_monomial
+from .grading import BASE_BLOCK, GradedVar, merge_monomials
+from .grading import sort_monomial  # noqa: F401  (perfbench/tracing.py patches this import site)
 
-Rat = Fraction
+Rat = Union[int, Fraction]
 
 ANTISYM = "antisym"
 SYM = "sym"
@@ -34,8 +39,7 @@ class MissingSymbolError(KeyError):
     """Raised by substitution when a symbol has no assigned value."""
 
 
-@dataclass(frozen=True, order=True)
-class SymGroup:
+class SymGroup(NamedTuple):
     """A declared index symmetry: (anti)symmetric slots of one variance."""
 
     kind: str  # ANTISYM | SYM
@@ -43,14 +47,14 @@ class SymGroup:
     slots: tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class CoeffSymbol:
+class CoeffSymbol(NamedTuple):
     """An indexed function symbol f[lower;upper], possibly differentiated.
 
     Stored in normal form: indices inside each declared symmetry group are
     sorted ascending (the sign, for antisymmetric groups, is pushed into the
     owning term's coefficient) and ``deriv`` is sorted because base partials
-    commute.  Use :func:`make_symbol` to build one.
+    commute.  Use :func:`make_symbol` to build one.  A named tuple (as is
+    :class:`SymGroup`), so that hashing and ordering run as tuple operations.
     """
 
     name: str
@@ -74,7 +78,35 @@ class CoeffSymbol:
         return core
 
 
+def exact(c) -> Rat:
+    """The canonical exact scalar equal to ``c``: an int when integral,
+    else a Fraction.  Every scalar stored in a CPoly is canonical."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum is zero.
+
+    The one add-and-drop-zeros step of the sparse sums here; a scalar sum
+    is stored canonically (see :func:`exact`).
+    """
+    prev = acc.get(key)
+    if prev is not None:
+        value = prev + value
+    if value:
+        if type(value) is Fraction and value.denominator == 1:
+            value = value.numerator
+        acc[key] = value
+    elif prev is not None:
+        del acc[key]
+
+
 def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation given as a tuple of images, by cycle lengths."""
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):
@@ -138,6 +170,26 @@ def _merge_base(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
     return tuple(sorted((j, p) for j, p in acc.items() if p))
 
 
+def _mul_into(acc: dict, a_terms: Mapping, b_terms: Mapping, sign: Rat = 1) -> None:
+    """acc += sign * (a x b) on coefficient-term dicts, in place.
+
+    The one product kernel of the coefficient ring: ``CPoly.__mul__`` and
+    ``Expr.mul_into`` (hence every Expr product and bracket) run on it.
+    ``sign`` is a canonical exact scalar, usually +-1.  A sum that cancels
+    drops its key.  When one side of a pair has no symbols or no base
+    monomial, the other side's (already canonical) part is reused without
+    the symbol sort or the base merge.
+    """
+    b_items = list(b_terms.items())
+    for (s1, b1), v1 in a_terms.items():
+        if sign != 1:
+            v1 = v1 * sign
+        for (s2, b2), v2 in b_items:
+            syms = s1 if not s2 else s2 if not s1 else tuple(sorted(s1 + s2))
+            base = b1 if not b2 else b2 if not b1 else _merge_base(b1, b2)
+            accumulate(acc, (syms, base), v1 * v2)
+
+
 class CPoly:
     """Polynomial over Q in base variables and coefficient symbols."""
 
@@ -148,7 +200,7 @@ class CPoly:
         if terms:
             for k, v in terms.items():
                 if v:
-                    data[k] = Fraction(v)
+                    data[k] = exact(v)
         self.terms = data
 
     # -- constructors -----------------------------------------------------
@@ -158,15 +210,22 @@ class CPoly:
 
     @staticmethod
     def scalar(c) -> "CPoly":
-        return CPoly({_ONE_KEY: Fraction(c)})
+        return CPoly({_ONE_KEY: c})
 
     @staticmethod
     def base(j: int, power: int = 1) -> "CPoly":
-        return CPoly({((), ((j, power),)): Fraction(1)})
+        return CPoly({((), ((j, power),)): 1})
 
     @staticmethod
     def symbol(sym: CoeffSymbol, coeff=1) -> "CPoly":
-        return CPoly({((sym,), ()): Fraction(coeff)})
+        return CPoly({((sym,), ()): coeff})
+
+    @staticmethod
+    def _of(terms: dict) -> "CPoly":
+        """Wrap a dict of nonzero canonical terms, without copying."""
+        out = CPoly.__new__(CPoly)
+        out.terms = terms
+        return out
 
     # -- ring operations ---------------------------------------------------
     def __bool__(self) -> bool:
@@ -181,60 +240,41 @@ class CPoly:
     def __add__(self, other: "CPoly") -> "CPoly":
         acc = dict(self.terms)
         for k, v in other.terms.items():
-            s = acc.get(k, Fraction(0)) + v
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        out = CPoly()
-        out.terms = acc
-        return out
+            accumulate(acc, k, v)
+        return CPoly._of(acc)
 
     def __neg__(self) -> "CPoly":
-        out = CPoly()
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return CPoly._of({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "CPoly") -> "CPoly":
         return self + (-other)
 
     def __mul__(self, other: "CPoly") -> "CPoly":
         acc: dict[CKey, Rat] = {}
-        for (s1, b1), v1 in self.terms.items():
-            for (s2, b2), v2 in other.terms.items():
-                key = (tuple(sorted(s1 + s2)), _merge_base(b1, b2))
-                s = acc.get(key, Fraction(0)) + v1 * v2
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = CPoly()
-        out.terms = acc
-        return out
+        _mul_into(acc, self.terms, other.terms)
+        return CPoly._of(acc)
 
     def scale(self, c) -> "CPoly":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return CPoly()
-        out = CPoly()
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
+        return CPoly._of({k: exact(v * c) for k, v in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
     def diff_base(self, j: int) -> "CPoly":
         """Partial derivative with respect to phi_j (Leibniz over terms)."""
-        acc = CPoly()
+        acc: dict[CKey, Rat] = {}
         for (syms, base), v in self.terms.items():
             for pos, (bj, bp) in enumerate(base):
                 if bj != j:
                     continue
                 rest = base[:pos] + ((bj, bp - 1),) + base[pos + 1 :]
                 rest = tuple(p for p in rest if p[1])
-                acc = acc + CPoly({(syms, rest): v * bp})
+                accumulate(acc, (syms, rest), v * bp)
             for pos, sym in enumerate(syms):
                 new = tuple(sorted(syms[:pos] + (sym.with_deriv(j),) + syms[pos + 1 :]))
-                acc = acc + CPoly({(new, base): v})
-        return acc
+                accumulate(acc, (new, base), v)
+        return CPoly._of(acc)
 
     def evaluate(self, sym_values: Mapping[CoeffSymbol, Rat], base_values: Mapping[int, Rat]) -> Rat:
         """Exact value at a rational point; raises KeyError for an unknown symbol."""
@@ -256,13 +296,14 @@ class CPoly:
 
     def substitute(self, lookup) -> "CPoly":
         """Replace every symbol via ``lookup(sym) -> CPoly`` (symbol-free)."""
-        acc = CPoly()
+        acc: dict[CKey, Rat] = {}
         for (syms, base), v in self.terms.items():
-            part = CPoly({((), base): v})
+            part = CPoly._of({((), base): v})
             for sym in syms:
                 part = part * lookup(sym)
-            acc = acc + part
-        return acc
+            for k, pv in part.terms.items():
+                accumulate(acc, k, pv)
+        return CPoly._of(acc)
 
     # -- presentation --------------------------------------------------------
     def sort_key(self):
@@ -271,10 +312,8 @@ class CPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms, key=_ckey_str):
-            parts.append(_cterm_str(self.terms[key], key))
-        return _join_signed(parts)
+        bodies = sorted(((_ckey_str(k), v) for k, v in self.terms.items()), key=itemgetter(0))
+        return _join_signed([_cterm_str(v, body) for body, v in bodies])
 
     def __repr__(self) -> str:
         return "CPoly(%s)" % self
@@ -287,8 +326,7 @@ def _ckey_str(key: CKey) -> str:
     return "*".join(bits) if bits else "1"
 
 
-def _cterm_str(coeff: Rat, key: CKey) -> str:
-    body = _ckey_str(key)
+def _cterm_str(coeff: Rat, body: str) -> str:
     if body == "1":
         return str(coeff)
     if coeff == 1:
@@ -337,7 +375,7 @@ class Expr:
 
     @staticmethod
     def scalar(c, scope: Optional[str] = None) -> "Expr":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return Expr.zero(scope)
         return Expr({(): CPoly.scalar(c)}, scope)
@@ -368,18 +406,12 @@ class Expr:
         out.scope = scope
         return out
 
-    # -- helpers -------------------------------------------------------------
     @staticmethod
-    def accumulate(acc: dict, key, value) -> None:
-        """acc[key] += value, dropping the key when the sum is zero."""
-        prev = acc.get(key)
-        if prev is not None:
-            value = prev + value
-        if value:
-            acc[key] = value
-        elif prev is not None:
-            del acc[key]
+    def _collect(acc: dict, scope: Optional[str]) -> "Expr":
+        """The Expr of a :meth:`mul_into` accumulator (monomial -> term dict)."""
+        return Expr._of({m: CPoly._of(t) for m, t in acc.items() if t}, scope)
 
+    # -- helpers -------------------------------------------------------------
     def _merged_scope(self, other: "Expr") -> Optional[str]:
         if self.scope is not None and other.scope is not None and self.scope != other.scope:
             raise MixedContextError(
@@ -404,7 +436,7 @@ class Expr:
         scope = self._merged_scope(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            Expr.accumulate(acc, m, c)
+            accumulate(acc, m, c)
         return Expr._of(acc, scope)
 
     def __neg__(self) -> "Expr":
@@ -413,20 +445,43 @@ class Expr:
     def __sub__(self, other: "Expr") -> "Expr":
         return self + (-other)
 
-    def __mul__(self, other: "Expr") -> "Expr":
-        scope = self._merged_scope(other)
-        acc: dict[Monomial, CPoly] = {}
+    def __mul__(self, other: "Expr", into: Optional[dict] = None, sign: Rat = 1) -> Optional["Expr"]:
+        """The product ``self * other``.
+
+        Given an accumulator ``into`` (see :meth:`mul_into`), adds ``sign *
+        self * other`` to it in place and returns None instead, so that
+        every Expr product, summed into a bracket or not, is one call of
+        this method (the product layer that profiles and
+        ``perfbench/tracing.py`` time).  Monomials of an Expr are canonical,
+        so each pair of them is one merge.
+        """
+        scope = self._merged_scope(other) if into is None else None
+        acc: dict[Monomial, dict] = {} if into is None else into
+        sign = exact(sign)
+        g_items = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mono = sort_monomial(m1 + m2)
-                if sign == 0:
+            for m2, c2 in g_items:
+                s, mono = merge_monomials(m1, m2)
+                if not s:
                     continue
-                part = c1 * c2
-                Expr.accumulate(acc, mono, part if sign > 0 else -part)
-        return Expr._of(acc, scope)
+                t = acc.get(mono)
+                if t is None:
+                    t = acc[mono] = {}
+                _mul_into(t, c1.terms, c2.terms, sign if s > 0 else -sign)
+        if into is None:
+            return Expr._collect(acc, scope)
+        return None
+
+    @staticmethod
+    def mul_into(acc: dict, f: "Expr", g: "Expr", sign: Rat = 1) -> None:
+        """acc += sign * f g, in place, for an accumulator that maps each
+        monomial to a coefficient-term dict (:meth:`_collect` makes it an
+        Expr).  Sums of products, such as a bracket, build no intermediate
+        Expr or CPoly.  Scopes are the caller's to check."""
+        Expr.__mul__(f, g, acc, sign)
 
     def scale(self, c) -> "Expr":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return Expr.zero(self.scope)
         return Expr({m: p.scale(c) for m, p in self.terms.items()}, self.scope)
@@ -457,7 +512,7 @@ class Expr:
                     for u in m[:pos]:
                         if u.parity:
                             sign = -sign
-                Expr.accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
+                accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
         return Expr._of(acc, self.scope)
 
     def right_deriv(self, x: GradedVar) -> "Expr":
@@ -474,14 +529,14 @@ class Expr:
                     for u in m[pos + 1 :]:
                         if u.parity:
                             sign = -sign
-                Expr.accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
+                accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
         return Expr._of(acc, self.scope)
 
     def partial_base(self, j: int) -> "Expr":
         """Formal partial derivative with respect to phi_j."""
         acc: dict[Monomial, CPoly] = {}
         for m, c in self.terms.items():
-            Expr.accumulate(acc, m, c.diff_base(j))
+            accumulate(acc, m, c.diff_base(j))
         return Expr._of(acc, self.scope)
 
     # -- substitution and evaluation -----------------------------------------
@@ -493,7 +548,7 @@ class Expr:
         """
         acc: dict[Monomial, CPoly] = {}
         for m, c in self.terms.items():
-            Expr.accumulate(acc, m, c.substitute(data.value_of))
+            accumulate(acc, m, c.substitute(data.value_of))
         return Expr._of(acc, self.scope)
 
     def symbols(self) -> set[CoeffSymbol]:

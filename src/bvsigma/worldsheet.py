@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .grading import sort_monomial
 from .models import Action, KineticPairing, ModelSpec
 from .rowreduce import RowSpan, _eliminate
+from .symalg import accumulate, exact
 
 
 @dataclass(frozen=True, order=True)
@@ -56,7 +57,7 @@ class DgaExpr:
         if terms:
             for m, c in terms.items():
                 if c and sum(g.form for g in m) <= n:
-                    data[m] = Fraction(c)
+                    data[m] = exact(c)
         self.terms = data
 
     @staticmethod
@@ -65,11 +66,11 @@ class DgaExpr:
 
     @staticmethod
     def scalar(n: int, c) -> "DgaExpr":
-        return DgaExpr(n, {(): Fraction(c)})
+        return DgaExpr(n, {(): c})
 
     @staticmethod
     def gen(n: int, g: ComponentField) -> "DgaExpr":
-        return DgaExpr(n, {(g,): Fraction(1)})
+        return DgaExpr(n, {(g,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -80,11 +81,7 @@ class DgaExpr:
     def __add__(self, other: "DgaExpr") -> "DgaExpr":
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+            accumulate(acc, m, c)
         return DgaExpr(self.n, acc)
 
     def __neg__(self) -> "DgaExpr":
@@ -94,7 +91,7 @@ class DgaExpr:
         return self + (-other)
 
     def scale(self, c) -> "DgaExpr":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return DgaExpr(self.n)
         return DgaExpr(self.n, {m: v * c for m, v in self.terms.items()})
@@ -106,13 +103,8 @@ class DgaExpr:
                 if sum(g.form for g in m1) + sum(g.form for g in m2) > self.n:
                     continue
                 sign, mono = sort_monomial(m1 + m2)
-                if sign == 0:
-                    continue
-                s = acc.get(mono, Fraction(0)) + c1 * c2 * sign
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
+                if sign:
+                    accumulate(acc, mono, c1 * c2 * sign)
         return DgaExpr(self.n, acc)
 
     def form_part(self, r: int) -> "DgaExpr":
@@ -129,18 +121,19 @@ class DgaExpr:
         """Left derivation defined by ``image(gen) -> DgaExpr | None``:
         D(g1..gk) = sum_i (-1)^(|g1|+..+|g_{i-1}|) g1..D(gi)..gk.
         """
-        out = DgaExpr(self.n)
+        acc: dict[tuple[ComponentField, ...], Fraction] = {}
         for m, c in self.terms.items():
             sign = 1
             for pos, g in enumerate(m):
                 img = image(g)
                 if img is not None and not img.is_zero():
-                    prefix = DgaExpr(self.n, {m[:pos]: Fraction(1)})
-                    suffix = DgaExpr(self.n, {m[pos + 1 :]: Fraction(1)})
-                    out = out + (prefix * img * suffix).scale(c * sign)
+                    prefix = DgaExpr(self.n, {m[:pos]: 1})
+                    suffix = DgaExpr(self.n, {m[pos + 1 :]: 1})
+                    for mono, v in (prefix * img * suffix).terms.items():
+                        accumulate(acc, mono, v * c * sign)
                 if g.parity:
                     sign = -sign
-        return out
+        return DgaExpr(self.n, acc)
 
     def d(self) -> "DgaExpr":
         """Exterior derivative: odd derivation, d^2 = 0, raises form by 1."""

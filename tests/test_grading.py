@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvsigma.grading import GradedVar, koszul_sign, parity, sort_monomial
+from bvsigma.grading import GradedVar, koszul_sign, merge_monomials, parity, sort_monomial
 
 
 def V(block, degree, index=1):
@@ -106,3 +106,38 @@ def test_sort_monomial_matches_koszul_sign_and_sorted(seq):
 def test_canonical_order_is_block_degree_index():
     vars_ = [V("phi", 0, 2), V("A1", 1, 2), V("A1", 1, 1), V("B1", 1, 1)]
     assert sorted(vars_) == [V("A1", 1, 1), V("A1", 1, 2), V("B1", 1, 1), V("phi", 0, 2)]
+
+
+def test_graded_var_value_semantics():
+    v = GradedVar("A1", 1, 2)
+    assert repr(v) == "GradedVar(block='A1', degree=1, index=2)"
+    assert str(v) == "A1_2"
+    assert hash(v) == hash(("A1", 1, 2))  # the hash of its fields, as before
+    assert (v.block, v.degree, v.index, v.parity) == ("A1", 1, 2, 1)
+    assert V("B2", 2, 1).parity == 0
+    assert v == GradedVar("A1", 1, 2) and v != GradedVar("A1", 1, 3)
+    assert V("A1", 1, 3) < V("A2", 2, 1) < V("B1", 1, 1) < V("B1", 2, 1)
+
+
+@st.composite
+def _canonical_pair(draw):
+    """Two canonical monomials: ascending, odd variables at most once."""
+    pool = [x, y, z, even, V("B2", 2, 2), V("A1", 1, 1), V("A2", 2, 1), V("phi", 0, 1)]
+
+    def mono():
+        seq = sorted(draw(st.lists(st.sampled_from(pool), max_size=5)))
+        return tuple(v for i, v in enumerate(seq) if not (v.parity and i and seq[i - 1] == v))
+
+    return mono(), mono()
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_canonical_pair())
+def test_merge_monomials_matches_koszul_sign_and_sorted(pair):
+    a, b = pair
+    ordered = sorted(a + b)
+    if any(u == v and u.parity for u, v in zip(ordered, ordered[1:])):
+        expected = (0, ())
+    else:
+        expected = (koszul_sign(a + b, ordered), tuple(ordered))
+    assert merge_monomials(a, b) == expected

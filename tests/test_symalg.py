@@ -1,12 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bvsigma.grading import GradedVar
-from bvsigma.models import ModelSpec, StructureData
+from bvsigma.grading import GradedVar, sort_monomial
+from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, StructureData, build_S1_generic
+from bvsigma.pstructure import PStructure
 from bvsigma.symalg import (
     ANTISYM,
+    LOWER,
     UPPER,
     CPoly,
     Expr,
@@ -226,3 +231,175 @@ def test_mixed_context_rejected():
         a * b
     # a scoped and an unscoped expression combine fine
     assert not (a + Expr.var(B2)).is_zero()
+
+
+# -- the product kernel against a naive reference ----------------------------------
+
+# Rank 3 everywhere: the totally antisymmetric three-slot families (f3, f6 of
+# the bf model) vanish identically at rank 2.
+K3 = (
+    (Fraction(1), Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 2), Fraction(2), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(-1)),
+)
+KERNEL_SPECS = (
+    ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=3, d=3, flavor=CS_BF, cs_block=CsBlock(3, K3)),
+    ModelSpec(n=4, d=3, bf_blocks=(BfBlock(1, 3),)),
+)
+SCALARS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4))
+
+
+def _term_pool(spec):
+    """The generic S1 terms of a model, plus the scalar 1 and every single
+    fiber variable, so products meet empty and one-letter monomials too."""
+    p = PStructure.from_model(spec)
+    pool = list(build_S1_generic(spec).expr.terms.items())
+    pool.append(((), CPoly.scalar(1)))
+    pool += [((v,), CPoly.scalar(1)) for v in p.fiber_vars()]
+    return p, pool
+
+
+KERNEL_CASES = [_term_pool(spec) for spec in KERNEL_SPECS]
+
+
+@st.composite
+def _operand(draw, pool, d):
+    """A sum of 1-4 pool terms, each rescaled by an integer or fractional
+    scalar, possibly times a base monomial, possibly plus a differentiated
+    symbol.  Sampling from a small pool makes cancellations common."""
+    expr = Expr.zero()
+    for mono, coeff in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+        c = coeff.scale(draw(st.sampled_from(SCALARS)))
+        if draw(st.booleans()):
+            c = c * CPoly.base(draw(st.integers(1, d)), draw(st.integers(1, 2)))
+        syms = sorted(coeff.symbols())
+        if syms and draw(st.booleans()):
+            sym = draw(st.sampled_from(syms)).with_deriv(draw(st.integers(1, d)))
+            c = c + CPoly.symbol(sym, draw(st.sampled_from(SCALARS)))
+        expr = expr + Expr({mono: c})
+    return expr
+
+
+@st.composite
+def _kernel_case(draw):
+    p, pool = draw(st.sampled_from(KERNEL_CASES))
+    d = len(p.base_indices())
+    return p, draw(_operand(pool, d)), draw(_operand(pool, d))
+
+
+def _naive_mul(f, g):
+    """f g as {monomial: {coefficient key: Fraction}}: one sort_monomial per
+    term pair and a plain dict product over Fractions."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            sign, mono = sort_monomial(m1 + m2)
+            if not sign:
+                continue
+            coeffs = out.setdefault(mono, {})
+            for (s1, b1), v1 in c1.terms.items():
+                for (s2, b2), v2 in c2.terms.items():
+                    base = Counter(dict(b1))
+                    base.update(dict(b2))
+                    key = (tuple(sorted(s1 + s2)), tuple(sorted(base.items())))
+                    coeffs[key] = coeffs.get(key, Fraction(0)) + sign * Fraction(v1) * Fraction(v2)
+    return _nonzero(out)
+
+
+def _nonzero(table):
+    out = {}
+    for mono, coeffs in table.items():
+        kept = {k: v for k, v in coeffs.items() if v}
+        if kept:
+            out[mono] = kept
+    return out
+
+
+def _naive_bracket(p, f, g):
+    """The Darboux sum of the pstructure docstring plus the self-block k-term,
+    every product through _naive_mul."""
+    total = {}
+
+    def add(part, factor):
+        for mono, coeffs in part.items():
+            slot = total.setdefault(mono, {})
+            for k, v in coeffs.items():
+                slot[k] = slot.get(k, Fraction(0)) + factor * v
+
+    for pair in p.pairs:
+        t2 = -1 if (p.n * pair.p) % 2 == 0 else 1
+        for av, bv in p.pair_vars(pair):
+            add(_naive_mul(f.right_deriv(av), g.left_deriv(bv)), 1)
+            add(_naive_mul(f.right_deriv(bv), g.left_deriv(av)), t2)
+    for sp in p.self_pairs:
+        vs = p.self_vars(sp)
+        for a, va in enumerate(vs):
+            for b, vb in enumerate(vs):
+                add(_naive_mul(f.right_deriv(va), g.left_deriv(vb)), sp.metric[a][b])
+    return _nonzero(total)
+
+
+def _table(expr):
+    return {m: dict(c.terms) for m, c in expr.terms.items()}
+
+
+def _assert_canonical(expr):
+    """No zero coefficient polynomial or scalar is stored, and every scalar
+    is an int exactly when it is integral."""
+    for c in expr.terms.values():
+        assert c.terms
+        for v in c.terms.values():
+            assert v != 0
+            assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_case())
+def test_mul_matches_naive_reference(case):
+    _, f, g = case
+    prod = f * g
+    assert _table(prod) == _naive_mul(f, g)
+    _assert_canonical(prod)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_case())
+def test_bracket_matches_naive_reference(case):
+    p, f, g = case
+    br = p.bracket(f, g)
+    assert _table(br) == _naive_bracket(p, f, g)
+    _assert_canonical(br)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_kernel_case())
+def test_stored_scalars_are_canonical(case):
+    _, f, g = case
+    for expr in (f, g, f + g, f - g, f.scale(Fraction(2, 3)), f.scale(2), f.partial_base(1)):
+        _assert_canonical(expr)
+    for c in f.terms.values():
+        for poly in (c * c, c.diff_base(1), c.scale(Fraction(1, 2)), c + c.scale(Fraction(-1, 2))):
+            for v in poly.terms.values():
+                assert v != 0
+                assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+def test_fractional_sums_that_become_integral_are_ints():
+    half = CPoly.scalar(Fraction(1, 2))
+    assert type((half + half).terms[((), ())]) is int
+    assert type(CPoly.scalar(Fraction(4, 2)).terms[((), ())]) is int
+    x = Expr.var(B1)
+    assert (x.scale(Fraction(1, 2)) + x.scale(Fraction(-1, 2))).is_zero()
+    (coeff,) = (x.scale(Fraction(2, 3)) * Expr.scalar(Fraction(3, 2))).terms.values()
+    assert type(coeff.terms[((), ())]) is int
+
+
+def test_coeff_symbol_value_semantics():
+    sign, sym = make_symbol("f3", (3, 1, 2), (), (2,), (SymGroup(ANTISYM, LOWER, (0, 1, 2)),))
+    assert sign == 1 and sym.lower == (1, 2, 3)
+    fields = ("f3", (1, 2, 3), (), (2,), (SymGroup(ANTISYM, LOWER, (0, 1, 2)),))
+    assert hash(sym) == hash(fields)
+    assert str(sym) == "d(2)f3[1,2,3;]"
+    _, other = make_symbol("f3", (1, 2, 4), (), (), ())
+    assert sym < other and sorted([other, sym]) == [sym, other]
