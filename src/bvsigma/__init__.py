@@ -23,7 +23,7 @@ from .models import (
     build_S1_generic,
     validate_degree,
 )
-from .pstructure import PStructure, antibracket, bv_laplacian, check_bv_identities
+from .pstructure import PStructure, check_bv_identities
 
 __all__ = [
     "GradedVar",
@@ -48,7 +48,5 @@ __all__ = [
     "build_S1_generic",
     "validate_degree",
     "PStructure",
-    "antibracket",
-    "bv_laplacian",
     "check_bv_identities",
 ]

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 
 from .grading import GradedVar
-from .models import Action, ModelSpec, StructureData
-from .pstructure import PStructure
+from .models import Action, ModelError, ModelSpec, StructureData
+from .pstructure import Hamiltonian, PStructure
 from .symalg import CPoly, Expr
 
 
@@ -46,7 +46,7 @@ class SectionBasis:
         elif n == 3:
             vars_ = tuple(spec.vars_of("A1")) + tuple(spec.vars_of("B1"))
         else:
-            raise ValueError("section bases are defined for the n=2 and n=3 models")
+            raise ModelError("section bases are defined for the n=2 and n=3 models")
         for v in vars_:
             if v.degree != 1:
                 raise ValueError("section generator %s has unexpected degree" % (v,))
@@ -67,16 +67,16 @@ class SectionBasis:
         return out
 
 
-def derived_bracket(p: PStructure, s: Expr, e1: Expr, e2: Expr) -> Expr:
-    """((S,e1),e2)."""
-    return p.bracket(p.bracket(s, e1), e2)
+def derived_bracket(p: PStructure, q: Hamiltonian, e1: Expr, e2: Expr) -> Expr:
+    """((S,e1),e2), with S given as q = p.hamiltonian(S)."""
+    return p.bracket(p.bracket(q, e1), e2)
 
 
-def anchor(p: PStructure, s: Expr, e: Expr, f: Expr) -> Expr:
+def anchor(p: PStructure, q: Hamiltonian, e: Expr, f: Expr) -> Expr:
     """rho(e) F = (e,(S,F)); F must depend on base variables only."""
     if f.monomial_degrees() not in (set(), {0}):
         raise ValueError("anchor argument must be a base-variable function")
-    return p.bracket(e, p.bracket(s, f))
+    return p.bracket(e, p.bracket(q, f))
 
 
 def pairing(p: PStructure, e1: Expr, e2: Expr) -> Expr:
@@ -84,9 +84,9 @@ def pairing(p: PStructure, e1: Expr, e2: Expr) -> Expr:
     return p.bracket(e1, e2)
 
 
-def d_op(p: PStructure, s: Expr, f: Expr) -> Expr:
+def d_op(p: PStructure, q: Hamiltonian, f: Expr) -> Expr:
     """D F = (S,F)."""
-    return p.bracket(s, f)
+    return p.bracket(q, f)
 
 
 # -- symbolic operation tables ------------------------------------------------
@@ -96,15 +96,15 @@ def operation_table(p: PStructure, s1: Action, basis: SectionBasis):
     """Evaluate o, <,> and rho on the whole basis with symbols opaque."""
     reps = basis.representatives()
     rows = []
-    s = s1.expr
+    q = p.hamiltonian(s1.expr)
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
-        rows.append(("circ", la, lb, derived_bracket(p, s, ea, eb)))
+        rows.append(("circ", la, lb, derived_bracket(p, q, ea, eb)))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
         rows.append(("pair", la, lb, pairing(p, ea, eb)))
     base = [i for i in p.base_indices()]
     for la, ea in reps:
         for i in base:
-            rows.append(("anchor", la, "phi%d" % i, anchor(p, s, ea, Expr.base(i))))
+            rows.append(("anchor", la, "phi%d" % i, anchor(p, q, ea, Expr.base(i))))
     return rows
 
 
@@ -150,16 +150,16 @@ def check_courant(
     Properties taking a base function run over ``samples`` random
     polynomials of degree <= 3; comparisons are exact.
     """
-    s = s1.expr.substitute(data)
+    q = p.hamiltonian(s1.expr.substitute(data))
     rng = random.Random(seed)
     rep = AxiomReport(model=p.scope or "")
     reps = basis.representatives()
 
     def circ(x, y):
-        return derived_bracket(p, s, x, y)
+        return derived_bracket(p, q, x, y)
 
     def rho(e, f):
-        return anchor(p, s, e, f)
+        return anchor(p, q, e, f)
 
     # The axioms quantify over the whole section space, not just the fiber
     # basis; each check therefore also runs with one generator scaled by a
@@ -233,13 +233,13 @@ def check_courant(
     # 4: e1 o e2 + e2 o e1 = D<e1,e2>, also with a function-scaled section.
     ok, wit = True, ""
     for (l1, e1), (l2, e2) in itertools.product(reps, reps):
-        if circ(e1, e2) + circ(e2, e1) != d_op(p, s, pairing(p, e1, e2)):
+        if circ(e1, e2) + circ(e2, e1) != d_op(p, q, pairing(p, e1, e2)):
             ok, wit = False, "(%s,%s)" % (l1, l2)
             break
         f = random_base_poly(len(base), rng)
         fe1 = f * e1
         lhs = circ(fe1, e2) + circ(e2, fe1)
-        if lhs != d_op(p, s, pairing(p, fe1, e2)):
+        if lhs != d_op(p, q, pairing(p, fe1, e2)):
             ok, wit = False, "(F*%s,%s)" % (l1, l2)
             break
     rep.record("symmetrized bracket = D<,>", ok, wit)
@@ -266,7 +266,7 @@ def check_courant(
     for l1, e1 in reps:
         for _ in range(max(1, samples // 4)):
             f = random_base_poly(len(base), rng)
-            if pairing(p, d_op(p, s, f), e1) != rho(e1, f):
+            if pairing(p, d_op(p, q, f), e1) != rho(e1, f):
                 ok, wit = False, "%s" % l1
                 break
         if not ok:
@@ -289,14 +289,14 @@ def check_lie_algebroid(
     [dF,dG] -> ((S,F),G); general sections are component tuples handled by
     the Leibniz extension of the coordinate bracket.
     """
-    s = s1.expr.substitute(data)
+    q = p.hamiltonian(s1.expr.substitute(data))
     rng = random.Random(seed)
     rep = AxiomReport(model=p.scope or "")
     base = list(p.base_indices())
     d = len(base)
 
     def pb(f, g):
-        return derived_bracket(p, s, f, g)
+        return derived_bracket(p, q, f, g)
 
     reps = basis.representatives()
 

@@ -23,7 +23,7 @@ from .master import (
     transcribe_paper_identities,
     verify_structure_data,
 )
-from .models import ModelSpec, build_S0, build_S1_generic
+from .models import ModelError, ModelSpec, build_S0, build_S1_generic
 from .modelfile import ModelFile, ParseError, parse_model
 from .pstructure import PStructure, check_bv_identities
 from .symalg import MissingSymbolError
@@ -287,12 +287,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write("error: %s: %s\n" % (args.model, exc))
         return USAGE
+    # Only errors in what the user gave are usage errors; any other
+    # exception is a fault of the engine and propagates.
     try:
         return _COMMANDS[args.command](mf, args)
-    except SystemExit2 as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return USAGE
-    except (MissingSymbolError, ValueError) as exc:
+    except (SystemExit2, ModelError, MissingSymbolError, ParseError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE
 

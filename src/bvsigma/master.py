@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .models import Action, ModelSpec, StructureData, ansatz_families
+from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
 from .rowreduce import span_includes
 from .symalg import CPoly, Expr, _perm_sign, make_symbol, monomial_str
@@ -117,7 +117,7 @@ def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
     alpha_a, alpha_b = a.alphabet(), b.alphabet()
     for name in set(alpha_a) & set(alpha_b):
         if alpha_a[name] != alpha_b[name]:
-            raise ValueError(
+            raise ModelError(
                 "alphabet mismatch: %s has %d lower/%d upper indices in one set "
                 "and %d/%d in the other" % ((name,) + alpha_a[name] + alpha_b[name])
             )
@@ -142,12 +142,26 @@ N3_BF = "n3_bf"
 N3_CS = "n3_cs"
 
 
-def _sym(spec: ModelSpec, fam_map, name, lower=(), upper=(), deriv=()) -> CPoly:
-    fam = fam_map[name]
-    sign, sym = make_symbol(name, lower, upper, deriv, fam.groups)
-    if sym is None:
-        return CPoly.zero()
-    return CPoly.symbol(sym, sign)
+def _symbols(spec: ModelSpec):
+    """sym(name, lower, upper, deriv) -> the CPoly of that normalized symbol
+    (zero if it vanishes), for one transcription call.
+
+    The transcriptions name the same symbols again and again inside their
+    index loops; each one is built once here, in a table that lives only as
+    long as the returned function.
+    """
+    fams = {f.name: f for f in ansatz_families(spec)}
+    table: dict = {}
+
+    def sym(name, lower=(), upper=(), deriv=()) -> CPoly:
+        key = (name, lower, upper, deriv)
+        poly = table.get(key)
+        if poly is None:
+            sign, symbol = make_symbol(name, lower, upper, deriv, fams[name].groups)
+            poly = table[key] = CPoly.zero() if symbol is None else CPoly.symbol(symbol, sign)
+        return poly
+
+    return sym
 
 
 def _perms_signed(indices: Sequence[int]):
@@ -182,11 +196,11 @@ def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
 
 def _transcribe_n2(spec: ModelSpec):
     """f^{kl} d_l f^{ij} + f^{il} d_l f^{jk} + f^{jl} d_l f^{ki} = 0."""
-    fams = {f.name: f for f in ansatz_families(spec)}
+    sym = _symbols(spec)
     d = spec.d
 
     def f(i, j, deriv=()):
-        return _sym(spec, fams, "f1", upper=(i, j), deriv=deriv)
+        return sym("f1", upper=(i, j), deriv=deriv)
 
     eqs = []
     for i, j, k in itertools.product(range(1, d + 1), repeat=3):
@@ -206,29 +220,29 @@ def _transcribe_n3_bf(spec: ModelSpec):
     (E*-index, M-index); the published form writes f2^{i b} with the M-index
     first, so the slot order is swapped in the helper below.
     """
-    fams = {f.name: f for f in ansatz_families(spec)}
+    sym = _symbols(spec)
     d = spec.d
     r = spec.bf_blocks[0].rank
     M = range(1, d + 1)
     R = range(1, r + 1)
 
     def f1(a, i, deriv=()):
-        return _sym(spec, fams, "f1", lower=(a,), upper=(i,), deriv=deriv)
+        return sym("f1", lower=(a,), upper=(i,), deriv=deriv)
 
     def f2(i, b, deriv=()):
-        return _sym(spec, fams, "f2", upper=(b, i), deriv=deriv)
+        return sym("f2", upper=(b, i), deriv=deriv)
 
     def f3(a, b, c, deriv=()):
-        return _sym(spec, fams, "f3", lower=(a, b, c), deriv=deriv)
+        return sym("f3", lower=(a, b, c), deriv=deriv)
 
     def f4(a, b, c, deriv=()):
-        return _sym(spec, fams, "f4", lower=(a, b), upper=(c,), deriv=deriv)
+        return sym("f4", lower=(a, b), upper=(c,), deriv=deriv)
 
     def f5(a, b, c, deriv=()):
-        return _sym(spec, fams, "f5", lower=(a,), upper=(b, c), deriv=deriv)
+        return sym("f5", lower=(a,), upper=(b, c), deriv=deriv)
 
     def f6(a, b, c, deriv=()):
-        return _sym(spec, fams, "f6", upper=(a, b, c), deriv=deriv)
+        return sym("f6", upper=(a, b, c), deriv=deriv)
 
     eqs = []
     for i, j in itertools.product(M, M):
@@ -327,7 +341,7 @@ def _transcribe_n3_bf(spec: ModelSpec):
 
 def _transcribe_n3_cs(spec: ModelSpec):
     """The three published identities of the n=3 self-paired model."""
-    fams = {f.name: f for f in ansatz_families(spec)}
+    sym = _symbols(spec)
     d = spec.d
     r = spec.cs_block.rank
     k = spec.cs_block.metric
@@ -335,10 +349,10 @@ def _transcribe_n3_cs(spec: ModelSpec):
     R = range(1, r + 1)
 
     def f1(a, i, deriv=()):
-        return _sym(spec, fams, "f1", lower=(a,), upper=(i,), deriv=deriv)
+        return sym("f1", lower=(a,), upper=(i,), deriv=deriv)
 
     def f2(a, b, c, deriv=()):
-        return _sym(spec, fams, "f2", lower=(a, b, c), deriv=deriv)
+        return sym("f2", lower=(a, b, c), deriv=deriv)
 
     eqs = []
     for i, j in itertools.product(M, M):

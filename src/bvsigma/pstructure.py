@@ -11,6 +11,13 @@ plus, for a self-paired block with constant symmetric metric k,
 
 Signs are read literally off the Darboux expressions; the identity suite in
 ``check_bv_identities`` is the arbiter that the conventions are consistent.
+
+The sum runs over the operands' support (:meth:`Expr.support`): a term is
+taken only when F holds the variable it differentiates F by and G holds
+the conjugate one, so every term left out is exactly zero.  The partners of
+each variable come from a table built once per structure, and a fixed S
+bracketed many times, as in the derived brackets of ``algebroid``, keeps
+its right derivatives in a :class:`Hamiltonian`.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .grading import GradedVar
-from .models import BASE_BLOCK, Matrix, ModelError, ModelSpec
+from .grading import BASE_BLOCK, GradedVar
+from .models import Matrix, ModelError, ModelSpec
 from .symalg import CPoly, Expr, accumulate, make_symbol
 
 
@@ -59,6 +66,7 @@ class PStructure:
                     "self-paired block of even degree %d cannot carry a symmetric "
                     "metric compatible with graded antisymmetry (n=%d)" % (q, n)
                 )
+        self._darboux_rows, self._rows = self._conjugate_tables()
 
     @staticmethod
     def from_model(spec: ModelSpec) -> "PStructure":
@@ -102,6 +110,30 @@ class PStructure:
         base = next(p for p in self.pairs if p.p == 0)
         return range(1, base.rank + 1)
 
+    def _conjugate_tables(self):
+        """The partners of each variable in the bracket sum, in summation
+        order: rows (v, j, partners) with partners ((w, jw, k), ...), so
+        that (F,G) = sum over rows and partners of k F d_r/dv . d_l/dw G.
+        j (jw) is the base index of a base variable and 0 for a fiber one.
+        Returns the Darboux rows alone and the Darboux plus self-block rows.
+        """
+        n = self.n
+        darboux = []
+        for pair in self.pairs:
+            sign = -1 if (n * pair.p) % 2 == 0 else 1  # t2 carries -(-1)^(n p)
+            for av, bv in self.pair_vars(pair):
+                ja = av.index if av.block == BASE_BLOCK else 0
+                darboux.append((av, ja, ((bv, 0, 1),)))
+                darboux.append((bv, 0, ((av, ja, sign),)))
+        full = list(darboux)
+        for sp in self.self_pairs:
+            vs = self.self_vars(sp)
+            for a, va in enumerate(vs):
+                partners = tuple((vb, 0, k) for vb, k in zip(vs, sp.metric[a]) if k)
+                if partners:
+                    full.append((va, 0, partners))
+        return tuple(darboux), tuple(full)
+
     # -- the bracket ----------------------------------------------------------
     def bracket_darboux(self, f: Expr, g: Expr) -> Expr:
         """The Darboux-pair part of the bracket, without self-block terms.
@@ -109,40 +141,57 @@ class PStructure:
         This is exactly the bracket generated by the BV Laplacian; for an
         odd self-paired block the k-term has no second-order generator.
         """
-        scope = f._merged_scope(g)
-        acc: dict = {}
-        self._darboux_into(acc, f, g)
-        return Expr._collect(acc, scope)
+        return self._bracket(self._darboux_rows, f, g)
 
-    def _darboux_into(self, acc: dict, f: Expr, g: Expr) -> None:
-        """Sum every Darboux derivative product into one Expr.mul_into
-        accumulator."""
-        n = self.n
-        for pair in self.pairs:
-            sign = -1 if (n * pair.p) % 2 == 0 else 1  # t2 carries -(-1)^(n p)
-            for av, bv in self.pair_vars(pair):
-                fa = f.right_deriv(av)
-                if fa:
-                    Expr.mul_into(acc, fa, g.left_deriv(bv))
-                fb = f.right_deriv(bv)
-                if fb:
-                    Expr.mul_into(acc, fb, g.left_deriv(av), sign)
+    def bracket(self, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
+        """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input.
 
-    def bracket(self, f: Expr, g: Expr) -> Expr:
-        """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input."""
+        ``f`` may be a :class:`Hamiltonian` from :meth:`hamiltonian`, whose
+        right derivatives are then reused instead of taken again.
+        """
+        return self._bracket(self._rows, f, g)
+
+    def hamiltonian(self, s: Expr) -> "Hamiltonian":
+        """S with its nonzero right derivatives, for the repeated brackets
+        (S,.) of one computation (the Hamiltonian vector field Q = (S,.))."""
+        fibers, bases = s.support()
+        derivs = {}
+        for v, j, _ in self._rows:
+            if j in bases if j else v in fibers:
+                sv = s.right_deriv(v)
+                if sv:
+                    derivs[v] = sv
+        return Hamiltonian(s, derivs)
+
+    def _bracket(self, rows, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
+        """The bracket sum over ``rows`` (see :meth:`_conjugate_tables`),
+        restricted to the operands' support: F d_r/dv is taken only when F
+        holds v and G holds a partner w of v, and d_l/dw G only when G holds
+        w.  The terms left out are exactly zero."""
+        derivs = None
+        if isinstance(f, Hamiltonian):
+            f, derivs = f.expr, f.derivs
         scope = f._merged_scope(g)
+        g_fibers, g_bases = g.support()
+        if derivs is None:
+            f_fibers, f_bases = (g_fibers, g_bases) if f is g else f.support()
         acc: dict = {}
-        self._darboux_into(acc, f, g)
-        for sp in self.self_pairs:
-            vs = self.self_vars(sp)
-            for a, va in enumerate(vs):
-                fa = f.right_deriv(va)
-                if not fa:
+        for v, j, partners in rows:
+            if derivs is None:
+                if not (j in f_bases if j else v in f_fibers):
                     continue
-                for b, vb in enumerate(vs):
-                    k = sp.metric[a][b]
-                    if k:
-                        Expr.mul_into(acc, fa, g.left_deriv(vb), k)
+                fv = None  # taken when a partner is first met in G
+            else:
+                fv = derivs.get(v)
+                if fv is None:
+                    continue
+            for w, jw, k in partners:
+                if jw in g_bases if jw else w in g_fibers:
+                    if fv is None:
+                        fv = f.right_deriv(v)
+                    if not fv:
+                        break
+                    Expr.mul_into(acc, fv, g.left_deriv(w), k)
         return Expr._collect(acc, scope)
 
     def laplacian(self, f: Expr) -> Expr:
@@ -167,12 +216,18 @@ class PStructure:
         return f_deg + g_deg - self.n + 1
 
 
-def antibracket(p: PStructure, f: Expr, g: Expr) -> Expr:
-    return p.bracket(f, g)
+class Hamiltonian:
+    """A fixed S and its nonzero right derivatives d_r S/dv, keyed by v.
 
+    Built by :meth:`PStructure.hamiltonian` for the brackets (S,.) of one
+    computation and dropped with it; nothing is cached beyond that.
+    """
 
-def bv_laplacian(p: PStructure, f: Expr) -> Expr:
-    return p.laplacian(f)
+    __slots__ = ("expr", "derivs")
+
+    def __init__(self, expr: Expr, derivs: dict[GradedVar, Expr]):
+        self.expr = expr
+        self.derivs = derivs
 
 
 # -- randomized identity suite ---------------------------------------------------

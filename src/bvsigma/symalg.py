@@ -349,6 +349,22 @@ def _join_signed(parts: list[str]) -> str:
 Monomial = tuple[GradedVar, ...]
 
 
+class _AllIndices:
+    """The base support of an Expr that holds a coefficient symbol: it
+    contains every index."""
+
+    __slots__ = ()
+
+    def __contains__(self, j) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "ALL_INDICES"
+
+
+ALL_INDICES = _AllIndices()
+
+
 class Expr:
     """Canonical graded polynomial: sum of CPoly x fiber monomial.
 
@@ -500,37 +516,53 @@ class Expr:
     # -- graded calculus ------------------------------------------------------
     def left_deriv(self, x: GradedVar) -> "Expr":
         """Left derivative: commute x to the leftmost position, then strip."""
+        return self._deriv(x, True)
+
+    def right_deriv(self, x: GradedVar) -> "Expr":
+        """Right derivative: commute x to the rightmost position, then strip."""
+        return self._deriv(x, False)
+
+    def _deriv(self, x: GradedVar, left: bool) -> "Expr":
+        """The graded derivative by x from the left or the right: an odd x
+        picks up the sign of the odd variables it passes on that side."""
         if x.block == BASE_BLOCK:
             return self.partial_base(x.index)
         acc: dict[Monomial, CPoly] = {}
         for m, c in self.terms.items():
+            if x not in m:
+                continue
             for pos, v in enumerate(m):
                 if v != x:
                     continue
                 sign = 1
                 if x.parity:
-                    for u in m[:pos]:
+                    for u in m[:pos] if left else m[pos + 1 :]:
                         if u.parity:
                             sign = -sign
                 accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
         return Expr._of(acc, self.scope)
 
-    def right_deriv(self, x: GradedVar) -> "Expr":
-        """Right derivative: commute x to the rightmost position, then strip."""
-        if x.block == BASE_BLOCK:
-            return self.partial_base(x.index)
-        acc: dict[Monomial, CPoly] = {}
+    def support(self) -> tuple[set[GradedVar], Union[set[int], _AllIndices]]:
+        """The variables whose derivative of this Expr can be nonzero, in one
+        pass over the terms: (fiber variables present, base indices present).
+
+        A coefficient symbol makes every base index present, since the
+        formal derivative ``d(j)f[..]`` of a symbol is nonzero for every j;
+        the base part is then :data:`ALL_INDICES`.
+        """
+        fibers: set[GradedVar] = set()
+        bases: Union[set[int], _AllIndices] = set()
         for m, c in self.terms.items():
-            for pos, v in enumerate(m):
-                if v != x:
-                    continue
-                sign = 1
-                if x.parity:
-                    for u in m[pos + 1 :]:
-                        if u.parity:
-                            sign = -sign
-                accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
-        return Expr._of(acc, self.scope)
+            fibers.update(m)
+            if bases is ALL_INDICES:
+                continue
+            for syms, base in c.terms:
+                if syms:
+                    bases = ALL_INDICES
+                    break
+                for j, _ in base:
+                    bases.add(j)
+        return fibers, bases
 
     def partial_base(self, j: int) -> "Expr":
         """Formal partial derivative with respect to phi_j."""

@@ -5,6 +5,7 @@ prints one summary line; randomized parts run at their stated trial counts
 with fixed seeds.
 """
 
+import functools
 import io
 import itertools
 import json
@@ -87,6 +88,15 @@ BRACKET_FAMILIES = [
 TRIALS = 200
 
 
+@functools.lru_cache(maxsize=None)
+def bv_report(name):
+    """check_bv_identities(..., trials=TRIALS, seed=0) on the named
+    BRACKET_FAMILIES entry.  Criteria 1 and 9 read the same seven reports,
+    so each is computed once per test run; no test changes a report."""
+    spec = dict(BRACKET_FAMILIES)[name]
+    return check_bv_identities(PStructure.from_model(spec), trials=TRIALS, seed=0)
+
+
 def conclude(number, description, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     suffix = " (%s)" % detail if detail else ""
@@ -97,7 +107,7 @@ def conclude(number, description, ok, detail=""):
 def test_criterion_01_antibracket_law_suite():
     failures = []
     for name, spec in BRACKET_FAMILIES:
-        rep = check_bv_identities(PStructure.from_model(spec), trials=TRIALS, seed=0)
+        rep = bv_report(name)
         for law in BRACKET_LAWS:
             if not rep.results[law]:
                 failures.append("%s: %s" % (name, law))
@@ -483,11 +493,11 @@ ODD_FAMILIES = [f for f in BRACKET_FAMILIES if f[1].n % 2 == 1]
 def test_criterion_09_bv_laplacian_even_structures():
     failures = []
     for name, spec in BRACKET_FAMILIES:
-        rep = check_bv_identities(PStructure.from_model(spec), trials=TRIALS, seed=0)
+        rep = bv_report(name)
         if not rep.results["Delta degree = |F|-(n-1)"]:
             failures.append("%s: degree" % name)
     for name, spec in EVEN_FAMILIES:
-        rep = check_bv_identities(PStructure.from_model(spec), trials=TRIALS, seed=0)
+        rep = bv_report(name)
         for law in LAPLACIAN_LAWS:
             if not rep.results[law]:
                 failures.append("%s: %s" % (name, law))
@@ -535,7 +545,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
     for name, spec in ODD_FAMILIES:
         p = PStructure.from_model(spec)
         n = p.n
-        rep = check_bv_identities(p, trials=TRIALS, seed=0)
+        rep = bv_report(name)
 
         if rep.results["Delta-Leibniz"]:
             failures.append("%s: Delta-Leibniz not flagged" % name)

@@ -136,11 +136,11 @@ def test_n2_noncommutative_coordinates_and_anchor():
     s1 = build_S1_generic(spec)
     # [phi^i, phi^j] = -f^{ij}
     for i, j in itertools.combinations((1, 2, 3), 2):
-        got = derived_bracket(p, s1.expr, Expr.base(i), Expr.base(j))
+        got = derived_bracket(p, p.hamiltonian(s1.expr), Expr.base(i), Expr.base(j))
         assert got == sym_expr(spec, "f1", (), (i, j), coeff=-1)
     # rho(phi^i) F = -f^{ij} d_j F on a monomial test function
     F = Expr.base(1) * Expr.base(2)
-    got = anchor(p, s1.expr, Expr.base(1), F)
+    got = anchor(p, p.hamiltonian(s1.expr), Expr.base(1), F)
     expected = Expr.zero()
     for j in (1, 2, 3):
         expected = expected + sym_expr(spec, "f1", (), (1, j), coeff=-1) * F.partial_base(j)
@@ -151,7 +151,7 @@ def test_d_op_lands_in_section_space():
     spec = n3_spec()
     p = PStructure.from_model(spec)
     s1 = build_S1_generic(spec)
-    img = d_op(p, s1.expr, Expr.base(1))
+    img = d_op(p, p.hamiltonian(s1.expr), Expr.base(1))
     assert img.homogeneous_degree() == 1
     blocks = {v.block for mono in img.terms for v in mono}
     assert blocks <= {"A1", "B1"}
@@ -162,7 +162,7 @@ def test_anchor_rejects_fiber_arguments():
     p = PStructure.from_model(spec)
     s1 = build_S1_generic(spec)
     with pytest.raises(ValueError):
-        anchor(p, s1.expr, Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
+        anchor(p, p.hamiltonian(s1.expr), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
 
 
 # -- axiom checkers against the master equation --------------------------------------
@@ -236,6 +236,6 @@ def test_n2_bracket_antisymmetry_on_basis():
     s1 = build_S1_generic(spec)
     sub = s1.expr.substitute(so3_data())
     for i, j in itertools.product((1, 2, 3), repeat=2):
-        lhs = derived_bracket(p, sub, Expr.base(i), Expr.base(j))
-        rhs = derived_bracket(p, sub, Expr.base(j), Expr.base(i))
+        lhs = derived_bracket(p, p.hamiltonian(sub), Expr.base(i), Expr.base(j))
+        rhs = derived_bracket(p, p.hamiltonian(sub), Expr.base(j), Expr.base(i))
         assert (lhs + rhs).is_zero()

@@ -183,3 +183,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == "pass"
+
+
+def test_exit_code_2_for_algebroid_of_unsupported_n(tmp_path):
+    model = tmp_path / "n5.model"
+    model.write_text("[model]\nn = 5\nd = 2\nblock p=1 rank=2\n\n[data]\nf1[1;1] = phi1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check-algebroid", "--model", str(model)])
+    assert code == 2
+    assert out == ""
+    assert err.getvalue() == "error: section bases are defined for the n=2 and n=3 models\n"
+
+
+def test_exit_code_2_for_comparing_models_of_different_shape():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(
+            [
+                "compare-identities",
+                "--model",
+                str(EXAMPLES / "n2_poisson_so3.model"),
+                "--against",
+                str(EXAMPLES / "n3_cs_su2.model"),
+            ]
+        )
+    assert code == 2
+    assert err.getvalue().startswith("error: alphabet mismatch: f1 has")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # An engine fault must surface, not pass for a mistake in the input.
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "check_algebroid", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run_cli(["check-algebroid", "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvsigma.grading import GradedVar
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build_S1_generic
@@ -201,3 +203,116 @@ def test_every_block_in_exactly_one_pair():
     p = PStructure.from_model(spec)
     fibers = {v.block for v in p.fiber_vars()}
     assert fibers == {"B2", "A1"}
+
+
+# -- the support-aware bracket against the sum over every variable -------------
+
+# Rank 3, so the totally antisymmetric three-slot families do not vanish,
+# and a self-block metric that is neither diagonal nor integral.
+K3 = (
+    (Fraction(1), Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 2), Fraction(2), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(-1)),
+)
+SUPPORT_SPECS = (
+    ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=4, d=3, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=3, d=3, flavor=CS_BF, cs_block=CsBlock(3, K3)),
+)
+SCALARS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+# What a coefficient may hold: a scalar only, scalars times base powers, or
+# a (possibly differentiated) symbol as well, which makes every base index
+# part of the support.
+COEFFICIENTS = ("scalar", "powers", "symbol")
+
+
+def _support_case(spec):
+    p = PStructure.from_model(spec)
+    s1 = build_S1_generic(spec).expr
+    monos = sorted(set(s1.terms) | {(v,) for v in p.fiber_vars()})
+    return p, monos, sorted(s1.symbols())
+
+
+SUPPORT_CASES = [_support_case(spec) for spec in SUPPORT_SPECS]
+
+
+@st.composite
+def _support_operand(draw, case):
+    """Zero, a base function (no fiber variable), or a sum of 1-3 fiber
+    monomials; coefficients of one kind from COEFFICIENTS."""
+    p, monos, syms = case
+    if draw(st.integers(0, 9)) == 0:
+        return Expr.zero()
+    base_only = draw(st.booleans()) and draw(st.booleans())
+    kind = draw(st.sampled_from(COEFFICIENTS))
+    d = len(p.base_indices())
+    expr = Expr.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        mono = () if base_only else draw(st.sampled_from(monos))
+        c = CPoly.scalar(draw(st.sampled_from(SCALARS)))
+        if kind != "scalar" or base_only:
+            c = c * CPoly.base(draw(st.integers(1, d)), draw(st.integers(1, 2)))
+        if kind == "symbol":
+            sym = draw(st.sampled_from(syms))
+            if draw(st.booleans()):
+                sym = sym.with_deriv(draw(st.integers(1, d)))
+            c = c * CPoly.symbol(sym)
+        expr = expr + Expr({mono: c})
+    return expr
+
+
+@st.composite
+def _support_pair(draw):
+    case = draw(st.sampled_from(SUPPORT_CASES))
+    return case[0], draw(_support_operand(case)), draw(_support_operand(case))
+
+
+def _bracket_over_every_variable(p, f, g, self_block=True):
+    """The Darboux sum (plus the self-block k-term) taken over every pair
+    variable, whatever the operands hold."""
+    total = Expr.zero()
+    for pair in p.pairs:
+        sign = -1 if (p.n * pair.p) % 2 == 0 else 1
+        for av, bv in p.pair_vars(pair):
+            total = total + f.right_deriv(av) * g.left_deriv(bv)
+            total = total + (f.right_deriv(bv) * g.left_deriv(av)).scale(sign)
+    for sp in p.self_pairs if self_block else ():
+        vs = p.self_vars(sp)
+        for a, va in enumerate(vs):
+            for b, vb in enumerate(vs):
+                total = total + (f.right_deriv(va) * g.left_deriv(vb)).scale(sp.metric[a][b])
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_support_pair())
+def test_support_aware_bracket_matches_sum_over_every_variable(case):
+    p, f, g = case
+    full = _bracket_over_every_variable(p, f, g)
+    assert p.bracket(f, g) == full
+    assert p.bracket(p.hamiltonian(f), g) == full
+    assert p.bracket(f, f) == _bracket_over_every_variable(p, f, f)
+    assert p.bracket_darboux(f, g) == _bracket_over_every_variable(p, f, g, self_block=False)
+
+
+def test_support_marks_every_base_index_once_a_symbol_appears():
+    spec = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
+    sym = sorted(build_S1_generic(spec).expr.symbols())[0]
+    b = GradedVar("B1", 1, 2)
+    powers = Expr({(b,): CPoly.base(2, 2)})
+    assert powers.support() == ({b}, {2})
+    fibers, bases = (powers + Expr.symbol(sym)).support()
+    assert fibers == {b} and all(j in bases for j in (1, 2, 3, 99))
+    assert Expr.zero().support() == (set(), set())
+
+
+def test_hamiltonian_keeps_only_nonzero_derivatives():
+    spec = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
+    p = PStructure.from_model(spec)
+    s = build_S1_generic(spec).expr
+    q = p.hamiltonian(s)
+    every = list(p.fiber_vars()) + [GradedVar("phi", 0, j) for j in p.base_indices()]
+    assert q.derivs == {v: s.right_deriv(v) for v in every if s.right_deriv(v)}
+    # a base function: (S,F) only pairs F's phi with B2 in S
+    f = Expr.base(1) * Expr.base(3)
+    assert p.bracket(q, f) == _bracket_over_every_variable(p, s, f)
