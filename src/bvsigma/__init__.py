@@ -1,6 +1,6 @@
 """Exact symbolic engine for graded BV structures of topological sigma models."""
 
-from .grading import GradedVar, koszul_sign, parity
+from .grading import GradedVar, parity
 from .symalg import (
     CPoly,
     CoeffSymbol,
@@ -27,7 +27,6 @@ from .pstructure import PStructure, check_bv_identities
 
 __all__ = [
     "GradedVar",
-    "koszul_sign",
     "parity",
     "CPoly",
     "CoeffSymbol",

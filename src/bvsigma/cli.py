@@ -156,7 +156,7 @@ def _cmd_check_algebroid(mf: ModelFile, args) -> int:
     p = PStructure.from_model(mf.spec)
     s1 = build_S1_generic(mf.spec)
     basis = SectionBasis.for_model(mf.spec)
-    rep = check_algebroid(p, s1, mf.data, basis, seed=args.seed)
+    rep = check_algebroid(p, s1, mf.data, basis)
     details = ["%s: %s" % (name, "ok" if ok else "FAILED") for name, ok in rep.checks]
     return _report("check-algebroid", mf.spec, rep.passed, details, rep.witnesses, args.format)
 
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in sorted(_COMMANDS):
         cmd = sub.add_parser(name)
         cmd.add_argument("--model", required=True, help="path to a model file")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for randomized trials")
-        cmd.add_argument("--trials", type=_positive_int, default=200, help="randomized trial count")
+        cmd.add_argument("--seed", type=int, default=0, help="seed for randomized trials (check-bv)")
+        cmd.add_argument("--trials", type=_positive_int, default=200, help="randomized trial count (check-bv)")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         if name == "compare-identities":
             cmd.add_argument(

@@ -42,38 +42,6 @@ class GradedVar(NamedTuple):
         return "%s_%d" % (self.block, self.index)
 
 
-def koszul_sign(before: Sequence[GradedVar], after: Sequence[GradedVar]) -> int:
-    """Sign picked up reordering ``before`` into ``after``.
-
-    Each transposition of two adjacent odd variables contributes -1; moves
-    past even variables are free.  Raises ValueError unless ``after`` is a
-    permutation of ``before``.  With repeated odd variables the sign is
-    matching-dependent, but any monomial containing a repeated odd variable
-    is zero, so the stable first-to-first matching used here is harmless.
-    """
-    if len(before) != len(after):
-        raise ValueError("sequences are not permutations of each other")
-    if sorted(before) != sorted(after):
-        raise ValueError("sequences are not permutations of each other")
-    # Map positions in `after` back to positions in `before`, stably.
-    pool: dict[GradedVar, list[int]] = {}
-    for pos, v in enumerate(before):
-        pool.setdefault(v, []).append(pos)
-    taken = {v: 0 for v in pool}
-    mapped = []
-    for v in after:
-        mapped.append(pool[v][taken[v]])
-        taken[v] += 1
-    # Count inversions among odd variables only.
-    odd_positions = [mapped[i] for i, v in enumerate(after) if v.parity == ODD]
-    inversions = 0
-    for i in range(len(odd_positions)):
-        for j in range(i + 1, len(odd_positions)):
-            if odd_positions[i] > odd_positions[j]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
 def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...]]:
     """Canonically sort a product of graded variables.
 

@@ -619,31 +619,3 @@ def _eterm_str(c: CPoly, m: Monomial) -> str:
         return "%s*%s" % (cs, ms)
     return "(%s)*%s" % (cs, ms)
 
-
-# Module-level operation aliases matching the engine's public surface.
-def add(a: Expr, b: Expr) -> Expr:
-    return a + b
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    return a * b
-
-
-def left_deriv(x: GradedVar, f: Expr) -> Expr:
-    return f.left_deriv(x)
-
-
-def right_deriv(f: Expr, x: GradedVar) -> Expr:
-    return f.right_deriv(x)
-
-
-def partial_base(j: int, f: Expr) -> Expr:
-    return f.partial_base(j)
-
-
-def substitute(f: Expr, data) -> Expr:
-    return f.substitute(data)
-
-
-def evaluate_random(p: CPoly, sym_values: Mapping[CoeffSymbol, Rat], base_values: Mapping[int, Rat]) -> Rat:
-    return p.evaluate(sym_values, base_values)

@@ -168,14 +168,6 @@ class DgaExpr:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def apply_d(f: DgaExpr) -> DgaExpr:
-    return f.d()
-
-
-def apply_delta0(f: DgaExpr) -> DgaExpr:
-    return f.delta0()
-
-
 def superfield(n: int, family: str, total_degree: int) -> list[ComponentField]:
     """Components r = 0..n of a superfield with the given total degree."""
     return [ComponentField(family, r, total_degree - r) for r in range(n + 1)]

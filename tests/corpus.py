@@ -119,6 +119,27 @@ def zero_n3_data():
     return fill_zero(StructureData.for_model(n3_spec()), n3_spec(), ["f1", "f2", "f4", "f5"])
 
 
+# -- exact Courant algebroids of rank d >= 3 -----------------------------------------
+
+
+def courant_spec(d):
+    return ModelSpec(n=3, d=d, bf_blocks=(BfBlock(1, d),))
+
+
+def twisted_courant_data(d, family, value):
+    """TM + T*M over a d-dimensional base with the anchor embedding the
+    tangent directions, ``family`` (f3 or f6) set to ``value`` on the slots
+    (1,2,3) and every other component zero."""
+    spec = courant_spec(d)
+    data = StructureData.for_model(spec)
+    for a in range(1, d + 1):
+        for i in range(1, d + 1):
+            data.assign("f2", (), (a, i), CPoly.scalar(-1 if a == i else 0))
+    lower, upper = ((1, 2, 3), ()) if family == "f3" else ((), (1, 2, 3))
+    data.assign(family, lower, upper, value)
+    return fill_zero(data, spec, ["f1", "f3", "f4", "f5", "f6"])
+
+
 # -- self-paired instances ----------------------------------------------------------
 
 

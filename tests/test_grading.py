@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvsigma.grading import GradedVar, koszul_sign, merge_monomials, parity, sort_monomial
+from bvsigma.grading import ODD, GradedVar, merge_monomials, parity, sort_monomial
 
 
 def V(block, degree, index=1):
@@ -13,6 +13,42 @@ x = V("B1", 1, 1)
 y = V("B1", 1, 2)
 z = V("B1", 1, 3)
 even = V("B2", 2, 1)
+
+
+def koszul_sign(before, after):
+    """Sign picked up reordering ``before`` into ``after``.
+
+    The reference for the sort and merge tests: it counts inversions among
+    the odd variables of an explicit position mapping, independently of
+    ``sort_monomial`` and ``merge_monomials``.
+
+    Each transposition of two adjacent odd variables contributes -1; moves
+    past even variables are free.  Raises ValueError unless ``after`` is a
+    permutation of ``before``.  With repeated odd variables the sign is
+    matching-dependent, but any monomial containing a repeated odd variable
+    is zero, so the stable first-to-first matching used here is harmless.
+    """
+    if len(before) != len(after):
+        raise ValueError("sequences are not permutations of each other")
+    if sorted(before) != sorted(after):
+        raise ValueError("sequences are not permutations of each other")
+    # Map positions in `after` back to positions in `before`, stably.
+    pool = {}
+    for pos, v in enumerate(before):
+        pool.setdefault(v, []).append(pos)
+    taken = {v: 0 for v in pool}
+    mapped = []
+    for v in after:
+        mapped.append(pool[v][taken[v]])
+        taken[v] += 1
+    # Count inversions among odd variables only.
+    odd_positions = [mapped[i] for i, v in enumerate(after) if v.parity == ODD]
+    inversions = 0
+    for i in range(len(odd_positions)):
+        for j in range(i + 1, len(odd_positions)):
+            if odd_positions[i] > odd_positions[j]:
+                inversions += 1
+    return -1 if inversions & 1 else 1
 
 
 def test_parity_values():
