@@ -272,10 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call and kept for the process: parsing leaves
+# an argparse parser unchanged, and building one costs more than a short
+# command.  Not built at import, so importing the module stays cheap.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

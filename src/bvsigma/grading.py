@@ -47,7 +47,9 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
 
     Returns (sign, sorted tuple).  Sign is 0 when the product vanishes
     because an odd variable appears twice.  Works on any items with an
-    order and a ``parity`` (graded variables, worldsheet component fields).
+    order and a ``parity``: its two users are the target's graded
+    variables and the worldsheet's component fields (``worldsheet``
+    derivations sort a monomial with one generator replaced).
 
     Input made of two ascending runs, such as a product of two canonical
     monomials, is merged by :func:`merge_monomials`; any other input is
@@ -81,7 +83,8 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
     when an odd item occurs in both.  Repeats inside one run are not looked
     for: a canonical monomial has none (``sort_monomial`` checks any other
-    input itself).
+    input itself).  Its two users are ``symalg.Expr`` products of graded
+    variables and ``worldsheet.DgaExpr`` products of component fields.
     """
     if not left or not right or not right[0] < left[-1]:
         # Already in order; only the meeting items can repeat.

@@ -16,8 +16,9 @@ The sum runs over the operands' support (:meth:`Expr.support`): a term is
 taken only when F holds the variable it differentiates F by and G holds
 the conjugate one, so every term left out is exactly zero.  The partners of
 each variable come from a table built once per structure, and a fixed S
-bracketed many times, as in the derived brackets of ``algebroid``, keeps
-its right derivatives in a :class:`Hamiltonian`.
+bracketed many times, as in the derived brackets of ``algebroid`` or the
+operands of one ``check_bv_identities`` trial, keeps its right derivatives
+in a :class:`Hamiltonian`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 from .grading import BASE_BLOCK, GradedVar
 from .models import Matrix, ModelError, ModelSpec
-from .symalg import CPoly, Expr, accumulate, make_symbol
+from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,12 @@ class PStructure:
         return tuple(darboux), tuple(full)
 
     # -- the bracket ----------------------------------------------------------
-    def bracket_darboux(self, f: Expr, g: Expr) -> Expr:
+    def bracket_darboux(self, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
         """The Darboux-pair part of the bracket, without self-block terms.
 
         This is exactly the bracket generated by the BV Laplacian; for an
         odd self-paired block the k-term has no second-order generator.
+        ``f`` may be a :class:`Hamiltonian`, as in :meth:`bracket`.
         """
         return self._bracket(self._darboux_rows, f, g)
 
@@ -276,22 +278,25 @@ class RandomExprs:
             for deg in range(0, self.max_degree + 1)
         }
         self.degrees = [d for d, monos in self._pool.items() if monos]
+        self._bases = pstruct.base_indices()
 
     def _coefficient(self) -> CPoly:
+        """A scalar, times a base power with probability 1/2, times a
+        (possibly differentiated) symbol g1 or g2 with probability 2/5:
+        one coefficient term, built as such."""
         rng = self.rng
         num = rng.choice([-3, -2, -1, 1, 2, 3])
         den = rng.choice([1, 1, 2, 3])
-        poly = CPoly.scalar(Fraction(num, den))
+        base = syms = ()
         if rng.random() < 0.5:
-            j = rng.choice(list(self.pstruct.base_indices()))
-            poly = poly * CPoly.base(j, rng.choice([1, 1, 2]))
+            j = rng.choice(self._bases)
+            base = ((j, rng.choice([1, 1, 2])),)
         if rng.random() < 0.4:
             deriv = ()
             if rng.random() < 0.5:
-                deriv = (self.rng.choice(list(self.pstruct.base_indices())),)
-            _, sym = make_symbol("g%d" % rng.choice([1, 2]), (), (), deriv, ())
-            poly = poly * CPoly.symbol(sym)
-        return poly
+                deriv = (rng.choice(self._bases),)
+            syms = (CoeffSymbol("g%d" % rng.choice([1, 2]), (), (), deriv, ()),)
+        return CPoly._of({(syms, base): exact(Fraction(num, den))})
 
     def homogeneous(self, degree: Optional[int] = None) -> tuple[Expr, int]:
         rng = self.rng
@@ -368,47 +373,52 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
 
     br = pstruct.bracket
     lap = pstruct.laplacian
+    ham = pstruct.hamiltonian
     for trial in range(trials):
         f, fd = gen.homogeneous()
         g, gd = gen.homogeneous()
         h, hd = gen.homogeneous()
         fs, gs, hs = fd + 1 - n, gd + 1 - n, hd + 1 - n
+        # Every value below is taken once and read by each law that needs
+        # it; the right derivatives of F, G and H once each.
+        qf, qg, qh = ham(f), ham(g), ham(h)
+        fg, gh, hf, fh = br(qf, g), br(qg, h), br(qh, f), br(qf, h)
+        f_g = f * g
+        lf = lap(f)
 
-        if not (br(f, g) + br(g, f).scale((-1) ** (fs * gs))).is_zero():
+        if not (fg + br(qg, f).scale((-1) ** (fs * gs))).is_zero():
             fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s" % (trial, f, g))
 
-        rhs = br(f, g) * h + (g * br(f, h)).scale((-1) ** (fs * gd))
-        if br(f, g * h) != rhs:
+        rhs = fg * h + (g * fh).scale((-1) ** (fs * gd))
+        if br(qf, g * h) != rhs:
             fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
 
-        rhs = f * br(g, h) + (br(f, h) * g).scale((-1) ** (gd * hs))
-        if br(f * g, h) != rhs:
+        rhs = f * gh + (fh * g).scale((-1) ** (gd * hs))
+        if br(f_g, h) != rhs:
             fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
 
         jac = (
-            br(f, br(g, h)).scale((-1) ** (fs * hs))
-            + br(g, br(h, f)).scale((-1) ** (gs * fs))
-            + br(h, br(f, g)).scale((-1) ** (hs * gs))
+            br(qf, gh).scale((-1) ** (fs * hs))
+            + br(qg, hf).scale((-1) ** (gs * fs))
+            + br(qh, fg).scale((-1) ** (hs * gs))
         )
         if not jac.is_zero():
             fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
 
-        res = br(f, g)
-        if res and res.homogeneous_degree() != fd + gd - n + 1:
+        if fg and fg.homogeneous_degree() != fd + gd - n + 1:
             fail(BRACKET_LAWS[4], "trial %d" % trial)
 
         rhs = (
-            lap(f) * g
-            + pstruct.bracket_darboux(f, g).scale((-1) ** ((n + 1) * fd))
+            lf * g
+            + pstruct.bracket_darboux(qf, g).scale((-1) ** ((n + 1) * fd))
             + (f * lap(g)).scale((-1) ** fd)
         )
-        if lap(f * g) != rhs:
+        if lap(f_g) != rhs:
             fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s" % (trial, f, g))
 
-        if not lap(lap(f)).is_zero():
+        if not lap(lf).is_zero():
             fail(LAPLACIAN_LAWS[1], "trial %d: F=%s" % (trial, f))
 
-        lf = lap(f)
         if lf and lf.homogeneous_degree() != fd - (n - 1):
             fail(LAPLACIAN_LAWS[2], "trial %d" % trial)
 

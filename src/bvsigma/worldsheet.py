@@ -15,17 +15,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .grading import sort_monomial
+from .grading import merge_monomials, sort_monomial
 from .models import Action, KineticPairing, ModelSpec
 from .rowreduce import RowSpan, _eliminate
 from .symalg import accumulate, exact
 
 
-@dataclass(frozen=True, order=True)
-class ComponentField:
-    """One (form, ghost) component of a superfield, or its d-image."""
+class ComponentField(NamedTuple):
+    """One (form, ghost) component of a superfield, or its d-image.
+
+    A named tuple, so that ordering, equality and hashing (the inner loop
+    of every product) run as tuple operations.
+    """
 
     family: str
     form: int
@@ -46,6 +49,28 @@ class ComponentField:
         return "d" + core if self.dimage else core
 
 
+Monomial = tuple[ComponentField, ...]
+
+
+def _form(m: Monomial) -> int:
+    return sum(g.form for g in m)
+
+
+def _mul_into(acc: dict, n: int, a_terms: dict, b_terms: dict) -> None:
+    """acc += a x b on term dicts of canonical monomials, truncated above
+    form n, in place.  The one product kernel of the algebra: each pair of
+    monomials is one merge, and each side's form degree is taken once."""
+    right = [(m2, c2, _form(m2)) for m2, c2 in b_terms.items()]
+    for m1, c1 in a_terms.items():
+        room = n - _form(m1)
+        for m2, c2, f2 in right:
+            if f2 > room:
+                continue
+            sign, mono = merge_monomials(m1, m2)
+            if sign:
+                accumulate(acc, mono, c1 * c2 if sign > 0 else -c1 * c2)
+
+
 class DgaExpr:
     """Polynomial in component fields, truncated above form degree n."""
 
@@ -53,12 +78,21 @@ class DgaExpr:
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        data: dict[tuple[ComponentField, ...], Fraction] = {}
+        data: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                if c and sum(g.form for g in m) <= n:
+                if c and _form(m) <= n:
                     data[m] = exact(c)
         self.terms = data
+
+    @staticmethod
+    def _of(n: int, terms: dict) -> "DgaExpr":
+        """Wrap a dict of nonzero canonical terms of form at most n, without
+        copying or checking it."""
+        out = DgaExpr.__new__(DgaExpr)
+        out.n = n
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero(n: int) -> "DgaExpr":
@@ -97,20 +131,12 @@ class DgaExpr:
         return DgaExpr(self.n, {m: v * c for m, v in self.terms.items()})
 
     def __mul__(self, other: "DgaExpr") -> "DgaExpr":
-        acc: dict[tuple[ComponentField, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if sum(g.form for g in m1) + sum(g.form for g in m2) > self.n:
-                    continue
-                sign, mono = sort_monomial(m1 + m2)
-                if sign:
-                    accumulate(acc, mono, c1 * c2 * sign)
-        return DgaExpr(self.n, acc)
+        acc: dict[Monomial, Fraction] = {}
+        _mul_into(acc, self.n, self.terms, other.terms)
+        return DgaExpr._of(self.n, acc)
 
     def form_part(self, r: int) -> "DgaExpr":
-        return DgaExpr(
-            self.n, {m: c for m, c in self.terms.items() if sum(g.form for g in m) == r}
-        )
+        return DgaExpr(self.n, {m: c for m, c in self.terms.items() if _form(m) == r})
 
     def parity(self) -> Optional[int]:
         """Total parity if homogeneous (None for zero or mixed)."""
@@ -118,42 +144,35 @@ class DgaExpr:
         return ps.pop() if len(ps) == 1 else None
 
     def _derive(self, image) -> "DgaExpr":
-        """Left derivation defined by ``image(gen) -> DgaExpr | None``:
+        """Left derivation defined by ``image(gen) -> ComponentField | None``
+        (each generator goes to one generator or to zero):
         D(g1..gk) = sum_i (-1)^(|g1|+..+|g_{i-1}|) g1..D(gi)..gk.
         """
-        acc: dict[tuple[ComponentField, ...], Fraction] = {}
+        n = self.n
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            sign = 1
+            room = n - _form(m)
             for pos, g in enumerate(m):
                 img = image(g)
-                if img is not None and not img.is_zero():
-                    prefix = DgaExpr(self.n, {m[:pos]: 1})
-                    suffix = DgaExpr(self.n, {m[pos + 1 :]: 1})
-                    for mono, v in (prefix * img * suffix).terms.items():
-                        accumulate(acc, mono, v * c * sign)
+                if img is not None and img.form - g.form <= room:
+                    sign, mono = sort_monomial(m[:pos] + (img,) + m[pos + 1 :])
+                    if sign:
+                        accumulate(acc, mono, c if sign > 0 else -c)
                 if g.parity:
-                    sign = -sign
-        return DgaExpr(self.n, acc)
+                    c = -c
+        return DgaExpr._of(n, acc)
 
     def d(self) -> "DgaExpr":
         """Exterior derivative: odd derivation, d^2 = 0, raises form by 1."""
-
-        def image(g: ComponentField):
-            nxt = g.d()
-            if nxt is None:
-                return DgaExpr.zero(self.n)
-            return DgaExpr.gen(self.n, nxt)
-
-        return self._derive(image)
+        return self._derive(ComponentField.d)
 
     def delta0(self) -> "DgaExpr":
         """Gauge differential: component r maps to d(component r-1)."""
 
-        def image(g: ComponentField):
+        def image(g: ComponentField) -> Optional[ComponentField]:
             if g.dimage or g.form == 0:
-                return DgaExpr.zero(self.n)
-            prev = ComponentField(g.family, g.form - 1, g.ghost + 1)
-            return DgaExpr.gen(self.n, prev.d())
+                return None
+            return ComponentField(g.family, g.form, g.ghost + 1, True)
 
         return self._derive(image)
 
@@ -178,21 +197,23 @@ def component_exprs(n: int, family: str, total_degree: int) -> list[DgaExpr]:
 
 
 def product_form_part(n: int, factors: Sequence[list[DgaExpr]], r: int) -> DgaExpr:
-    """Form-degree-r part of a product of component-expanded superfields."""
-    out = DgaExpr.zero(n)
-    m = len(factors)
-    if m == 0:
-        return DgaExpr.scalar(n, 1) if r == 0 else out
-    for split in itertools.product(range(r + 1), repeat=m):
-        if sum(split) != r:
-            continue
-        term = DgaExpr.scalar(n, 1)
-        for fac, ri in zip(factors, split):
-            term = term * fac[ri]
-            if term.is_zero():
-                break
-        out = out + term
-    return out
+    """Form-degree-r part of a product of component-expanded superfields:
+    the sum, over index splits r1 + .. + rm = r, of the products
+    factors[0][r1] .. factors[m-1][rm].
+
+    Summed by prefix sums: after k factors, ``partial[s]`` is the sum over
+    the splits of s among them, so factor k+1 multiplies each prefix sum
+    once instead of once per split (distributivity; the sum is the same).
+    """
+    partial: list[dict] = [{(): 1}] + [{} for _ in range(r)]
+    for fac in factors:
+        nxt: list[dict] = [{} for _ in range(r + 1)]
+        for s, acc in enumerate(partial):
+            if acc:
+                for ri in range(r + 1 - s):
+                    _mul_into(nxt[s + ri], n, acc, fac[ri].terms)
+        partial = nxt
+    return DgaExpr._of(n, partial[r])
 
 
 # -- integration modulo d-exact terms ---------------------------------------------
@@ -220,26 +241,25 @@ class Integrator:
         if top.is_zero():
             return top
         support = set(top.terms)
-        candidates: set = set()
+        images: dict[Monomial, DgaExpr] = {}  # candidate -> its d-image
         frontier = set(support)
         while frontier:
             new_candidates = set()
             for mono in frontier:
                 for cand in _d_preimage_candidates(mono):
-                    if cand not in candidates:
+                    if cand not in images:
                         new_candidates.add(cand)
-            candidates |= new_candidates
             frontier = set()
             for cand in new_candidates:
-                image = DgaExpr(self.n, {cand: Fraction(1)}).d()
+                image = images[cand] = DgaExpr._of(self.n, {cand: 1}).d()
                 for mono in image.terms:
                     if mono not in support:
                         support.add(mono)
                         frontier.add(mono)
         index = {m: i for i, m in enumerate(sorted(support))}
         span = RowSpan()
-        for cand in sorted(candidates):
-            image = DgaExpr(self.n, {cand: Fraction(1)}).d()
+        for cand in sorted(images):
+            image = images[cand]
             if not image.is_zero():
                 span.add({index[m]: c for m, c in image.terms.items()})
         row = {index[m]: c for m, c in top.terms.items()}

@@ -220,3 +220,44 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "check_algebroid", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run_cli(["check-algebroid", "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])
+
+
+def test_parser_kept_across_calls_gives_what_a_fresh_one_gives(monkeypatch):
+    so3 = str(EXAMPLES / "n2_poisson_so3.model")
+    sequence = [
+        ["check-bv", "--model", so3, "--trials", "nope"],  # usage error
+        ["-h"],
+        ["check-bv", "--model", so3, "--trials", "5", "--seed", "2"],
+        ["check-master", "--model", so3, "--format", "text"],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    kept = [run(argv) for argv in sequence]
+    parser = cli._PARSER
+    assert parser is not None
+    kept += [run(argv) for argv in sequence]
+    assert cli._PARSER is parser  # built once, by the first call
+    assert kept == fresh + fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0]
+    assert fresh[1][1].startswith("usage: bvsigma")
+    assert fresh[3][1].startswith("check-master: pass")
+
+
+def test_parser_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bvsigma.cli as c; print(c._PARSER)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "None"

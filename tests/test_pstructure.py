@@ -9,7 +9,9 @@ from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build
 from bvsigma.pstructure import (
     BRACKET_LAWS,
     LAPLACIAN_LAWS,
+    BvReport,
     PStructure,
+    RandomExprs,
     check_bv_identities,
 )
 from bvsigma.symalg import CPoly, Expr, MixedContextError, make_symbol
@@ -316,3 +318,143 @@ def test_hamiltonian_keeps_only_nonzero_derivatives():
     # a base function: (S,F) only pairs F's phi with B2 in S
     f = Expr.base(1) * Expr.base(3)
     assert p.bracket(q, f) == _bracket_over_every_variable(p, s, f)
+
+
+# -- check_bv_identities against its one-call-per-use form ------------------------
+
+# The families of acceptance criterion 9 (every even and odd one).
+CRITERION_9_FAMILIES = (
+    ModelSpec(n=2, d=2),
+    ModelSpec(n=3, d=2),
+    ModelSpec(n=4, d=2),
+    ModelSpec(n=5, d=2),
+    ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2)),
+)
+
+
+class _ProductCoefficients(RandomExprs):
+    """Coefficients built as CPoly products, drawing the same numbers."""
+
+    def _coefficient(self):
+        rng = self.rng
+        num = rng.choice([-3, -2, -1, 1, 2, 3])
+        den = rng.choice([1, 1, 2, 3])
+        poly = CPoly.scalar(Fraction(num, den))
+        if rng.random() < 0.5:
+            j = rng.choice(list(self.pstruct.base_indices()))
+            poly = poly * CPoly.base(j, rng.choice([1, 1, 2]))
+        if rng.random() < 0.4:
+            deriv = ()
+            if rng.random() < 0.5:
+                deriv = (self.rng.choice(list(self.pstruct.base_indices())),)
+            _, sym = make_symbol("g%d" % rng.choice([1, 2]), (), (), deriv, ())
+            poly = poly * CPoly.symbol(sym)
+        return poly
+
+
+def _reference_check_bv(pstruct, trials, seed):
+    """The trial loop with one bracket, Laplacian and product call per use
+    (15 brackets, 1 Darboux bracket, 6 Laplacians per trial), filling the
+    same report."""
+    n = pstruct.n
+    gen = _ProductCoefficients(pstruct, seed)
+    report = BvReport(structure=pstruct.scope or "n=%d" % n, trials=trials)
+    report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
+
+    def fail(law, msg):
+        report.results[law] = False
+        if len(report.failures) < 8:
+            report.failures.append("%s: %s" % (law, msg))
+
+    br = pstruct.bracket
+    lap = pstruct.laplacian
+    for trial in range(trials):
+        f, fd = gen.homogeneous()
+        g, gd = gen.homogeneous()
+        h, hd = gen.homogeneous()
+        fs, gs, hs = fd + 1 - n, gd + 1 - n, hd + 1 - n
+        if not (br(f, g) + br(g, f).scale((-1) ** (fs * gs))).is_zero():
+            fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s" % (trial, f, g))
+        rhs = br(f, g) * h + (g * br(f, h)).scale((-1) ** (fs * gd))
+        if br(f, g * h) != rhs:
+            fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
+        rhs = f * br(g, h) + (br(f, h) * g).scale((-1) ** (gd * hs))
+        if br(f * g, h) != rhs:
+            fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
+        jac = (
+            br(f, br(g, h)).scale((-1) ** (fs * hs))
+            + br(g, br(h, f)).scale((-1) ** (gs * fs))
+            + br(h, br(f, g)).scale((-1) ** (hs * gs))
+        )
+        if not jac.is_zero():
+            fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
+        res = br(f, g)
+        if res and res.homogeneous_degree() != fd + gd - n + 1:
+            fail(BRACKET_LAWS[4], "trial %d" % trial)
+        rhs = (
+            lap(f) * g
+            + pstruct.bracket_darboux(f, g).scale((-1) ** ((n + 1) * fd))
+            + (f * lap(g)).scale((-1) ** fd)
+        )
+        if lap(f * g) != rhs:
+            fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s" % (trial, f, g))
+        if not lap(lap(f)).is_zero():
+            fail(LAPLACIAN_LAWS[1], "trial %d: F=%s" % (trial, f))
+        lf = lap(f)
+        if lf and lf.homogeneous_degree() != fd - (n - 1):
+            fail(LAPLACIAN_LAWS[2], "trial %d" % trial)
+    if n % 2 == 1 and not report.results[LAPLACIAN_LAWS[0]]:
+        report.notes.append(
+            "Delta-Leibniz cannot hold for odd n at target level: the bracket "
+            "is graded-antisymmetric there while any second-order Leibniz "
+            "defect is graded-symmetric"
+        )
+    top = max(gen.degrees, default=0)
+    if 2 * (n - 1) > top:
+        report.notes.append(
+            "Delta^2 = 0 not exercised (Delta^2 lowers degree by 2(n-1) = %d, "
+            "more than the largest random operand degree %d, so it vanishes "
+            "on every operand by degree alone)" % (2 * (n - 1), top)
+        )
+    if pstruct.self_pairs:
+        report.notes.append(
+            "Delta-Leibniz compared against the Darboux sector; the self-block "
+            "k-term has no second-order generator (k^{ab} d_l d_l vanishes "
+            "identically on an odd self-paired block)"
+        )
+    return report
+
+
+@pytest.mark.parametrize("spec", CRITERION_9_FAMILIES, ids=lambda s: s.fingerprint())
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_check_bv_matches_one_call_per_use_reference(spec, seed):
+    p = PStructure.from_model(spec)
+    rep = check_bv_identities(p, trials=12, seed=seed)
+    ref = _reference_check_bv(p, trials=12, seed=seed)
+    assert (rep.structure, rep.trials) == (ref.structure, ref.trials)
+    assert rep.results == ref.results
+    assert rep.failures == ref.failures  # same trials, operands and order
+    assert rep.notes == ref.notes
+    if spec.n % 2:  # the odd-n obstruction is found, so failures are compared
+        assert rep.failures
+
+
+def test_check_bv_computes_each_trial_value_once(monkeypatch):
+    trials = 7
+    spec = ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),))
+    p = PStructure.from_model(spec)
+    calls = {"bracket": 0, "bracket_darboux": 0, "laplacian": 0}
+    for name in calls:
+        orig = getattr(PStructure, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PStructure, name, counted)
+    check_bv_identities(p, trials=trials, seed=0)
+    assert calls["bracket"] <= 10 * trials
+    assert calls["bracket_darboux"] <= trials
+    assert calls["laplacian"] <= 4 * trials

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bvsigma.grading import sort_monomial
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelSpec, build_S0, build_S1_generic
 from bvsigma.worldsheet import (
     ComponentField,
@@ -202,3 +203,163 @@ def test_first_order_of_zero_action():
     spec = ModelSpec(n=2, d=3)
     rep = first_order_check(spec, Action(Expr.zero(), 2))
     assert rep.passed and rep.monomials == []
+
+
+# -- the product, derivations and form parts against their direct forms -------------
+
+
+def _ref_mul(a, b):
+    """The product as one Koszul sort of each concatenated monomial pair."""
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if sum(g.form for g in m1 + m2) > a.n:
+                continue
+            sign, mono = sort_monomial(m1 + m2)
+            if sign:
+                acc[mono] = acc.get(mono, 0) + c1 * c2 * sign
+    return DgaExpr(a.n, acc)
+
+
+def _ref_derive(expr, image):
+    """D(g1..gk) = sum_i (-1)^(|g1|+..+|g_{i-1}|) prefix . image(gi) . suffix,
+    each piece a DgaExpr, multiplied by ``_ref_mul``."""
+    n = expr.n
+    total = DgaExpr.zero(n)
+    for m, c in expr.terms.items():
+        sign = 1
+        for pos, g in enumerate(m):
+            prefix = DgaExpr(n, {m[:pos]: 1})
+            suffix = DgaExpr(n, {m[pos + 1 :]: 1})
+            piece = _ref_mul(_ref_mul(prefix, image(n, g)), suffix)
+            total = total + piece.scale(c * sign)
+            if g.parity:
+                sign = -sign
+    return total
+
+
+def _ref_d_image(n, g):
+    nxt = g.d()
+    return DgaExpr.zero(n) if nxt is None else DgaExpr.gen(n, nxt)
+
+
+def _ref_delta0_image(n, g):
+    if g.dimage or g.form == 0:
+        return DgaExpr.zero(n)
+    return DgaExpr.gen(n, ComponentField(g.family, g.form - 1, g.ghost + 1).d())
+
+
+def _ref_product_form_part(n, factors, r):
+    """Every split of r into len(factors) indices, each multiplied out."""
+    out = DgaExpr.zero(n)
+    if not factors:
+        return DgaExpr.scalar(n, 1) if r == 0 else out
+    for split in itertools.product(range(r + 1), repeat=len(factors)):
+        if sum(split) != r:
+            continue
+        term = DgaExpr.scalar(n, 1)
+        for fac, ri in zip(factors, split):
+            term = _ref_mul(term, fac[ri])
+        out = out + term
+    return out
+
+
+# Total degrees of the families drawn below: even and odd, form-0 ones too.
+DGA_DEGREES = {"A": 1, "B": 1, "C": 2, "E": 0}
+
+
+def _ref_random_dga(n, rng):
+    """A sum of 1-3 products of 1-4 generators or d-images of any form up
+    to n, multiplied by ``_ref_mul``, so terms past form n are cut off."""
+    expr = DgaExpr.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        term = DgaExpr.scalar(n, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 4)):
+            fam = rng.choice(sorted(DGA_DEGREES))
+            r = rng.randint(0, n)
+            gen = ComponentField(fam, r, DGA_DEGREES[fam] - r)
+            if rng.random() < 0.25:
+                gen = gen.d()
+            term = _ref_mul(term, DgaExpr.gen(n, gen))
+        expr = expr + term
+    return expr
+
+
+DGA_NS = (2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("n", DGA_NS)
+def test_product_matches_koszul_sort_of_concatenation(n):
+    rng = random.Random(100 + n)
+    for _ in range(200):
+        a, b = _ref_random_dga(n, rng), _ref_random_dga(n, rng)
+        assert a * b == _ref_mul(a, b)
+        assert b * a == _ref_mul(b, a)
+        assert a * a == _ref_mul(a, a)
+
+
+@pytest.mark.parametrize("n", DGA_NS)
+def test_derivations_match_prefix_image_suffix(n):
+    rng = random.Random(200 + n)
+    for _ in range(150):
+        a, b = _ref_random_dga(n, rng), _ref_random_dga(n, rng)
+        for e in (a, b, _ref_mul(a, b)):
+            assert e.d() == _ref_derive(e, _ref_d_image)
+            assert e.delta0() == _ref_derive(e, _ref_delta0_image)
+
+
+@pytest.mark.parametrize("n", DGA_NS)
+def test_product_form_part_matches_split_enumeration(n):
+    # Factors of component generators (each split then has one form
+    # degree) or of arbitrary expressions at each index.
+    rng = random.Random(300 + n)
+    for _ in range(60):
+        factors = []
+        for k in range(rng.randint(0, 4)):
+            fam = rng.choice(sorted(DGA_DEGREES))
+            if rng.random() < 0.5:
+                factors.append(component_exprs(n, fam + str(k), DGA_DEGREES[fam]))
+            else:
+                factors.append([_ref_random_dga(n, rng) for _ in range(n + 1)])
+        r = rng.randint(0, n)
+        assert product_form_part(n, factors, r) == _ref_product_form_part(n, factors, r)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_product_form_part_matches_split_enumeration_on_superfields(n):
+    # The first-order factors: coefficient families of degree 0 and fiber
+    # superfields of every degree, up to form n and past it (cut off).
+    factors = [component_exprs(n, "c%d" % i, 0) for i in range(2)]
+    factors += [component_exprs(n, "x%d" % k, k) for k in range(1, n)]
+    for r in (n - 1, n):
+        assert product_form_part(n, factors, r) == _ref_product_form_part(n, factors, r)
+
+
+def test_component_field_value_semantics():
+    a = ComponentField("A", 1, 0)
+    assert a == ComponentField("A", 1, 0, False) and hash(a) == hash(ComponentField("A", 1, 0))
+    assert (a.family, a.form, a.ghost, a.dimage) == ("A", 1, 0, False)
+    assert a != ComponentField("A", 1, 0, True) and a != ComponentField("A", 1, 1)
+    # ordered field by field: family, form, ghost, then plain before d-image
+    fields = [
+        ComponentField("B", 0, 1),
+        ComponentField("A", 2, -1, True),
+        ComponentField("A", 2, -1),
+        ComponentField("A", 1, 3),
+        ComponentField("A", 1, 0, True),
+        a,
+    ]
+    assert sorted(fields) == [
+        a,
+        ComponentField("A", 1, 0, True),
+        ComponentField("A", 1, 3),
+        ComponentField("A", 2, -1),
+        ComponentField("A", 2, -1, True),
+        ComponentField("B", 0, 1),
+    ]
+    assert str(a) == "A(1,0)" and str(ComponentField("x0_B2_1", 2, -1, True)) == "dx0_B2_1(2,-1)"
+    assert a.d() == ComponentField("A", 2, 0, True)
+    assert a.d().d() is None
+    assert [g.parity for g in superfield(3, "G", 1)] == [1, 1, 1, 1]
+    assert [g.parity for g in superfield(3, "F", 2)] == [0, 0, 0, 0]
+    assert a.d().parity == 0 and ComponentField("E", 0, 0).d().parity == 1
