@@ -2,24 +2,33 @@
 
 ``expand_master`` computes the quadratic deformation term (S1,S1);
 ``extract_identities`` groups it by graded monomial, one coefficient
-equation per monomial class.  ``transcribe_paper_identities`` carries the
-hand-transcribed published identity systems for the n=2 model, the n=3
-two-block model and the n=3 self-paired model, expanded over explicit
-indices, so the two routes can be compared by exact linear span.
+equation per monomial class.  ``transcribe_paper_identities`` expands the
+published identity systems of the n=2 model, the n=3 two-block model and
+the n=3 self-paired model over explicit indices, so the two routes can be
+compared by exact linear span.
+
+The published systems are one table, ``PAPER_IDENTITIES``, read by one
+interpreter.  Its conventions: index letters i..l run over the base 1..d
+and all other letters over the fiber rank; a letter that is not free in an
+identity's tag is summed; a symmetrizer is the full signed permutation sum,
+with no 1/k!; and each factor is written in its storage slot order, so the
+published f2^{ib} of the two-block model is the stored ``f2[;bi]``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
 from .rowreduce import span_includes
-from .symalg import CPoly, Expr, _perm_sign, make_symbol, monomial_str
+from .symalg import CPoly, Expr, _perm_sign, accumulate, exact, make_symbol, monomial_str
 
 EXTRACTED = "extracted"
 TRANSCRIBED = "transcribed-from-paper"
@@ -142,252 +151,149 @@ N3_BF = "n3_bf"
 N3_CS = "n3_cs"
 
 
-def _symbols(spec: ModelSpec):
-    """sym(name, lower, upper, deriv) -> the CPoly of that normalized symbol
-    (zero if it vanishes), for one transcription call.
+# One row (tag, terms) per published identity.  The tag names the free
+# letters in order, and the system has one equation per value of them.
+# A term is (weight, symmetrizer, factor, factor):
+# - letters i..l run over the base 1..d, all others over the fiber rank;
+#   a letter that is not free is summed;
+# - a factor is written in storage slot order, name[lower;upper],deriv.
+#   The ansatz stores the mixed family f2 of the two-block model with its
+#   E*-index first, so the published f2^{ib} is written "f2[;bi]";
+# - the symmetrizer letters are antisymmetrized by the full signed
+#   permutation sum, with no 1/k!: "ab" turns T_ab into T_ab - T_ba;
+# - the weight is an integer, or a letter pair "ef" for the metric k^{ef}.
+# The two-block rows are not yet right: at rank >= 3, where f3 and f6 are
+# nonzero, they miss the extracted span (ROADMAP item 1).
+PAPER_IDENTITIES = {
+    N2_JACOBI: (
+        ("jacobi[i,j,k]", (
+            (1, "", "f1[;kl]", "f1[;ij],l"), (1, "", "f1[;il]", "f1[;jk],l"),
+            (1, "", "f1[;jl]", "f1[;ki],l"))),
+    ),
+    N3_BF: (
+        ("bf1[i,j]", ((1, "", "f1[e;i]", "f2[;ej]"), (1, "", "f2[;ei]", "f1[e;j]"))),
+        ("bf2[i,b,c]", (
+            (-1, "", "f1[c;i],j", "f1[b;j]"), (1, "", "f1[b;i],j", "f1[c;j]"),
+            (1, "", "f1[e;i]", "f4[bc;e]"), (1, "", "f2[;ei]", "f3[ebc;]"))),
+        ("bf3[i,b,c]", (
+            (1, "", "f1[b;j]", "f2[;ci],j"), (-1, "", "f2[;cj]", "f1[b;i],j"),
+            (1, "", "f1[e;i]", "f5[b;ec]"), (-1, "", "f2[;ei]", "f4[eb;c]"))),
+        ("bf4[i,b,c]", (
+            (-1, "", "f2[;bj]", "f2[;ci],j"), (1, "", "f2[;cj]", "f2[;bi],j"),
+            (1, "", "f1[e;i]", "f6[;ebc]"), (1, "", "f2[;ei]", "f5[e;bc]"))),
+        ("bf5[a,b,c;d]", (
+            (-1, "abc", "f1[a;j]", "f4[bc;d],j"), (1, "abc", "f4[ea;d]", "f4[bc;e]"),
+            (1, "abc", "f3[eab;]", "f5[c;de]"), (1, "", "f2[;dj]", "f3[abc;],j"))),
+        ("bf6[a,b;c,d]", (
+            (-1, "", "f1[a;j]", "f5[b;cd],j"), (1, "", "f1[b;j]", "f5[a;cd],j"),
+            (-1, "", "f2[;cj]", "f4[ab;d],j"), (1, "", "f2[;dj]", "f4[ab;c],j"),
+            (1, "", "f3[eab;]", "f6[;ecd]"), (1, "", "f4[ea;d]", "f5[b;ce]"),
+            (-1, "", "f4[eb;d]", "f5[a;ce]"), (-1, "", "f4[ea;c]", "f5[b;de]"),
+            (1, "", "f4[eb;c]", "f5[a;de]"), (1, "", "f4[ab;e]", "f5[e;cd]"))),
+        ("bf7[a;b,c,d]", (
+            (-1, "", "f1[a;j]", "f6[;bcd],j"), (1, "bcd", "f2[;bj]", "f5[a;cd],j"),
+            (1, "bcd", "f4[ea;b]", "f6[;cde]"), (1, "bcd", "f5[e;bc]", "f5[a;de]"))),
+        ("bf8[a,b,c,d]", (
+            (-1, "abcd", "f2[;aj]", "f6[;bcd],j"), (1, "abcd", "f6[;eab]", "f5[e;cd]"))),
+        ("bf9[a,b,c,d]", (
+            (-1, "abcd", "f1[a;j]", "f3[bcd;],j"), (1, "abcd", "f4[ab;e]", "f3[cde;]"))),
+    ),
+    N3_CS: (
+        ("cs1[i,j]", (("ab", "", "f1[a;i]", "f1[b;j]"),)),
+        ("cs2[i,b,c]", (
+            (1, "", "f1[b;i],j", "f1[c;j]"), (-1, "", "f1[c;i],j", "f1[b;j]"),
+            ("ef", "", "f1[e;i]", "f2[fbc;]"))),
+        ("cs3[a,b,c,d]", (
+            (1, "", "f1[d;j]", "f2[abc;],j"), (-1, "", "f1[c;j]", "f2[dab;],j"),
+            (1, "", "f1[b;j]", "f2[cda;],j"), (-1, "", "f1[a;j]", "f2[bcd;],j"),
+            ("ef", "", "f2[eab;]", "f2[cdf;]"), ("ef", "", "f2[eac;]", "f2[dbf;]"),
+            ("ef", "", "f2[ead;]", "f2[bcf;]"))),
+    ),
+}
 
-    The transcriptions name the same symbols again and again inside their
-    index loops; each one is built once here, in a table that lives only as
-    long as the returned function.
-    """
-    fams = {f.name: f for f in ansatz_families(spec)}
-    table: dict = {}
-
-    def sym(name, lower=(), upper=(), deriv=()) -> CPoly:
-        key = (name, lower, upper, deriv)
-        poly = table.get(key)
-        if poly is None:
-            sign, symbol = make_symbol(name, lower, upper, deriv, fams[name].groups)
-            poly = table[key] = CPoly.zero() if symbol is None else CPoly.symbol(symbol, sign)
-        return poly
-
-    return sym
+_FACTOR = re.compile(r"(\w+)\[(\w*);(\w*)\](?:,(\w+))?$")
 
 
-def _perms_signed(indices: Sequence[int]):
-    """Every permutation of ``indices`` with its sign."""
-    base = list(indices)
-    for perm in itertools.permutations(range(len(base))):
-        yield _perm_sign(perm), [base[k] for k in perm]
+class _Symbols(dict):
+    """(sign, symbol) of one family, keyed by its indices in slot order
+    (lower, upper, derivatives); (0, None) where it vanishes.  An entry is
+    built by ``make_symbol`` on first use."""
+
+    def __init__(self, fam):
+        super().__init__()
+        self.fam = fam
+
+    def __missing__(self, idx):
+        fam = self.fam
+        nl, nu = len(fam.lower_blocks), len(fam.upper_blocks)
+        entry = make_symbol(fam.name, idx[:nl], idx[nl : nl + nu], idx[nl + nu :], fam.groups)
+        self[idx] = entry
+        return entry
+
+
+def _compile_term(term, free, span, symbols):
+    """One table term as plain products, one per permutation of its
+    symmetrizer: (scalar, metric-letters getter or None, (symbol table,
+    getter) per factor, summed values).  A getter reads the indices it
+    needs from the tuple of free then summed values; every factor has at
+    least two indices, so its getter returns a tuple."""
+    weight, sym, *factors = term
+    parsed = [_FACTOR.match(f).groups("") for f in factors]
+    pair = weight if isinstance(weight, str) else ""
+    used = pair + "".join(lower + upper + deriv for _, lower, upper, deriv in parsed)
+    summed = sorted(set(used) - set(free))
+    pos = {c: k for k, c in enumerate(free + summed)}
+    tail = list(itertools.product(*map(span, summed)))
+    for perm in itertools.permutations(range(len(sym))):
+        at = {sym[q]: pos[sym[p]] for q, p in enumerate(perm)}
+        get = lambda letters: itemgetter(*(at.get(c, pos[c]) for c in letters))
+        scalar = _perm_sign(perm) * (1 if pair else weight)
+        yield (scalar, get(pair) if pair else None, *(
+            (symbols[name], get(lower + upper + deriv)) for name, lower, upper, deriv in parsed
+        ), tail)
 
 
 def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
-    """The published identity systems, expanded over explicit indices.
-
-    Antisymmetrization brackets follow the convention
-    Phi_[ab] = Phi_ab - Phi_ba (full signed permutation sum, no 1/k!).
-    """
-    if which == N2_JACOBI:
-        eqs = _transcribe_n2(spec)
-    elif which == N3_BF:
-        eqs = _transcribe_n3_bf(spec)
-    elif which == N3_CS:
-        eqs = _transcribe_n3_cs(spec)
-    else:
+    """The published identity systems of ``PAPER_IDENTITIES``, expanded
+    over explicit indices, one equation per value of the free letters."""
+    if which not in PAPER_IDENTITIES:
         raise ValueError("unknown identity family %r" % which)
+    cs = spec.cs_block if which == N3_CS else None
+    rank = cs.rank if cs else spec.bf_blocks[0].rank if which == N3_BF else 0
+    span = lambda c: range(1, (spec.d if "i" <= c <= "l" else rank) + 1)
+    metric = {
+        (a, b): exact(k)
+        for a, row in enumerate(cs.metric if cs else (), 1)
+        for b, k in enumerate(row, 1)
+        if k
+    }
+    symbols = {fam.name: _Symbols(fam) for fam in ansatz_families(spec)}
     out = IdentitySet(spec=spec.fingerprint(), provenance=TRANSCRIBED)
     seen = set()
-    for tag, poly in eqs:
-        if poly and poly.sort_key() not in seen:
-            seen.add(poly.sort_key())
-            out.equations.append((tag, poly))
+    for tag, terms in PAPER_IDENTITIES[which]:
+        name, inner = tag.split("[")
+        free = re.findall("[a-z]", inner)
+        fmt = name + "[" + re.sub("[a-z]", "%d", inner)
+        plain = [t for term in terms for t in _compile_term(term, free, span, symbols)]
+        for values in itertools.product(*map(span, free)):
+            acc: dict = {}
+            for scalar, metric_at, (t1, g1), (t2, g2), tail in plain:
+                for summed in tail:
+                    v = values + summed
+                    w = scalar if metric_at is None else scalar * metric.get(metric_at(v), 0)
+                    if not w:
+                        continue
+                    s1, y1 = t1[g1(v)]
+                    if not s1:
+                        continue
+                    s2, y2 = t2[g2(v)]
+                    if s2:
+                        accumulate(acc, ((y1, y2) if y1 <= y2 else (y2, y1), ()), w * s1 * s2)
+            key = frozenset(acc.items())  # equal polynomials, equal keys
+            if acc and key not in seen:
+                seen.add(key)
+                out.equations.append((fmt % values, CPoly(acc)))
     return out
-
-
-def _transcribe_n2(spec: ModelSpec):
-    """f^{kl} d_l f^{ij} + f^{il} d_l f^{jk} + f^{jl} d_l f^{ki} = 0."""
-    sym = _symbols(spec)
-    d = spec.d
-
-    def f(i, j, deriv=()):
-        return sym("f1", upper=(i, j), deriv=deriv)
-
-    eqs = []
-    for i, j, k in itertools.product(range(1, d + 1), repeat=3):
-        poly = CPoly.zero()
-        for l in range(1, d + 1):
-            poly = poly + f(k, l) * f(i, j, deriv=(l,))
-            poly = poly + f(i, l) * f(j, k, deriv=(l,))
-            poly = poly + f(j, l) * f(k, i, deriv=(l,))
-        eqs.append(("jacobi[%d,%d,%d]" % (i, j, k), poly))
-    return eqs
-
-
-def _transcribe_n3_bf(spec: ModelSpec):
-    """The nine published identities of the n=3 two-block model.
-
-    The ansatz stores the mixed family f2 with upper slots ordered
-    (E*-index, M-index); the published form writes f2^{i b} with the M-index
-    first, so the slot order is swapped in the helper below.
-    """
-    sym = _symbols(spec)
-    d = spec.d
-    r = spec.bf_blocks[0].rank
-    M = range(1, d + 1)
-    R = range(1, r + 1)
-
-    def f1(a, i, deriv=()):
-        return sym("f1", lower=(a,), upper=(i,), deriv=deriv)
-
-    def f2(i, b, deriv=()):
-        return sym("f2", upper=(b, i), deriv=deriv)
-
-    def f3(a, b, c, deriv=()):
-        return sym("f3", lower=(a, b, c), deriv=deriv)
-
-    def f4(a, b, c, deriv=()):
-        return sym("f4", lower=(a, b), upper=(c,), deriv=deriv)
-
-    def f5(a, b, c, deriv=()):
-        return sym("f5", lower=(a,), upper=(b, c), deriv=deriv)
-
-    def f6(a, b, c, deriv=()):
-        return sym("f6", upper=(a, b, c), deriv=deriv)
-
-    eqs = []
-    for i, j in itertools.product(M, M):
-        poly = CPoly.zero()
-        for e in R:
-            poly = poly + f1(e, i) * f2(j, e) + f2(i, e) * f1(e, j)
-        eqs.append(("bf1[%d,%d]" % (i, j), poly))
-
-    for i, b, c in itertools.product(M, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly - f1(c, i, deriv=(j,)) * f1(b, j)
-            poly = poly + f1(b, i, deriv=(j,)) * f1(c, j)
-        for e in R:
-            poly = poly + f1(e, i) * f4(b, c, e) + f2(i, e) * f3(e, b, c)
-        eqs.append(("bf2[%d,%d,%d]" % (i, b, c), poly))
-
-    for i, b, c in itertools.product(M, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly + f1(b, j) * f2(i, c, deriv=(j,))
-            poly = poly - f2(j, c) * f1(b, i, deriv=(j,))
-        for e in R:
-            poly = poly + f1(e, i) * f5(b, e, c) - f2(i, e) * f4(e, b, c)
-        eqs.append(("bf3[%d,%d,%d]" % (i, b, c), poly))
-
-    for i, b, c in itertools.product(M, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly - f2(j, b) * f2(i, c, deriv=(j,))
-            poly = poly + f2(j, c) * f2(i, b, deriv=(j,))
-        for e in R:
-            poly = poly + f1(e, i) * f6(e, b, c) + f2(i, e) * f5(e, b, c)
-        eqs.append(("bf4[%d,%d,%d]" % (i, b, c), poly))
-
-    for a, b, c, dd in itertools.product(R, R, R, R):
-        poly = CPoly.zero()
-        for sign, (x, y, z) in _perms_signed((a, b, c)):
-            for j in M:
-                poly = poly - f1(x, j).scale(sign) * f4(y, z, dd, deriv=(j,))
-            for e in R:
-                poly = poly + (f4(e, x, dd) * f4(y, z, e)).scale(sign)
-                poly = poly + (f3(e, x, y) * f5(z, dd, e)).scale(sign)
-        for j in M:
-            poly = poly + f2(j, dd) * f3(a, b, c, deriv=(j,))
-        eqs.append(("bf5[%d,%d,%d;%d]" % (a, b, c, dd), poly))
-
-    for a, b, c, dd in itertools.product(R, R, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly - f1(a, j) * f5(b, c, dd, deriv=(j,))
-            poly = poly + f1(b, j) * f5(a, c, dd, deriv=(j,))
-            poly = poly - f2(j, c) * f4(a, b, dd, deriv=(j,))
-            poly = poly + f2(j, dd) * f4(a, b, c, deriv=(j,))
-        for e in R:
-            poly = poly + f3(e, a, b) * f6(e, c, dd)
-            poly = poly + f4(e, a, dd) * f5(b, c, e)
-            poly = poly - f4(e, b, dd) * f5(a, c, e)
-            poly = poly - f4(e, a, c) * f5(b, dd, e)
-            poly = poly + f4(e, b, c) * f5(a, dd, e)
-            poly = poly + f4(a, b, e) * f5(e, c, dd)
-        eqs.append(("bf6[%d,%d;%d,%d]" % (a, b, c, dd), poly))
-
-    for a, b, c, dd in itertools.product(R, R, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly - f1(a, j) * f6(b, c, dd, deriv=(j,))
-        for sign, (x, y, z) in _perms_signed((b, c, dd)):
-            for j in M:
-                poly = poly + f2(j, x).scale(sign) * f5(a, y, z, deriv=(j,))
-            for e in R:
-                poly = poly + (f4(e, a, x) * f6(y, z, e)).scale(sign)
-                poly = poly + (f5(e, x, y) * f5(a, z, e)).scale(sign)
-        eqs.append(("bf7[%d;%d,%d,%d]" % (a, b, c, dd), poly))
-
-    for a, b, c, dd in itertools.product(R, R, R, R):
-        poly = CPoly.zero()
-        for sign, (w, x, y, z) in _perms_signed((a, b, c, dd)):
-            for j in M:
-                poly = poly - f2(j, w).scale(sign) * f6(x, y, z, deriv=(j,))
-            for e in R:
-                poly = poly + (f6(e, w, x) * f5(e, y, z)).scale(sign)
-        eqs.append(("bf8[%d,%d,%d,%d]" % (a, b, c, dd), poly))
-
-    for a, b, c, dd in itertools.product(R, R, R, R):
-        poly = CPoly.zero()
-        for sign, (w, x, y, z) in _perms_signed((a, b, c, dd)):
-            for j in M:
-                poly = poly - f1(w, j).scale(sign) * f3(x, y, z, deriv=(j,))
-            for e in R:
-                poly = poly + (f4(w, x, e) * f3(y, z, e)).scale(sign)
-        eqs.append(("bf9[%d,%d,%d,%d]" % (a, b, c, dd), poly))
-
-    return eqs
-
-
-def _transcribe_n3_cs(spec: ModelSpec):
-    """The three published identities of the n=3 self-paired model."""
-    sym = _symbols(spec)
-    d = spec.d
-    r = spec.cs_block.rank
-    k = spec.cs_block.metric
-    M = range(1, d + 1)
-    R = range(1, r + 1)
-
-    def f1(a, i, deriv=()):
-        return sym("f1", lower=(a,), upper=(i,), deriv=deriv)
-
-    def f2(a, b, c, deriv=()):
-        return sym("f2", lower=(a, b, c), deriv=deriv)
-
-    eqs = []
-    for i, j in itertools.product(M, M):
-        poly = CPoly.zero()
-        for a, b in itertools.product(R, R):
-            if k[a - 1][b - 1]:
-                poly = poly + (f1(a, i) * f1(b, j)).scale(k[a - 1][b - 1])
-        eqs.append(("cs1[%d,%d]" % (i, j), poly))
-
-    for i, b, c in itertools.product(M, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly + f1(b, i, deriv=(j,)) * f1(c, j)
-            poly = poly - f1(c, i, deriv=(j,)) * f1(b, j)
-        for e, f in itertools.product(R, R):
-            if k[e - 1][f - 1]:
-                poly = poly + (f1(e, i) * f2(f, b, c)).scale(k[e - 1][f - 1])
-        eqs.append(("cs2[%d,%d,%d]" % (i, b, c), poly))
-
-    for a, b, c, dd in itertools.product(R, R, R, R):
-        poly = CPoly.zero()
-        for j in M:
-            poly = poly + f1(dd, j) * f2(a, b, c, deriv=(j,))
-            poly = poly - f1(c, j) * f2(dd, a, b, deriv=(j,))
-            poly = poly + f1(b, j) * f2(c, dd, a, deriv=(j,))
-            poly = poly - f1(a, j) * f2(b, c, dd, deriv=(j,))
-        for e, f in itertools.product(R, R):
-            kk = k[e - 1][f - 1]
-            if kk:
-                poly = poly + (f2(e, a, b) * f2(c, dd, f)).scale(kk)
-                poly = poly + (f2(e, a, c) * f2(dd, b, f)).scale(kk)
-                poly = poly + (f2(e, a, dd) * f2(b, c, f)).scale(kk)
-        eqs.append(("cs3[%d,%d,%d,%d]" % (a, b, c, dd), poly))
-
-    return eqs
 
 
 # -- randomized consistency helpers ------------------------------------------------

@@ -141,6 +141,46 @@ def test_check_bv_refuses_nonpositive_trials(trials):
     assert "--trials: must be a positive integer" in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check-master", "--model", "n2_poisson_so3.model", "--trials", "5"], "--trials"),
+        (["extract-identities", "--model", "n3_cs_su2.model", "--seed", "1"], "--seed"),
+    ],
+    ids=["check-master-trials", "extract-identities-seed"],
+)
+def test_unread_seed_and_trials_are_usage_errors(argv, flag):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(resolve(argv))
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("usage: bvsigma")
+    assert "error: unrecognized arguments: %s" % flag in err.getvalue()
+
+
+def test_check_algebroid_ignores_seed():
+    argv = resolve(["check-algebroid", "--model", "n3_bf_exact_courant.model"])
+    assert run_cli(argv + ["--seed", "5"]) == run_cli(argv)
+
+
+def test_seed_and_trials_only_where_read():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    settable = sorted(
+        (name, opt)
+        for name, sub in subparsers.items()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt in ("--seed", "--trials")
+    )
+    assert settable == [
+        ("check-algebroid", "--seed"),
+        ("check-bv", "--seed"),
+        ("check-bv", "--trials"),
+    ]
+
+
 def test_kinetic_master_and_first_order_commands():
     for cmd in ("kinetic-master", "first-order", "theorem1", "laplacian"):
         code, out = run_cli([cmd, "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])

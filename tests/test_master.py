@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,10 +24,11 @@ from bvsigma.models import (
     CS_BF,
     ModelSpec,
     StructureData,
+    ansatz_families,
     build_S1_generic,
 )
 from bvsigma.pstructure import PStructure
-from bvsigma.symalg import CPoly, Expr
+from bvsigma.symalg import CPoly, Expr, _perm_sign, make_symbol
 
 import oracle
 
@@ -279,3 +281,289 @@ def test_randomized_soundness_of_span_encoding():
             direct = poly.evaluate(sym_values, base_values)
             via_vector = sum(v * basis_values[c] for c, v in row.items())
             assert direct == via_vector
+
+
+# -- the transcriptions as nested loops, the reference for the table ---------------
+
+
+def _symbols(spec):
+    """sym(name, lower, upper, deriv) -> the CPoly of that normalized symbol
+    (zero if it vanishes), each built once per transcription."""
+    fams = {f.name: f for f in ansatz_families(spec)}
+    table = {}
+
+    def sym(name, lower=(), upper=(), deriv=()):
+        key = (name, lower, upper, deriv)
+        poly = table.get(key)
+        if poly is None:
+            sign, symbol = make_symbol(name, lower, upper, deriv, fams[name].groups)
+            poly = table[key] = CPoly.zero() if symbol is None else CPoly.symbol(symbol, sign)
+        return poly
+
+    return sym
+
+
+def _perms_signed(indices):
+    """Every permutation of ``indices`` with its sign."""
+    base = list(indices)
+    for perm in itertools.permutations(range(len(base))):
+        yield _perm_sign(perm), [base[k] for k in perm]
+
+
+def _transcribe_n2(spec):
+    """f^{kl} d_l f^{ij} + f^{il} d_l f^{jk} + f^{jl} d_l f^{ki} = 0."""
+    sym = _symbols(spec)
+    d = spec.d
+
+    def f(i, j, deriv=()):
+        return sym("f1", upper=(i, j), deriv=deriv)
+
+    eqs = []
+    for i, j, k in itertools.product(range(1, d + 1), repeat=3):
+        poly = CPoly.zero()
+        for l in range(1, d + 1):
+            poly = poly + f(k, l) * f(i, j, deriv=(l,))
+            poly = poly + f(i, l) * f(j, k, deriv=(l,))
+            poly = poly + f(j, l) * f(k, i, deriv=(l,))
+        eqs.append(("jacobi[%d,%d,%d]" % (i, j, k), poly))
+    return eqs
+
+
+def _transcribe_n3_bf(spec):
+    """The nine published identities of the n=3 two-block model.
+
+    The ansatz stores the mixed family f2 with upper slots ordered
+    (E*-index, M-index); the published form writes f2^{i b} with the M-index
+    first, so the slot order is swapped in the helper below.
+    """
+    sym = _symbols(spec)
+    d = spec.d
+    r = spec.bf_blocks[0].rank
+    M = range(1, d + 1)
+    R = range(1, r + 1)
+
+    def f1(a, i, deriv=()):
+        return sym("f1", lower=(a,), upper=(i,), deriv=deriv)
+
+    def f2(i, b, deriv=()):
+        return sym("f2", upper=(b, i), deriv=deriv)
+
+    def f3(a, b, c, deriv=()):
+        return sym("f3", lower=(a, b, c), deriv=deriv)
+
+    def f4(a, b, c, deriv=()):
+        return sym("f4", lower=(a, b), upper=(c,), deriv=deriv)
+
+    def f5(a, b, c, deriv=()):
+        return sym("f5", lower=(a,), upper=(b, c), deriv=deriv)
+
+    def f6(a, b, c, deriv=()):
+        return sym("f6", upper=(a, b, c), deriv=deriv)
+
+    eqs = []
+    for i, j in itertools.product(M, M):
+        poly = CPoly.zero()
+        for e in R:
+            poly = poly + f1(e, i) * f2(j, e) + f2(i, e) * f1(e, j)
+        eqs.append(("bf1[%d,%d]" % (i, j), poly))
+
+    for i, b, c in itertools.product(M, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly - f1(c, i, deriv=(j,)) * f1(b, j)
+            poly = poly + f1(b, i, deriv=(j,)) * f1(c, j)
+        for e in R:
+            poly = poly + f1(e, i) * f4(b, c, e) + f2(i, e) * f3(e, b, c)
+        eqs.append(("bf2[%d,%d,%d]" % (i, b, c), poly))
+
+    for i, b, c in itertools.product(M, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly + f1(b, j) * f2(i, c, deriv=(j,))
+            poly = poly - f2(j, c) * f1(b, i, deriv=(j,))
+        for e in R:
+            poly = poly + f1(e, i) * f5(b, e, c) - f2(i, e) * f4(e, b, c)
+        eqs.append(("bf3[%d,%d,%d]" % (i, b, c), poly))
+
+    for i, b, c in itertools.product(M, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly - f2(j, b) * f2(i, c, deriv=(j,))
+            poly = poly + f2(j, c) * f2(i, b, deriv=(j,))
+        for e in R:
+            poly = poly + f1(e, i) * f6(e, b, c) + f2(i, e) * f5(e, b, c)
+        eqs.append(("bf4[%d,%d,%d]" % (i, b, c), poly))
+
+    for a, b, c, dd in itertools.product(R, R, R, R):
+        poly = CPoly.zero()
+        for sign, (x, y, z) in _perms_signed((a, b, c)):
+            for j in M:
+                poly = poly - f1(x, j).scale(sign) * f4(y, z, dd, deriv=(j,))
+            for e in R:
+                poly = poly + (f4(e, x, dd) * f4(y, z, e)).scale(sign)
+                poly = poly + (f3(e, x, y) * f5(z, dd, e)).scale(sign)
+        for j in M:
+            poly = poly + f2(j, dd) * f3(a, b, c, deriv=(j,))
+        eqs.append(("bf5[%d,%d,%d;%d]" % (a, b, c, dd), poly))
+
+    for a, b, c, dd in itertools.product(R, R, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly - f1(a, j) * f5(b, c, dd, deriv=(j,))
+            poly = poly + f1(b, j) * f5(a, c, dd, deriv=(j,))
+            poly = poly - f2(j, c) * f4(a, b, dd, deriv=(j,))
+            poly = poly + f2(j, dd) * f4(a, b, c, deriv=(j,))
+        for e in R:
+            poly = poly + f3(e, a, b) * f6(e, c, dd)
+            poly = poly + f4(e, a, dd) * f5(b, c, e)
+            poly = poly - f4(e, b, dd) * f5(a, c, e)
+            poly = poly - f4(e, a, c) * f5(b, dd, e)
+            poly = poly + f4(e, b, c) * f5(a, dd, e)
+            poly = poly + f4(a, b, e) * f5(e, c, dd)
+        eqs.append(("bf6[%d,%d;%d,%d]" % (a, b, c, dd), poly))
+
+    for a, b, c, dd in itertools.product(R, R, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly - f1(a, j) * f6(b, c, dd, deriv=(j,))
+        for sign, (x, y, z) in _perms_signed((b, c, dd)):
+            for j in M:
+                poly = poly + f2(j, x).scale(sign) * f5(a, y, z, deriv=(j,))
+            for e in R:
+                poly = poly + (f4(e, a, x) * f6(y, z, e)).scale(sign)
+                poly = poly + (f5(e, x, y) * f5(a, z, e)).scale(sign)
+        eqs.append(("bf7[%d;%d,%d,%d]" % (a, b, c, dd), poly))
+
+    for a, b, c, dd in itertools.product(R, R, R, R):
+        poly = CPoly.zero()
+        for sign, (w, x, y, z) in _perms_signed((a, b, c, dd)):
+            for j in M:
+                poly = poly - f2(j, w).scale(sign) * f6(x, y, z, deriv=(j,))
+            for e in R:
+                poly = poly + (f6(e, w, x) * f5(e, y, z)).scale(sign)
+        eqs.append(("bf8[%d,%d,%d,%d]" % (a, b, c, dd), poly))
+
+    for a, b, c, dd in itertools.product(R, R, R, R):
+        poly = CPoly.zero()
+        for sign, (w, x, y, z) in _perms_signed((a, b, c, dd)):
+            for j in M:
+                poly = poly - f1(w, j).scale(sign) * f3(x, y, z, deriv=(j,))
+            for e in R:
+                poly = poly + (f4(w, x, e) * f3(y, z, e)).scale(sign)
+        eqs.append(("bf9[%d,%d,%d,%d]" % (a, b, c, dd), poly))
+
+    return eqs
+
+
+def _transcribe_n3_cs(spec):
+    """The three published identities of the n=3 self-paired model."""
+    sym = _symbols(spec)
+    d = spec.d
+    r = spec.cs_block.rank
+    k = spec.cs_block.metric
+    M = range(1, d + 1)
+    R = range(1, r + 1)
+
+    def f1(a, i, deriv=()):
+        return sym("f1", lower=(a,), upper=(i,), deriv=deriv)
+
+    def f2(a, b, c, deriv=()):
+        return sym("f2", lower=(a, b, c), deriv=deriv)
+
+    eqs = []
+    for i, j in itertools.product(M, M):
+        poly = CPoly.zero()
+        for a, b in itertools.product(R, R):
+            if k[a - 1][b - 1]:
+                poly = poly + (f1(a, i) * f1(b, j)).scale(k[a - 1][b - 1])
+        eqs.append(("cs1[%d,%d]" % (i, j), poly))
+
+    for i, b, c in itertools.product(M, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly + f1(b, i, deriv=(j,)) * f1(c, j)
+            poly = poly - f1(c, i, deriv=(j,)) * f1(b, j)
+        for e, f in itertools.product(R, R):
+            if k[e - 1][f - 1]:
+                poly = poly + (f1(e, i) * f2(f, b, c)).scale(k[e - 1][f - 1])
+        eqs.append(("cs2[%d,%d,%d]" % (i, b, c), poly))
+
+    for a, b, c, dd in itertools.product(R, R, R, R):
+        poly = CPoly.zero()
+        for j in M:
+            poly = poly + f1(dd, j) * f2(a, b, c, deriv=(j,))
+            poly = poly - f1(c, j) * f2(dd, a, b, deriv=(j,))
+            poly = poly + f1(b, j) * f2(c, dd, a, deriv=(j,))
+            poly = poly - f1(a, j) * f2(b, c, dd, deriv=(j,))
+        for e, f in itertools.product(R, R):
+            kk = k[e - 1][f - 1]
+            if kk:
+                poly = poly + (f2(e, a, b) * f2(c, dd, f)).scale(kk)
+                poly = poly + (f2(e, a, c) * f2(dd, b, f)).scale(kk)
+                poly = poly + (f2(e, a, dd) * f2(b, c, f)).scale(kk)
+        eqs.append(("cs3[%d,%d,%d,%d]" % (a, b, c, dd), poly))
+
+    return eqs
+
+
+def _reference_transcription(which, spec):
+    """Nonzero equations of the loops, each polynomial once, first tag kept."""
+    loops = {N2_JACOBI: _transcribe_n2, N3_BF: _transcribe_n3_bf, N3_CS: _transcribe_n3_cs}
+    out, seen = [], set()
+    for tag, poly in loops[which](spec):
+        if poly and poly.sort_key() not in seen:
+            seen.add(poly.sort_key())
+            out.append((tag, poly))
+    return out
+
+
+def _bf_spec(d, r):
+    return ModelSpec(n=3, d=d, bf_blocks=(BfBlock(1, r),))
+
+
+def _cs_spec(d, rank, metric=None):
+    if metric is None:
+        metric = tuple(tuple(Fraction(int(a == b)) for b in range(rank)) for a in range(rank))
+    return ModelSpec(n=3, d=d, flavor=CS_BF, cs_block=CsBlock(rank, metric))
+
+
+_H, _T = Fraction(1, 2), Fraction(-2, 3)
+TABLE_GRID = (
+    [(N2_JACOBI, ModelSpec(n=2, d=d)) for d in (1, 2, 3, 6)]
+    + [(N3_BF, _bf_spec(d, r)) for d in (1, 2, 3) for r in (1, 2, 3, 4)]
+    + [(N3_CS, _cs_spec(d, r)) for d in (1, 2, 3) for r in (1, 2, 3, 5)]
+    + [(N3_CS, _cs_spec(2, 3, ((1, _H, 0), (_H, _T, 3), (0, 3, _H))))]
+)
+
+
+@pytest.mark.parametrize(
+    "which,spec", TABLE_GRID, ids=["%s-%s" % (w, s.fingerprint()) for w, s in TABLE_GRID]
+)
+def test_table_matches_the_transcription_loops(which, spec):
+    # same tags, same order, same polynomials as the nested loops
+    table = transcribe_paper_identities(which, spec).equations
+    reference = _reference_transcription(which, spec)
+    assert [tag for tag, _ in table] == [tag for tag, _ in reference]
+    assert table == reference
+    # scalars are stored canonically: an int whenever integral
+    assert all(
+        type(v) is int or v.denominator != 1 for _, poly in table for v in poly.terms.values()
+    )
+
+
+def test_unknown_identity_family_is_refused():
+    with pytest.raises(ValueError, match="unknown identity family"):
+        transcribe_paper_identities("n4_bf", n2_spec())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the transcribed n=3 two-block weights miss the extracted span "
+    "once rank >= 3 makes f3 and f6 nonzero",
+)
+@pytest.mark.parametrize("d,r", [(1, 3), (3, 3), (2, 4)])
+def test_n3_bf_paper_span_at_rank_three_and_up(d, r):
+    spec = _bf_spec(d, r)
+    extracted = extract_identities(PStructure.from_model(spec), build_S1_generic(spec))
+    transcribed = transcribe_paper_identities(N3_BF, spec)
+    assert compare_identity_spans(extracted, transcribed).relation == EQUAL
