@@ -19,7 +19,6 @@ from .models import (
     ModelSpec,
     StructureData,
     ansatz_families,
-    build_S0,
     build_S1_generic,
     validate_degree,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ModelSpec",
     "StructureData",
     "ansatz_families",
-    "build_S0",
     "build_S1_generic",
     "validate_degree",
     "PStructure",

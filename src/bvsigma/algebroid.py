@@ -106,9 +106,8 @@ def operation_table(p: PStructure, s1: Action, basis: SectionBasis):
         rows.append(("circ", la, lb, derived_bracket(p, q, ea, eb)))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
         rows.append(("pair", la, lb, pairing(p, ea, eb)))
-    base = [i for i in p.base_indices()]
     for la, ea in reps:
-        for i in base:
+        for i in range(1, p.spec.d + 1):
             rows.append(("anchor", la, "phi%d" % i, anchor(p, q, ea, Expr.base(i))))
     return rows
 
@@ -155,7 +154,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData, basis: Section
     comparison is an exact polynomial identity, not a sample.
     """
     q = p.hamiltonian(s1.expr.substitute(data))
-    rep = AxiomReport(model=p.scope or "")
+    rep = AxiomReport(model=p.scope)
     reps = basis.representatives()
     pairs = list(itertools.product(reps, reps))
     triples = list(itertools.product(reps, reps, reps))
@@ -229,8 +228,8 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData, basis: S
     potentials are the generic F and G, so every comparison is exact.
     """
     q = p.hamiltonian(s1.expr.substitute(data))
-    rep = AxiomReport(model=p.scope or "")
-    base = list(p.base_indices())
+    rep = AxiomReport(model=p.scope)
+    base = range(1, p.spec.d + 1)
 
     def pb(f, g):
         return derived_bracket(p, q, f, g)

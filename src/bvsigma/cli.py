@@ -23,7 +23,7 @@ from .master import (
     transcribe_paper_identities,
     verify_structure_data,
 )
-from .models import ModelError, ModelSpec, build_S0, build_S1_generic
+from .models import ModelError, ModelSpec, build_S1_generic
 from .modelfile import ModelFile, ParseError, parse_model
 from .pstructure import PStructure, check_bv_identities
 from .symalg import MissingSymbolError
@@ -220,8 +220,7 @@ def _cmd_first_order(mf: ModelFile, args) -> int:
 
 
 def _cmd_kinetic_master(mf: ModelFile, args) -> int:
-    s0 = build_S0(mf.spec)
-    rep = kinetic_master_check(mf.spec, s0.kinetic)
+    rep = kinetic_master_check(mf.spec)
     return _report("kinetic-master", mf.spec, rep.passed, [rep.detail], [], args.format)
 
 
@@ -259,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(_COMMANDS):
         cmd = sub.add_parser(name)
+        cmd.set_defaults(parser=cmd)  # reports the flags it does not take
         cmd.add_argument("--model", required=True, help="path to a model file")
         if name == "check-bv":
             cmd.add_argument("--seed", type=int, default=0, help="seed for the randomized trials")
@@ -286,7 +286,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args, unknown = _PARSER.parse_known_args(argv)
+        if unknown:
+            args.parser.error("unrecognized arguments: %s" % " ".join(unknown))
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

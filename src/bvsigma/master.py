@@ -18,12 +18,11 @@ published f2^{ib} of the two-block model is the stored ``f2[;bi]``.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
@@ -69,7 +68,7 @@ def expand_master(p: PStructure, s1: Action) -> Expr:
 def extract_identities(p: PStructure, s1: Action) -> IdentitySet:
     """Group (S1,S1) by graded monomial; each coefficient is one equation."""
     expanded = expand_master(p, s1)
-    out = IdentitySet(spec=p.scope or "", provenance=EXTRACTED)
+    out = IdentitySet(spec=p.scope, provenance=EXTRACTED)
     for mono in sorted(expanded.terms):
         out.equations.append((monomial_str(mono), expanded.terms[mono]))
     return out
@@ -294,17 +293,3 @@ def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
                 seen.add(key)
                 out.equations.append((fmt % values, CPoly(acc)))
     return out
-
-
-# -- randomized consistency helpers ------------------------------------------------
-
-
-def random_assignment(polys: Sequence[CPoly], d: int, rng: random.Random):
-    """Random rational point for every symbol and base variable present."""
-    sym_values = {}
-    for poly in polys:
-        for sym in poly.symbols():
-            if sym not in sym_values:
-                sym_values[sym] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    base_values = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for j in range(1, d + 1)}
-    return sym_values, base_values

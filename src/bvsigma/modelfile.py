@@ -154,10 +154,6 @@ def parse_poly(text: str, line: int = 1) -> CPoly:
     return _PolyParser(text, line).parse()
 
 
-def poly_str(poly: CPoly) -> str:
-    return str(poly)
-
-
 # -- model files -------------------------------------------------------------------
 
 _ASSIGN = re.compile(r"^(\w+)\[([\d,\s]*);([\d,\s]*)\]\s*=\s*(.*)$")
@@ -343,7 +339,7 @@ def print_model(mf: ModelFile) -> str:
                     name,
                     ",".join(map(str, lower)),
                     ",".join(map(str, upper)),
-                    poly_str(poly),
+                    str(poly),
                 )
             )
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
-"""Model specifications and builders for the kinetic and deformation actions.
+"""Model specifications and the generic deformation action.
 
 A ModelSpec fixes the base dimension, the graded bundle blocks and their
-ranks.  ``build_S0`` returns the kinetic action as worldsheet pairing data
-(the exterior derivative has no target-level image) and ``build_S1_generic``
-enumerates the most general degree-n deformation ansatz with one coefficient
-symbol family per graded monomial class.
+ranks, and decides once which blocks are conjugate: the Darboux pairs and
+the optional self-paired block that the antibracket, the BV Laplacian and
+the kinetic action all sum over.  ``build_S1_generic`` enumerates the most
+general degree-n deformation ansatz with one coefficient symbol family per
+graded monomial class.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .grading import BASE_BLOCK, GradedVar, sort_monomial
+from .rowreduce import RowSpan
 from .symalg import (
     ANTISYM,
     SYM,
@@ -41,27 +43,6 @@ class ModelError(ValueError):
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _det(rows: Matrix) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
 @dataclass(frozen=True)
 class BfBlock:
     p: int
@@ -75,6 +56,25 @@ class CsBlock:
 
 
 @dataclass(frozen=True)
+class DarbouxPair:
+    """Conjugate blocks (A_p, B_{n-p-1}); p=0 is the (phi, B_{n-1}) pair."""
+
+    a_block: str
+    b_block: str
+    p: int
+    rank: int
+
+
+@dataclass(frozen=True)
+class SelfPair:
+    """The block A_{(n-1)/2} paired with itself through the metric k."""
+
+    block: str
+    rank: int
+    metric: Matrix
+
+
+@dataclass(frozen=True)
 class BlockInfo:
     label: str
     degree: int
@@ -83,7 +83,12 @@ class BlockInfo:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Dimensions, bundle ranks and flavor of one sigma-model target."""
+    """Dimensions, bundle ranks and flavor of one sigma-model target.
+
+    ``pairs`` holds the Darboux pairs in p order, p=0 first, and
+    ``self_pairs`` the self-paired block, if any: the one statement of
+    which blocks are conjugate.
+    """
 
     n: int
     d: int
@@ -125,17 +130,28 @@ class ModelSpec:
                 raise ModelError("metric k must be %dx%d" % (r, r))
             if any(k[a][b] != k[b][a] for a in range(r) for b in range(r)):
                 raise ModelError("metric k must be symmetric")
-            if _det(k) == 0:
+            span = RowSpan()
+            for row in k:
+                span.add({b: x for b, x in enumerate(row) if x})
+            if span.rank < r:
                 raise ModelError("metric k must be nondegenerate")
-        # Label -> block, in blocks() order.  Set once here and kept out of
-        # the dataclass fields, so equality, hash and fingerprint ignore it.
-        n, q = self.n, (self.n - 1) // 2
-        table = [BlockInfo(BASE_BLOCK, 0, self.d), BlockInfo("B%d" % (n - 1), n - 1, self.d)]
+        # The conjugate pairs, p=0 first, and the label -> block table, in
+        # blocks() order.  Set once here and kept out of the dataclass
+        # fields, so equality, hash and fingerprint ignore them.
+        n, q = self.n, self.cs_degree
+        pairs = [DarbouxPair(BASE_BLOCK, "B%d" % (n - 1), 0, self.d)]
         for blk in sorted(self.bf_blocks, key=lambda b: b.p):
-            table.append(BlockInfo("A%d" % blk.p, blk.p, blk.rank))
-            table.append(BlockInfo("B%d" % (n - blk.p - 1), n - blk.p - 1, blk.rank))
+            pairs.append(DarbouxPair("A%d" % blk.p, "B%d" % (n - blk.p - 1), blk.p, blk.rank))
+        self_pairs = []
         if self.cs_block is not None:
-            table.append(BlockInfo("A%d" % q, q, self.cs_block.rank))
+            self_pairs.append(SelfPair("A%d" % q, self.cs_block.rank, self.cs_block.metric))
+        table = []
+        for pair in pairs:
+            table.append(BlockInfo(pair.a_block, pair.p, pair.rank))
+            table.append(BlockInfo(pair.b_block, n - pair.p - 1, pair.rank))
+        table.extend(BlockInfo(sp.block, q, sp.rank) for sp in self_pairs)
+        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "self_pairs", tuple(self_pairs))
         object.__setattr__(self, "_blocks", {b.label: b for b in table})
 
     # -- block geometry -----------------------------------------------------
@@ -160,9 +176,6 @@ class ModelSpec:
         b = self.block(label)
         return [GradedVar(b.label, b.degree, i) for i in range(1, b.rank + 1)]
 
-    def base_vars(self) -> list[GradedVar]:
-        return self.vars_of(BASE_BLOCK)
-
     def fiber_vars(self) -> list[GradedVar]:
         out: list[GradedVar] = []
         for b in self.fiber_blocks():
@@ -182,53 +195,12 @@ class ModelSpec:
         return self.n > 1
 
 
-# -- kinetic action ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KineticTerm:
-    """One summand sign * B d(A) of the kinetic action."""
-
-    b_block: str
-    a_block: str
-    sign: int  # (-1)^(n-p)
-
-
-@dataclass(frozen=True)
-class KineticPairing:
-    """Worldsheet data of S0: Darboux summands plus optional k/2 A dA term."""
-
-    n: int
-    terms: tuple[KineticTerm, ...]
-    cs_term: Optional[CsBlock] = None
-    cs_label: Optional[str] = None
-
-
 @dataclass(frozen=True)
 class Action:
-    """A BV action: target-level expression plus its declared total degree.
-
-    The kinetic action S0 carries its content in ``kinetic`` (worldsheet
-    pairing data) and a zero target expression; deformations carry a target
-    expression and no kinetic data.
-    """
+    """A BV action: target-level expression plus its declared total degree."""
 
     expr: Expr
     total_degree: int
-    kinetic: Optional[KineticPairing] = None
-
-
-def build_S0(spec: ModelSpec) -> Action:
-    """Kinetic action: sum of (-1)^(n-p) B dA plus k/2 A dA for cs models."""
-    n = spec.n
-    terms = [KineticTerm("B%d" % (n - 1), BASE_BLOCK, (-1) ** n)]
-    for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
-        terms.append(
-            KineticTerm("B%d" % (n - blk.p - 1), "A%d" % blk.p, (-1) ** (n - blk.p))
-        )
-    cs_label = "A%d" % spec.cs_degree if spec.cs_block is not None else None
-    pairing = KineticPairing(n, tuple(terms), spec.cs_block, cs_label)
-    return Action(Expr.zero(scope=spec.fingerprint()), n, pairing)
 
 
 # -- generic deformation ansatz ----------------------------------------------

@@ -26,90 +26,40 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
-from .models import Matrix, ModelError, ModelSpec
+from .models import DarbouxPair, ModelError, ModelSpec, SelfPair
 from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact
 
 
-@dataclass(frozen=True)
-class DarbouxPair:
-    """Conjugate blocks (A_p, B_{n-p-1}); p=0 is the (phi, B_{n-1}) pair."""
-
-    a_block: str
-    b_block: str
-    p: int
-    rank: int
-
-
-@dataclass(frozen=True)
-class SelfPair:
-    block: str
-    rank: int
-    metric: Matrix
-
-
 class PStructure:
-    """The antibracket data of one model: Darboux pairs plus self blocks."""
+    """The antibracket data of one model: the conjugate pairs of its spec."""
 
-    def __init__(self, n: int, pairs: Sequence[DarbouxPair], self_pairs: Sequence[SelfPair] = (), scope: Optional[str] = None):
-        self.n = n
-        self.pairs = tuple(pairs)
-        self.self_pairs = tuple(self_pairs)
-        self.scope = scope
-        for sp in self.self_pairs:
-            q = (n - 1) // 2
-            if n % 2 == 0:
-                raise ModelError("self-paired block requires odd n, got n=%d" % n)
-            if q % 2 == 0:
-                raise ModelError(
-                    "self-paired block of even degree %d cannot carry a symmetric "
-                    "metric compatible with graded antisymmetry (n=%d)" % (q, n)
-                )
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.n = spec.n
+        self.pairs = spec.pairs
+        self.self_pairs = spec.self_pairs
+        self.scope = spec.fingerprint()
+        q = spec.cs_degree
+        if self.self_pairs and q % 2 == 0:
+            raise ModelError(
+                "self-paired block of even degree %d cannot carry a symmetric "
+                "metric compatible with graded antisymmetry (n=%d)" % (q, self.n)
+            )
         self._darboux_rows, self._rows = self._conjugate_tables()
 
-    @staticmethod
-    def from_model(spec: ModelSpec) -> "PStructure":
-        n = spec.n
-        pairs = [DarbouxPair(BASE_BLOCK, "B%d" % (n - 1), 0, spec.d)]
-        for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
-            pairs.append(
-                DarbouxPair("A%d" % blk.p, "B%d" % (n - blk.p - 1), blk.p, blk.rank)
-            )
-        self_pairs = []
-        if spec.cs_block is not None:
-            self_pairs.append(
-                SelfPair("A%d" % spec.cs_degree, spec.cs_block.rank, spec.cs_block.metric)
-            )
-        return PStructure(n, pairs, self_pairs, scope=spec.fingerprint())
+    @classmethod
+    def from_model(cls, spec: ModelSpec) -> "PStructure":
+        return cls(spec)
 
     # -- variables ---------------------------------------------------------
     def pair_vars(self, pair: DarbouxPair):
-        n = self.n
-        for i in range(1, pair.rank + 1):
-            av = GradedVar(pair.a_block, pair.p, i)
-            bv = GradedVar(pair.b_block, n - pair.p - 1, i)
-            yield av, bv
+        return zip(self.spec.vars_of(pair.a_block), self.spec.vars_of(pair.b_block))
 
-    def self_vars(self, sp: SelfPair):
-        q = (self.n - 1) // 2
-        return [GradedVar(sp.block, q, i) for i in range(1, sp.rank + 1)]
-
-    def fiber_vars(self) -> list[GradedVar]:
-        out = []
-        for pair in self.pairs:
-            for av, bv in self.pair_vars(pair):
-                if pair.p > 0:
-                    out.append(av)
-                out.append(bv)
-        for sp in self.self_pairs:
-            out.extend(self.self_vars(sp))
-        return sorted(out)
-
-    def base_indices(self) -> range:
-        base = next(p for p in self.pairs if p.p == 0)
-        return range(1, base.rank + 1)
+    def self_vars(self, sp: SelfPair) -> list[GradedVar]:
+        return self.spec.vars_of(sp.block)
 
     def _conjugate_tables(self):
         """The partners of each variable in the bracket sum, in summation
@@ -241,7 +191,7 @@ def _monomials_of_degree(pstruct: PStructure, degree: int, max_len: int = 4):
     Degree-0 fiber variables (the n=1 cotangent partner) extend a finished
     monomial without changing its degree, bounded by max_len.
     """
-    vars_ = pstruct.fiber_vars()
+    vars_ = pstruct.spec.fiber_vars()
     out: list[tuple[GradedVar, ...]] = []
 
     def rec(start: int, remaining: int, acc: list[GradedVar]):
@@ -278,7 +228,7 @@ class RandomExprs:
             for deg in range(0, self.max_degree + 1)
         }
         self.degrees = [d for d, monos in self._pool.items() if monos]
-        self._bases = pstruct.base_indices()
+        self._bases = range(1, pstruct.spec.d + 1)
 
     def _coefficient(self) -> CPoly:
         """A scalar, times a base power with probability 1/2, times a
@@ -339,9 +289,6 @@ class BvReport:
     def passed(self) -> bool:
         return all(self.results.values())
 
-    def law_passed(self, law: str) -> bool:
-        return self.results[law]
-
     @property
     def bracket_laws_passed(self) -> bool:
         return all(self.results[l] for l in BRACKET_LAWS)
@@ -363,7 +310,7 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
     """
     n = pstruct.n
     gen = RandomExprs(pstruct, seed)
-    report = BvReport(structure=pstruct.scope or "n=%d" % n, trials=trials)
+    report = BvReport(structure=pstruct.scope, trials=trials)
     report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
 
     def fail(law: str, msg: str):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .grading import merge_monomials, sort_monomial
-from .models import Action, KineticPairing, ModelSpec
+from .models import Action, ModelSpec
 from .rowreduce import RowSpan, _eliminate
 from .symalg import accumulate, exact
 
@@ -229,73 +229,66 @@ def _d_preimage_candidates(mono: tuple[ComponentField, ...]):
                 yield cand
 
 
-class Integrator:
-    """Decides membership in the image of d on the relevant finite basis."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def reduce(self, expr: DgaExpr) -> DgaExpr:
-        """Canonical representative of the form-n part modulo exact terms."""
-        top = expr.form_part(self.n)
-        if top.is_zero():
-            return top
-        support = set(top.terms)
-        images: dict[Monomial, DgaExpr] = {}  # candidate -> its d-image
-        frontier = set(support)
-        while frontier:
-            new_candidates = set()
-            for mono in frontier:
-                for cand in _d_preimage_candidates(mono):
-                    if cand not in images:
-                        new_candidates.add(cand)
-            frontier = set()
-            for cand in new_candidates:
-                image = images[cand] = DgaExpr._of(self.n, {cand: 1}).d()
-                for mono in image.terms:
-                    if mono not in support:
-                        support.add(mono)
-                        frontier.add(mono)
-        index = {m: i for i, m in enumerate(sorted(support))}
-        span = RowSpan()
-        for cand in sorted(images):
-            image = images[cand]
-            if not image.is_zero():
-                span.add({index[m]: c for m, c in image.terms.items()})
-        row = {index[m]: c for m, c in top.terms.items()}
-        residual = _eliminate(row, span.basis)
-        back = {m: residual[i] for m, i in index.items() if i in residual}
-        return DgaExpr(self.n, back)
-
-
 def integrate(expr: DgaExpr) -> DgaExpr:
-    """The class of the form-n part modulo d(anything): zero iff exact."""
-    return Integrator(expr.n).reduce(expr)
+    """The class of the form-n part modulo d(anything): zero iff exact.
+
+    Decided on the finite basis the form-n part reaches through d-preimage
+    candidates: the canonical representative is the residual of the form-n
+    part against the row span of their d-images.
+    """
+    n = expr.n
+    top = expr.form_part(n)
+    if top.is_zero():
+        return top
+    support = set(top.terms)
+    images: dict[Monomial, DgaExpr] = {}  # candidate -> its d-image
+    frontier = set(support)
+    while frontier:
+        new_candidates = set()
+        for mono in frontier:
+            for cand in _d_preimage_candidates(mono):
+                if cand not in images:
+                    new_candidates.add(cand)
+        frontier = set()
+        for cand in new_candidates:
+            image = images[cand] = DgaExpr._of(n, {cand: 1}).d()
+            for mono in image.terms:
+                if mono not in support:
+                    support.add(mono)
+                    frontier.add(mono)
+    index = {m: i for i, m in enumerate(sorted(support))}
+    span = RowSpan()
+    for cand in sorted(images):
+        image = images[cand]
+        if not image.is_zero():
+            span.add({index[m]: c for m, c in image.terms.items()})
+    row = {index[m]: c for m, c in top.terms.items()}
+    residual = _eliminate(row, span.basis)
+    back = {m: residual[i] for m, i in index.items() if i in residual}
+    return DgaExpr(n, back)
 
 
 # -- the kinetic master equation ----------------------------------------------------
 
 
-def kinetic_action_dga(spec: ModelSpec, kinetic: KineticPairing) -> DgaExpr:
-    """The form-n part of the kinetic action in component fields."""
+def kinetic_action_dga(spec: ModelSpec) -> DgaExpr:
+    """The form-n part of the kinetic action in component fields:
+    sum over the Darboux pairs of (-1)^(n-p) B dA, plus k/2 A dA over the
+    self-paired block."""
     n = spec.n
     s0 = DgaExpr.zero(n)
-    for term in kinetic.terms:
-        b = spec.block(term.b_block)
-        a = spec.block(term.a_block)
-        for i in range(1, a.rank + 1):
-            bfam = component_exprs(n, "%s_%d" % (b.label, i), b.degree)
-            afam = superfield(n, "%s_%d" % (a.label, i), a.degree)
+    for pair in spec.pairs:
+        for i in range(1, pair.rank + 1):
+            bfam = component_exprs(n, "%s_%d" % (pair.b_block, i), n - pair.p - 1)
+            afam = superfield(n, "%s_%d" % (pair.a_block, i), pair.p)
             for r in range(n):
                 da = afam[r].d()
                 piece = bfam[n - r - 1] * DgaExpr.gen(n, da)
-                s0 = s0 + piece.scale(term.sign)
-    if kinetic.cs_term is not None:
-        cs = kinetic.cs_term
-        q = (n - 1) // 2
-        fams = [superfield(n, "%s_%d" % (kinetic.cs_label, i), q) for i in range(1, cs.rank + 1)]
-        for a_i, b_i in itertools.product(range(cs.rank), repeat=2):
-            kval = cs.metric[a_i][b_i]
+                s0 = s0 + piece.scale((-1) ** (n - pair.p))
+    for sp in spec.self_pairs:
+        fams = [superfield(n, "%s_%d" % (sp.block, i), spec.cs_degree) for i in range(1, sp.rank + 1)]
+        for a_i, b_i in itertools.product(range(sp.rank), repeat=2):
+            kval = sp.metric[a_i][b_i]
             if not kval:
                 continue
             for r in range(n):
@@ -311,9 +304,9 @@ class KineticMasterReport:
     detail: str
 
 
-def kinetic_master_check(spec: ModelSpec, kinetic: KineticPairing) -> KineticMasterReport:
+def kinetic_master_check(spec: ModelSpec) -> KineticMasterReport:
     """(S0,S0) = 0: delta0 of the kinetic action integrates to zero."""
-    s0 = kinetic_action_dga(spec, kinetic)
+    s0 = kinetic_action_dga(spec)
     residue = integrate(s0.delta0())
     if residue.is_zero():
         return KineticMasterReport(True, "delta0(S0) is d-exact at form degree n")

@@ -297,7 +297,7 @@ def component_anchor_homomorphism(p, s1, data, basis):
     a generic function, as the Courant checker scales it.
     """
     q = p.hamiltonian(s1.expr.substitute(data))
-    base = list(p.base_indices())
+    base = range(1, p.spec.d + 1)
     if basis.n == 2:
         rho = partial(derived_bracket, p, q)
         scalings = (Expr.scalar(1),)

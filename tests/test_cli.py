@@ -155,8 +155,9 @@ def test_unread_seed_and_trials_are_usage_errors(argv, flag):
         code, out = run_cli(resolve(argv))
     assert code == 2
     assert out == ""
-    assert err.getvalue().startswith("usage: bvsigma")
-    assert "error: unrecognized arguments: %s" % flag in err.getvalue()
+    # reported by the subcommand, with the flags it does take
+    assert err.getvalue().startswith("usage: bvsigma %s [-h] --model MODEL" % argv[0])
+    assert "bvsigma %s: error: unrecognized arguments: %s" % (argv[0], flag) in err.getvalue()
 
 
 def test_check_algebroid_ignores_seed():
@@ -234,6 +235,22 @@ def test_exit_code_2_for_algebroid_of_unsupported_n(tmp_path):
     assert code == 2
     assert out == ""
     assert err.getvalue() == "error: section bases are defined for the n=2 and n=3 models\n"
+
+
+def test_even_degree_self_block_refused_only_where_the_bracket_is_needed(tmp_path):
+    # n=5 gives a degree-2 self block: a valid model with a kinetic action,
+    # but no antibracket.
+    model = tmp_path / "n5_cs.model"
+    model.write_text("[model]\nn = 5\nd = 2\nflavor = cs_bf\ncs rank=2\nk = 1 0 ; 0 1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check-bv", "--model", str(model), "--trials", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("error: self-paired block of even degree 2 cannot carry")
+    code, out = run_cli(["kinetic-master", "--model", str(model)])
+    assert code == 0
+    assert json.loads(out)["result"] == "pass"
 
 
 def test_exit_code_2_for_comparing_models_of_different_shape():

@@ -13,7 +13,6 @@ from bvsigma.master import (
     compare_identity_spans,
     expand_master,
     extract_identities,
-    random_assignment,
     transcribe_paper_identities,
     verify_structure_data,
 )
@@ -33,6 +32,17 @@ from bvsigma.symalg import CPoly, Expr, _perm_sign, make_symbol
 import oracle
 
 K2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def random_assignment(polys, d, rng):
+    """Random rational point for every symbol and base variable present."""
+    sym_values = {}
+    for poly in polys:
+        for sym in poly.symbols():
+            if sym not in sym_values:
+                sym_values[sym] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    base_values = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for j in range(1, d + 1)}
+    return sym_values, base_values
 
 
 def n2_spec():

@@ -14,11 +14,11 @@ from bvsigma.models import (
     ModelSpec,
     StructureData,
     ansatz_families,
-    build_S0,
     build_S1_generic,
     validate_degree,
 )
 from bvsigma.symalg import ANTISYM, LOWER, UPPER, CPoly, Expr, make_symbol
+from bvsigma.worldsheet import DgaExpr, kinetic_action_dga, superfield
 
 K2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
@@ -58,24 +58,39 @@ def test_n1_flagged_with_empty_ansatz():
     assert build_S1_generic(spec).expr.is_zero()
 
 
+def _kinetic_weight(s0, n, b_label, b_degree, a_label, a_degree):
+    """The weight of B_(n-1) dA_0 (component 1 of each family) in s0,
+    relative to the bare product of the two components."""
+    b = superfield(n, b_label + "_1", b_degree)[n - 1]
+    da = superfield(n, a_label + "_1", a_degree)[0].d()
+    ((mono, c),) = (DgaExpr.gen(n, b) * DgaExpr.gen(n, da)).terms.items()
+    return Fraction(s0.terms.get(mono, 0), c)
+
+
 def test_s0_kinetic_pairings_and_signs():
     spec = ModelSpec(n=2, d=3)
-    s0 = build_S0(spec)
-    assert s0.expr.is_zero()
-    assert [(t.b_block, t.a_block, t.sign) for t in s0.kinetic.terms] == [("B1", "phi", 1)]
+    assert [(p.a_block, p.b_block, p.p) for p in spec.pairs] == [("phi", "B1", 0)]
+    assert _kinetic_weight(kinetic_action_dga(spec), 2, "B1", 1, "phi", 0) == 1
 
     spec3 = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    s0 = build_S0(spec3)
+    s0 = kinetic_action_dga(spec3)
     # (-1)^(n-p): p=0 gives -B2 dphi, p=1 gives +B1 dA1
-    assert [(t.b_block, t.a_block, t.sign) for t in s0.kinetic.terms] == [
-        ("B2", "phi", -1),
-        ("B1", "A1", 1),
-    ]
+    assert [(p.a_block, p.b_block, p.p) for p in spec3.pairs] == [("phi", "B2", 0), ("A1", "B1", 1)]
+    assert _kinetic_weight(s0, 3, "B2", 2, "phi", 0) == -1
+    assert _kinetic_weight(s0, 3, "B1", 1, "A1", 1) == 1
 
     speccs = ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2))
-    s0 = build_S0(speccs)
-    assert s0.kinetic.cs_term is not None
-    assert s0.kinetic.cs_label == "A1"
+    assert [(sp.block, sp.rank) for sp in speccs.self_pairs] == [("A1", 2)]
+    # the k/2 A1 dA1 term, with k = 1 on the diagonal
+    assert _kinetic_weight(kinetic_action_dga(speccs), 3, "A1", 1, "A1", 1) == Fraction(1, 2)
+
+
+def test_metric_must_be_nondegenerate():
+    with pytest.raises(ModelError, match="metric k must be nondegenerate"):
+        ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((1, 2), (2, 4))))
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((0, 1), (1, 0))))
+    half = Fraction(1, 2)
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((half, 3), (3, Fraction(-2, 3)))))
 
 
 def test_n2_ansatz_is_half_f_bb():

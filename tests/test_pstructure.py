@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,8 +106,13 @@ def test_zero_rank_self_block_reduces_to_bf_bracket():
 def test_even_degree_self_block_rejected():
     # n=5 gives a degree-2 self block; a symmetric metric cannot satisfy
     # graded antisymmetry there.
+    # The spec itself is valid: the kinetic action needs no bracket.
     spec = ModelSpec(n=5, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2))
-    with pytest.raises(ModelError):
+    message = (
+        "self-paired block of even degree 2 cannot carry a symmetric metric "
+        "compatible with graded antisymmetry (n=5)"
+    )
+    with pytest.raises(ModelError, match=re.escape(message)):
         PStructure.from_model(spec)
 
 
@@ -200,10 +206,56 @@ def test_antisymmetry_law_on_a_specific_pair():
     assert p.bracket(f, g) == p.bracket(g, f).scale(-((-1) ** ((1 + 1 - 2) * (1 + 1 - 2))))
 
 
+def _reference_conjugate_tables(spec):
+    """The bracket's conjugate tables with the pairs worked out of the
+    block labels and their degrees, as the structure once did itself."""
+    n, q = spec.n, (spec.n - 1) // 2
+    pairs = [("phi", "B%d" % (n - 1), 0, spec.d)]
+    for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
+        pairs.append(("A%d" % blk.p, "B%d" % (n - blk.p - 1), blk.p, blk.rank))
+    darboux = []
+    for a_block, b_block, p, rank in pairs:
+        sign = -1 if (n * p) % 2 == 0 else 1
+        for i in range(1, rank + 1):
+            av, bv = GradedVar(a_block, p, i), GradedVar(b_block, n - p - 1, i)
+            ja = i if p == 0 else 0
+            darboux.append((av, ja, ((bv, 0, 1),)))
+            darboux.append((bv, 0, ((av, ja, sign),)))
+    full = list(darboux)
+    if spec.cs_block is not None:
+        vs = [GradedVar("A%d" % q, q, i) for i in range(1, spec.cs_block.rank + 1)]
+        for a, va in enumerate(vs):
+            partners = tuple((vb, 0, k) for vb, k in zip(vs, spec.cs_block.metric[a]) if k)
+            if partners:
+                full.append((va, 0, partners))
+    return tuple(darboux), tuple(full)
+
+
+K3_SPARSE = (
+    (Fraction(0), Fraction(2), Fraction(0)),
+    (Fraction(2), Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(-1, 3)),
+)
+PAIRING_SPECS = [
+    ModelSpec(n=2, d=3),
+    ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=5, d=3, bf_blocks=(BfBlock(2, 1), BfBlock(1, 2))),
+    ModelSpec(n=6, d=2, bf_blocks=(BfBlock(1, 3), BfBlock(2, 2))),
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(3, K3_SPARSE)),
+    ModelSpec(n=7, d=2, flavor=CS_BF, bf_blocks=(BfBlock(2, 2), BfBlock(1, 1)), cs_block=CsBlock(3, K3_SPARSE)),
+]
+
+
+@pytest.mark.parametrize("spec", PAIRING_SPECS, ids=lambda s: s.fingerprint())
+def test_conjugate_tables_match_label_derived_pairs(spec):
+    assert PStructure.from_model(spec)._conjugate_tables() == _reference_conjugate_tables(spec)
+
+
 def test_every_block_in_exactly_one_pair():
     spec = ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2))
     p = PStructure.from_model(spec)
-    fibers = {v.block for v in p.fiber_vars()}
+    fibers = {v.block for v in p.spec.fiber_vars()}
     assert fibers == {"B2", "A1"}
 
 
@@ -231,7 +283,7 @@ COEFFICIENTS = ("scalar", "powers", "symbol")
 def _support_case(spec):
     p = PStructure.from_model(spec)
     s1 = build_S1_generic(spec).expr
-    monos = sorted(set(s1.terms) | {(v,) for v in p.fiber_vars()})
+    monos = sorted(set(s1.terms) | {(v,) for v in p.spec.fiber_vars()})
     return p, monos, sorted(s1.symbols())
 
 
@@ -247,7 +299,7 @@ def _support_operand(draw, case):
         return Expr.zero()
     base_only = draw(st.booleans()) and draw(st.booleans())
     kind = draw(st.sampled_from(COEFFICIENTS))
-    d = len(p.base_indices())
+    d = p.spec.d
     expr = Expr.zero()
     for _ in range(draw(st.integers(1, 3))):
         mono = () if base_only else draw(st.sampled_from(monos))
@@ -313,7 +365,7 @@ def test_hamiltonian_keeps_only_nonzero_derivatives():
     p = PStructure.from_model(spec)
     s = build_S1_generic(spec).expr
     q = p.hamiltonian(s)
-    every = list(p.fiber_vars()) + [GradedVar("phi", 0, j) for j in p.base_indices()]
+    every = p.spec.fiber_vars() + [GradedVar("phi", 0, j) for j in range(1, p.spec.d + 1)]
     assert q.derivs == {v: s.right_deriv(v) for v in every if s.right_deriv(v)}
     # a base function: (S,F) only pairs F's phi with B2 in S
     f = Expr.base(1) * Expr.base(3)
@@ -343,12 +395,12 @@ class _ProductCoefficients(RandomExprs):
         den = rng.choice([1, 1, 2, 3])
         poly = CPoly.scalar(Fraction(num, den))
         if rng.random() < 0.5:
-            j = rng.choice(list(self.pstruct.base_indices()))
+            j = rng.choice(range(1, self.pstruct.spec.d + 1))
             poly = poly * CPoly.base(j, rng.choice([1, 1, 2]))
         if rng.random() < 0.4:
             deriv = ()
             if rng.random() < 0.5:
-                deriv = (self.rng.choice(list(self.pstruct.base_indices())),)
+                deriv = (self.rng.choice(range(1, self.pstruct.spec.d + 1)),)
             _, sym = make_symbol("g%d" % rng.choice([1, 2]), (), (), deriv, ())
             poly = poly * CPoly.symbol(sym)
         return poly

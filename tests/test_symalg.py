@@ -256,7 +256,7 @@ def _term_pool(spec):
     p = PStructure.from_model(spec)
     pool = list(build_S1_generic(spec).expr.terms.items())
     pool.append(((), CPoly.scalar(1)))
-    pool += [((v,), CPoly.scalar(1)) for v in p.fiber_vars()]
+    pool += [((v,), CPoly.scalar(1)) for v in p.spec.fiber_vars()]
     return p, pool
 
 
@@ -284,7 +284,7 @@ def _operand(draw, pool, d):
 @st.composite
 def _kernel_case(draw):
     p, pool = draw(st.sampled_from(KERNEL_CASES))
-    d = len(p.base_indices())
+    d = p.spec.d
     return p, draw(_operand(pool, d)), draw(_operand(pool, d))
 
 

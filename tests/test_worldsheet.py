@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bvsigma.grading import sort_monomial
-from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelSpec, build_S0, build_S1_generic
+from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelSpec, build_S1_generic
 from bvsigma.worldsheet import (
     ComponentField,
     ComponentRelationError,
@@ -13,6 +13,7 @@ from bvsigma.worldsheet import (
     component_exprs,
     first_order_check,
     integrate,
+    kinetic_action_dga,
     kinetic_master_check,
     product_form_part,
     superfield,
@@ -159,16 +160,62 @@ def test_theorem1_rejects_bad_components():
 @pytest.mark.parametrize("n,blocks", [(2, ()), (3, (BfBlock(1, 2),)), (4, (BfBlock(1, 2),)), (5, (BfBlock(1, 2), BfBlock(2, 2)))])
 def test_kinetic_master_bf(n, blocks):
     spec = ModelSpec(n=n, d=2, bf_blocks=blocks)
-    s0 = build_S0(spec)
-    assert kinetic_master_check(spec, s0.kinetic).passed
+    assert kinetic_master_check(spec).passed
 
 
 @pytest.mark.parametrize("n", (3, 5))
 def test_kinetic_master_cs(n):
     blocks = (BfBlock(1, 2),) if n == 5 else ()
     spec = ModelSpec(n=n, d=2, flavor=CS_BF, bf_blocks=blocks, cs_block=CsBlock(2, K2))
-    s0 = build_S0(spec)
-    assert kinetic_master_check(spec, s0.kinetic).passed
+    assert kinetic_master_check(spec).passed
+
+
+def _reference_kinetic_action(spec):
+    """The kinetic action built from per-term records worked out of the
+    block labels: (B block, A block, (-1)^(n-p)) for p = 0 and each bf
+    block, plus k/2 A dA over the cs block."""
+    n = spec.n
+    terms = [("B%d" % (n - 1), "phi", (-1) ** n)]
+    for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
+        terms.append(("B%d" % (n - blk.p - 1), "A%d" % blk.p, (-1) ** (n - blk.p)))
+    s0 = DgaExpr.zero(n)
+    for b_label, a_label, sign in terms:
+        b, a = spec.block(b_label), spec.block(a_label)
+        for i in range(1, a.rank + 1):
+            bfam = component_exprs(n, "%s_%d" % (b.label, i), b.degree)
+            afam = superfield(n, "%s_%d" % (a.label, i), a.degree)
+            for r in range(n):
+                s0 = s0 + (bfam[n - r - 1] * DgaExpr.gen(n, afam[r].d())).scale(sign)
+    cs = spec.cs_block
+    if cs is not None:
+        q = (n - 1) // 2
+        fams = [superfield(n, "A%d_%d" % (q, i), q) for i in range(1, cs.rank + 1)]
+        for a_i, b_i in itertools.product(range(cs.rank), repeat=2):
+            kval = cs.metric[a_i][b_i]
+            for r in range(n) if kval else ():
+                piece = DgaExpr.gen(n, fams[a_i][n - r - 1]) * DgaExpr.gen(n, fams[b_i][r].d())
+                s0 = s0 + piece.scale(Fraction(kval, 2))
+    return s0
+
+
+KOFF3 = (
+    (Fraction(1), Fraction(1, 2), Fraction(0)),
+    (Fraction(1, 2), Fraction(0), Fraction(-3)),
+    (Fraction(0), Fraction(-3), Fraction(2)),
+)
+KINETIC_SPECS = [
+    ModelSpec(n=2, d=3),
+    ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=4, d=3, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 3))),
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(3, KOFF3)),
+    ModelSpec(n=5, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 2),), cs_block=CsBlock(3, KOFF3)),
+]
+
+
+@pytest.mark.parametrize("spec", KINETIC_SPECS, ids=lambda s: s.fingerprint())
+def test_kinetic_action_matches_per_term_reference(spec):
+    assert kinetic_action_dga(spec) == _reference_kinetic_action(spec)
 
 
 def test_product_form_part_expands_compositions():
