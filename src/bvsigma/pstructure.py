@@ -14,11 +14,16 @@ Signs are read literally off the Darboux expressions; the identity suite in
 
 The sum runs over the operands' support (:meth:`Expr.support`): a term is
 taken only when F holds the variable it differentiates F by and G holds
-the conjugate one, so every term left out is exactly zero.  The partners of
-each variable come from a table built once per structure, and a fixed S
-bracketed many times, as in the derived brackets of ``algebroid`` or the
-operands of one ``check_bv_identities`` trial, keeps its right derivatives
-in a :class:`Hamiltonian`.
+the conjugate one, so every term left out is exactly zero.  The square
+(S,S) of an S of odd shifted degree |S|+1-n, as in the classical master
+equation, sums half the table doubled: each pair's part is graded-
+antisymmetric alone, T_A(F,G) = -(-1)^(f~ g~) T_B(G,F) with shifted degrees
+f~ = |F|+1-n, g~ = |G|+1-n, and k is symmetric, so on (S,S) each B half
+repeats its A half and each self-block (a,b) term the (b,a) one.  The
+partners of each variable come from a table built once per structure, and a
+fixed S bracketed many times, as in the derived brackets of ``algebroid`` or
+the operands of one ``check_bv_identities`` trial, keeps its right
+derivatives in a :class:`Hamiltonian`.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class PStructure:
                 "self-paired block of even degree %d cannot carry a symmetric "
                 "metric compatible with graded antisymmetry (n=%d)" % (q, self.n)
             )
-        self._darboux_rows, self._rows = self._conjugate_tables()
+        self._darboux_rows, self._rows, self._square_rows = self._conjugate_tables()
 
     @classmethod
     def from_model(cls, spec: ModelSpec) -> "PStructure":
@@ -66,16 +71,18 @@ class PStructure:
         order: rows (v, j, partners) with partners ((w, jw, k), ...), so
         that (F,G) = sum over rows and partners of k F d_r/dv . d_l/dw G.
         j (jw) is the base index of a base variable and 0 for a fiber one.
-        Returns the Darboux rows alone and the Darboux plus self-block rows.
+        Returns the Darboux rows alone, the Darboux plus self-block rows, and
+        the square rows of (F,F) (see :meth:`bracket`): half of them, doubled.
         """
         n = self.n
-        darboux = []
+        darboux, square = [], []
         for pair in self.pairs:
             sign = -1 if (n * pair.p) % 2 == 0 else 1  # t2 carries -(-1)^(n p)
             for av, bv in self.pair_vars(pair):
                 ja = av.index if av.block == BASE_BLOCK else 0
                 darboux.append((av, ja, ((bv, 0, 1),)))
                 darboux.append((bv, 0, ((av, ja, sign),)))
+                square.append((av, ja, ((bv, 0, 2),)))
         full = list(darboux)
         for sp in self.self_pairs:
             vs = self.self_vars(sp)
@@ -83,7 +90,11 @@ class PStructure:
                 partners = tuple((vb, 0, k) for vb, k in zip(vs, sp.metric[a]) if k)
                 if partners:
                     full.append((va, 0, partners))
-        return tuple(darboux), tuple(full)
+                half = tuple((vs[b], 0, k if b == a else 2 * k)
+                             for b, k in enumerate(sp.metric[a]) if b >= a and k)
+                if half:
+                    square.append((va, 0, half))
+        return tuple(darboux), tuple(full), tuple(square)
 
     # -- the bracket ----------------------------------------------------------
     def bracket_darboux(self, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
@@ -100,8 +111,17 @@ class PStructure:
 
         ``f`` may be a :class:`Hamiltonian` from :meth:`hamiltonian`, whose
         right derivatives are then reused instead of taken again.
+
+        (F,F) for one homogeneous F of odd shifted degree f~ = |F|+1-n, as
+        S1 is, sums only each pair's A row (weight 2) and the self-block
+        terms b >= a (k^{aa}, 2 k^{ab}).  That is exact: T_A(F,G) =
+        -(-1)^(f~ g~) T_B(G,F) pair by pair, g~ = |G|+1-n, and k is
+        symmetric, so on (F,F) the B half repeats the A half and (b,a)
+        repeats (a,b).
         """
-        return self._bracket(self._rows, f, g)
+        deg = f.homogeneous_degree() if f is g else None
+        square = deg is not None and (deg + 1 - self.n) % 2
+        return self._bracket(self._square_rows if square else self._rows, f, g)
 
     def hamiltonian(self, s: Expr) -> "Hamiltonian":
         """S with its nonzero right derivatives, for the repeated brackets

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvsigma.grading import GradedVar
@@ -13,6 +13,7 @@ from bvsigma.pstructure import (
     BvReport,
     PStructure,
     RandomExprs,
+    _monomials_of_degree,
     check_bv_identities,
 )
 from bvsigma.symalg import CPoly, Expr, MixedContextError, make_symbol
@@ -208,12 +209,15 @@ def test_antisymmetry_law_on_a_specific_pair():
 
 def _reference_conjugate_tables(spec):
     """The bracket's conjugate tables with the pairs worked out of the
-    block labels and their degrees, as the structure once did itself."""
+    block labels and their degrees, as the structure once did itself, and
+    the square rows of (F,F) read off the full rows: a Darboux pair's A row
+    doubled, and of the self block's k^{ab} terms those with b >= a, the
+    off-diagonal ones doubled."""
     n, q = spec.n, (spec.n - 1) // 2
     pairs = [("phi", "B%d" % (n - 1), 0, spec.d)]
     for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
         pairs.append(("A%d" % blk.p, "B%d" % (n - blk.p - 1), blk.p, blk.rank))
-    darboux = []
+    darboux, square = [], []
     for a_block, b_block, p, rank in pairs:
         sign = -1 if (n * p) % 2 == 0 else 1
         for i in range(1, rank + 1):
@@ -221,6 +225,7 @@ def _reference_conjugate_tables(spec):
             ja = i if p == 0 else 0
             darboux.append((av, ja, ((bv, 0, 1),)))
             darboux.append((bv, 0, ((av, ja, sign),)))
+            square.append((av, ja, ((bv, 0, 2),)))
     full = list(darboux)
     if spec.cs_block is not None:
         vs = [GradedVar("A%d" % q, q, i) for i in range(1, spec.cs_block.rank + 1)]
@@ -228,7 +233,14 @@ def _reference_conjugate_tables(spec):
             partners = tuple((vb, 0, k) for vb, k in zip(vs, spec.cs_block.metric[a]) if k)
             if partners:
                 full.append((va, 0, partners))
-    return tuple(darboux), tuple(full)
+            half = tuple(
+                (vb, 0, k if vb == va else 2 * k)
+                for vb, _, k in partners
+                if vb.index >= va.index
+            )
+            if half:
+                square.append((va, 0, half))
+    return tuple(darboux), tuple(full), tuple(square)
 
 
 K3_SPARSE = (
@@ -299,20 +311,27 @@ def _support_operand(draw, case):
         return Expr.zero()
     base_only = draw(st.booleans()) and draw(st.booleans())
     kind = draw(st.sampled_from(COEFFICIENTS))
-    d = p.spec.d
     expr = Expr.zero()
     for _ in range(draw(st.integers(1, 3))):
         mono = () if base_only else draw(st.sampled_from(monos))
-        c = CPoly.scalar(draw(st.sampled_from(SCALARS)))
-        if kind != "scalar" or base_only:
-            c = c * CPoly.base(draw(st.integers(1, d)), draw(st.integers(1, 2)))
-        if kind == "symbol":
-            sym = draw(st.sampled_from(syms))
-            if draw(st.booleans()):
-                sym = sym.with_deriv(draw(st.integers(1, d)))
-            c = c * CPoly.symbol(sym)
-        expr = expr + Expr({mono: c})
+        expr = expr + Expr({mono: _draw_coefficient(draw, p, syms, kind, base_only)})
     return expr
+
+
+def _draw_coefficient(draw, p, syms, kind, base_power=False):
+    """A scalar, times a base power unless ``kind`` is "scalar" (or always,
+    with ``base_power``), times a (possibly differentiated) symbol of S1 if
+    ``kind`` is "symbol"."""
+    d = p.spec.d
+    c = CPoly.scalar(draw(st.sampled_from(SCALARS)))
+    if kind != "scalar" or base_power:
+        c = c * CPoly.base(draw(st.integers(1, d)), draw(st.integers(1, 2)))
+    if kind == "symbol":
+        sym = draw(st.sampled_from(syms))
+        if draw(st.booleans()):
+            sym = sym.with_deriv(draw(st.integers(1, d)))
+        c = c * CPoly.symbol(sym)
+    return c
 
 
 @st.composite
@@ -347,6 +366,116 @@ def test_support_aware_bracket_matches_sum_over_every_variable(case):
     assert p.bracket(p.hamiltonian(f), g) == full
     assert p.bracket(f, f) == _bracket_over_every_variable(p, f, f)
     assert p.bracket_darboux(f, g) == _bracket_over_every_variable(p, f, g, self_block=False)
+
+
+# -- the square (F,F) over half the conjugate table -------------------------------
+
+# bf at rank 3 (one and two blocks), n=2 over a four-dimensional base, and cs
+# at rank 3 with an off-diagonal metric whose diagonal is not zero everywhere:
+# every symbol family of S1 is nonzero.
+SQUARE_SPECS = (
+    ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=5, d=3, bf_blocks=(BfBlock(1, 3), BfBlock(2, 3))),
+    ModelSpec(n=2, d=4),
+    ModelSpec(
+        n=3, d=3, flavor=CS_BF,
+        cs_block=CsBlock(3, ((0, 1, 0), (1, 0, 0), (0, 0, 2))),
+    ),
+)
+
+
+def _copy(f):
+    """An Expr equal to ``f`` but not the same object, so that a bracket
+    with it takes the full rows."""
+    return Expr(dict(f.terms), f.scope)
+
+
+@pytest.mark.parametrize("spec", SQUARE_SPECS, ids=lambda s: s.fingerprint())
+def test_square_of_s1_matches_sum_over_every_variable(spec):
+    p = PStructure.from_model(spec)
+    s1 = build_S1_generic(spec).expr
+    square = p.bracket(s1, s1)
+    assert not square.is_zero()
+    assert square == _bracket_over_every_variable(p, s1, s1)
+    assert square == p.bracket(s1, _copy(s1))
+
+
+def _odd_shifted_case(spec):
+    """The structure, the fiber monomials of each degree |F| with |F|+1-n
+    odd (those of S1 and the short canonical ones), and S1's symbols."""
+    p, monos, syms = _support_case(spec)
+    pools = {}
+    for deg in range(0, spec.n + 3):
+        if (deg + 1 - spec.n) % 2:
+            pool = set(_monomials_of_degree(p, deg))
+            pool.update(m for m in monos if sum(v.degree for v in m) == deg)
+            if pool:
+                pools[deg] = sorted(pool)
+    return p, pools, syms
+
+
+ODD_SHIFTED_CASES = [_odd_shifted_case(spec) for spec in SUPPORT_SPECS + SQUARE_SPECS[2:]]
+
+
+@st.composite
+def _odd_shifted_operand(draw):
+    """A nonzero homogeneous F of odd shifted degree: 1-4 monomials of one
+    degree, coefficients of one kind from COEFFICIENTS."""
+    p, pools, syms = draw(st.sampled_from(ODD_SHIFTED_CASES))
+    monos = pools[draw(st.sampled_from(sorted(pools)))]
+    kind = draw(st.sampled_from(COEFFICIENTS))
+    f = Expr.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        f = f + Expr({draw(st.sampled_from(monos)): _draw_coefficient(draw, p, syms, kind)})
+    assume(not f.is_zero())
+    return p, f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_odd_shifted_operand())
+def test_square_of_odd_shifted_operand_matches_full_rows(case):
+    p, f = case
+    assert (f.homogeneous_degree() + 1 - p.n) % 2 == 1
+    square = p.bracket(f, f)
+    assert square == p.bracket(f, _copy(f))
+    assert square == _bracket_over_every_variable(p, f, f)
+
+
+def _rows_read(monkeypatch, p, f, g):
+    """The row table ``p.bracket(f, g)`` sums over, and its value."""
+    seen = []
+    orig = PStructure._bracket
+
+    def spy(self, rows, *args):
+        seen.append(rows)
+        return orig(self, rows, *args)
+
+    monkeypatch.setattr(PStructure, "_bracket", spy)
+    value = p.bracket(f, g)
+    monkeypatch.undo()
+    (rows,) = seen
+    return rows, value
+
+
+@pytest.mark.parametrize("spec", SQUARE_SPECS, ids=lambda s: s.fingerprint())
+def test_square_rows_only_for_one_homogeneous_odd_shifted_operand(spec, monkeypatch):
+    p = PStructure.from_model(spec)
+    s1 = build_S1_generic(spec).expr
+    assert _rows_read(monkeypatch, p, s1, s1)[0] is p._square_rows
+    assert _rows_read(monkeypatch, p, s1, _copy(s1))[0] is p._rows
+    # |F| = n - 1, shifted degree 0: (F,F) = 0 by graded antisymmetry, while
+    # the A half alone is not zero, since phi1 meets B_{n-1}.
+    even = Expr.zero()
+    for m in _monomials_of_degree(p, spec.n - 1):
+        even = even + Expr({m: CPoly.base(1)})
+    inhomogeneous = s1 + even
+    for f in (even, inhomogeneous, Expr.zero()):
+        rows, value = _rows_read(monkeypatch, p, f, f)
+        assert rows is p._rows
+        assert value == _bracket_over_every_variable(p, f, f)
+    # these fallbacks matter: half the table, doubled, is wrong on them
+    for f in (even, inhomogeneous):
+        assert p._bracket(p._square_rows, f, f) != p.bracket(f, f)
 
 
 def test_support_marks_every_base_index_once_a_symbol_appears():
