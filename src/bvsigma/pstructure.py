@@ -184,9 +184,6 @@ class PStructure:
                     accumulate(acc, m, -c if neg else c)
         return Expr._of(acc, f.scope)
 
-    def bracket_degree(self, f_deg: int, g_deg: int) -> int:
-        return f_deg + g_deg - self.n + 1
-
 
 class Hamiltonian:
     """A fixed S and its nonzero right derivatives d_r S/dv, keyed by v.

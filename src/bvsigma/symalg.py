@@ -10,6 +10,11 @@ two forms mix freely, since ``Fraction(k) == k``, ``hash(Fraction(k)) ==
 hash(k)`` and ``str(Fraction(k)) == str(k)``, and integral coefficients,
 the common case, stay on integer arithmetic.
 
+:class:`SparseSum` is the one sum, negation, difference, equality and zero
+test of :class:`CPoly`, :class:`Expr` and :class:`bvsigma.worldsheet.DgaExpr`;
+combining two of different scope (model fingerprint, or n for a DgaExpr)
+raises :class:`MixedContextError`.
+
 Exprs are immutable once built, so every operation is safe to run
 concurrently on shared inputs.
 """
@@ -190,7 +195,45 @@ def _mul_into(acc: dict, a_terms: Mapping, b_terms: Mapping, sign: Rat = 1) -> N
             accumulate(acc, (syms, base), v1 * v2)
 
 
-class CPoly:
+class SparseSum:
+    """A sparse sum: ``terms`` maps each key to its nonzero coefficient and
+    ``scope`` is its context (None: any; a CPoly has none).  Equality
+    ignores scope.  Each subclass wraps results with its own ``_of(terms,
+    scope)``."""
+
+    __slots__ = ()
+    scope = None
+
+    def _merged_scope(self, other: "SparseSum"):
+        a, b = self.scope, other.scope
+        if a is not None and b is not None and a != b:
+            raise MixedContextError("mixed model contexts: %r vs %r" % (a, b))
+        return b if a is None else a
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        scope = self._merged_scope(other)
+        acc = dict(self.terms)
+        for k, v in other.terms.items():
+            accumulate(acc, k, v)
+        return self._of(acc, scope)
+
+    def __neg__(self):
+        return self._of({k: -v for k, v in self.terms.items()}, self.scope)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class CPoly(SparseSum):
     """Polynomial over Q in base variables and coefficient symbols."""
 
     __slots__ = ("terms",)
@@ -221,33 +264,16 @@ class CPoly:
         return CPoly({((sym,), ()): coeff})
 
     @staticmethod
-    def _of(terms: dict) -> "CPoly":
-        """Wrap a dict of nonzero canonical terms, without copying."""
+    def _of(terms: dict, scope=None) -> "CPoly":
+        """Wrap a dict of nonzero canonical terms, without copying (a CPoly
+        has no scope)."""
         out = CPoly.__new__(CPoly)
         out.terms = terms
         return out
 
     # -- ring operations ---------------------------------------------------
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CPoly) and self.terms == other.terms
-
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            accumulate(acc, k, v)
-        return CPoly._of(acc)
-
-    def __neg__(self) -> "CPoly":
-        return CPoly._of({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "CPoly") -> "CPoly":
-        return self + (-other)
 
     def __mul__(self, other: "CPoly") -> "CPoly":
         acc: dict[CKey, Rat] = {}
@@ -365,7 +391,7 @@ class _AllIndices:
 ALL_INDICES = _AllIndices()
 
 
-class Expr:
+class Expr(SparseSum):
     """Canonical graded polynomial: sum of CPoly x fiber monomial.
 
     Two construction orders of the same expression compare equal because
@@ -391,9 +417,6 @@ class Expr:
 
     @staticmethod
     def scalar(c, scope: Optional[str] = None) -> "Expr":
-        c = exact(c)
-        if not c:
-            return Expr.zero(scope)
         return Expr({(): CPoly.scalar(c)}, scope)
 
     @staticmethod
@@ -427,40 +450,10 @@ class Expr:
         """The Expr of a :meth:`mul_into` accumulator (monomial -> term dict)."""
         return Expr._of({m: CPoly._of(t) for m, t in acc.items() if t}, scope)
 
-    # -- helpers -------------------------------------------------------------
-    def _merged_scope(self, other: "Expr") -> Optional[str]:
-        if self.scope is not None and other.scope is not None and self.scope != other.scope:
-            raise MixedContextError(
-                "mixed model contexts: %r vs %r" % (self.scope, other.scope)
-            )
-        return self.scope if self.scope is not None else other.scope
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Expr) and self.terms == other.terms
-
     def __hash__(self):
         return hash(tuple(sorted((m, c.sort_key()) for m, c in self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "Expr") -> "Expr":
-        scope = self._merged_scope(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            accumulate(acc, m, c)
-        return Expr._of(acc, scope)
-
-    def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self.terms.items()}, self.scope)
-
-    def __sub__(self, other: "Expr") -> "Expr":
-        return self + (-other)
-
     def __mul__(self, other: "Expr", into: Optional[dict] = None, sign: Rat = 1) -> Optional["Expr"]:
         """The product ``self * other``.
 
@@ -498,8 +491,6 @@ class Expr:
 
     def scale(self, c) -> "Expr":
         c = exact(c)
-        if not c:
-            return Expr.zero(self.scope)
         return Expr({m: p.scale(c) for m, p in self.terms.items()}, self.scope)
 
     # -- degrees -------------------------------------------------------------

@@ -8,6 +8,8 @@ truncation at n.  The gauge differential delta0 sends the form-r component
 to d of the form-(r-1) component of the same family.  Both are left
 derivations of odd total parity; "modulo d-exact" questions are decided by
 exact linear algebra over the finite truncated monomial basis.
+A :class:`DgaExpr` is a :class:`bvsigma.symalg.SparseSum` scoped by n: a
+sum or product of DgaExprs of different n raises MixedContextError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .grading import merge_monomials, sort_monomial
 from .models import Action, ModelSpec
 from .rowreduce import RowSpan, _eliminate
-from .symalg import accumulate, exact
+from .symalg import SparseSum, _join_signed, accumulate, exact
 
 
 class ComponentField(NamedTuple):
@@ -71,13 +73,14 @@ def _mul_into(acc: dict, n: int, a_terms: dict, b_terms: dict) -> None:
                 accumulate(acc, mono, c1 * c2 if sign > 0 else -c1 * c2)
 
 
-class DgaExpr:
-    """Polynomial in component fields, truncated above form degree n."""
+class DgaExpr(SparseSum):
+    """Polynomial in component fields, truncated above form degree n (the
+    scope of the sum)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("terms", "scope")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
+        self.scope = n
         data: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
@@ -85,12 +88,16 @@ class DgaExpr:
                     data[m] = exact(c)
         self.terms = data
 
+    @property
+    def n(self) -> int:
+        return self.scope
+
     @staticmethod
-    def _of(n: int, terms: dict) -> "DgaExpr":
+    def _of(terms: dict, n: int) -> "DgaExpr":
         """Wrap a dict of nonzero canonical terms of form at most n, without
         copying or checking it."""
         out = DgaExpr.__new__(DgaExpr)
-        out.n = n
+        out.scope = n
         out.terms = terms
         return out
 
@@ -106,34 +113,15 @@ class DgaExpr:
     def gen(n: int, g: ComponentField) -> "DgaExpr":
         return DgaExpr(n, {(g,): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DgaExpr) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "DgaExpr") -> "DgaExpr":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            accumulate(acc, m, c)
-        return DgaExpr(self.n, acc)
-
-    def __neg__(self) -> "DgaExpr":
-        return DgaExpr(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "DgaExpr") -> "DgaExpr":
-        return self + (-other)
-
     def scale(self, c) -> "DgaExpr":
         c = exact(c)
-        if not c:
-            return DgaExpr(self.n)
         return DgaExpr(self.n, {m: v * c for m, v in self.terms.items()})
 
     def __mul__(self, other: "DgaExpr") -> "DgaExpr":
+        n = self._merged_scope(other)
         acc: dict[Monomial, Fraction] = {}
-        _mul_into(acc, self.n, self.terms, other.terms)
-        return DgaExpr._of(self.n, acc)
+        _mul_into(acc, n, self.terms, other.terms)
+        return DgaExpr._of(acc, n)
 
     def form_part(self, r: int) -> "DgaExpr":
         return DgaExpr(self.n, {m: c for m, c in self.terms.items() if _form(m) == r})
@@ -160,7 +148,7 @@ class DgaExpr:
                         accumulate(acc, mono, c if sign > 0 else -c)
                 if g.parity:
                     c = -c
-        return DgaExpr._of(n, acc)
+        return DgaExpr._of(acc, n)
 
     def d(self) -> "DgaExpr":
         """Exterior derivative: odd derivation, d^2 = 0, raises form by 1."""
@@ -180,11 +168,9 @@ class DgaExpr:
         if not self.terms:
             return "0"
         bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            body = "*".join(str(g) for g in m) if m else "1"
-            bits.append("%s*%s" % (c, body) if body != "1" else str(c))
-        return " + ".join(bits).replace("+ -", "- ")
+        for m, c in sorted(self.terms.items()):
+            bits.append("%s*%s" % (c, "*".join(map(str, m))) if m else str(c))
+        return _join_signed(bits)
 
 
 def superfield(n: int, family: str, total_degree: int) -> list[ComponentField]:
@@ -213,7 +199,7 @@ def product_form_part(n: int, factors: Sequence[list[DgaExpr]], r: int) -> DgaEx
                 for ri in range(r + 1 - s):
                     _mul_into(nxt[s + ri], n, acc, fac[ri].terms)
         partial = nxt
-    return DgaExpr._of(n, partial[r])
+    return DgaExpr._of(partial[r], n)
 
 
 # -- integration modulo d-exact terms ---------------------------------------------
@@ -251,7 +237,7 @@ def integrate(expr: DgaExpr) -> DgaExpr:
                     new_candidates.add(cand)
         frontier = set()
         for cand in new_candidates:
-            image = images[cand] = DgaExpr._of(n, {cand: 1}).d()
+            image = images[cand] = DgaExpr._of({cand: 1}, n).d()
             for mono in image.terms:
                 if mono not in support:
                     support.add(mono)

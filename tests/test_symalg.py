@@ -17,9 +17,11 @@ from bvsigma.symalg import (
     Expr,
     MissingSymbolError,
     MixedContextError,
+    SparseSum,
     SymGroup,
     make_symbol,
 )
+from bvsigma.worldsheet import ComponentField, DgaExpr
 
 B1 = GradedVar("B1", 1, 1)
 B2 = GradedVar("B1", 1, 2)
@@ -393,6 +395,48 @@ def test_fractional_sums_that_become_integral_are_ints():
     assert (x.scale(Fraction(1, 2)) + x.scale(Fraction(-1, 2))).is_zero()
     (coeff,) = (x.scale(Fraction(2, 3)) * Expr.scalar(Fraction(3, 2))).terms.values()
     assert type(coeff.terms[((), ())]) is int
+
+
+def _stored_scalars(s):
+    """Every exact scalar a sparse sum stores (an Expr's sit in its CPolys)."""
+    for v in s.terms.values():
+        yield from v.terms.values() if isinstance(v, CPoly) else (v,)
+
+
+def _cpoly_sums():
+    _, f = make_symbol("f1", (), (1, 2), (), ANTI_UP)
+    a = CPoly.symbol(f, -3) + CPoly.base(1).scale(Fraction(1, 2))
+    b = CPoly.base(2, 2) + CPoly.base(1).scale(Fraction(-2, 3))
+    half = CPoly.scalar(Fraction(1, 2)) + CPoly.base(1).scale(Fraction(3, 2))
+    return a, b, CPoly.zero(), half
+
+
+def _expr_sums():
+    a = Expr.var(B1, scope="m") * Expr.var(C1).scale(-2) + Expr.base(1, scope="m").scale(Fraction(1, 2))
+    b = Expr.var(B2) + Expr.var(C1, scope="m").scale(Fraction(-2, 3)) + f_up(1, 2)
+    half = (Expr.var(B1) + Expr.scalar(3)).scale(Fraction(1, 2))
+    return a, b, Expr.zero("m"), half
+
+
+def _dga_sums():
+    a1, b0, a2 = ComponentField("A", 1, 0), ComponentField("B", 0, 1), ComponentField("A", 2, -1)
+    a = DgaExpr.gen(3, a1) * DgaExpr.gen(3, b0).scale(-2) + DgaExpr.scalar(3, Fraction(1, 2))
+    b = DgaExpr.gen(3, a2).scale(Fraction(-2, 3)) + DgaExpr.gen(3, a1)
+    half = (DgaExpr.gen(3, b0) + DgaExpr.gen(3, a1.d()).scale(3)).scale(Fraction(1, 2))
+    return a, b, DgaExpr.zero(3), half
+
+
+@pytest.mark.parametrize("make", (_cpoly_sums, _expr_sums, _dga_sums), ids=("CPoly", "Expr", "DgaExpr"))
+def test_sum_laws_and_one_sum_implementation(make):
+    a, b, zero, half = make()
+    assert a + b == b + a and a + b != a
+    assert (a - a).is_zero() and not (a - a) and (a - a).terms == {}
+    assert -(-a) == a and a + zero == a and zero + a == a and a - zero == a
+    assert a - b == a + (-b) and (a - b) + b == a
+    whole = half + half
+    assert whole and list(_stored_scalars(whole)) and all(type(v) is int for v in _stored_scalars(whole))
+    for name in ("__add__", "__neg__", "__sub__", "__eq__", "__bool__", "is_zero"):
+        assert getattr(type(a), name) is getattr(SparseSum, name), name
 
 
 def test_coeff_symbol_value_semantics():

@@ -6,6 +6,7 @@ import pytest
 
 from bvsigma.grading import sort_monomial
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelSpec, build_S1_generic
+from bvsigma.symalg import MixedContextError
 from bvsigma.worldsheet import (
     ComponentField,
     ComponentRelationError,
@@ -410,3 +411,29 @@ def test_component_field_value_semantics():
     assert [g.parity for g in superfield(3, "G", 1)] == [1, 1, 1, 1]
     assert [g.parity for g in superfield(3, "F", 2)] == [0, 0, 0, 0]
     assert a.d().parity == 0 and ComponentField("E", 0, 0).d().parity == 1
+
+
+def test_mixed_n_is_rejected():
+    a = DgaExpr.gen(3, ComponentField("A", 3, 0))
+    b = DgaExpr.gen(2, ComponentField("B", 1, 0))
+    with pytest.raises(MixedContextError):
+        a + b
+    with pytest.raises(MixedContextError):
+        b + a
+    with pytest.raises(MixedContextError):
+        a * b
+    assert a.n == 3 and (a + a).n == 3 and (b * b).n == 2
+
+
+def test_str_of_signed_fractional_sums():
+    n = 3
+    a2, b0 = ComponentField("A", 2, -1), ComponentField("B", 0, 1)
+    expr = (
+        DgaExpr.gen(n, a2).scale(Fraction(-1, 2))
+        + DgaExpr.gen(n, b0)
+        - DgaExpr.gen(n, ComponentField("B", 1, 0)).scale(Fraction(4, 3)) * DgaExpr.gen(n, ComponentField("A", 1, -1, True))
+    )
+    assert str(expr) == "-4/3*dA(1,-1)*B(1,0) - 1/2*A(2,-1) + 1*B(0,1)"
+    expr = DgaExpr.scalar(n, Fraction(2, 3)) - DgaExpr.gen(n, b0) * DgaExpr.gen(n, ComponentField("A", 0, 1).d()).scale(3)
+    assert str(expr) == "2/3 - 3*dA(1,1)*B(0,1)"
+    assert str(DgaExpr.zero(n)) == "0" and str(DgaExpr.scalar(n, -2)) == "-2"
