@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Sequence
 
 from .grading import BASE_BLOCK, GradedVar, sort_monomial
@@ -28,7 +28,6 @@ from .symalg import (
     Expr,
     MissingSymbolError,
     SymGroup,
-    accumulate,
     make_symbol,
 )
 
@@ -277,26 +276,34 @@ def ansatz_families(spec: ModelSpec) -> list[FamilyDecl]:
 
 
 def build_S1_generic(spec: ModelSpec) -> Action:
-    """Most general degree-n deformation: fresh symbol x monomial per class."""
+    """Most general degree-n deformation: fresh symbol x monomial per class.
+
+    The ansatz of a class is 1/m! per run of m identical factors times the
+    sum over every index tuple.  The orderings of one tuple inside a run
+    give one term (for an odd block the symbol's antisymmetry sign equals
+    the Koszul sign; for an even one both are +1), so each index orbit is
+    walked once, at its sorted representative: ``combinations`` for an odd
+    block, ``combinations_with_replacement`` for an even one.  Its weight
+    is the orbit size m!/prod(mult!) times 1/m!, that is 1/prod(mult!)
+    over the multiplicities of its repeated indices.
+    """
     scope = spec.fingerprint()
-    acc: dict[tuple[GradedVar, ...], CPoly] = {}
+    terms: dict[tuple[GradedVar, ...], CPoly] = {}
     for fam in ansatz_families(spec):
-        norm = Fraction(1)
-        for _, grp in itertools.groupby(fam.factor_blocks):
-            norm /= factorial(len(list(grp)))
-        lower_pos = [k for k, lbl in enumerate(fam.factor_blocks) if lbl.startswith("A")]
-        upper_pos = [k for k, lbl in enumerate(fam.factor_blocks) if lbl.startswith("B")]
-        for fvars in itertools.product(*(spec.vars_of(lbl) for lbl in fam.factor_blocks)):
-            lower = tuple(fvars[k].index for k in lower_pos)
-            upper = tuple(fvars[k].index for k in upper_pos)
+        runs = []
+        for lbl, grp in itertools.groupby(fam.factor_blocks):
+            odd = spec.block(lbl).degree % 2
+            choose = itertools.combinations if odd else itertools.combinations_with_replacement
+            runs.append(choose(spec.vars_of(lbl), len(list(grp))))
+        for reps in itertools.product(*runs):
+            fvars = [v for rep in reps for v in rep]
+            lower = tuple(v.index for v in fvars if v.block.startswith("A"))
+            upper = tuple(v.index for v in fvars if v.block.startswith("B"))
             sign, sym = make_symbol(fam.name, lower, upper, (), fam.groups)
-            if sym is None:
-                continue
             vsign, mono = sort_monomial(fvars)
-            if vsign == 0:
-                continue
-            accumulate(acc, mono, CPoly.symbol(sym, norm * (sign * vsign)))
-    return Action(Expr(acc, scope), spec.n)
+            weight = prod(factorial(len(list(same))) for rep in reps for _, same in itertools.groupby(rep))
+            terms[mono] = CPoly.symbol(sym, Fraction(sign * vsign, weight))
+    return Action(Expr(terms, scope), spec.n)
 
 
 @dataclass

@@ -1,11 +1,18 @@
-"""Exact rational sparse row reduction and row-span comparison."""
+"""Exact rational sparse row reduction and row-span comparison.
+
+Every stored scalar is canonical (see ``symalg.exact``): an int when it is
+integral, else a Fraction, as in every other sparse sum of the package.
+A normalized basis row is stored through ``exact``, so later eliminations
+and back-substitutions run int arithmetic wherever the entries are
+integral.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .symalg import Rat, accumulate
+from .symalg import Rat, accumulate, exact
 
 Row = dict[int, Rat]
 
@@ -38,8 +45,8 @@ class RowSpan:
         if not red:
             return False
         pivot = min(red)
-        inv = Fraction(1) / red[pivot]
-        norm = {c: v * inv for c, v in red.items()}
+        lead = red[pivot]
+        norm = {c: exact(Fraction(v, lead)) for c, v in red.items()}
         self.basis[pivot] = norm
         # Back-substitute to keep the basis reduced.
         for p, r in list(self.basis.items()):

@@ -5,13 +5,19 @@ from fractions import Fraction
 import pytest
 
 from bvsigma.master import (
+    A_IN_B,
+    B_IN_A,
     EQUAL,
+    INCOMPARABLE,
     N2_JACOBI,
     N3_BF,
     N3_CS,
     IdentitySet,
     compare_identity_spans,
     expand_master,
+    SpanComparison,
+    _distinct_rows,
+    _rows_of,
     extract_identities,
     transcribe_paper_identities,
     verify_structure_data,
@@ -27,6 +33,7 @@ from bvsigma.models import (
     build_S1_generic,
 )
 from bvsigma.pstructure import PStructure
+from bvsigma.rowreduce import span_includes
 from bvsigma.symalg import CPoly, Expr, _perm_sign, make_symbol
 
 import oracle
@@ -138,6 +145,56 @@ def test_alphabet_mismatch_rejected():
     b = extract_identities(PStructure.from_model(spec), build_S1_generic(spec))
     with pytest.raises(ValueError):
         compare_identity_spans(a, b)
+
+
+def test_alphabet_rejects_inconsistent_shapes():
+    _, two_upper = make_symbol("f1", (), (1, 2))
+    _, mixed = make_symbol("f1", (1,), (2,))
+    idents = IdentitySet("s", "test", [("x", CPoly.symbol(two_upper)), ("y", CPoly.symbol(mixed))])
+    with pytest.raises(ValueError, match=r"^symbol f1 used with inconsistent index shapes$"):
+        idents.alphabet()
+    assert IdentitySet("s", "test", idents.equations[:1]).alphabet() == {"f1": (0, 2)}
+
+
+def _compare_every_row(a, b):
+    """The comparison with every row eliminated, duplicates included."""
+    index = {}
+    rows_a, rows_b = _rows_of(a, index), _rows_of(b, index)
+    missing_b, missing_a = span_includes(rows_a, rows_b), span_includes(rows_b, rows_a)
+    if missing_a is None and missing_b is None:
+        return SpanComparison(EQUAL)
+    if missing_a is None:
+        return SpanComparison(A_IN_B, witness="B: %s = 0" % b.equations[missing_b][1])
+    if missing_b is None:
+        return SpanComparison(B_IN_A, witness="A: %s = 0" % a.equations[missing_a][1])
+    return SpanComparison(INCOMPARABLE, witness="A: %s = 0" % a.equations[missing_a][1])
+
+
+def test_distinct_rows_drop_plus_minus_repeats_only():
+    rows = [{0: 1, 2: -2}, {0: -1, 2: 2}, {1: Fraction(1, 2)}, {0: 1, 2: -2}, {0: 2, 2: -4}, {}, {}]
+    kept, at = _distinct_rows(rows)
+    assert at == [0, 2, 4, 5]
+    assert kept == [rows[i] for i in at]
+
+
+def test_duplicate_rows_keep_relation_and_witness():
+    spec = ModelSpec(n=2, d=4)
+    eqs = [poly for _, poly in extract_identities(PStructure.from_model(spec), build_S1_generic(spec)).equations]
+    rng = random.Random(12)
+    relations = set()
+
+    def pick():
+        """1 to 3 distinct equations, then 1 to 4 repeats of them, +- each."""
+        rows = rng.sample(eqs, rng.randint(1, 3))
+        rows += [rng.choice(rows).scale(rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(rows)
+        return IdentitySet(spec.fingerprint(), "test", [("e%d" % i, r) for i, r in enumerate(rows)])
+
+    for _ in range(40):
+        a, b = pick(), pick()
+        relations.add(compare_identity_spans(a, b).relation)
+        assert compare_identity_spans(a, b) == _compare_every_row(a, b)
+    assert relations == {EQUAL, A_IN_B, B_IN_A, INCOMPARABLE}
 
 
 def test_span_strict_inclusion_has_witness():

@@ -1,9 +1,13 @@
+import importlib.util
 import itertools
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
-from bvsigma.grading import GradedVar
+from bvsigma.grading import GradedVar, sort_monomial
+from bvsigma.modelfile import parse_model
 from bvsigma.models import (
     BF,
     CS_BF,
@@ -17,10 +21,12 @@ from bvsigma.models import (
     build_S1_generic,
     validate_degree,
 )
-from bvsigma.symalg import ANTISYM, LOWER, UPPER, CPoly, Expr, make_symbol
+from bvsigma.symalg import ANTISYM, LOWER, UPPER, CPoly, Expr, accumulate, make_symbol
 from bvsigma.worldsheet import DgaExpr, kinetic_action_dga, superfield
 
 K2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "src" / "bvsigma" / "examples"
 
 
 def test_spec_validation():
@@ -243,3 +249,64 @@ def test_structure_data_conflicts_and_ranges():
     with pytest.raises(ModelError):
         data.assign("f1", (), (1, 1), CPoly.base(2))  # vanishing combo, nonzero value
     data.assign("f1", (), (1, 1), CPoly.zero())  # zero on a vanishing combo is fine
+
+
+def _s1_by_full_product(spec):
+    """The ansatz summed over every index tuple of every family, 1/m! per
+    run of m identical factors, permutations folded by ``accumulate``: the
+    reference for the orbit walk of ``build_S1_generic``."""
+    acc = {}
+    for fam in ansatz_families(spec):
+        norm = Fraction(1)
+        for _, grp in itertools.groupby(fam.factor_blocks):
+            norm /= factorial(len(list(grp)))
+        lower_pos = [k for k, lbl in enumerate(fam.factor_blocks) if lbl.startswith("A")]
+        upper_pos = [k for k, lbl in enumerate(fam.factor_blocks) if lbl.startswith("B")]
+        for fvars in itertools.product(*(spec.vars_of(lbl) for lbl in fam.factor_blocks)):
+            lower = tuple(fvars[k].index for k in lower_pos)
+            upper = tuple(fvars[k].index for k in upper_pos)
+            sign, sym = make_symbol(fam.name, lower, upper, (), fam.groups)
+            if sym is None:
+                continue
+            vsign, mono = sort_monomial(fvars)
+            if vsign == 0:
+                continue
+            accumulate(acc, mono, CPoly.symbol(sym, norm * (sign * vsign)))
+    return Expr(acc, spec.fingerprint())
+
+
+def _generated_specs():
+    """The generated model specs of the benchmark workloads."""
+    loader = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    return [(stem, parse_model(make()).spec) for stem, make in sorted(workloads.GENERATED.items())]
+
+
+def _reference_specs():
+    out = []
+    for n in range(2, 10):
+        for r in (3, 4):
+            blocks = tuple(BfBlock(p, r) for p in range(1, (n - 1) // 2 + 1))
+            out.append(("bf_n%d_r%d" % (n, r), ModelSpec(n=n, d=r, bf_blocks=blocks)))
+    metric = ((2, 1, 0), (1, 0, Fraction(1, 2)), (0, Fraction(1, 2), -3))
+    for n, blocks in ((3, ()), (7, (BfBlock(1, 3), BfBlock(2, 3)))):
+        cs = CsBlock(3, metric)
+        out.append(("cs_n%d" % n, ModelSpec(n=n, d=3, flavor=CS_BF, bf_blocks=blocks, cs_block=cs)))
+    out += _generated_specs()
+    for path in sorted(EXAMPLES.glob("*.model")):
+        out.append((path.stem, parse_model(path.read_text(encoding="utf-8")).spec))
+    return out
+
+
+@pytest.mark.parametrize("spec", [pytest.param(s, id=i) for i, s in _reference_specs()])
+def test_s1_orbit_walk_matches_the_full_index_product(spec):
+    got = build_S1_generic(spec).expr
+    want = _s1_by_full_product(spec)
+    assert got.scope == want.scope
+    assert list(got.terms) == list(want.terms)
+    for mono, poly in want.terms.items():
+        assert got.terms[mono].terms == poly.terms
+        assert [type(v) for v in got.terms[mono].terms.values()] == [
+            type(v) for v in poly.terms.values()
+        ]

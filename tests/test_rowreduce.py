@@ -58,3 +58,16 @@ def test_eliminate_clears_every_pivot_within_the_coset(rows, extra):
     assert span.contains({c: v for c, v in diff.items() if v})
     assert span.contains(extra) == (not red)
     assert (span_includes(rows, [extra]) is None) == (_dense_rank(rows + [extra]) == _dense_rank(rows))
+
+
+def _canonical(v):
+    return type(v) is int or v.denominator != 1
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(_rows, max_size=8), _rows)
+def test_basis_and_residuals_hold_canonical_scalars(rows, extra):
+    span = _span(rows)
+    assert all(_canonical(v) for row in span.basis.values() for v in row.values())
+    for row in rows + [extra]:
+        assert all(_canonical(v) for v in _eliminate(row, span.basis).values())
