@@ -73,7 +73,7 @@ class SectionBasis:
 
 
 def derived_bracket(p: PStructure, q: Hamiltonian, e1: Expr, e2: Expr) -> Expr:
-    """((S,e1),e2), with S given as q = p.hamiltonian(S)."""
+    """((S,e1),e2), with S given as q = Hamiltonian(S)."""
     return p.bracket(p.bracket(q, e1), e2)
 
 
@@ -101,7 +101,7 @@ def operation_table(p: PStructure, s1: Action, basis: SectionBasis):
     """Evaluate o, <,> and rho on the whole basis with symbols opaque."""
     reps = basis.representatives()
     rows = []
-    q = p.hamiltonian(s1.expr)
+    q = Hamiltonian(s1.expr)
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
         rows.append(("circ", la, lb, derived_bracket(p, q, ea, eb)))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
@@ -153,7 +153,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData, basis: Section
     Properties taking a base function use the generic F and G, so every
     comparison is an exact polynomial identity, not a sample.
     """
-    q = p.hamiltonian(s1.expr.substitute(data))
+    q = Hamiltonian(s1.expr.substitute(data))
     rep = AxiomReport(model=p.scope)
     reps = basis.representatives()
     pairs = list(itertools.product(reps, reps))
@@ -227,7 +227,7 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData, basis: S
     the Leibniz extension of the coordinate bracket.  Functions and
     potentials are the generic F and G, so every comparison is exact.
     """
-    q = p.hamiltonian(s1.expr.substitute(data))
+    q = Hamiltonian(s1.expr.substitute(data))
     rep = AxiomReport(model=p.scope)
     base = range(1, p.spec.d + 1)
 

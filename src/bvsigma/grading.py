@@ -49,31 +49,16 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     because an odd variable appears twice.  Works on any items with an
     order and a ``parity``: its two users are the target's graded
     variables and the worldsheet's component fields (``worldsheet``
-    derivations sort a monomial with one generator replaced).
-
-    Input made of two ascending runs, such as a product of two canonical
-    monomials, is merged by :func:`merge_monomials`; any other input is
-    insertion sorted.  Both place equal items stably, so they agree on the
-    sign.
+    derivations sort a monomial with one generator replaced).  A fold of
+    :func:`merge_monomials`, one item at a time.
     """
-    items = list(vars_)
-    n = len(items)
-    k = 1
-    while k < n and not items[k] < items[k - 1]:
-        k += 1
-    j = k + 1
-    while j < n and not items[j] < items[j - 1]:
-        j += 1
-    if j >= n:
-        sign, items = merge_monomials(items[:k], items[k:])
-        if not sign:
+    sign, out = 1, ()
+    for v in vars_:
+        s, out = merge_monomials(out, (v,))
+        if not s:
             return 0, ()
-    else:
-        sign = _insertion_sort(items)
-    for a, b in zip(items, items[1:]):
-        if a == b and a.parity == ODD:
-            return 0, ()
-    return sign, tuple(items)
+        sign *= s
+    return sign, out
 
 
 def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
@@ -82,9 +67,10 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     A stable merge of the two ascending runs; each odd item of ``right``
     that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
     when an odd item occurs in both.  Repeats inside one run are not looked
-    for: a canonical monomial has none (``sort_monomial`` checks any other
-    input itself).  Its two users are ``symalg.Expr`` products of graded
-    variables and ``worldsheet.DgaExpr`` products of component fields.
+    for: a canonical monomial has none.  The one place a Koszul sign is
+    computed; its three users are ``symalg.Expr`` products of graded
+    variables, ``worldsheet.DgaExpr`` products of component fields and
+    :func:`sort_monomial`, which folds it over one item at a time.
     """
     if not left or not right or not right[0] < left[-1]:
         # Already in order; only the meeting items can repeat.
@@ -113,15 +99,3 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     out.extend(left[i:])
     return sign, tuple(out)
 
-
-def _insertion_sort(items: list) -> int:
-    """Sort ``items`` in place; returns the sign of the odd-odd transpositions."""
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j] < items[j - 1]:
-            if items[j].parity and items[j - 1].parity:
-                sign = -sign
-            items[j], items[j - 1] = items[j - 1], items[j]
-            j -= 1
-    return sign

@@ -10,9 +10,9 @@ compared by exact linear span.
 The published systems are one table, ``PAPER_IDENTITIES``, read by one
 interpreter.  Its conventions: index letters i..l run over the base 1..d
 and all other letters over the fiber rank; a letter that is not free in an
-identity's tag is summed; a symmetrizer is the full signed permutation sum,
-with no 1/k!; and each factor is written in its storage slot order, so the
-published f2^{ib} of the two-block model is the stored ``f2[;bi]``.
+identity's tag is summed; a symmetrizer is the signed unshuffle sum, each
+distinct term once, with no 1/k!; and each factor is written in its storage
+slot order, so the published f2^{ib} of the two-block model is ``f2[;bi]``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from typing import Optional
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
 from .rowreduce import span_includes
-from .symalg import CPoly, Expr, _perm_sign, accumulate, exact, make_symbol, monomial_str
+from .symalg import (
+    ANTISYM, LOWER, CPoly, Expr, _perm_sign, accumulate, exact, make_symbol, monomial_str,
+)
 
 EXTRACTED = "extracted"
 TRANSCRIBED = "transcribed-from-paper"
@@ -183,11 +185,11 @@ N3_CS = "n3_cs"
 # - a factor is written in storage slot order, name[lower;upper],deriv.
 #   The ansatz stores the mixed family f2 of the two-block model with its
 #   E*-index first, so the published f2^{ib} is written "f2[;bi]";
-# - the symmetrizer letters are antisymmetrized by the full signed
-#   permutation sum, with no 1/k!: "ab" turns T_ab into T_ab - T_ba;
+# - the symmetrizer letters are antisymmetrized by the signed unshuffle sum,
+#   with no 1/k!: "ab" turns T_ab into T_ab - T_ba, and a reordering within
+#   one antisymmetric slot group of one factor is left out, so "abc" on
+#   f1[a;j] f4[bc;d] gives three terms, one per distinct product, not six;
 # - the weight is an integer, or a letter pair "ef" for the metric k^{ef}.
-# The two-block rows are not yet right: at rank >= 3, where f3 and f6 are
-# nonzero, they miss the extracted span (ROADMAP item 1).
 PAPER_IDENTITIES = {
     N2_JACOBI: (
         ("jacobi[i,j,k]", (
@@ -256,11 +258,14 @@ class _Symbols(dict):
 
 
 def _compile_term(term, free, span, symbols):
-    """One table term as plain products, one per permutation of its
+    """One table term as plain products, one per unshuffle of its
     symmetrizer: (scalar, metric-letters getter or None, (symbol table,
     getter) per factor, summed values).  A getter reads the indices it
     needs from the tuple of free then summed values; every factor has at
-    least two indices, so its getter returns a tuple."""
+    least two indices, so its getter returns a tuple.  A permutation is kept
+    only when it gives ascending letters to each run, the symmetrizer
+    positions in one antisymmetric slot group of one factor: any other
+    repeats a kept term, its sign undone by the factor's antisymmetry."""
     weight, sym, *factors = term
     parsed = [_FACTOR.match(f).groups("") for f in factors]
     pair = weight if isinstance(weight, str) else ""
@@ -268,7 +273,16 @@ def _compile_term(term, free, span, symbols):
     summed = sorted(set(used) - set(free))
     pos = {c: k for k, c in enumerate(free + summed)}
     tail = list(itertools.product(*map(span, summed)))
+    runs = []
+    for name, lower, upper, _ in parsed:
+        for g in symbols[name].fam.groups:
+            letters = lower if g.variance == LOWER else upper
+            run = [sym.index(letters[s]) for s in g.slots if letters[s] in sym]
+            if g.kind == ANTISYM and len(run) > 1:
+                runs.append(run)
     for perm in itertools.permutations(range(len(sym))):
+        if any(perm[a] > perm[b] for run in runs for a, b in zip(run, run[1:])):
+            continue
         at = {sym[q]: pos[sym[p]] for q, p in enumerate(perm)}
         get = lambda letters: itemgetter(*(at.get(c, pos[c]) for c in letters))
         scalar = _perm_sign(perm) * (1 if pair else weight)

@@ -15,8 +15,8 @@ integer or rational coefficients and parentheses.  Example::
     f1[;2,3] = phi1
 
 Parsing is validating: block ranges, metric shape and symmetry, index
-ranges and symmetry-consistent assignments are all checked with
-line-numbered diagnostics.  ``parse(print(parse(x)))`` equals ``parse(x)``.
+ranges, base variables (phi1..phid) and symmetry-consistent assignments are
+all checked with line-numbered diagnostics.  ``parse(print(parse(x)))`` equals ``parse(x)``.
 """
 
 from __future__ import annotations

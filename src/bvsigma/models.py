@@ -367,6 +367,10 @@ class StructureData:
                 raise ModelError("index %d out of range 1..%d for %s" % (i, r, name))
         if poly.symbols():
             raise ModelError("structure data must be symbol-free polynomials")
+        d = self.spec.d
+        outside = {j for _, base in poly.terms for j, _ in base} - set(range(1, d + 1))
+        if outside:
+            raise ModelError("base variable phi%d out of range phi1..phi%d" % (min(outside), d))
         sign, sym = make_symbol(name, lower, upper, (), fam.groups)
         if sym is None:
             if poly:

@@ -22,8 +22,8 @@ f~ = |F|+1-n, g~ = |G|+1-n, and k is symmetric, so on (S,S) each B half
 repeats its A half and each self-block (a,b) term the (b,a) one.  The
 partners of each variable come from a table built once per structure, and a
 fixed S bracketed many times, as in the derived brackets of ``algebroid`` or
-the operands of one ``check_bv_identities`` trial, keeps its right
-derivatives in a :class:`Hamiltonian`.
+the operands of one ``check_bv_identities`` trial, is wrapped once in a
+:class:`Hamiltonian`, which keeps each right derivative a bracket reads.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class PStructure:
     def bracket(self, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
         """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input.
 
-        ``f`` may be a :class:`Hamiltonian` from :meth:`hamiltonian`, whose
-        right derivatives are then reused instead of taken again.
+        ``f`` may be a :class:`Hamiltonian`, whose right derivatives are
+        then reused across the brackets it enters instead of taken again.
 
         (F,F) for one homogeneous F of odd shifted degree f~ = |F|+1-n, as
         S1 is, sums only each pair's A row (weight 2) and the self-block
@@ -123,44 +123,25 @@ class PStructure:
         square = deg is not None and (deg + 1 - self.n) % 2
         return self._bracket(self._square_rows if square else self._rows, f, g)
 
-    def hamiltonian(self, s: Expr) -> "Hamiltonian":
-        """S with its nonzero right derivatives, for the repeated brackets
-        (S,.) of one computation (the Hamiltonian vector field Q = (S,.))."""
-        fibers, bases = s.support()
-        derivs = {}
-        for v, j, _ in self._rows:
-            if j in bases if j else v in fibers:
-                sv = s.right_deriv(v)
-                if sv:
-                    derivs[v] = sv
-        return Hamiltonian(s, derivs)
-
     def _bracket(self, rows, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
         """The bracket sum over ``rows`` (see :meth:`_conjugate_tables`),
         restricted to the operands' support: F d_r/dv is taken only when F
         holds v and G holds a partner w of v, and d_l/dw G only when G holds
-        w.  The terms left out are exactly zero."""
-        derivs = None
-        if isinstance(f, Hamiltonian):
-            f, derivs = f.expr, f.derivs
+        w.  The terms left out are exactly zero.  A plain F is wrapped in a
+        fresh :class:`Hamiltonian`, so every F takes this one path."""
+        h = f if isinstance(f, Hamiltonian) else Hamiltonian(f)
+        f, (f_fibers, f_bases) = h.expr, h.support
+        g_fibers, g_bases = h.support if g is f else g.support()
         scope = f._merged_scope(g)
-        g_fibers, g_bases = g.support()
-        if derivs is None:
-            f_fibers, f_bases = (g_fibers, g_bases) if f is g else f.support()
         acc: dict = {}
         for v, j, partners in rows:
-            if derivs is None:
-                if not (j in f_bases if j else v in f_fibers):
-                    continue
-                fv = None  # taken when a partner is first met in G
-            else:
-                fv = derivs.get(v)
-                if fv is None:
-                    continue
+            if not (j in f_bases if j else v in f_fibers):
+                continue
+            fv = None  # taken when a partner is first met in G
             for w, jw, k in partners:
                 if jw in g_bases if jw else w in g_fibers:
                     if fv is None:
-                        fv = f.right_deriv(v)
+                        fv = h.right_deriv(v)
                     if not fv:
                         break
                     Expr.mul_into(acc, fv, g.left_deriv(w), k)
@@ -186,17 +167,24 @@ class PStructure:
 
 
 class Hamiltonian:
-    """A fixed S and its nonzero right derivatives d_r S/dv, keyed by v.
-
-    Built by :meth:`PStructure.hamiltonian` for the brackets (S,.) of one
-    computation and dropped with it; nothing is cached beyond that.
+    """A fixed S for the brackets (S,.) of one computation (the Hamiltonian
+    vector field Q = (S,.)), with its support.  Each right derivative
+    d_r S/dv is taken the first time a bracket reads it and kept, zero ones
+    too; nothing outlives the computation that built it.
     """
 
-    __slots__ = ("expr", "derivs")
+    __slots__ = ("expr", "support", "_derivs")
 
-    def __init__(self, expr: Expr, derivs: dict[GradedVar, Expr]):
+    def __init__(self, expr: Expr):
         self.expr = expr
-        self.derivs = derivs
+        self.support = expr.support()
+        self._derivs: dict[GradedVar, Expr] = {}
+
+    def right_deriv(self, v: GradedVar) -> Expr:
+        sv = self._derivs.get(v)
+        if sv is None:
+            sv = self._derivs[v] = self.expr.right_deriv(v)
+        return sv
 
 
 # -- randomized identity suite ---------------------------------------------------
@@ -262,7 +250,7 @@ class RandomExprs:
             deriv = ()
             if rng.random() < 0.5:
                 deriv = (rng.choice(self._bases),)
-            syms = (CoeffSymbol("g%d" % rng.choice([1, 2]), (), (), deriv, ()),)
+            syms = (CoeffSymbol("g%d" % rng.choice([1, 2]), (), (), deriv),)
         return CPoly._of({(syms, base): exact(Fraction(num, den))})
 
     def homogeneous(self, degree: Optional[int] = None) -> tuple[Expr, int]:
@@ -337,15 +325,14 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
 
     br = pstruct.bracket
     lap = pstruct.laplacian
-    ham = pstruct.hamiltonian
     for trial in range(trials):
         f, fd = gen.homogeneous()
         g, gd = gen.homogeneous()
         h, hd = gen.homogeneous()
         fs, gs, hs = fd + 1 - n, gd + 1 - n, hd + 1 - n
         # Every value below is taken once and read by each law that needs
-        # it; the right derivatives of F, G and H once each.
-        qf, qg, qh = ham(f), ham(g), ham(h)
+        # it; the right derivatives of F, G and H at most once each.
+        qf, qg, qh = Hamiltonian(f), Hamiltonian(g), Hamiltonian(h)
         fg, gh, hf, fh = br(qf, g), br(qg, h), br(qh, f), br(qf, h)
         f_g = f * g
         lf = lap(f)

@@ -55,9 +55,10 @@ class SymGroup(NamedTuple):
 class CoeffSymbol(NamedTuple):
     """An indexed function symbol f[lower;upper], possibly differentiated.
 
-    Stored in normal form: indices inside each declared symmetry group are
-    sorted ascending (the sign, for antisymmetric groups, is pushed into the
-    owning term's coefficient) and ``deriv`` is sorted because base partials
+    Stored in normal form: indices inside each symmetry group of its family
+    (given to :func:`make_symbol`; the symbol does not keep them) are sorted
+    ascending (the sign, for antisymmetric groups, is pushed into the owning
+    term's coefficient) and ``deriv`` is sorted because base partials
     commute.  Use :func:`make_symbol` to build one.  A named tuple (as is
     :class:`SymGroup`), so that hashing and ordering run as tuple operations.
     """
@@ -66,11 +67,10 @@ class CoeffSymbol(NamedTuple):
     lower: tuple[int, ...] = ()
     upper: tuple[int, ...] = ()
     deriv: tuple[int, ...] = ()
-    groups: tuple[SymGroup, ...] = ()
 
     def with_deriv(self, j: int) -> "CoeffSymbol":
         deriv = tuple(sorted(self.deriv + (j,)))
-        return CoeffSymbol(self.name, self.lower, self.upper, deriv, self.groups)
+        return CoeffSymbol(self.name, self.lower, self.upper, deriv)
 
     def __str__(self) -> str:
         core = "%s[%s;%s]" % (
@@ -148,17 +148,10 @@ def make_symbol(
         if g.kind == ANTISYM:
             if len(set(vals)) != len(vals):
                 return 0, None
-            order = sorted(range(len(vals)), key=lambda i: vals[i])
-            sign *= _perm_sign(order)
-            vals = sorted(vals)
-        else:
-            vals = sorted(vals)
-        for s, v in zip(g.slots, vals):
+            sign *= _perm_sign(sorted(range(len(vals)), key=lambda i: vals[i]))
+        for s, v in zip(g.slots, sorted(vals)):
             indices[s] = v
-    sym = CoeffSymbol(
-        name, tuple(lower), tuple(upper), tuple(sorted(deriv)), tuple(groups)
-    )
-    return sign, sym
+    return sign, CoeffSymbol(name, tuple(lower), tuple(upper), tuple(sorted(deriv)))
 
 
 # A coefficient-ring term key: (sorted symbols, sparse base monomial).

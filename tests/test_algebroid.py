@@ -19,7 +19,7 @@ from bvsigma.grading import GradedVar
 from bvsigma.master import extract_identities, verify_structure_data
 from bvsigma.modelfile import parse_model
 from bvsigma.models import build_S1_generic
-from bvsigma.pstructure import PStructure
+from bvsigma.pstructure import Hamiltonian, PStructure
 from bvsigma.symalg import CoeffSymbol, CPoly, Expr
 
 from corpus import (
@@ -144,11 +144,11 @@ def test_n2_noncommutative_coordinates_and_anchor():
     s1 = build_S1_generic(spec)
     # [phi^i, phi^j] = -f^{ij}
     for i, j in itertools.combinations((1, 2, 3), 2):
-        got = derived_bracket(p, p.hamiltonian(s1.expr), Expr.base(i), Expr.base(j))
+        got = derived_bracket(p, Hamiltonian(s1.expr), Expr.base(i), Expr.base(j))
         assert got == sym_expr(spec, "f1", (), (i, j), coeff=-1)
     # rho(phi^i) F = -f^{ij} d_j F on a monomial test function
     F = Expr.base(1) * Expr.base(2)
-    got = anchor(p, p.hamiltonian(s1.expr), Expr.base(1), F)
+    got = anchor(p, Hamiltonian(s1.expr), Expr.base(1), F)
     expected = Expr.zero()
     for j in (1, 2, 3):
         expected = expected + sym_expr(spec, "f1", (), (1, j), coeff=-1) * F.partial_base(j)
@@ -159,7 +159,7 @@ def test_d_op_lands_in_section_space():
     spec = n3_spec()
     p = PStructure.from_model(spec)
     s1 = build_S1_generic(spec)
-    img = d_op(p, p.hamiltonian(s1.expr), Expr.base(1))
+    img = d_op(p, Hamiltonian(s1.expr), Expr.base(1))
     assert img.homogeneous_degree() == 1
     blocks = {v.block for mono in img.terms for v in mono}
     assert blocks <= {"A1", "B1"}
@@ -170,7 +170,7 @@ def test_anchor_rejects_fiber_arguments():
     p = PStructure.from_model(spec)
     s1 = build_S1_generic(spec)
     with pytest.raises(ValueError):
-        anchor(p, p.hamiltonian(s1.expr), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
+        anchor(p, Hamiltonian(s1.expr), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
 
 
 # -- axiom checkers against the master equation --------------------------------------
@@ -266,8 +266,8 @@ def test_n2_bracket_antisymmetry_on_basis():
     s1 = build_S1_generic(spec)
     sub = s1.expr.substitute(so3_data())
     for i, j in itertools.product((1, 2, 3), repeat=2):
-        lhs = derived_bracket(p, p.hamiltonian(sub), Expr.base(i), Expr.base(j))
-        rhs = derived_bracket(p, p.hamiltonian(sub), Expr.base(j), Expr.base(i))
+        lhs = derived_bracket(p, Hamiltonian(sub), Expr.base(i), Expr.base(j))
+        rhs = derived_bracket(p, Hamiltonian(sub), Expr.base(j), Expr.base(i))
         assert (lhs + rhs).is_zero()
 
 
@@ -296,7 +296,7 @@ def component_anchor_homomorphism(p, s1, data, basis):
     rho(x1 o x2)^i for every basis pair, and for n=3 also with x1 scaled by
     a generic function, as the Courant checker scales it.
     """
-    q = p.hamiltonian(s1.expr.substitute(data))
+    q = Hamiltonian(s1.expr.substitute(data))
     base = range(1, p.spec.d + 1)
     if basis.n == 2:
         rho = partial(derived_bracket, p, q)

@@ -74,6 +74,15 @@ def test_exit_code_2_for_parse_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("var", ["phi0", "phi4"])
+def test_exit_code_2_for_base_variable_outside_the_base(tmp_path, capsys, var):
+    bad = tmp_path / "bad.model"
+    bad.write_text("[model]\nn = 3\nd = 3\nflavor = bf\nblock p=1 rank=1\n\n[data]\nf1[1;1] = %s\n" % var)
+    code, out = run_cli(["check-master", "--model", str(bad)])
+    assert code == 2 and out == ""
+    assert "line 8: base variable %s out of range phi1..phi3" % var in capsys.readouterr().err
+
+
 def test_exit_code_2_when_data_is_required(tmp_path):
     nodata = tmp_path / "nodata.model"
     nodata.write_text("[model]\nn = 2\nd = 3\n")

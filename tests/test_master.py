@@ -377,6 +377,16 @@ def _perms_signed(indices):
         yield _perm_sign(perm), [base[k] for k in perm]
 
 
+def _unshuffles(indices, *sizes):
+    """The signed permutations of ``indices`` that keep the order inside
+    each consecutive block of ``sizes``: a symmetrizer summed once per
+    distinct term when each block fills slots a factor is antisymmetric in."""
+    cuts = list(itertools.accumulate(sizes))
+    for sign, perm in _perms_signed(range(len(indices))):
+        if all(perm[a:b] == sorted(perm[a:b]) for a, b in zip([0] + cuts, cuts)):
+            yield sign, [indices[k] for k in perm]
+
+
 def _transcribe_n2(spec):
     """f^{kl} d_l f^{ij} + f^{il} d_l f^{jk} + f^{jl} d_l f^{ki} = 0."""
     sym = _symbols(spec)
@@ -401,7 +411,9 @@ def _transcribe_n3_bf(spec):
 
     The ansatz stores the mixed family f2 with upper slots ordered
     (E*-index, M-index); the published form writes f2^{i b} with the M-index
-    first, so the slot order is swapped in the helper below.
+    first, so the slot order is swapped in the helper below.  A symmetrized
+    term is an unshuffle sum: each distinct product once, not once per
+    reordering of the letters a factor is antisymmetric in.
     """
     sym = _symbols(spec)
     d = spec.d
@@ -463,11 +475,13 @@ def _transcribe_n3_bf(spec):
 
     for a, b, c, dd in itertools.product(R, R, R, R):
         poly = CPoly.zero()
-        for sign, (x, y, z) in _perms_signed((a, b, c)):
+        for sign, (x, y, z) in _unshuffles((a, b, c), 1, 2):
             for j in M:
                 poly = poly - f1(x, j).scale(sign) * f4(y, z, dd, deriv=(j,))
             for e in R:
                 poly = poly + (f4(e, x, dd) * f4(y, z, e)).scale(sign)
+        for sign, (x, y, z) in _unshuffles((a, b, c), 2, 1):
+            for e in R:
                 poly = poly + (f3(e, x, y) * f5(z, dd, e)).scale(sign)
         for j in M:
             poly = poly + f2(j, dd) * f3(a, b, c, deriv=(j,))
@@ -493,28 +507,32 @@ def _transcribe_n3_bf(spec):
         poly = CPoly.zero()
         for j in M:
             poly = poly - f1(a, j) * f6(b, c, dd, deriv=(j,))
-        for sign, (x, y, z) in _perms_signed((b, c, dd)):
+        for sign, (x, y, z) in _unshuffles((b, c, dd), 1, 2):
             for j in M:
                 poly = poly + f2(j, x).scale(sign) * f5(a, y, z, deriv=(j,))
             for e in R:
                 poly = poly + (f4(e, a, x) * f6(y, z, e)).scale(sign)
+        for sign, (x, y, z) in _unshuffles((b, c, dd), 2, 1):
+            for e in R:
                 poly = poly + (f5(e, x, y) * f5(a, z, e)).scale(sign)
         eqs.append(("bf7[%d;%d,%d,%d]" % (a, b, c, dd), poly))
 
     for a, b, c, dd in itertools.product(R, R, R, R):
         poly = CPoly.zero()
-        for sign, (w, x, y, z) in _perms_signed((a, b, c, dd)):
+        for sign, (w, x, y, z) in _unshuffles((a, b, c, dd), 1, 3):
             for j in M:
                 poly = poly - f2(j, w).scale(sign) * f6(x, y, z, deriv=(j,))
+        for sign, (w, x, y, z) in _unshuffles((a, b, c, dd), 2, 2):
             for e in R:
                 poly = poly + (f6(e, w, x) * f5(e, y, z)).scale(sign)
         eqs.append(("bf8[%d,%d,%d,%d]" % (a, b, c, dd), poly))
 
     for a, b, c, dd in itertools.product(R, R, R, R):
         poly = CPoly.zero()
-        for sign, (w, x, y, z) in _perms_signed((a, b, c, dd)):
+        for sign, (w, x, y, z) in _unshuffles((a, b, c, dd), 1, 3):
             for j in M:
                 poly = poly - f1(w, j).scale(sign) * f3(x, y, z, deriv=(j,))
+        for sign, (w, x, y, z) in _unshuffles((a, b, c, dd), 2, 2):
             for e in R:
                 poly = poly + (f4(w, x, e) * f3(y, z, e)).scale(sign)
         eqs.append(("bf9[%d,%d,%d,%d]" % (a, b, c, dd), poly))
@@ -623,11 +641,6 @@ def test_unknown_identity_family_is_refused():
         transcribe_paper_identities("n4_bf", n2_spec())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the transcribed n=3 two-block weights miss the extracted span "
-    "once rank >= 3 makes f3 and f6 nonzero",
-)
 @pytest.mark.parametrize("d,r", [(1, 3), (3, 3), (2, 4)])
 def test_n3_bf_paper_span_at_rank_three_and_up(d, r):
     spec = _bf_spec(d, r)

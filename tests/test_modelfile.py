@@ -58,6 +58,15 @@ def test_symmetry_violating_assignment():
     assert "conflicting" in str(err.value)
 
 
+@pytest.mark.parametrize("var", ["phi0", "phi4"])
+def test_base_variable_outside_the_base_is_an_error(var):
+    text = "[model]\nn = 2\nd = 3\n\n[data]\nf1[;1,2] = phi3\nf1[;1,3] = phi1 - 2*%s\n" % var
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert err.value.line == 7
+    assert "base variable %s out of range phi1..phi3" % var in str(err.value)
+
+
 def test_nonzero_on_vanishing_combination():
     text = "[model]\nn = 2\nd = 3\n\n[data]\nf1[;1,1] = phi1\n"
     with pytest.raises(ParseError):

@@ -105,7 +105,7 @@ def test_n2_ansatz_is_half_f_bb():
     fams = ansatz_families(spec)
     assert len(fams) == 1
     expected = Expr.zero(spec.fingerprint())
-    group = (make_symbol("f1", (), (1, 2), (), fams[0].groups)[1]).groups
+    group = fams[0].groups
     for i in range(1, 4):
         for j in range(i + 1, 4):
             _, sym = make_symbol("f1", (), (i, j), (), group)

@@ -11,6 +11,7 @@ from bvsigma.pstructure import (
     BRACKET_LAWS,
     LAPLACIAN_LAWS,
     BvReport,
+    Hamiltonian,
     PStructure,
     RandomExprs,
     _monomials_of_degree,
@@ -363,7 +364,7 @@ def test_support_aware_bracket_matches_sum_over_every_variable(case):
     p, f, g = case
     full = _bracket_over_every_variable(p, f, g)
     assert p.bracket(f, g) == full
-    assert p.bracket(p.hamiltonian(f), g) == full
+    assert p.bracket(Hamiltonian(f), g) == full
     assert p.bracket(f, f) == _bracket_over_every_variable(p, f, f)
     assert p.bracket_darboux(f, g) == _bracket_over_every_variable(p, f, g, self_block=False)
 
@@ -489,16 +490,35 @@ def test_support_marks_every_base_index_once_a_symbol_appears():
     assert Expr.zero().support() == (set(), set())
 
 
-def test_hamiltonian_keeps_only_nonzero_derivatives():
+def test_hamiltonian_takes_each_right_derivative_once_and_only_when_read(monkeypatch):
     spec = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
     p = PStructure.from_model(spec)
     s = build_S1_generic(spec).expr
-    q = p.hamiltonian(s)
-    every = p.spec.fiber_vars() + [GradedVar("phi", 0, j) for j in range(1, p.spec.d + 1)]
-    assert q.derivs == {v: s.right_deriv(v) for v in every if s.right_deriv(v)}
-    # a base function: (S,F) only pairs F's phi with B2 in S
-    f = Expr.base(1) * Expr.base(3)
-    assert p.bracket(q, f) == _bracket_over_every_variable(p, s, f)
+    f = Expr.base(1) * Expr.base(3)  # (S,F) pairs F's phi with B2 in S
+    a = Expr.var(GradedVar("A1", 1, 2))  # (S,A1_2) reads d_r S/dB1_2 only
+    operands = (f, a, f, a * f, a)
+    expected = [_bracket_over_every_variable(p, s, g) for g in operands]
+    taken = []
+    orig = Expr.right_deriv
+
+    def counted(self, v):
+        taken.append((id(self), v))
+        return orig(self, v)
+
+    monkeypatch.setattr(Expr, "right_deriv", counted)
+    q = Hamiltonian(s)
+    assert taken == []  # nothing is taken up front
+    assert [p.bracket(q, g) for g in operands] == expected
+    read = {GradedVar("B2", 2, 1), GradedVar("B2", 2, 3), GradedVar("B1", 1, 2)}
+    assert sorted(v for _, v in taken) == sorted(read)  # once each, only those read
+    assert {i for i, _ in taken} == {id(s)}
+    # a zero derivative is kept too, so it is not taken again
+    taken.clear()
+    small = Expr.var(GradedVar("B1", 1, 1))
+    z = Hamiltonian(small)
+    b = GradedVar("B1", 1, 2)
+    assert z.right_deriv(b).is_zero() and z.right_deriv(b).is_zero()
+    assert taken == [(id(small), b)]
 
 
 # -- check_bv_identities against its one-call-per-use form ------------------------

@@ -13,6 +13,7 @@ from bvsigma.symalg import (
     ANTISYM,
     LOWER,
     UPPER,
+    CoeffSymbol,
     CPoly,
     Expr,
     MissingSymbolError,
@@ -442,8 +443,9 @@ def test_sum_laws_and_one_sum_implementation(make):
 def test_coeff_symbol_value_semantics():
     sign, sym = make_symbol("f3", (3, 1, 2), (), (2,), (SymGroup(ANTISYM, LOWER, (0, 1, 2)),))
     assert sign == 1 and sym.lower == (1, 2, 3)
-    fields = ("f3", (1, 2, 3), (), (2,), (SymGroup(ANTISYM, LOWER, (0, 1, 2)),))
-    assert hash(sym) == hash(fields)
+    fields = ("f3", (1, 2, 3), (), (2,))  # the symmetry stays on the family
+    assert sym._fields == ("name", "lower", "upper", "deriv")
+    assert sym == CoeffSymbol(*fields) and hash(sym) == hash(fields)
     assert str(sym) == "d(2)f3[1,2,3;]"
     _, other = make_symbol("f3", (1, 2, 4), (), (), ())
     assert sym < other and sorted([other, sym]) == [sym, other]
