@@ -127,11 +127,16 @@ class PStructure:
         """The bracket sum over ``rows`` (see :meth:`_conjugate_tables`),
         restricted to the operands' support: F d_r/dv is taken only when F
         holds v and G holds a partner w of v, and d_l/dw G only when G holds
-        w.  The terms left out are exactly zero.  A plain F is wrapped in a
-        fresh :class:`Hamiltonian`, so every F takes this one path."""
-        h = f if isinstance(f, Hamiltonian) else Hamiltonian(f)
-        f, (f_fibers, f_bases) = h.expr, h.support
-        g_fibers, g_bases = h.support if g is f else g.support()
+        w.  The terms left out are exactly zero.  A :class:`Hamiltonian` F
+        lends its support and kept derivatives; a plain F has each of its
+        derivatives taken directly, since each row variable is read once
+        per bracket."""
+        if isinstance(f, Hamiltonian):
+            right_deriv, (f_fibers, f_bases) = f.right_deriv, f.support
+            f = f.expr
+        else:
+            right_deriv, (f_fibers, f_bases) = f.right_deriv, f.support()
+        g_fibers, g_bases = (f_fibers, f_bases) if g is f else g.support()
         scope = f._merged_scope(g)
         acc: dict = {}
         for v, j, partners in rows:
@@ -141,7 +146,7 @@ class PStructure:
             for w, jw, k in partners:
                 if jw in g_bases if jw else w in g_fibers:
                     if fv is None:
-                        fv = h.right_deriv(v)
+                        fv = right_deriv(v)
                     if not fv:
                         break
                     Expr.mul_into(acc, fv, g.left_deriv(w), k)

@@ -10,8 +10,8 @@ two forms mix freely, since ``Fraction(k) == k``, ``hash(Fraction(k)) ==
 hash(k)`` and ``str(Fraction(k)) == str(k)``, and integral coefficients,
 the common case, stay on integer arithmetic.
 
-:class:`SparseSum` is the one sum, negation, difference, equality and zero
-test of :class:`CPoly`, :class:`Expr` and :class:`bvsigma.worldsheet.DgaExpr`;
+:class:`SparseSum` is the one sum, negation, difference, equality, hash and
+zero test of :class:`CPoly`, :class:`Expr` and :class:`bvsigma.worldsheet.DgaExpr`;
 combining two of different scope (model fingerprint, or n for a DgaExpr)
 raises :class:`MixedContextError`.
 
@@ -190,9 +190,9 @@ def _mul_into(acc: dict, a_terms: Mapping, b_terms: Mapping, sign: Rat = 1) -> N
 
 class SparseSum:
     """A sparse sum: ``terms`` maps each key to its nonzero coefficient and
-    ``scope`` is its context (None: any; a CPoly has none).  Equality
-    ignores scope.  Each subclass wraps results with its own ``_of(terms,
-    scope)``."""
+    ``scope`` is its context (None: any; a CPoly has none).  Equality and
+    the hash ignore scope.  Each subclass wraps results with its own
+    ``_of(terms, scope)``."""
 
     __slots__ = ()
     scope = None
@@ -211,6 +211,10 @@ class SparseSum:
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        # Agrees with __eq__: unordered, scope-free, hash(Fraction(k)) == hash(k).
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         scope = self._merged_scope(other)
@@ -265,9 +269,6 @@ class CPoly(SparseSum):
         return out
 
     # -- ring operations ---------------------------------------------------
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def __mul__(self, other: "CPoly") -> "CPoly":
         acc: dict[CKey, Rat] = {}
         _mul_into(acc, self.terms, other.terms)
@@ -325,9 +326,6 @@ class CPoly(SparseSum):
         return CPoly._of(acc)
 
     # -- presentation --------------------------------------------------------
-    def sort_key(self):
-        return tuple(sorted((_ckey_str(k), str(v)) for k, v in self.terms.items()))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -442,9 +440,6 @@ class Expr(SparseSum):
     def _collect(acc: dict, scope: Optional[str]) -> "Expr":
         """The Expr of a :meth:`mul_into` accumulator (monomial -> term dict)."""
         return Expr._of({m: CPoly._of(t) for m, t in acc.items() if t}, scope)
-
-    def __hash__(self):
-        return hash(tuple(sorted((m, c.sort_key()) for m, c in self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
     def __mul__(self, other: "Expr", into: Optional[dict] = None, sign: Rat = 1) -> Optional["Expr"]:

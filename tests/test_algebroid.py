@@ -1,9 +1,11 @@
 import itertools
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from bvsigma import algebroid
 from bvsigma.algebroid import (
     SectionBasis,
     anchor,
@@ -340,3 +342,49 @@ def test_anchor_homomorphism_matches_component_route(name, spec, data):
     basis = SectionBasis.for_model(spec)
     verdict = dict(check_algebroid(p, s1, data, basis).checks)["anchor homomorphism"]
     assert verdict == component_anchor_homomorphism(p, s1, data, basis)
+
+
+# -- per-check operation tables -------------------------------------------------------
+
+
+def count_operation_calls(monkeypatch):
+    """Wrap derived_bracket, anchor and d_op in the algebroid module; the
+    returned dict lists the operand tuple (p and S left out) of each call."""
+    calls = {}
+    for name in ("derived_bracket", "anchor", "d_op"):
+        fn = getattr(algebroid, name)
+        seen = calls[name] = []
+
+        def counted(p, q, *args, fn=fn, seen=seen):
+            seen.append(args)
+            return fn(p, q, *args)
+
+        monkeypatch.setattr(algebroid, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mkspec,maker,checker,ops", [
+    (n3_spec, exact_courant_data, check_courant, ("derived_bracket", "anchor", "d_op")),
+    (n2_spec, so3_data, check_lie_algebroid, ("derived_bracket",)),
+], ids=["exact-courant", "so3"])
+def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, maker, checker, ops):
+    spec = mkspec()
+    p = PStructure.from_model(spec)
+    s1 = build_S1_generic(spec)
+    calls = count_operation_calls(monkeypatch)
+    assert checker(p, s1, maker(), SectionBasis.for_model(spec)).passed
+    for name, seen in calls.items():
+        assert bool(seen) == (name in ops), name
+        # Compared by value, pairwise, so the check does not lean on the hash.
+        assert all(a != b for a, b in itertools.combinations(seen, 2)), name
+
+
+@pytest.mark.parametrize("name,spec,data", CORPUS_MODELS, ids=[c[0] for c in CORPUS_MODELS])
+def test_operation_tables_match_uncached_checks(monkeypatch, name, spec, data):
+    p = PStructure.from_model(spec)
+    s1 = build_S1_generic(spec)
+    basis = SectionBasis.for_model(spec)
+    cached = check_algebroid(p, s1, data, basis)
+    monkeypatch.setattr(algebroid, "functools", SimpleNamespace(cache=lambda fn: fn))
+    plain = check_algebroid(p, s1, data, basis)
+    assert (cached.checks, cached.passed, cached.witnesses) == (plain.checks, plain.passed, plain.witnesses)

@@ -596,8 +596,8 @@ def _reference_transcription(which, spec):
     loops = {N2_JACOBI: _transcribe_n2, N3_BF: _transcribe_n3_bf, N3_CS: _transcribe_n3_cs}
     out, seen = [], set()
     for tag, poly in loops[which](spec):
-        if poly and poly.sort_key() not in seen:
-            seen.add(poly.sort_key())
+        if poly and poly not in seen:
+            seen.add(poly)
             out.append((tag, poly))
     return out
 

@@ -436,8 +436,28 @@ def test_sum_laws_and_one_sum_implementation(make):
     assert a - b == a + (-b) and (a - b) + b == a
     whole = half + half
     assert whole and list(_stored_scalars(whole)) and all(type(v) is int for v in _stored_scalars(whole))
-    for name in ("__add__", "__neg__", "__sub__", "__eq__", "__bool__", "is_zero"):
+    for name in ("__add__", "__neg__", "__sub__", "__eq__", "__hash__", "__bool__", "is_zero"):
         assert getattr(type(a), name) is getattr(SparseSum, name), name
+
+
+def test_equal_sums_hash_equal():
+    """Equal CPolys and Exprs hash equal whatever their term insertion
+    order, integral coefficient type (int or Fraction) and scope."""
+    _, f = make_symbol("f1", (), (1, 2), (), ANTI_UP)
+    keys = [((f,), ()), ((), ((1, 2),)), ((), ())]
+    coeffs = [3, Fraction(-1, 2), 2]
+    c1 = CPoly._of(dict(zip(keys, coeffs)))
+    c2 = CPoly._of(dict(zip(keys[::-1], [Fraction(2), Fraction(-1, 2), Fraction(3)])))
+    c3 = CPoly.base(1, 2).scale(Fraction(-1, 2)) + CPoly.scalar(Fraction(4, 2)) + CPoly.symbol(f, 3)
+    assert list(c1.terms) != list(c2.terms) and type(c2.terms[((), ())]) is Fraction
+    assert c1 == c2 == c3 and hash(c1) == hash(c2) == hash(c3)
+
+    e1 = Expr._of({(B1, C1): c1, (): CPoly.base(2), (B2,): CPoly.scalar(Fraction(1, 3))}, None)
+    e2 = Expr._of({(B2,): CPoly.scalar(Fraction(1, 3)), (): CPoly.base(2), (B1, C1): c2}, "fingerprint")
+    e3 = Expr.var(B2).scale(Fraction(1, 3)) + Expr.base(2) + Expr.var(B1) * Expr.var(C1) * Expr.from_cpoly(c3)
+    assert e1 == e2 == e3 and e1.scope != e2.scope
+    assert hash(e1) == hash(e2) == hash(e3)
+    assert len({e1, e2, e3, c1, c2, c3}) == 2
 
 
 def test_coeff_symbol_value_semantics():
