@@ -163,6 +163,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData, basis: Section
     circ = functools.cache(lambda x, y: derived_bracket(p, q, x, y))
     rho = functools.cache(lambda e, f: anchor(p, q, e, f))
     D = functools.cache(lambda x: d_op(p, q, x))
+    pair = functools.cache(lambda x, y: pairing(p, x, y))
 
     # The axioms quantify over the whole section space, not just the fiber
     # basis; each check therefore also runs with one generator scaled by F,
@@ -197,7 +198,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData, basis: Section
 
     # 4: e1 o e2 + e2 o e1 = D<e1,e2>, also with a function-scaled section.
     rep.record("symmetrized bracket = D<,>", first_failure(
-        (wit % (l1, l2), circ(x1, e2) + circ(e2, x1), D(pairing(p, x1, e2)))
+        (wit % (l1, l2), circ(x1, e2) + circ(e2, x1), D(pair(x1, e2)))
         for (l1, e1), (l2, e2) in pairs
         for wit, x1 in (("(%s,%s)", e1), ("(F*%s,%s)", F * e1))
     ))
@@ -205,15 +206,15 @@ def check_courant(p: PStructure, s1: Action, data: StructureData, basis: Section
     # 5: rho(e1)<e2,e3> = <e1 o e2, e3> + <e2, e1 o e3>, with a scaled e2.
     rep.record("anchor invariance of <,>", first_failure(
         (wit % (l1, l2, l3),
-         rho(e1, pairing(p, x2, e3)),
-         pairing(p, circ(e1, x2), e3) + pairing(p, x2, circ(e1, e3)))
+         rho(e1, pair(x2, e3)),
+         pair(circ(e1, x2), e3) + pair(x2, circ(e1, e3)))
         for (l1, e1), (l2, e2), (l3, e3) in triples
         for wit, x2 in (("(%s,%s,%s)", e2), ("(%s,F*%s,%s)", F * e2))
     ))
 
     # D-pairing consistency: <DF, e> = rho(e) F.
     rep.record("<DF,e> = rho(e)F", first_failure(
-        (l1, pairing(p, D(F), e1), rho(e1, F)) for l1, e1 in reps
+        (l1, pair(D(F), e1), rho(e1, F)) for l1, e1 in reps
     ))
     return rep
 

@@ -115,7 +115,8 @@ def _cmd_extract(mf: ModelFile, args) -> int:
     p = PStructure.from_model(mf.spec)
     s1 = build_S1_generic(mf.spec)
     idents = extract_identities(p, s1)
-    details = ["%s: %s = 0" % (tag, poly) for tag, poly in idents.equations]
+    memo: dict = {}  # one string per coefficient symbol of the report
+    details = ["%s: %s = 0" % (tag, poly.render(memo)) for tag, poly in idents.equations]
     return _report("extract-identities", mf.spec, True, details, [], args.format)
 
 
@@ -166,8 +167,9 @@ def _cmd_derived_table(mf: ModelFile, args) -> int:
     s1 = build_S1_generic(mf.spec)
     basis = SectionBasis.for_model(mf.spec)
     rows = operation_table(p, s1, basis)
-    details = []
+    details, memo = [], {}
     for op, left, right, expr in rows:
+        expr = expr.render(memo)
         if op == "circ":
             details.append("%s o %s = %s" % (left, right, expr))
         elif op == "pair":

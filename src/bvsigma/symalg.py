@@ -326,19 +326,28 @@ class CPoly(SparseSum):
         return CPoly._of(acc)
 
     # -- presentation --------------------------------------------------------
-    def __str__(self) -> str:
+    def render(self, memo: dict) -> str:
+        """The text of this polynomial, terms sorted by their key string.
+
+        ``memo`` maps each CoeffSymbol already rendered to its string and
+        gains the ones met here; a report passes one memo to every
+        polynomial it prints, so each symbol is formatted once per report.
+        """
         if not self.terms:
             return "0"
-        bodies = sorted(((_ckey_str(k), v) for k, v in self.terms.items()), key=itemgetter(0))
+        bodies = sorted(((_ckey_str(k, memo), v) for k, v in self.terms.items()), key=itemgetter(0))
         return _join_signed([_cterm_str(v, body) for body, v in bodies])
+
+    def __str__(self) -> str:
+        return self.render({})
 
     def __repr__(self) -> str:
         return "CPoly(%s)" % self
 
 
-def _ckey_str(key: CKey) -> str:
+def _ckey_str(key: CKey, memo: dict) -> str:
     syms, base = key
-    bits = [str(s) for s in syms]
+    bits = [memo.get(s) or memo.setdefault(s, str(s)) for s in syms]
     bits += ["phi%d%s" % (j, "^%d" % p if p > 1 else "") for j, p in base]
     return "*".join(bits) if bits else "1"
 
@@ -569,13 +578,14 @@ class Expr(SparseSum):
         return out
 
     # -- presentation ----------------------------------------------------------
-    def __str__(self) -> str:
+    def render(self, memo: dict) -> str:
+        """The text of this expression; ``memo`` as in :meth:`CPoly.render`."""
         if not self.terms:
             return "0"
-        parts = []
-        for m in sorted(self.terms):
-            parts.append(_eterm_str(self.terms[m], m))
-        return _join_signed(parts)
+        return _join_signed([_eterm_str(self.terms[m], m, memo) for m in sorted(self.terms)])
+
+    def __str__(self) -> str:
+        return self.render({})
 
     def __repr__(self) -> str:
         return "Expr(%s)" % self
@@ -585,8 +595,8 @@ def monomial_str(m: Monomial) -> str:
     return "*".join(str(v) for v in m) if m else "1"
 
 
-def _eterm_str(c: CPoly, m: Monomial) -> str:
-    cs = str(c)
+def _eterm_str(c: CPoly, m: Monomial, memo: dict) -> str:
+    cs = c.render(memo)
     if not m:
         return cs if len(c.terms) == 1 else "(%s)" % cs
     ms = monomial_str(m)

@@ -348,23 +348,25 @@ def test_anchor_homomorphism_matches_component_route(name, spec, data):
 
 
 def count_operation_calls(monkeypatch):
-    """Wrap derived_bracket, anchor and d_op in the algebroid module; the
-    returned dict lists the operand tuple (p and S left out) of each call."""
+    """Wrap derived_bracket, anchor, d_op and pairing in the algebroid
+    module; the returned dict lists the operand tuple (p and S left out) of
+    each call."""
     calls = {}
-    for name in ("derived_bracket", "anchor", "d_op"):
+    # name -> leading arguments that are not operands (p, and S if taken)
+    for name, fixed in (("derived_bracket", 2), ("anchor", 2), ("d_op", 2), ("pairing", 1)):
         fn = getattr(algebroid, name)
         seen = calls[name] = []
 
-        def counted(p, q, *args, fn=fn, seen=seen):
-            seen.append(args)
-            return fn(p, q, *args)
+        def counted(*args, fn=fn, seen=seen, fixed=fixed):
+            seen.append(args[fixed:])
+            return fn(*args)
 
         monkeypatch.setattr(algebroid, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("mkspec,maker,checker,ops", [
-    (n3_spec, exact_courant_data, check_courant, ("derived_bracket", "anchor", "d_op")),
+    (n3_spec, exact_courant_data, check_courant, ("derived_bracket", "anchor", "d_op", "pairing")),
     (n2_spec, so3_data, check_lie_algebroid, ("derived_bracket",)),
 ], ids=["exact-courant", "so3"])
 def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, maker, checker, ops):

@@ -27,6 +27,11 @@ GOLDEN_CASES = [
     ),
     ("cs_su2_extract", ["extract-identities", "--model", "n3_cs_su2.model"], 0),
     (
+        "bf_rank3_compare_paper",
+        ["compare-identities", "--model", "n3_bf_rank3.model", "--against", "paper"],
+        0,
+    ),
+    (
         "exact_courant_derived_table",
         ["derived-table", "--model", "n3_bf_exact_courant.model"],
         0,

@@ -11,7 +11,7 @@ FIXTURES = sorted(EXAMPLES.glob("*.model"))
 
 
 def test_fixture_inventory():
-    assert len(FIXTURES) == 5
+    assert len(FIXTURES) == 6
 
 
 def test_minimal_poisson_model():

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvsigma.algebroid import SectionBasis, operation_table
 from bvsigma.grading import GradedVar, sort_monomial
-from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, StructureData, build_S1_generic
+from bvsigma.master import expand_master, extract_identities, verify_structure_data
+from bvsigma.models import (
+    CS_BF,
+    BfBlock,
+    CsBlock,
+    ModelSpec,
+    StructureData,
+    ansatz_families,
+    build_S1_generic,
+)
 from bvsigma.pstructure import PStructure
 from bvsigma.symalg import (
     ANTISYM,
@@ -21,8 +31,11 @@ from bvsigma.symalg import (
     SparseSum,
     SymGroup,
     make_symbol,
+    monomial_str,
 )
 from bvsigma.worldsheet import ComponentField, DgaExpr
+
+from corpus import cs_spec
 
 B1 = GradedVar("B1", 1, 1)
 B2 = GradedVar("B1", 1, 2)
@@ -469,3 +482,136 @@ def test_coeff_symbol_value_semantics():
     assert str(sym) == "d(2)f3[1,2,3;]"
     _, other = make_symbol("f3", (1, 2, 4), (), (), ())
     assert sym < other and sorted([other, sym]) == [sym, other]
+
+
+# -- report rendering -------------------------------------------------------------
+#
+# A reference formatter written from the documented report format, with no
+# memo: a symbol is name[lower;upper] (indices comma-joined) behind a
+# d(j,..) prefix when differentiated, a base power is phi<j>^<k> (^1
+# omitted), a term body joins its symbols and then its base powers with '*'
+# ('1' when empty), terms are sorted by body, and a coefficient is printed
+# alone on '1', dropped when 1, as a bare '-' when -1 and as '<c>*' otherwise;
+# after the first term a leading '-' becomes ' - ' and any other term is
+# joined with ' + '.  An Expr term is its polynomial times its fiber
+# monomial, the polynomial in parentheses when it has several terms.
+
+
+def ref_symbol(sym):
+    text = "%s[%s;%s]" % (sym.name, ",".join(map(str, sym.lower)), ",".join(map(str, sym.upper)))
+    return "d(%s)%s" % (",".join(map(str, sym.deriv)), text) if sym.deriv else text
+
+
+def ref_join(parts):
+    out = parts[0]
+    for text in parts[1:]:
+        out += " - " + text[1:] if text.startswith("-") else " + " + text
+    return out
+
+
+def ref_cpoly(poly):
+    if not poly.terms:
+        return "0"
+    terms = []
+    for (syms, base), c in poly.terms.items():
+        factors = [ref_symbol(x) for x in syms]
+        factors += ["phi%d" % j + ("^%d" % k if k > 1 else "") for j, k in base]
+        terms.append(("*".join(factors) or "1", c))
+    parts = []
+    for body, c in sorted(terms, key=lambda t: t[0]):
+        if body == "1":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append("-" + body)
+        else:
+            parts.append("%s*%s" % (c, body))
+    return ref_join(parts)
+
+
+def ref_expr(expr):
+    if not expr.terms:
+        return "0"
+    parts = []
+    for m in sorted(expr.terms):
+        c = expr.terms[m]
+        cs = ref_cpoly(c)
+        if len(c.terms) > 1:
+            cs = "(%s)" % cs
+        if not m:
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(cs[:-1] + monomial_str(m))
+        else:
+            parts.append("%s*%s" % (cs, monomial_str(m)))
+    return ref_join(parts)
+
+
+RANK3_BF = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
+
+
+@pytest.mark.parametrize("spec", [RANK3_BF, cs_spec(rank=5)], ids=["bf_n3_d3_r3", "cs_d2_r5"])
+def test_identity_report_renders_through_one_memo(spec):
+    """Every equation of an extraction, rendered with one memo shared by
+    the whole report, as the CLI does, at ranks where every symbol family
+    is nonzero."""
+    equations = [poly for _, poly in extract_identities(PStructure.from_model(spec), build_S1_generic(spec)).equations]
+    memo = {}
+    assert [poly.render(memo) for poly in equations] == [ref_cpoly(poly) for poly in equations]
+    symbols = set().union(*(poly.symbols() for poly in equations))
+    assert {x.name for x in symbols} == {f.name for f in ansatz_families(spec)}
+    assert any(x.deriv for x in symbols)
+    assert memo == {x: ref_symbol(x) for x in symbols}
+    assert [str(poly) for poly in equations[:20]] == [poly.render(memo) for poly in equations[:20]]
+
+
+def test_operation_table_renders_through_one_memo():
+    spec = RANK3_BF
+    rows = operation_table(PStructure.from_model(spec), build_S1_generic(spec), SectionBasis.for_model(spec))
+    memo = {}
+    assert [expr.render(memo) for *_, expr in rows] == [ref_expr(expr) for *_, expr in rows]
+    assert memo and all(memo[x] == ref_symbol(x) for x in memo)
+
+
+def test_residual_renders_fractions_and_base_powers():
+    """A check-master residual: Fraction coefficients, a constant term and
+    base powers, in the report and through a memo."""
+    spec = ModelSpec(n=2, d=3)
+    b = CPoly.base
+    data = StructureData.for_model(spec)
+    data.assign("f1", (), (1, 2), (b(3) * b(3)).scale(Fraction(1, 2)) + b(1) * b(2))
+    data.assign("f1", (), (1, 3), (b(2) * b(2)).scale(Fraction(-2, 3)) + b(3))
+    data.assign("f1", (), (2, 3), (b(1) * b(1) * b(1)).scale(Fraction(1, 5)) + CPoly.scalar(Fraction(3, 7)))
+    p, s1 = PStructure.from_model(spec), build_S1_generic(spec)
+    residual = expand_master(p, s1).substitute(data)
+    report = verify_structure_data(p, s1, data).residual
+    assert report == [(monomial_str(m), ref_cpoly(residual.terms[m])) for m in sorted(residual.terms)]
+    assert report[0][1] == "6/7 + 6/7*phi1 + 2/5*phi1^3 + 2/5*phi1^4 + 2*phi2*phi3 - 4/3*phi2^3"
+    memo = {}
+    assert residual.render(memo) == ref_expr(residual) and not memo
+
+
+def test_render_memo_keeps_symbols_one_field_apart():
+    """Symbols that differ in one field only, rendered through one memo in
+    either order, each keep their own string."""
+    f = CoeffSymbol("f4", (1, 2), (3,))
+    variants = [
+        f,
+        f._replace(deriv=(1,)),
+        f._replace(deriv=(1, 1)),
+        f._replace(deriv=(2,)),
+        f._replace(lower=(1, 3)),
+        f._replace(upper=(2,)),
+        f._replace(name="f5"),
+        CoeffSymbol("f4", (1,), (2, 3)),
+    ]
+    for order in (variants, variants[::-1]):
+        memo = {}
+        for x in order:
+            assert CPoly.symbol(x).render(memo) == ref_symbol(x)
+        total = CPoly.zero()
+        for k, x in enumerate(order):
+            total = total + CPoly.symbol(x, Fraction(k - 3, 2)) + CPoly.symbol(x) * CPoly.symbol(order[k - 1])
+        assert total.render(memo) == ref_cpoly(total)
+        assert len(memo) == len(variants)
