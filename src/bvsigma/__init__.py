@@ -20,7 +20,6 @@ from .models import (
     StructureData,
     ansatz_families,
     build_S1_generic,
-    validate_degree,
 )
 from .pstructure import PStructure, check_bv_identities
 
@@ -43,7 +42,6 @@ __all__ = [
     "StructureData",
     "ansatz_families",
     "build_S1_generic",
-    "validate_degree",
     "PStructure",
     "check_bv_identities",
 ]

@@ -29,48 +29,25 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .grading import GradedVar
 from .models import Action, ModelError, ModelSpec, StructureData
 from .pstructure import Hamiltonian, PStructure
 from .symalg import CoeffSymbol, Expr
 
 
-@dataclass(frozen=True)
-class SectionBasis:
-    """Basis of section generators for the algebroid of one model."""
+def section_representatives(spec: ModelSpec) -> list[tuple[str, Expr]]:
+    """(label, derived-bracket representative) of each section generator.
 
-    vars: tuple[GradedVar, ...]
-    n: int
-
-    @staticmethod
-    def for_model(spec: ModelSpec) -> "SectionBasis":
-        n = spec.n
-        if n == 2:
-            vars_ = tuple(spec.vars_of("B1"))
-        elif n == 3 and spec.cs_block is not None:
-            vars_ = tuple(spec.vars_of("A1"))
-        elif n == 3:
-            vars_ = tuple(spec.vars_of("A1")) + tuple(spec.vars_of("B1"))
-        else:
-            raise ModelError("section bases are defined for the n=2 and n=3 models")
-        for v in vars_:
-            if v.degree != 1:
-                raise ValueError("section generator %s has unexpected degree" % (v,))
-        return SectionBasis(vars_, n)
-
-    def representatives(self) -> list[tuple[str, Expr]]:
-        """(label, derived-bracket representative) pairs.
-
-        For n=2 the representative of the section generator B_{1 i} is the
-        potential phi^i; for n=3 it is the variable itself.
-        """
-        out = []
-        for v in self.vars:
-            if self.n == 2:
-                out.append(("dphi%d" % v.index, Expr.base(v.index)))
-            else:
-                out.append((str(v), Expr.var(v)))
-        return out
+    For n=2 the representative of the section generator B_{1 i} is the
+    potential phi^i; for n=3 the generators are the degree-1 fiber
+    variables (A1, and B1 unless the model has a cs block), each its own
+    representative.
+    """
+    if spec.n == 2:
+        return [("dphi%d" % v.index, Expr.base(v.index)) for v in spec.vars_of("B1")]
+    if spec.n != 3:
+        raise ModelError("section bases are defined for the n=2 and n=3 models")
+    labels = ("A1",) if spec.cs_block is not None else ("A1", "B1")
+    return [(str(v), Expr.var(v)) for label in labels for v in spec.vars_of(label)]
 
 
 def derived_bracket(p: PStructure, q: Hamiltonian, e1: Expr, e2: Expr) -> Expr:
@@ -98,9 +75,9 @@ def d_op(p: PStructure, q: Hamiltonian, f: Expr) -> Expr:
 # -- symbolic operation tables ------------------------------------------------
 
 
-def operation_table(p: PStructure, s1: Action, basis: SectionBasis):
+def operation_table(p: PStructure, s1: Action):
     """Evaluate o, <,> and rho on the whole basis with symbols opaque."""
-    reps = basis.representatives()
+    reps = section_representatives(p.spec)
     rows = []
     q = Hamiltonian(s1.expr)
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
@@ -148,16 +125,16 @@ class AxiomReport:
                 self.witnesses.append("%s: %s" % (name, witness))
 
 
-def check_courant(p: PStructure, s1: Action, data: StructureData, basis: SectionBasis) -> AxiomReport:
+def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport:
     """Verify the five Courant axioms on the basis under substituted data.
 
     Properties taking a base function use the generic F and G, so every
     comparison is an exact polynomial identity, not a sample.  Each derived
     operation is computed once per distinct operand tuple of this call.
     """
+    reps = section_representatives(p.spec)  # refuses an unsupported n first
     q = Hamiltonian(s1.expr.substitute(data))
     rep = AxiomReport(model=p.scope)
-    reps = basis.representatives()
     pairs = list(itertools.product(reps, reps))
     triples = list(itertools.product(reps, reps, reps))
     circ = functools.cache(lambda x, y: derived_bracket(p, q, x, y))
@@ -219,7 +196,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData, basis: Section
     return rep
 
 
-def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData, basis: SectionBasis) -> AxiomReport:
+def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> AxiomReport:
     """Verify the Lie algebroid axioms of the n=2 model under data.
 
     The bracket of exact sections is the derived bracket on potentials,
@@ -232,7 +209,7 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData, basis: S
     rep = AxiomReport(model=p.scope)
     base = range(1, p.spec.d + 1)
     pb = functools.cache(lambda f, g: derived_bracket(p, q, f, g))
-    pairs = list(itertools.product(basis.representatives(), repeat=2))
+    pairs = list(itertools.product(section_representatives(p.spec), repeat=2))
 
     # Antisymmetry on basis pairs, then on generic potentials.
     def antisymmetry():
@@ -297,8 +274,8 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData, basis: S
     return rep
 
 
-def check_algebroid(p: PStructure, s1: Action, data: StructureData, basis: SectionBasis) -> AxiomReport:
+def check_algebroid(p: PStructure, s1: Action, data: StructureData) -> AxiomReport:
     """Dispatch to the Lie (n=2) or Courant (n=3) axiom checker."""
-    if basis.n == 2:
-        return check_lie_algebroid(p, s1, data, basis)
-    return check_courant(p, s1, data, basis)
+    if p.n == 2:
+        return check_lie_algebroid(p, s1, data)
+    return check_courant(p, s1, data)

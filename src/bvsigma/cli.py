@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .algebroid import SectionBasis, check_algebroid, operation_table
+from .algebroid import check_algebroid, operation_table
 from .master import (
     EQUAL,
     N2_JACOBI,
@@ -77,7 +77,7 @@ class SystemExit2(Exception):
 
 
 def _cmd_check_bv(mf: ModelFile, args) -> int:
-    p = PStructure.from_model(mf.spec)
+    p = PStructure(mf.spec)
     rep = check_bv_identities(p, trials=args.trials, seed=args.seed)
     details = ["%s: %s" % (law, "ok" if ok else "FAILED") for law, ok in sorted(rep.results.items())]
     details += ["note: %s" % note for note in rep.notes]
@@ -86,7 +86,7 @@ def _cmd_check_bv(mf: ModelFile, args) -> int:
 
 def _cmd_check_master(mf: ModelFile, args) -> int:
     _require_data(mf, "check-master")
-    p = PStructure.from_model(mf.spec)
+    p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
     rep = verify_structure_data(p, s1, mf.data)
     details = ["(S1,S1) after substitution %s" % ("vanishes" if rep.passed else "does not vanish")]
@@ -96,7 +96,7 @@ def _cmd_check_master(mf: ModelFile, args) -> int:
 
 def _cmd_verify_data(mf: ModelFile, args) -> int:
     _require_data(mf, "verify-data")
-    p = PStructure.from_model(mf.spec)
+    p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
     idents = extract_identities(p, s1)
     details, witnesses = [], []
@@ -112,7 +112,7 @@ def _cmd_verify_data(mf: ModelFile, args) -> int:
 
 
 def _cmd_extract(mf: ModelFile, args) -> int:
-    p = PStructure.from_model(mf.spec)
+    p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
     idents = extract_identities(p, s1)
     memo: dict = {}  # one string per coefficient symbol of the report
@@ -131,7 +131,7 @@ def _paper_family(spec: ModelSpec) -> str:
 
 
 def _cmd_compare(mf: ModelFile, args) -> int:
-    p = PStructure.from_model(mf.spec)
+    p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
     ours = extract_identities(p, s1)
     if args.against == "paper":
@@ -140,7 +140,7 @@ def _cmd_compare(mf: ModelFile, args) -> int:
     else:
         with open(args.against, "r", encoding="utf-8") as fh:
             other = parse_model(fh.read())
-        theirs = extract_identities(PStructure.from_model(other.spec), build_S1_generic(other.spec))
+        theirs = extract_identities(PStructure(other.spec), build_S1_generic(other.spec))
         label = args.against
     cmp = compare_identity_spans(ours, theirs)
     details = [
@@ -154,21 +154,16 @@ def _cmd_compare(mf: ModelFile, args) -> int:
 
 def _cmd_check_algebroid(mf: ModelFile, args) -> int:
     _require_data(mf, "check-algebroid")
-    p = PStructure.from_model(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    basis = SectionBasis.for_model(mf.spec)
-    rep = check_algebroid(p, s1, mf.data, basis)
+    p = PStructure(mf.spec)
+    rep = check_algebroid(p, build_S1_generic(mf.spec), mf.data)
     details = ["%s: %s" % (name, "ok" if ok else "FAILED") for name, ok in rep.checks]
     return _report("check-algebroid", mf.spec, rep.passed, details, rep.witnesses, args.format)
 
 
 def _cmd_derived_table(mf: ModelFile, args) -> int:
-    p = PStructure.from_model(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    basis = SectionBasis.for_model(mf.spec)
-    rows = operation_table(p, s1, basis)
+    p = PStructure(mf.spec)
     details, memo = [], {}
-    for op, left, right, expr in rows:
+    for op, left, right, expr in operation_table(p, build_S1_generic(mf.spec)):
         expr = expr.render(memo)
         if op == "circ":
             details.append("%s o %s = %s" % (left, right, expr))
@@ -180,7 +175,7 @@ def _cmd_derived_table(mf: ModelFile, args) -> int:
 
 
 def _cmd_laplacian(mf: ModelFile, args) -> int:
-    p = PStructure.from_model(mf.spec)
+    p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
     expr = s1.expr
     if mf.data is not None:
@@ -202,7 +197,7 @@ def _cmd_theorem1(mf: ModelFile, args) -> int:
             fc = component_exprs(n, "F", pf)
             gc = component_exprs(n, "G", pg)
             total = theorem1_sum(n, fc, gc)
-            t, w = theorem1_witness(n, fc, gc, with_d_preimage=True)
+            t, w = theorem1_witness(n, fc, gc)
             exact = (total - t.delta0() - w.d()).is_zero()
             reduced = integrate(total - t.delta0()).is_zero()
             ok = exact and reduced

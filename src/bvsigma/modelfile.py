@@ -34,7 +34,6 @@ from .models import (
     ModelError,
     ModelSpec,
     StructureData,
-    ansatz_families,
 )
 from .symalg import ANTISYM, SYM, CPoly
 
@@ -284,10 +283,9 @@ def parse_model(text: str) -> ModelFile:
             where = model["cs_rank"][0]
         raise ParseError(str(exc), where)
 
-    families = {f.name: f for f in ansatz_families(spec)}
-
+    data = StructureData(spec)
     for lineno, name, kind in symmetry_lines:
-        fam = families.get(name)
+        fam = data.families.get(name)
         if fam is None:
             raise ParseError("unknown symbol family %r" % name, lineno)
         parts = kind.split()
@@ -306,16 +304,13 @@ def parse_model(text: str) -> ModelFile:
                 lineno,
             )
 
-    data = None
-    if data_lines:
-        data = StructureData(spec, list(families.values()))
-        for lineno, name, lower, upper, poly_text in data_lines:
-            poly = parse_poly(poly_text, lineno)
-            try:
-                data.assign(name, lower, upper, poly)
-            except (ModelError, KeyError) as exc:
-                raise ParseError(str(exc), lineno)
-    return ModelFile(spec, data)
+    for lineno, name, lower, upper, poly_text in data_lines:
+        poly = parse_poly(poly_text, lineno)
+        try:
+            data.assign(name, lower, upper, poly)
+        except (ModelError, KeyError) as exc:
+            raise ParseError(str(exc), lineno)
+    return ModelFile(spec, data if data_lines else None)
 
 
 def print_model(mf: ModelFile) -> str:

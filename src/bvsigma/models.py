@@ -189,10 +189,6 @@ class ModelSpec:
             bits.append("cs r%d" % self.cs_block.rank)
         return ";".join(bits)
 
-    def nontrivial_deformation_expected(self) -> bool:
-        """n=1 admits no nontrivial deformation; flagged, not rejected."""
-        return self.n > 1
-
 
 @dataclass(frozen=True)
 class Action:
@@ -306,28 +302,6 @@ def build_S1_generic(spec: ModelSpec) -> Action:
     return Action(Expr(terms, scope), spec.n)
 
 
-@dataclass
-class DegreeReport:
-    declared: int
-    violations: list[tuple[str, int]]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def validate_degree(action: Action, spec: ModelSpec) -> DegreeReport:
-    """Check every monomial of the action has the declared total degree."""
-    from .symalg import monomial_str
-
-    violations = []
-    for m in sorted(action.expr.terms):
-        deg = sum(v.degree for v in m)
-        if deg != action.total_degree:
-            violations.append((monomial_str(m), deg))
-    return DegreeReport(action.total_degree, violations)
-
-
 # -- structure data ------------------------------------------------------------
 
 
@@ -340,14 +314,10 @@ class StructureData:
     or index combination has no assignment raises MissingSymbolError.
     """
 
-    def __init__(self, spec: ModelSpec, families: Sequence[FamilyDecl]):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.families = {f.name: f for f in families}
+        self.families = {f.name: f for f in ansatz_families(spec)}
         self.values: dict[tuple[str, tuple[int, ...], tuple[int, ...]], CPoly] = {}
-
-    @staticmethod
-    def for_model(spec: ModelSpec) -> "StructureData":
-        return StructureData(spec, ansatz_families(spec))
 
     def assign(self, name: str, lower: Sequence[int], upper: Sequence[int], poly: CPoly):
         fam = self.families.get(name)

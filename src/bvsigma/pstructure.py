@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
-from .models import DarbouxPair, ModelError, ModelSpec, SelfPair
-from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact
+from .models import ModelError, ModelSpec
+from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact, monomial_str
 
 
 class PStructure:
@@ -55,17 +55,6 @@ class PStructure:
             )
         self._darboux_rows, self._rows, self._square_rows = self._conjugate_tables()
 
-    @classmethod
-    def from_model(cls, spec: ModelSpec) -> "PStructure":
-        return cls(spec)
-
-    # -- variables ---------------------------------------------------------
-    def pair_vars(self, pair: DarbouxPair):
-        return zip(self.spec.vars_of(pair.a_block), self.spec.vars_of(pair.b_block))
-
-    def self_vars(self, sp: SelfPair) -> list[GradedVar]:
-        return self.spec.vars_of(sp.block)
-
     def _conjugate_tables(self):
         """The partners of each variable in the bracket sum, in summation
         order: rows (v, j, partners) with partners ((w, jw, k), ...), so
@@ -74,18 +63,18 @@ class PStructure:
         Returns the Darboux rows alone, the Darboux plus self-block rows, and
         the square rows of (F,F) (see :meth:`bracket`): half of them, doubled.
         """
-        n = self.n
+        n, vars_of = self.n, self.spec.vars_of
         darboux, square = [], []
         for pair in self.pairs:
             sign = -1 if (n * pair.p) % 2 == 0 else 1  # t2 carries -(-1)^(n p)
-            for av, bv in self.pair_vars(pair):
+            for av, bv in zip(vars_of(pair.a_block), vars_of(pair.b_block)):
                 ja = av.index if av.block == BASE_BLOCK else 0
                 darboux.append((av, ja, ((bv, 0, 1),)))
                 darboux.append((bv, 0, ((av, ja, sign),)))
                 square.append((av, ja, ((bv, 0, 2),)))
         full = list(darboux)
         for sp in self.self_pairs:
-            vs = self.self_vars(sp)
+            vs = vars_of(sp.block)
             for a, va in enumerate(vs):
                 partners = tuple((vb, 0, k) for vb, k in zip(vs, sp.metric[a]) if k)
                 if partners:
@@ -163,9 +152,10 @@ class PStructure:
         for odd A and symmetric k.
         """
         acc: dict = {}
+        vars_of = self.spec.vars_of
         for pair in self.pairs:
             neg = pair.p % 2 == 1
-            for av, bv in self.pair_vars(pair):
+            for av, bv in zip(vars_of(pair.a_block), vars_of(pair.b_block)):
                 for m, c in f.left_deriv(bv).left_deriv(av).terms.items():
                     accumulate(acc, m, -c if neg else c)
         return Expr._of(acc, f.scope)
@@ -299,10 +289,6 @@ class BvReport:
     def passed(self) -> bool:
         return all(self.results.values())
 
-    @property
-    def bracket_laws_passed(self) -> bool:
-        return all(self.results[l] for l in BRACKET_LAWS)
-
 
 def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -> BvReport:
     """Randomized exact check of the four antibracket laws, the
@@ -314,9 +300,11 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
     cannot hold at all: the degree -n+1 bracket is then graded-antisymmetric
     while the Leibniz defect of the even operator Delta is graded-symmetric.
     The check still runs and reports the failure; see the report notes.
-    When 2(n-1) exceeds the largest random operand degree, Delta^2 F
-    vanishes by degree alone, so Delta^2 = 0 passes without being
-    exercised; a report note says so.
+    Delta^2 lowers degree by 2(n-1), past the largest random operand degree
+    from n=5 on; each degree k beyond it, up to 2(n-1), is checked on one
+    generic operand sum_i u[i;] m_i over the fiber monomials m_i of degree
+    k, whose fresh coefficients u have free base jets, so it stands for
+    every operand of degree k.
     """
     n = pstruct.n
     gen = RandomExprs(pstruct, seed)
@@ -330,6 +318,12 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
 
     br = pstruct.bracket
     lap = pstruct.laplacian
+    for k in range(max(gen.degrees, default=0) + 1, 2 * (n - 1) + 1):
+        monos = _monomials_of_degree(pstruct, k, max_len=k)
+        u = Expr({m: CPoly.symbol(CoeffSymbol("u", (i,))) for i, m in enumerate(monos)})
+        bad = {s.lower[0] for s in lap(lap(u)).symbols()}
+        if bad:
+            fail(LAPLACIAN_LAWS[1], "degree %d: Delta^2(u*%s) != 0" % (k, monomial_str(monos[min(bad)])))
     for trial in range(trials):
         f, fd = gen.homogeneous()
         g, gd = gen.homogeneous()
@@ -383,13 +377,6 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
             "Delta-Leibniz cannot hold for odd n at target level: the bracket "
             "is graded-antisymmetric there while any second-order Leibniz "
             "defect is graded-symmetric"
-        )
-    top = max(gen.degrees, default=0)
-    if 2 * (n - 1) > top:
-        report.notes.append(
-            "Delta^2 = 0 not exercised (Delta^2 lowers degree by 2(n-1) = %d, "
-            "more than the largest random operand degree %d, so it vanishes "
-            "on every operand by degree alone)" % (2 * (n - 1), top)
         )
     if pstruct.self_pairs:
         report.notes.append(

@@ -296,18 +296,6 @@ class CPoly(SparseSum):
                 accumulate(acc, (new, base), v)
         return CPoly._of(acc)
 
-    def evaluate(self, sym_values: Mapping[CoeffSymbol, Rat], base_values: Mapping[int, Rat]) -> Rat:
-        """Exact value at a rational point; raises KeyError for an unknown symbol."""
-        total = Fraction(0)
-        for (syms, base), v in self.terms.items():
-            val = v
-            for sym in syms:
-                val *= sym_values[sym]
-            for j, p in base:
-                val *= base_values[j] ** p
-            total += val
-        return total
-
     def symbols(self) -> set[CoeffSymbol]:
         out: set[CoeffSymbol] = set()
         for (syms, _), _v in self.terms.items():
@@ -418,10 +406,6 @@ class Expr(SparseSum):
     @staticmethod
     def scalar(c, scope: Optional[str] = None) -> "Expr":
         return Expr({(): CPoly.scalar(c)}, scope)
-
-    @staticmethod
-    def from_cpoly(c: CPoly, scope: Optional[str] = None) -> "Expr":
-        return Expr({(): c}, scope)
 
     @staticmethod
     def var(v: GradedVar, scope: Optional[str] = None) -> "Expr":

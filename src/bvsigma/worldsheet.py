@@ -335,9 +335,8 @@ def theorem1_witness(
     n: int,
     f_comps: Sequence[DgaExpr],
     g_comps: Sequence[DgaExpr],
-    with_d_preimage: bool = False,
-):
-    """T with integral(sum_p F_{n-p-1} dG_p) = integral(delta0 T).
+) -> tuple[DgaExpr, DgaExpr]:
+    """(T, W) with integral(sum_p F_{n-p-1} dG_p) = integral(delta0 T).
 
     Adjacent components telescope: each difference
     F_{n-q-1} dG_q - F_{n-q-2} dG_{q+1} is delta0-exact up to an exact
@@ -346,7 +345,7 @@ def theorem1_witness(
 
         sum - delta0(T) - d(W) = 0
 
-    holds on the nose in the free algebra, with W returned on request.
+    holds on the nose in the free algebra.
     Components violating the descent relations raise
     ComponentRelationError.
     """
@@ -358,9 +357,7 @@ def theorem1_witness(
     for q in range(n - 1):
         t = t + (f_comps[n - q - 1] * g_comps[q + 1]).scale((q + 1) * sgn)
         w = w - (f_comps[n - q - 2] * g_comps[q + 1]).scale((q + 1) * sgn)
-    if with_d_preimage:
-        return t, w
-    return t
+    return t, w
 
 
 # -- first order of the master equation ----------------------------------------------

@@ -36,7 +36,7 @@ def sym_expr(spec, name, lower=(), upper=(), deriv=(), coeff=1):
     sign, sym = make_symbol(name, lower, upper, deriv, fams[name].groups)
     if sym is None:
         return Expr.zero()
-    return Expr.from_cpoly(CPoly.symbol(sym, Fraction(coeff) * sign))
+    return Expr({(): CPoly.symbol(sym, Fraction(coeff) * sign)})
 
 
 def fill_zero(data, spec, names):
@@ -59,7 +59,7 @@ def fill_zero(data, spec, names):
 
 
 def so3_data():
-    data = StructureData.for_model(n2_spec())
+    data = StructureData(n2_spec())
     data.assign("f1", (), (1, 2), CPoly.base(3))
     data.assign("f1", (), (1, 3), CPoly.base(2).scale(-1))
     data.assign("f1", (), (2, 3), CPoly.base(1))
@@ -67,7 +67,7 @@ def so3_data():
 
 
 def quadratic_poisson_data():
-    data = StructureData.for_model(n2_spec())
+    data = StructureData(n2_spec())
     data.assign("f1", (), (1, 2), CPoly.base(3) * CPoly.base(3))
     data.assign("f1", (), (1, 3), CPoly.zero())
     data.assign("f1", (), (2, 3), CPoly.zero())
@@ -75,11 +75,11 @@ def quadratic_poisson_data():
 
 
 def zero_n2_data():
-    return fill_zero(StructureData.for_model(n2_spec()), n2_spec(), ["f1"])
+    return fill_zero(StructureData(n2_spec()), n2_spec(), ["f1"])
 
 
 def bad_bivector_data():
-    data = StructureData.for_model(n2_spec())
+    data = StructureData(n2_spec())
     data.assign("f1", (), (1, 2), CPoly.base(1))
     data.assign("f1", (), (1, 3), CPoly.zero())
     data.assign("f1", (), (2, 3), CPoly.base(2))
@@ -91,7 +91,7 @@ def bad_bivector_data():
 
 def exact_courant_data():
     spec = n3_spec()
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     for a in (1, 2):
         for i in (1, 2):
             data.assign("f2", (), (a, i), CPoly.scalar(-1 if a == i else 0))
@@ -100,14 +100,14 @@ def exact_courant_data():
 
 def e_star_lie_data():
     spec = n3_spec()
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f4", (1, 2), (1,), CPoly.scalar(1))
     return fill_zero(data, spec, ["f1", "f2", "f4", "f5"])
 
 
 def perturbed_courant_data():
     spec = n3_spec()
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     for a in (1, 2):
         for i in (1, 2):
             data.assign("f2", (), (a, i), CPoly.scalar(-1 if a == i else 0))
@@ -116,7 +116,7 @@ def perturbed_courant_data():
 
 
 def zero_n3_data():
-    return fill_zero(StructureData.for_model(n3_spec()), n3_spec(), ["f1", "f2", "f4", "f5"])
+    return fill_zero(StructureData(n3_spec()), n3_spec(), ["f1", "f2", "f4", "f5"])
 
 
 # -- exact Courant algebroids of rank d >= 3 -----------------------------------------
@@ -131,7 +131,7 @@ def twisted_courant_data(d, family, value):
     tangent directions, ``family`` (f3 or f6) set to ``value`` on the slots
     (1,2,3) and every other component zero."""
     spec = courant_spec(d)
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     for a in range(1, d + 1):
         for i in range(1, d + 1):
             data.assign("f2", (), (a, i), CPoly.scalar(-1 if a == i else 0))
@@ -144,19 +144,19 @@ def twisted_courant_data(d, family, value):
 
 
 def su2_data(spec):
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f2", (1, 2, 3), (), CPoly.scalar(1))
     return fill_zero(data, spec, ["f1", "f2"])
 
 
 def non_jacobi_cs_data(spec):
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f2", (1, 2, 3), (), CPoly.scalar(1))
     data.assign("f2", (1, 4, 5), (), CPoly.scalar(1))
     return fill_zero(data, spec, ["f1", "f2"])
 
 
 def anchored_cs_data(spec):
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f1", (1,), (1,), CPoly.scalar(1))
     return fill_zero(data, spec, ["f1", "f2"])

@@ -33,7 +33,7 @@ from corpus import (
 )
 
 from bvsigma import cli
-from bvsigma.algebroid import SectionBasis, check_courant, check_lie_algebroid, operation_table
+from bvsigma.algebroid import check_courant, check_lie_algebroid, operation_table
 from bvsigma.grading import GradedVar
 from bvsigma.master import (
     EQUAL,
@@ -58,7 +58,6 @@ from bvsigma.pstructure import (
     BRACKET_LAWS,
     LAPLACIAN_LAWS,
     PStructure,
-    RandomExprs,
     check_bv_identities,
 )
 from bvsigma.symalg import Expr
@@ -93,7 +92,7 @@ def bv_report(name):
     BRACKET_FAMILIES entry.  Criteria 1 and 9 read the same seven reports,
     so each is computed once per test run; no test changes a report."""
     spec = dict(BRACKET_FAMILIES)[name]
-    return check_bv_identities(PStructure.from_model(spec), trials=TRIALS, seed=0)
+    return check_bv_identities(PStructure(spec), trials=TRIALS, seed=0)
 
 
 def conclude(number, description, ok, detail=""):
@@ -150,7 +149,7 @@ def _engine_to_oracle(expr, var_ids, d):
 
 def test_criterion_03_n2_identity_recovery():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     okay = []
 
@@ -251,7 +250,7 @@ def antibracket_full_ids(alg, n, base_pairs, fiber_pairs, self_blocks, s1):
 
 def test_criterion_04_n3_bf_identity_recovery():
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     okay = []
 
@@ -313,19 +312,19 @@ def _oracle_cs_expansion(spec, data):
 def test_criterion_05_n3_cs_identity_recovery():
     okay = []
     spec2 = cs_spec(rank=2)
-    p2 = PStructure.from_model(spec2)
+    p2 = PStructure(spec2)
     extracted = extract_identities(p2, build_S1_generic(spec2))
     transcribed = transcribe_paper_identities(N3_CS, spec2)
     okay.append(compare_identity_spans(extracted, transcribed).relation == EQUAL)
 
     spec3 = cs_spec(rank=3)
-    p3 = PStructure.from_model(spec3)
+    p3 = PStructure(spec3)
     s13 = build_S1_generic(spec3)
     good = su2_data(spec3)
     okay.append(verify_structure_data(p3, s13, good).passed)
 
     spec5 = cs_spec(rank=5)
-    p5 = PStructure.from_model(spec5)
+    p5 = PStructure(spec5)
     s15 = build_S1_generic(spec5)
     bad = non_jacobi_cs_data(spec5)
     okay.append(not verify_structure_data(p5, s15, bad).passed)
@@ -342,7 +341,7 @@ def test_criterion_05_n3_cs_identity_recovery():
         for i in (1, 2):
             ids[GradedVar("B2", 2, i)] = r + i - 1
         _, expansion = _oracle_cs_expansion(spec, data)
-        p = PStructure.from_model(spec)
+        p = PStructure(spec)
         sub = expand_master(p, s1).substitute(data)
         okay.append(_engine_to_oracle(sub, ids, 2) == expansion)
         okay.append((expansion == {}) == expect_zero)
@@ -353,9 +352,9 @@ def test_criterion_05_n3_cs_identity_recovery():
 def test_criterion_06_derived_bracket_tables():
     okay = []
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1, SectionBasis.for_model(spec))}
+    rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
 
     def A(c):
         return Expr.var(GradedVar("A1", 1, c))
@@ -399,11 +398,11 @@ def test_criterion_06_derived_bracket_tables():
 
     speccs = cs_spec(rank=3)
     k = speccs.cs_block.metric
-    pcs = PStructure.from_model(speccs)
+    pcs = PStructure(speccs)
     s1cs = build_S1_generic(speccs)
     rows = {
         (op, l, r): e
-        for op, l, r, e in operation_table(pcs, s1cs, SectionBasis.for_model(speccs))
+        for op, l, r, e in operation_table(pcs, s1cs)
     }
     for a, b in itertools.product((1, 2, 3), (1, 2, 3)):
         expected = Expr.zero()
@@ -429,33 +428,30 @@ def test_criterion_06_derived_bracket_tables():
 def test_criterion_07_axiom_equivalence_corpus():
     verdicts = []
     spec2 = n2_spec()
-    p2 = PStructure.from_model(spec2)
+    p2 = PStructure(spec2)
     s12 = build_S1_generic(spec2)
-    basis2 = SectionBasis.for_model(spec2)
     for maker in (so3_data, quadratic_poisson_data, zero_n2_data, bad_bivector_data):
         data = maker()
         master_ok = verify_structure_data(p2, s12, data).passed
-        axioms_ok = check_lie_algebroid(p2, s12, data, basis2).passed
+        axioms_ok = check_lie_algebroid(p2, s12, data).passed
         verdicts.append(master_ok == axioms_ok)
 
     spec3 = n3_spec()
-    p3 = PStructure.from_model(spec3)
+    p3 = PStructure(spec3)
     s13 = build_S1_generic(spec3)
-    basis3 = SectionBasis.for_model(spec3)
     for maker in (exact_courant_data, e_star_lie_data, zero_n3_data, perturbed_courant_data):
         data = maker()
         master_ok = verify_structure_data(p3, s13, data).passed
-        axioms_ok = check_courant(p3, s13, data, basis3).passed
+        axioms_ok = check_courant(p3, s13, data).passed
         verdicts.append(master_ok == axioms_ok)
 
     for rank, maker in ((3, su2_data), (5, non_jacobi_cs_data), (2, anchored_cs_data)):
         spec = cs_spec(rank=rank)
-        p = PStructure.from_model(spec)
+        p = PStructure(spec)
         s1 = build_S1_generic(spec)
-        basis = SectionBasis.for_model(spec)
         data = maker(spec)
         master_ok = verify_structure_data(p, s1, data).passed
-        axioms_ok = check_courant(p, s1, data, basis).passed
+        axioms_ok = check_courant(p, s1, data).passed
         verdicts.append(master_ok == axioms_ok)
 
     conclude(7, "master equation passes iff the algebroid axioms pass, full corpus", all(verdicts))
@@ -468,7 +464,7 @@ def test_criterion_08_theorem1_and_first_order():
             f = component_exprs(n, "F", pf)
             g = component_exprs(n, "G", pg)
             total = theorem1_sum(n, f, g)
-            t, w = theorem1_witness(n, f, g, with_d_preimage=True)
+            t, w = theorem1_witness(n, f, g)
             okay.append((total - t.delta0() - w.d()).is_zero())
             okay.append(integrate(total - t.delta0()).is_zero())
     ansatz_specs = [
@@ -535,13 +531,13 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
     so no degree-dependent sign tells (F,G) from (G,F): (F,G) = 1 =
     -(G,F), the Leibniz defect D(F,G) equals D(G,F), and the published
     equation holds for (F,G) and fails for (G,F).  Delta^2 of
-    phi1^2 (B{n-1}_1)^2 is the scalar 4, and the checker's Delta^2 = 0
-    verdict is False wherever its random operands reach degree 2(n-1);
-    where they do not (n=5), the report says Delta^2 = 0 was not exercised.
+    phi1^2 (B{n-1}_1)^2 is the scalar 4, and the checker flags Delta^2 = 0
+    with a witness at every odd n, n=5 included, where 2(n-1) exceeds every
+    random operand degree.
     """
     failures = []
     for name, spec in ODD_FAMILIES:
-        p = PStructure.from_model(spec)
+        p = PStructure(spec)
         n = p.n
         rep = bv_report(name)
 
@@ -570,17 +566,13 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
 
         if p.laplacian(p.laplacian(f * f * g * g)) != Expr.scalar(4):
             failures.append("%s: Delta^2(phi1^2 B^2) != 4" % name)
-        unexercised = any("Delta^2 = 0 not exercised" in note for note in rep.notes)
-        if max(RandomExprs(p, 0).degrees) >= 2 * (n - 1):
-            if rep.results["Delta^2 = 0"] or unexercised:
-                failures.append("%s: Delta^2 = 0 not flagged" % name)
-        elif not unexercised:
-            failures.append("%s: unexercised Delta^2 = 0 not noted" % name)
+        if rep.results["Delta^2 = 0"] or not any(m.startswith("Delta^2 = 0: ") for m in rep.failures):
+            failures.append("%s: Delta^2 = 0 not flagged with a witness" % name)
     conclude(
         "9 (odd-n clause)",
         "Delta-Leibniz flagged with counterexamples and the odd-n note on odd-n "
-        "structures; exact witnesses: (F,G) = -(G,F) with a graded-symmetric "
-        "Leibniz defect, Delta^2(phi1^2 B^2) = 4",
+        "structures, Delta^2 = 0 flagged with a witness; exact witnesses: (F,G) "
+        "= -(G,F) with a graded-symmetric Leibniz defect, Delta^2(phi1^2 B^2) = 4",
         not failures,
         "; ".join(failures),
     )

@@ -7,7 +7,6 @@ import pytest
 
 from bvsigma import algebroid
 from bvsigma.algebroid import (
-    SectionBasis,
     anchor,
     check_algebroid,
     check_courant,
@@ -16,6 +15,7 @@ from bvsigma.algebroid import (
     derived_bracket,
     operation_table,
     pairing,
+    section_representatives,
 )
 from bvsigma.grading import GradedVar
 from bvsigma.master import extract_identities, verify_structure_data
@@ -51,10 +51,9 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "bvsigma" / "examples"
 
 def test_bf_operation_table_matches_published_lines():
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    basis = SectionBasis.for_model(spec)
-    rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1, basis)}
+    rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
     r_range = (1, 2)
 
     def A(c):
@@ -106,10 +105,9 @@ def test_bf_operation_table_matches_published_lines():
 def test_cs_operation_table_matches_published_lines():
     spec = cs_spec(rank=3)
     k = spec.cs_block.metric
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    basis = SectionBasis.for_model(spec)
-    rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1, basis)}
+    rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
     R = (1, 2, 3)
 
     def A(c):
@@ -142,7 +140,7 @@ def test_cs_operation_table_matches_published_lines():
 
 def test_n2_noncommutative_coordinates_and_anchor():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     # [phi^i, phi^j] = -f^{ij}
     for i, j in itertools.combinations((1, 2, 3), 2):
@@ -159,7 +157,7 @@ def test_n2_noncommutative_coordinates_and_anchor():
 
 def test_d_op_lands_in_section_space():
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     img = d_op(p, Hamiltonian(s1.expr), Expr.base(1))
     assert img.homogeneous_degree() == 1
@@ -169,7 +167,7 @@ def test_d_op_lands_in_section_space():
 
 def test_anchor_rejects_fiber_arguments():
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     with pytest.raises(ValueError):
         anchor(p, Hamiltonian(s1.expr), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
@@ -188,12 +186,11 @@ N2_CORPUS = [
 @pytest.mark.parametrize("name,maker,expect", N2_CORPUS, ids=[c[0] for c in N2_CORPUS])
 def test_lie_axioms_iff_master_n2(name, maker, expect):
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     data = maker()
-    basis = SectionBasis.for_model(spec)
     master_ok = verify_structure_data(p, s1, data).passed
-    axioms = check_lie_algebroid(p, s1, data, basis)
+    axioms = check_lie_algebroid(p, s1, data)
     assert master_ok == expect
     assert axioms.passed == expect
     if not expect:
@@ -227,16 +224,15 @@ N3_CORPUS = [
 @pytest.mark.parametrize("name,mkspec,maker,expect", N3_CORPUS, ids=[c[0] for c in N3_CORPUS])
 def test_courant_axioms_iff_master_n3(name, mkspec, maker, expect):
     spec = mkspec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     data = maker()
-    basis = SectionBasis.for_model(spec)
     master_ok = verify_structure_data(p, s1, data).passed
     # verify-data: every extracted identity vanishes under the data.
     identities_ok = all(
         not poly.substitute(data.value_of) for _, poly in extract_identities(p, s1).equations
     )
-    axioms = check_courant(p, s1, data, basis)
+    axioms = check_courant(p, s1, data)
     assert master_ok == expect
     assert identities_ok == expect
     assert axioms.passed == expect
@@ -252,19 +248,18 @@ CS_CORPUS = [
 @pytest.mark.parametrize("name,rank,maker,expect", CS_CORPUS, ids=[c[0] for c in CS_CORPUS])
 def test_courant_axioms_iff_master_cs(name, rank, maker, expect):
     spec = cs_spec(rank=rank)
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     data = maker(spec)
-    basis = SectionBasis.for_model(spec)
     master_ok = verify_structure_data(p, s1, data).passed
-    axioms = check_courant(p, s1, data, basis)
+    axioms = check_courant(p, s1, data)
     assert master_ok == expect
     assert axioms.passed == expect
 
 
 def test_n2_bracket_antisymmetry_on_basis():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     sub = s1.expr.substitute(so3_data())
     for i, j in itertools.product((1, 2, 3), repeat=2):
@@ -279,8 +274,8 @@ def test_n2_bracket_antisymmetry_on_basis():
 def test_bivector_witness_names_the_first_failing_case():
     with open(EXAMPLES / "n2_bivector_fail.model", encoding="utf-8") as fh:
         mf = parse_model(fh.read())
-    p = PStructure.from_model(mf.spec)
-    rep = check_algebroid(p, build_S1_generic(mf.spec), mf.data, SectionBasis.for_model(mf.spec))
+    p = PStructure(mf.spec)
+    rep = check_algebroid(p, build_S1_generic(mf.spec), mf.data)
     assert rep.checks == [
         ("bracket antisymmetry", True),
         ("anchor homomorphism", False),
@@ -290,7 +285,7 @@ def test_bivector_witness_names_the_first_failing_case():
     assert rep.witnesses == ["anchor homomorphism: (dphi1,dphi2)"]
 
 
-def component_anchor_homomorphism(p, s1, data, basis):
+def component_anchor_homomorphism(p, s1, data):
     """The anchor homomorphism compared on vector-field components.
 
     With rho(x)^i = rho(x) phi^i, checks [rho(x1), rho(x2)]^i =
@@ -300,13 +295,13 @@ def component_anchor_homomorphism(p, s1, data, basis):
     """
     q = Hamiltonian(s1.expr.substitute(data))
     base = range(1, p.spec.d + 1)
-    if basis.n == 2:
+    if p.n == 2:
         rho = partial(derived_bracket, p, q)
         scalings = (Expr.scalar(1),)
     else:
         rho = partial(anchor, p, q)
         scalings = (Expr.scalar(1), Expr.symbol(CoeffSymbol("F")))
-    reps = [e for _, e in basis.representatives()]
+    reps = [e for _, e in section_representatives(p.spec)]
     for e1, e2, s in itertools.product(reps, reps, scalings):
         x1 = s * e1
         v1 = [rho(x1, Expr.base(i)) for i in base]
@@ -337,11 +332,10 @@ CORPUS_MODELS = corpus_models()
 
 @pytest.mark.parametrize("name,spec,data", CORPUS_MODELS, ids=[c[0] for c in CORPUS_MODELS])
 def test_anchor_homomorphism_matches_component_route(name, spec, data):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    basis = SectionBasis.for_model(spec)
-    verdict = dict(check_algebroid(p, s1, data, basis).checks)["anchor homomorphism"]
-    assert verdict == component_anchor_homomorphism(p, s1, data, basis)
+    verdict = dict(check_algebroid(p, s1, data).checks)["anchor homomorphism"]
+    assert verdict == component_anchor_homomorphism(p, s1, data)
 
 
 # -- per-check operation tables -------------------------------------------------------
@@ -371,10 +365,10 @@ def count_operation_calls(monkeypatch):
 ], ids=["exact-courant", "so3"])
 def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, maker, checker, ops):
     spec = mkspec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     calls = count_operation_calls(monkeypatch)
-    assert checker(p, s1, maker(), SectionBasis.for_model(spec)).passed
+    assert checker(p, s1, maker()).passed
     for name, seen in calls.items():
         assert bool(seen) == (name in ops), name
         # Compared by value, pairwise, so the check does not lean on the hash.
@@ -383,10 +377,9 @@ def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, maker, c
 
 @pytest.mark.parametrize("name,spec,data", CORPUS_MODELS, ids=[c[0] for c in CORPUS_MODELS])
 def test_operation_tables_match_uncached_checks(monkeypatch, name, spec, data):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    basis = SectionBasis.for_model(spec)
-    cached = check_algebroid(p, s1, data, basis)
+    cached = check_algebroid(p, s1, data)
     monkeypatch.setattr(algebroid, "functools", SimpleNamespace(cache=lambda fn: fn))
-    plain = check_algebroid(p, s1, data, basis)
+    plain = check_algebroid(p, s1, data)
     assert (cached.checks, cached.passed, cached.witnesses) == (plain.checks, plain.passed, plain.witnesses)

@@ -51,7 +51,7 @@ def _build_engine(terms):
             poly = poly * CPoly.base(1, e1)
         if e2:
             poly = poly * CPoly.base(2, e2)
-        part = Expr.from_cpoly(poly)
+        part = Expr({(): poly})
         for v in fibers:
             part = part * Expr.var(v)
         expr = expr + part
@@ -86,7 +86,7 @@ def _engine_to_oracle(expr):
 @given(_expr_strategy(), _expr_strategy())
 def test_bracket_agrees_with_oracle_on_random_inputs(t1, t2):
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     f = _build_engine(t1)
     g = _build_engine(t2)
     engine = _engine_to_oracle(p.bracket(f, g))
@@ -123,7 +123,7 @@ def test_extraction_runs_for_higher_n():
         ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 1),)),
         ModelSpec(n=5, d=1, bf_blocks=(BfBlock(1, 1), BfBlock(2, 1))),
     ):
-        p = PStructure.from_model(spec)
+        p = PStructure(spec)
         idents = extract_identities(p, build_S1_generic(spec))
         assert idents.equations
         tags = [tag for tag, _ in idents.equations]
@@ -132,7 +132,7 @@ def test_extraction_runs_for_higher_n():
 
 def test_span_comparison_detects_a_corrupted_transcription():
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     extracted = extract_identities(p, build_S1_generic(spec))
     transcribed = transcribe_paper_identities(N3_BF, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL

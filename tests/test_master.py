@@ -69,7 +69,7 @@ def cs_spec(rank=2):
 
 
 def so3_data(spec):
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f1", (), (1, 2), CPoly.base(3))
     data.assign("f1", (), (1, 3), CPoly.base(2).scale(-1))
     data.assign("f1", (), (2, 3), CPoly.base(1))
@@ -77,7 +77,7 @@ def so3_data(spec):
 
 
 def bad_bivector_data(spec):
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f1", (), (1, 2), CPoly.base(1))
     data.assign("f1", (), (1, 3), CPoly.zero())
     data.assign("f1", (), (2, 3), CPoly.base(2))
@@ -86,14 +86,14 @@ def bad_bivector_data(spec):
 
 def test_expand_master_of_zero():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     empty = Action(Expr.zero(), 2)
     assert expand_master(p, empty).is_zero()
 
 
 def test_expand_master_degree_is_n_plus_1():
     for spec in (n2_spec(), n3_spec(), cs_spec()):
-        p = PStructure.from_model(spec)
+        p = PStructure(spec)
         s1 = build_S1_generic(spec)
         expanded = expand_master(p, s1)
         assert expanded.homogeneous_degree() == spec.n + 1
@@ -101,7 +101,7 @@ def test_expand_master_degree_is_n_plus_1():
 
 def test_n2_single_identity_class_is_the_jacobiator():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     idents = extract_identities(p, build_S1_generic(spec))
     assert len(idents.equations) == 1
     assert idents.equations[0][0] == "B1_1*B1_2*B1_3"
@@ -119,7 +119,7 @@ def test_n2_single_identity_class_is_the_jacobiator():
     ids=["n2", "n3_bf", "n3_cs"],
 )
 def test_extracted_equals_transcribed_span(spec, family):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     extracted = extract_identities(p, build_S1_generic(spec))
     transcribed = transcribe_paper_identities(family, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL
@@ -127,7 +127,7 @@ def test_extracted_equals_transcribed_span(spec, family):
 
 def test_span_comparison_basics():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     a = extract_identities(p, build_S1_generic(spec))
     same = IdentitySet(a.spec, "copy", list(a.equations))
     assert compare_identity_spans(a, same).relation == EQUAL
@@ -140,9 +140,9 @@ def test_span_comparison_basics():
 
 
 def test_alphabet_mismatch_rejected():
-    a = extract_identities(PStructure.from_model(n2_spec()), build_S1_generic(n2_spec()))
+    a = extract_identities(PStructure(n2_spec()), build_S1_generic(n2_spec()))
     spec = cs_spec()
-    b = extract_identities(PStructure.from_model(spec), build_S1_generic(spec))
+    b = extract_identities(PStructure(spec), build_S1_generic(spec))
     with pytest.raises(ValueError):
         compare_identity_spans(a, b)
 
@@ -179,7 +179,7 @@ def test_distinct_rows_drop_plus_minus_repeats_only():
 
 def test_duplicate_rows_keep_relation_and_witness():
     spec = ModelSpec(n=2, d=4)
-    eqs = [poly for _, poly in extract_identities(PStructure.from_model(spec), build_S1_generic(spec)).equations]
+    eqs = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec)).equations]
     rng = random.Random(12)
     relations = set()
 
@@ -199,7 +199,7 @@ def test_duplicate_rows_keep_relation_and_witness():
 
 def test_span_strict_inclusion_has_witness():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     a = extract_identities(p, build_S1_generic(spec))
     # a plus a second, independent equation
     bigger = IdentitySet(a.spec, "bigger", list(a.equations))
@@ -214,7 +214,7 @@ def test_span_strict_inclusion_has_witness():
 
 def test_so3_data_passes_and_matches_oracle():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     rep = verify_structure_data(p, s1, so3_data(spec))
     assert rep.passed
@@ -231,7 +231,7 @@ def test_so3_data_passes_and_matches_oracle():
 
 def test_failing_bivector_residual_matches_oracle():
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     rep = verify_structure_data(p, s1, bad_bivector_data(spec))
     assert not rep.passed
@@ -251,9 +251,9 @@ def test_failing_bivector_residual_matches_oracle():
 
 def test_zero_data_passes():
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     for a in (1, 2):
         for i in (1, 2):
             data.assign("f1", (a,), (i,), CPoly.zero())
@@ -267,12 +267,12 @@ def test_verify_equivalent_to_identitywise_evaluation():
     # verify_structure_data passes iff every extracted equation vanishes
     # under the data; exercised on passing and failing random data.
     spec = n2_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     idents = extract_identities(p, s1)
     rng = random.Random(5)
     for trial in range(12):
-        data = StructureData.for_model(spec)
+        data = StructureData(spec)
         if trial % 3 == 0:
             polys = {
                 (1, 2): CPoly.base(3),
@@ -323,10 +323,22 @@ def test_so3_satisfies_the_transcribed_identities():
         assert not poly.substitute(data.value_of)
 
 
+def _evaluate(poly, sym_values, base_values):
+    """Exact value of a CPoly at a rational point (KeyError for an unknown symbol)."""
+    total = Fraction(0)
+    for (syms, base), v in poly.terms.items():
+        for sym in syms:
+            v *= sym_values[sym]
+        for j, power in base:
+            v *= base_values[j] ** power
+        total += v
+    return total
+
+
 def test_randomized_soundness_of_span_encoding():
     # evaluating an equation agrees with its sparse-vector representation
     spec = n3_spec()
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     idents = extract_identities(p, build_S1_generic(spec))
     rng = random.Random(11)
     polys = [poly for _, poly in idents.equations]
@@ -343,9 +355,9 @@ def test_randomized_soundness_of_span_encoding():
         sym_values, base_values = random_assignment(polys, spec.d, rng)
         basis_values = {}
         for col, key in enumerate(basis):
-            basis_values[col] = CPoly({key: Fraction(1)}).evaluate(sym_values, base_values)
+            basis_values[col] = _evaluate(CPoly({key: Fraction(1)}), sym_values, base_values)
         for poly, row in zip(polys, rows):
-            direct = poly.evaluate(sym_values, base_values)
+            direct = _evaluate(poly, sym_values, base_values)
             via_vector = sum(v * basis_values[c] for c, v in row.items())
             assert direct == via_vector
 
@@ -644,6 +656,6 @@ def test_unknown_identity_family_is_refused():
 @pytest.mark.parametrize("d,r", [(1, 3), (3, 3), (2, 4)])
 def test_n3_bf_paper_span_at_rank_three_and_up(d, r):
     spec = _bf_spec(d, r)
-    extracted = extract_identities(PStructure.from_model(spec), build_S1_generic(spec))
+    extracted = extract_identities(PStructure(spec), build_S1_generic(spec))
     transcribed = transcribe_paper_identities(N3_BF, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL

@@ -11,7 +11,6 @@ from bvsigma.modelfile import parse_model
 from bvsigma.models import (
     BF,
     CS_BF,
-    Action,
     BfBlock,
     CsBlock,
     ModelError,
@@ -19,7 +18,6 @@ from bvsigma.models import (
     StructureData,
     ansatz_families,
     build_S1_generic,
-    validate_degree,
 )
 from bvsigma.symalg import ANTISYM, LOWER, UPPER, CPoly, Expr, accumulate, make_symbol
 from bvsigma.worldsheet import DgaExpr, kinetic_action_dga, superfield
@@ -60,7 +58,6 @@ def test_blocks_and_degrees():
 
 def test_n1_flagged_with_empty_ansatz():
     spec = ModelSpec(n=1, d=2)
-    assert not spec.nontrivial_deformation_expected()
     assert build_S1_generic(spec).expr.is_zero()
 
 
@@ -109,7 +106,7 @@ def test_n2_ansatz_is_half_f_bb():
     for i in range(1, 4):
         for j in range(i + 1, 4):
             _, sym = make_symbol("f1", (), (i, j), (), group)
-            expected = expected + Expr.from_cpoly(CPoly.symbol(sym)) * Expr.var(
+            expected = expected + Expr({(): CPoly.symbol(sym)}) * Expr.var(
                 GradedVar("B1", 1, i)
             ) * Expr.var(GradedVar("B1", 1, j))
     assert s1.expr == expected
@@ -216,21 +213,21 @@ def test_ansatz_deterministic():
     assert build_S1_generic(spec).expr == build_S1_generic(spec).expr
 
 
-def test_validate_degree():
-    spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    s1 = build_S1_generic(spec)
-    assert validate_degree(s1, spec).passed
-    bad = Action(Expr.var(GradedVar("B1", 1, 1)), 3)
-    rep = validate_degree(bad, spec)
-    assert not rep.passed
-    assert rep.violations == [("B1_1", 1)]
-    ok = Action(build_S1_generic(ModelSpec(n=2, d=3)).expr, 2)
-    assert validate_degree(ok, ModelSpec(n=2, d=3)).passed
+def test_s1_has_total_degree_n():
+    for spec in (
+        ModelSpec(n=2, d=3),
+        ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),)),
+        ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2)),
+        ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))),
+    ):
+        s1 = build_S1_generic(spec)
+        assert s1.total_degree == spec.n
+        assert s1.expr.monomial_degrees() == {spec.n}, spec.fingerprint()
 
 
 def test_structure_data_normalizes_assignments():
     spec = ModelSpec(n=2, d=3)
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f1", (), (2, 1), CPoly.base(3))  # stored as f1[;1,2] = -phi3
     _, sym = make_symbol("f1", (), (1, 2), (), data.families["f1"].groups)
     assert data.value_of(sym) == CPoly.base(3).scale(-1)
@@ -238,7 +235,7 @@ def test_structure_data_normalizes_assignments():
 
 def test_structure_data_conflicts_and_ranges():
     spec = ModelSpec(n=2, d=3)
-    data = StructureData.for_model(spec)
+    data = StructureData(spec)
     data.assign("f1", (), (1, 2), CPoly.base(3))
     with pytest.raises(ModelError):
         data.assign("f1", (), (2, 1), CPoly.base(3))  # conflicts after normalization

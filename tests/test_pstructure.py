@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from bvsigma.pstructure import (
     _monomials_of_degree,
     check_bv_identities,
 )
-from bvsigma.symalg import CPoly, Expr, MixedContextError, make_symbol
+from bvsigma.symalg import CoeffSymbol, CPoly, Expr, MixedContextError, make_symbol, monomial_str
 
 K2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 KOFF = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
@@ -36,7 +37,7 @@ def _structures():
 
 def test_darboux_pairings_n3():
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     a = Expr.var(GradedVar("A1", 1, 1))
     b = Expr.var(GradedVar("B1", 1, 1))
     b2 = Expr.var(GradedVar("B1", 1, 2))
@@ -47,7 +48,7 @@ def test_darboux_pairings_n3():
 
 def test_self_block_pairing_is_k():
     spec = ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, KOFF))
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     a1 = Expr.var(GradedVar("A1", 1, 1))
     a2 = Expr.var(GradedVar("A1", 1, 2))
     assert p.bracket(a1, a2) == Expr.scalar(1)
@@ -64,7 +65,7 @@ def test_self_block_pairing_is_k():
     ids=["bf", "cs"],
 )
 def test_bracket_keeps_scope_and_rejects_mixed_contexts(spec):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     scope = spec.fingerprint()
     a = Expr.var(GradedVar("A1", 1, 1), scope)
     b = Expr.var(GradedVar("B2", 2, 1), scope)
@@ -85,7 +86,7 @@ def test_bracket_keeps_scope_and_rejects_mixed_contexts(spec):
 
 def test_base_functions_bracket_to_zero():
     spec = ModelSpec(n=2, d=3)
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     f = Expr.base(1) * Expr.base(2)
     g = Expr.base(3)
     assert p.bracket(f, g).is_zero()
@@ -94,15 +95,15 @@ def test_base_functions_bracket_to_zero():
 def test_zero_rank_self_block_reduces_to_bf_bracket():
     # block-additivity: an empty self block contributes nothing, so the
     # bracket coincides with the plain cotangent one on every input
-    plain = PStructure.from_model(ModelSpec(n=3, d=2))
-    with_empty = PStructure.from_model(
+    plain = PStructure(ModelSpec(n=3, d=2))
+    with_empty = PStructure(
         ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(0, ()))
     )
     f = Expr.base(1) * Expr.var(GradedVar("B2", 2, 1))
     g = Expr.var(GradedVar("B2", 2, 2)) * Expr.base(2)
     assert plain.bracket(f, g) == with_empty.bracket(f, g)
     rep = check_bv_identities(with_empty, trials=10, seed=2)
-    assert rep.bracket_laws_passed
+    assert all(rep.results[law] for law in BRACKET_LAWS)
 
 
 def test_even_degree_self_block_rejected():
@@ -115,12 +116,12 @@ def test_even_degree_self_block_rejected():
         "compatible with graded antisymmetry (n=5)"
     )
     with pytest.raises(ModelError, match=re.escape(message)):
-        PStructure.from_model(spec)
+        PStructure(spec)
 
 
 def test_bracket_degree_shift():
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     f = Expr.var(GradedVar("A1", 1, 1)) * Expr.var(GradedVar("B2", 2, 1))
     g = Expr.var(GradedVar("B1", 1, 1))
     res = p.bracket(f, g)
@@ -130,7 +131,7 @@ def test_bracket_degree_shift():
 
 @pytest.mark.parametrize("spec", _structures(), ids=lambda s: s.fingerprint())
 def test_bracket_laws_randomized(spec):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     rep = check_bv_identities(p, trials=30, seed=7)
     for law in BRACKET_LAWS:
         assert rep.results[law], rep.failures
@@ -139,7 +140,7 @@ def test_bracket_laws_randomized(spec):
 @pytest.mark.parametrize("n", (2, 4))
 def test_laplacian_suite_even_n(n):
     spec = ModelSpec(n=n, d=2, bf_blocks=(BfBlock(1, 2),) if n > 2 else ())
-    rep = check_bv_identities(PStructure.from_model(spec), trials=30, seed=7)
+    rep = check_bv_identities(PStructure(spec), trials=30, seed=7)
     for law in LAPLACIAN_LAWS:
         assert rep.results[law], rep.failures
 
@@ -149,24 +150,35 @@ def test_laplacian_obstruction_reported_for_odd_n():
     # second-order Leibniz defect is graded-symmetric; the checker must
     # report the failure and explain it.
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    rep = check_bv_identities(PStructure.from_model(spec), trials=30, seed=7)
-    assert rep.bracket_laws_passed
+    rep = check_bv_identities(PStructure(spec), trials=30, seed=7)
+    assert all(rep.results[law] for law in BRACKET_LAWS)
     assert not rep.results["Delta-Leibniz"]
     assert any("odd n" in note for note in rep.notes)
 
 
-@pytest.mark.parametrize("n, noted", ((3, False), (5, True)))
-def test_unexercised_delta_squared_is_noted(n, noted):
-    # Delta^2 lowers degree by 2(n-1): 8 at n=5, above every random operand
-    # degree there, so the law passes by degree alone and must say so; at
-    # n=3 the operands reach degree 4 and the law is really exercised.
-    rep = check_bv_identities(PStructure.from_model(ModelSpec(n=n, d=2)), trials=5, seed=7)
-    assert any("Delta^2 = 0 not exercised" in note for note in rep.notes) == noted
+@pytest.mark.parametrize("n, unexercised", ((3, False), (5, True), (6, True)))
+def test_unexercised_delta_squared_is_noted(n, unexercised):
+    # Delta^2 lowers degree by 2(n-1): 8 at n=5 and 10 at n=6, above every
+    # random operand degree (n+2), where it would pass by degree alone; the
+    # degrees beyond are checked on generic operands.  The law is false at
+    # odd n and true at even n.  At n=3 the random operands reach degree 4.
+    p = PStructure(ModelSpec(n=n, d=2))
+    rep = check_bv_identities(p, trials=5, seed=7)
+    assert rep.results["Delta^2 = 0"] == (n % 2 == 0)
+    generic = [m for m in rep.failures if m.startswith("Delta^2 = 0: degree ")]
+    if unexercised and n % 2:
+        # The first fiber monomial of degree 8, and Delta^2(u*B4_1^2) != 0.
+        assert generic == ["Delta^2 = 0: degree 8: Delta^2(u*B4_1*B4_1) != 0"]
+        b = Expr.var(GradedVar("B4", 4, 1))
+        assert p.laplacian(p.laplacian(Expr.symbol(CoeffSymbol("u")) * b * b))
+    else:
+        assert generic == []
+    assert not any("Delta^2" in note for note in rep.notes)
 
 
 def test_laplacian_examples():
     spec = ModelSpec(n=2, d=3)
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     assert p.laplacian(Expr.base(1)).is_zero()
     # Delta(phi^i B_j) = delta^i_j
     for i in (1, 2):
@@ -181,7 +193,7 @@ def test_laplacian_of_poisson_deformation_is_divergence():
     from bvsigma.models import ansatz_families
 
     spec = ModelSpec(n=2, d=3)
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec)
     fams = {f.name: f for f in ansatz_families(spec)}
 
@@ -189,7 +201,7 @@ def test_laplacian_of_poisson_deformation_is_divergence():
         sign, sym = make_symbol("f1", (), (i, j), deriv, fams["f1"].groups)
         if sym is None:
             return Expr.zero()
-        return Expr.from_cpoly(CPoly.symbol(sym, sign))
+        return Expr({(): CPoly.symbol(sym, sign)})
 
     expected = Expr.zero()
     for i in range(1, 4):
@@ -202,7 +214,7 @@ def test_antisymmetry_law_on_a_specific_pair():
     # (F,G) = -(-1)^((|F|+1-n)(|G|+1-n)) (G,F) with F = B_1, G = B_2, n=2:
     # the shifted parities are even, so the bracket is symmetric here.
     spec = ModelSpec(n=2, d=3)
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     f = Expr.var(GradedVar("B1", 1, 1))
     g = Expr.var(GradedVar("B1", 1, 2))
     assert p.bracket(f, g) == p.bracket(g, f).scale(-((-1) ** ((1 + 1 - 2) * (1 + 1 - 2))))
@@ -262,12 +274,12 @@ PAIRING_SPECS = [
 
 @pytest.mark.parametrize("spec", PAIRING_SPECS, ids=lambda s: s.fingerprint())
 def test_conjugate_tables_match_label_derived_pairs(spec):
-    assert PStructure.from_model(spec)._conjugate_tables() == _reference_conjugate_tables(spec)
+    assert PStructure(spec)._conjugate_tables() == _reference_conjugate_tables(spec)
 
 
 def test_every_block_in_exactly_one_pair():
     spec = ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2))
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     fibers = {v.block for v in p.spec.fiber_vars()}
     assert fibers == {"B2", "A1"}
 
@@ -294,7 +306,7 @@ COEFFICIENTS = ("scalar", "powers", "symbol")
 
 
 def _support_case(spec):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec).expr
     monos = sorted(set(s1.terms) | {(v,) for v in p.spec.fiber_vars()})
     return p, monos, sorted(s1.symbols())
@@ -347,11 +359,11 @@ def _bracket_over_every_variable(p, f, g, self_block=True):
     total = Expr.zero()
     for pair in p.pairs:
         sign = -1 if (p.n * pair.p) % 2 == 0 else 1
-        for av, bv in p.pair_vars(pair):
+        for av, bv in zip(p.spec.vars_of(pair.a_block), p.spec.vars_of(pair.b_block)):
             total = total + f.right_deriv(av) * g.left_deriv(bv)
             total = total + (f.right_deriv(bv) * g.left_deriv(av)).scale(sign)
     for sp in p.self_pairs if self_block else ():
-        vs = p.self_vars(sp)
+        vs = p.spec.vars_of(sp.block)
         for a, va in enumerate(vs):
             for b, vb in enumerate(vs):
                 total = total + (f.right_deriv(va) * g.left_deriv(vb)).scale(sp.metric[a][b])
@@ -393,7 +405,7 @@ def _copy(f):
 
 @pytest.mark.parametrize("spec", SQUARE_SPECS, ids=lambda s: s.fingerprint())
 def test_square_of_s1_matches_sum_over_every_variable(spec):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec).expr
     square = p.bracket(s1, s1)
     assert not square.is_zero()
@@ -460,7 +472,7 @@ def _rows_read(monkeypatch, p, f, g):
 
 @pytest.mark.parametrize("spec", SQUARE_SPECS, ids=lambda s: s.fingerprint())
 def test_square_rows_only_for_one_homogeneous_odd_shifted_operand(spec, monkeypatch):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s1 = build_S1_generic(spec).expr
     assert _rows_read(monkeypatch, p, s1, s1)[0] is p._square_rows
     assert _rows_read(monkeypatch, p, s1, _copy(s1))[0] is p._rows
@@ -492,7 +504,7 @@ def test_support_marks_every_base_index_once_a_symbol_appears():
 
 def test_hamiltonian_takes_each_right_derivative_once_and_only_when_read(monkeypatch):
     spec = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     s = build_S1_generic(spec).expr
     f = Expr.base(1) * Expr.base(3)  # (S,F) pairs F's phi with B2 in S
     a = Expr.var(GradedVar("A1", 1, 2))  # (S,A1_2) reads d_r S/dB1_2 only
@@ -558,7 +570,9 @@ class _ProductCoefficients(RandomExprs):
 def _reference_check_bv(pstruct, trials, seed):
     """The trial loop with one bracket, Laplacian and product call per use
     (15 brackets, 1 Darboux bracket, 6 Laplacians per trial), filling the
-    same report."""
+    same report.  Delta^2 = 0 past the random operand degrees is applied to
+    each single-monomial operand u*m, in canonical order, up to the first
+    failure per degree."""
     n = pstruct.n
     gen = _ProductCoefficients(pstruct, seed)
     report = BvReport(structure=pstruct.scope or "n=%d" % n, trials=trials)
@@ -571,6 +585,21 @@ def _reference_check_bv(pstruct, trials, seed):
 
     br = pstruct.bracket
     lap = pstruct.laplacian
+    fibers = pstruct.spec.fiber_vars()
+    for k in range(max(gen.degrees) + 1, 2 * (n - 1) + 1):
+        monos = sorted(
+            m
+            for size in range(1, k + 1)
+            for m in itertools.combinations_with_replacement(fibers, size)
+            if sum(v.degree for v in m) == k and not any(a == b and a.parity for a, b in zip(m, m[1:]))
+        )
+        for m in monos:
+            f = Expr.symbol(CoeffSymbol("u"))
+            for v in m:
+                f = f * Expr.var(v)
+            if lap(lap(f)):
+                fail(LAPLACIAN_LAWS[1], "degree %d: Delta^2(u*%s) != 0" % (k, monomial_str(m)))
+                break
     for trial in range(trials):
         f, fd = gen.homogeneous()
         g, gd = gen.homogeneous()
@@ -612,13 +641,6 @@ def _reference_check_bv(pstruct, trials, seed):
             "is graded-antisymmetric there while any second-order Leibniz "
             "defect is graded-symmetric"
         )
-    top = max(gen.degrees, default=0)
-    if 2 * (n - 1) > top:
-        report.notes.append(
-            "Delta^2 = 0 not exercised (Delta^2 lowers degree by 2(n-1) = %d, "
-            "more than the largest random operand degree %d, so it vanishes "
-            "on every operand by degree alone)" % (2 * (n - 1), top)
-        )
     if pstruct.self_pairs:
         report.notes.append(
             "Delta-Leibniz compared against the Darboux sector; the self-block "
@@ -631,7 +653,7 @@ def _reference_check_bv(pstruct, trials, seed):
 @pytest.mark.parametrize("spec", CRITERION_9_FAMILIES, ids=lambda s: s.fingerprint())
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_check_bv_matches_one_call_per_use_reference(spec, seed):
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     rep = check_bv_identities(p, trials=12, seed=seed)
     ref = _reference_check_bv(p, trials=12, seed=seed)
     assert (rep.structure, rep.trials) == (ref.structure, ref.trials)
@@ -645,7 +667,7 @@ def test_check_bv_matches_one_call_per_use_reference(spec, seed):
 def test_check_bv_computes_each_trial_value_once(monkeypatch):
     trials = 7
     spec = ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),))
-    p = PStructure.from_model(spec)
+    p = PStructure(spec)
     calls = {"bracket": 0, "bracket_darboux": 0, "laplacian": 0}
     for name in calls:
         orig = getattr(PStructure, name)

@@ -123,7 +123,7 @@ def test_theorem1_witness_identity(n):
         f = component_exprs(n, "F", pf)
         g = component_exprs(n, "G", pg)
         total = theorem1_sum(n, f, g)
-        t, w = theorem1_witness(n, f, g, with_d_preimage=True)
+        t, w = theorem1_witness(n, f, g)
         assert (total - t.delta0() - w.d()).is_zero()
         assert integrate(total - t.delta0()).is_zero()
 
@@ -145,8 +145,8 @@ def test_theorem1_single_terms_are_exact(n=4):
 def test_theorem1_zero_components():
     n = 3
     zero = [DgaExpr.zero(n) for _ in range(n + 1)]
-    t = theorem1_witness(n, zero, zero)
-    assert t.is_zero()
+    t, w = theorem1_witness(n, zero, zero)
+    assert t.is_zero() and w.is_zero()
 
 
 def test_theorem1_rejects_bad_components():
