@@ -49,16 +49,34 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     because an odd variable appears twice.  Works on any items with an
     order and a ``parity``: its two users are the target's graded
     variables and the worldsheet's component fields (``worldsheet``
-    derivations sort a monomial with one generator replaced).  A fold of
-    :func:`merge_monomials`, one item at a time.
+    derivations sort a monomial with one generator replaced).  A merge
+    sort on :func:`merge_monomials` (see :func:`_sort_run`).
     """
-    sign, out = 1, ()
-    for v in vars_:
-        s, out = merge_monomials(out, (v,))
-        if not s:
-            return 0, ()
-        sign *= s
-    return sign, out
+    return _sort_run(tuple(vars_))
+
+
+def _sort_run(items: tuple) -> tuple[int, tuple]:
+    """:func:`sort_monomial` of a tuple.  A run already in order is
+    returned as it is, sign 1 (0 on an odd repeat); otherwise each half is
+    sorted by this helper and the two are merged by
+    :func:`merge_monomials`, which gives every sign."""
+    prev = None
+    for v in items:
+        if prev is not None:
+            if v < prev:
+                break
+            if v == prev and v.parity:
+                return 0, ()
+        prev = v
+    else:
+        return 1, items
+    mid = len(items) // 2
+    s1, left = _sort_run(items[:mid])
+    s2, right = _sort_run(items[mid:]) if s1 else (0, ())
+    if not s2:
+        return 0, ()
+    s, out = merge_monomials(left, right)
+    return s1 * s2 * s, out
 
 
 def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
@@ -70,7 +88,7 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     for: a canonical monomial has none.  The one place a Koszul sign is
     computed; its three users are ``symalg.Expr`` products of graded
     variables, ``worldsheet.DgaExpr`` products of component fields and
-    :func:`sort_monomial`, which folds it over one item at a time.
+    :func:`sort_monomial`, which merges sorted halves with it.
     """
     if not left or not right or not right[0] < left[-1]:
         # Already in order; only the meeting items can repeat.

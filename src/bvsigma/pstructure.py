@@ -20,10 +20,12 @@ equation, sums half the table doubled: each pair's part is graded-
 antisymmetric alone, T_A(F,G) = -(-1)^(f~ g~) T_B(G,F) with shifted degrees
 f~ = |F|+1-n, g~ = |G|+1-n, and k is symmetric, so on (S,S) each B half
 repeats its A half and each self-block (a,b) term the (b,a) one.  The
-partners of each variable come from a table built once per structure, and a
-fixed S bracketed many times, as in the derived brackets of ``algebroid`` or
-the operands of one ``check_bv_identities`` trial, is wrapped once in a
-:class:`Hamiltonian`, which keeps each right derivative a bracket reads.
+partners of each variable come from a table built once per structure.  An
+operand that enters many brackets, as the fixed S of the derived brackets of
+``algebroid`` or F, G and H of one ``check_bv_identities`` trial, is wrapped
+once in a :class:`Hamiltonian`, which keeps each right and left derivative
+a bracket or the Laplacian reads; either bracket side may be wrapped.  The
+Laplacian, too, takes only the pairs its operand's support holds.
 """
 
 from __future__ import annotations
@@ -86,46 +88,49 @@ class PStructure:
         return tuple(darboux), tuple(full), tuple(square)
 
     # -- the bracket ----------------------------------------------------------
-    def bracket_darboux(self, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
+    def bracket_darboux(self, f: Operand, g: Operand) -> Expr:
         """The Darboux-pair part of the bracket, without self-block terms.
 
         This is exactly the bracket generated by the BV Laplacian; for an
         odd self-paired block the k-term has no second-order generator.
-        ``f`` may be a :class:`Hamiltonian`, as in :meth:`bracket`.
+        Either operand may be a :class:`Hamiltonian`, as in :meth:`bracket`.
         """
         return self._bracket(self._darboux_rows, f, g)
 
-    def bracket(self, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
+    def bracket(self, f: Operand, g: Operand) -> Expr:
         """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input.
 
-        ``f`` may be a :class:`Hamiltonian`, whose right derivatives are
-        then reused across the brackets it enters instead of taken again.
+        Either operand may be a :class:`Hamiltonian`, whose right (as F)
+        and left (as G) derivatives are then reused across the brackets it
+        enters instead of taken again.
 
         (F,F) for one homogeneous F of odd shifted degree f~ = |F|+1-n, as
         S1 is, sums only each pair's A row (weight 2) and the self-block
         terms b >= a (k^{aa}, 2 k^{ab}).  That is exact: T_A(F,G) =
         -(-1)^(f~ g~) T_B(G,F) pair by pair, g~ = |G|+1-n, and k is
         symmetric, so on (F,F) the B half repeats the A half and (b,a)
-        repeats (a,b).
+        repeats (a,b).  F and G are one operand when they wrap or are one
+        Expr.
         """
-        deg = f.homogeneous_degree() if f is g else None
+        fe = f.expr if isinstance(f, Hamiltonian) else f
+        ge = g.expr if isinstance(g, Hamiltonian) else g
+        deg = fe.homogeneous_degree() if fe is ge else None
         square = deg is not None and (deg + 1 - self.n) % 2
         return self._bracket(self._square_rows if square else self._rows, f, g)
 
-    def _bracket(self, rows, f: Union[Expr, "Hamiltonian"], g: Expr) -> Expr:
+    def _bracket(self, rows, f: Operand, g: Operand) -> Expr:
         """The bracket sum over ``rows`` (see :meth:`_conjugate_tables`),
         restricted to the operands' support: F d_r/dv is taken only when F
         holds v and G holds a partner w of v, and d_l/dw G only when G holds
-        w.  The terms left out are exactly zero.  A :class:`Hamiltonian` F
-        lends its support and kept derivatives; a plain F has each of its
-        derivatives taken directly, since each row variable is read once
+        w.  The terms left out are exactly zero.  A :class:`Hamiltonian`
+        lends its support and kept derivatives; a plain operand has each of
+        its derivatives taken directly, since each row variable is read once
         per bracket."""
-        if isinstance(f, Hamiltonian):
-            right_deriv, (f_fibers, f_bases) = f.right_deriv, f.support
-            f = f.expr
+        f, (f_fibers, f_bases), right_deriv = _operand(f, left=False)
+        if g is f:
+            g_fibers, g_bases, left_deriv = f_fibers, f_bases, f.left_deriv
         else:
-            right_deriv, (f_fibers, f_bases) = f.right_deriv, f.support()
-        g_fibers, g_bases = (f_fibers, f_bases) if g is f else g.support()
+            g, (g_fibers, g_bases), left_deriv = _operand(g, left=True)
         scope = f._merged_scope(g)
         acc: dict = {}
         for v, j, partners in rows:
@@ -138,10 +143,10 @@ class PStructure:
                         fv = right_deriv(v)
                     if not fv:
                         break
-                    Expr.mul_into(acc, fv, g.left_deriv(w), k)
+                    Expr.mul_into(acc, fv, left_deriv(w), k)
         return Expr._collect(acc, scope)
 
-    def laplacian(self, f: Expr) -> Expr:
+    def laplacian(self, f: Operand) -> Expr:
         """BV Laplacian: sum over pairs of (-1)^p d_l/dA_p d_l/dB, termwise.
 
         Lowers total degree by n-1.  The per-pair sign is the placement that
@@ -150,36 +155,67 @@ class PStructure:
         p=0-only structure the sign is invisible).  Self-paired odd blocks
         contribute nothing: k^{ab} d_l/dA^a d_l/dA^b vanishes identically
         for odd A and symmetric k.
+
+        A pair is taken only when F holds its B variable and its A partner
+        (a fiber variable, or a base index); every other pair's term is
+        exactly zero.  ``f`` may be a :class:`Hamiltonian`, which lends its
+        support and kept left derivatives d_l F/dB.
         """
+        f, (fibers, bases), left_deriv = _operand(f, left=True)
         acc: dict = {}
         vars_of = self.spec.vars_of
         for pair in self.pairs:
             neg = pair.p % 2 == 1
             for av, bv in zip(vars_of(pair.a_block), vars_of(pair.b_block)):
-                for m, c in f.left_deriv(bv).left_deriv(av).terms.items():
+                if bv not in fibers:
+                    continue
+                if not (av.index in bases if av.block == BASE_BLOCK else av in fibers):
+                    continue
+                for m, c in left_deriv(bv).left_deriv(av).terms.items():
                     accumulate(acc, m, -c if neg else c)
         return Expr._of(acc, f.scope)
 
 
 class Hamiltonian:
-    """A fixed S for the brackets (S,.) of one computation (the Hamiltonian
-    vector field Q = (S,.)), with its support.  Each right derivative
-    d_r S/dv is taken the first time a bracket reads it and kept, zero ones
-    too; nothing outlives the computation that built it.
+    """An operand of many brackets in one computation, such as a fixed S of
+    the brackets (S,.) (the Hamiltonian vector field Q = (S,.)), with its
+    support.  Each right derivative d_r S/dv (read when S is the first
+    operand) and each left derivative d_l S/dv (read when S is the second
+    operand, or by the Laplacian) is taken the first time it is read and
+    kept, zero ones too; nothing outlives the computation that built it.
     """
 
-    __slots__ = ("expr", "support", "_derivs")
+    __slots__ = ("expr", "support", "_right", "_left")
 
     def __init__(self, expr: Expr):
         self.expr = expr
         self.support = expr.support()
-        self._derivs: dict[GradedVar, Expr] = {}
+        self._right: dict[GradedVar, Expr] = {}
+        self._left: dict[GradedVar, Expr] = {}
 
     def right_deriv(self, v: GradedVar) -> Expr:
-        sv = self._derivs.get(v)
+        sv = self._right.get(v)
         if sv is None:
-            sv = self._derivs[v] = self.expr.right_deriv(v)
+            sv = self._right[v] = self.expr.right_deriv(v)
         return sv
+
+    def left_deriv(self, v: GradedVar) -> Expr:
+        sv = self._left.get(v)
+        if sv is None:
+            sv = self._left[v] = self.expr.left_deriv(v)
+        return sv
+
+
+Operand = Union[Expr, Hamiltonian]
+
+
+def _operand(x: Operand, left: bool):
+    """A bracket or Laplacian operand as (Expr, support, graded derivative
+    on its side): a :class:`Hamiltonian` lends its support and kept
+    derivatives, a plain Expr has them taken directly."""
+    if isinstance(x, Hamiltonian):
+        return x.expr, x.support, x.left_deriv if left else x.right_deriv
+    return x, x.support(), x.left_deriv if left else x.right_deriv
 
 
 # -- randomized identity suite ---------------------------------------------------
@@ -253,13 +289,13 @@ class RandomExprs:
         if degree is None:
             degree = rng.choice(self.degrees)
         monos = self._pool[degree]
-        expr = Expr.zero()
+        acc: dict = {}
         for _ in range(rng.randint(1, 2)):
             m = rng.choice(monos)
-            expr = expr + Expr({m: self._coefficient()})
-        if expr.is_zero():
-            expr = Expr({rng.choice(monos): CPoly.scalar(1)})
-        return expr, degree
+            accumulate(acc, m, self._coefficient())
+        if not acc:
+            acc = {rng.choice(monos): CPoly.scalar(1)}
+        return Expr._of(acc, None), degree
 
 
 BRACKET_LAWS = (
@@ -311,10 +347,11 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
     report = BvReport(structure=pstruct.scope, trials=trials)
     report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
 
-    def fail(law: str, msg: str):
+    def fail(law: str, fmt: str, *args):
+        # The witness is formatted only when it is kept.
         report.results[law] = False
         if len(report.failures) < 8:
-            report.failures.append("%s: %s" % (law, msg))
+            report.failures.append("%s: %s" % (law, fmt % args))
 
     br = pstruct.bracket
     lap = pstruct.laplacian
@@ -323,29 +360,29 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
         u = Expr({m: CPoly.symbol(CoeffSymbol("u", (i,))) for i, m in enumerate(monos)})
         bad = {s.lower[0] for s in lap(lap(u)).symbols()}
         if bad:
-            fail(LAPLACIAN_LAWS[1], "degree %d: Delta^2(u*%s) != 0" % (k, monomial_str(monos[min(bad)])))
+            fail(LAPLACIAN_LAWS[1], "degree %d: Delta^2(u*%s) != 0", k, monomial_str(monos[min(bad)]))
     for trial in range(trials):
         f, fd = gen.homogeneous()
         g, gd = gen.homogeneous()
         h, hd = gen.homogeneous()
         fs, gs, hs = fd + 1 - n, gd + 1 - n, hd + 1 - n
         # Every value below is taken once and read by each law that needs
-        # it; the right derivatives of F, G and H at most once each.
+        # it; each right and left derivative of F, G and H at most once.
         qf, qg, qh = Hamiltonian(f), Hamiltonian(g), Hamiltonian(h)
-        fg, gh, hf, fh = br(qf, g), br(qg, h), br(qh, f), br(qf, h)
+        fg, gh, hf, fh = br(qf, qg), br(qg, qh), br(qh, qf), br(qf, qh)
         f_g = f * g
-        lf = lap(f)
+        lf = lap(qf)
 
-        if not (fg + br(qg, f).scale((-1) ** (fs * gs))).is_zero():
-            fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s" % (trial, f, g))
+        if not (fg + br(qg, qf).scale((-1) ** (fs * gs))).is_zero():
+            fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s", trial, f, g)
 
         rhs = fg * h + (g * fh).scale((-1) ** (fs * gd))
         if br(qf, g * h) != rhs:
-            fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
+            fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s", trial, f, g, h)
 
         rhs = f * gh + (fh * g).scale((-1) ** (gd * hs))
-        if br(f_g, h) != rhs:
-            fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
+        if br(f_g, qh) != rhs:
+            fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s", trial, f, g, h)
 
         jac = (
             br(qf, gh).scale((-1) ** (fs * hs))
@@ -353,24 +390,26 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
             + br(qh, fg).scale((-1) ** (hs * gs))
         )
         if not jac.is_zero():
-            fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s" % (trial, f, g, h))
+            fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s", trial, f, g, h)
 
         if fg and fg.homogeneous_degree() != fd + gd - n + 1:
-            fail(BRACKET_LAWS[4], "trial %d" % trial)
+            fail(BRACKET_LAWS[4], "trial %d", trial)
 
+        # Without a self block the Darboux rows are the full rows.
+        fg_darboux = pstruct.bracket_darboux(qf, qg) if pstruct.self_pairs else fg
         rhs = (
             lf * g
-            + pstruct.bracket_darboux(qf, g).scale((-1) ** ((n + 1) * fd))
-            + (f * lap(g)).scale((-1) ** fd)
+            + fg_darboux.scale((-1) ** ((n + 1) * fd))
+            + (f * lap(qg)).scale((-1) ** fd)
         )
         if lap(f_g) != rhs:
-            fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s" % (trial, f, g))
+            fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s", trial, f, g)
 
         if not lap(lf).is_zero():
-            fail(LAPLACIAN_LAWS[1], "trial %d: F=%s" % (trial, f))
+            fail(LAPLACIAN_LAWS[1], "trial %d: F=%s", trial, f)
 
         if lf and lf.homogeneous_degree() != fd - (n - 1):
-            fail(LAPLACIAN_LAWS[2], "trial %d" % trial)
+            fail(LAPLACIAN_LAWS[2], "trial %d", trial)
 
     if n % 2 == 1 and not report.results[LAPLACIAN_LAWS[0]]:
         report.notes.append(

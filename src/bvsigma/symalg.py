@@ -286,11 +286,10 @@ class CPoly(SparseSum):
         acc: dict[CKey, Rat] = {}
         for (syms, base), v in self.terms.items():
             for pos, (bj, bp) in enumerate(base):
-                if bj != j:
-                    continue
-                rest = base[:pos] + ((bj, bp - 1),) + base[pos + 1 :]
-                rest = tuple(p for p in rest if p[1])
-                accumulate(acc, (syms, rest), v * bp)
+                if bj == j:  # a base monomial holds each index once
+                    lowered = ((j, bp - 1),) if bp > 1 else ()
+                    accumulate(acc, (syms, base[:pos] + lowered + base[pos + 1 :]), v * bp)
+                    break
             for pos, sym in enumerate(syms):
                 new = tuple(sorted(syms[:pos] + (sym.with_deriv(j),) + syms[pos + 1 :]))
                 accumulate(acc, (new, base), v)
@@ -471,7 +470,13 @@ class Expr(SparseSum):
         Expr.__mul__(f, g, acc, sign)
 
     def scale(self, c) -> "Expr":
+        """c times this Expr; by +-1 it is ``self`` or its negation, since
+        an Expr is never mutated."""
         c = exact(c)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         return Expr({m: p.scale(c) for m, p in self.terms.items()}, self.scope)
 
     # -- degrees -------------------------------------------------------------
@@ -496,22 +501,28 @@ class Expr(SparseSum):
 
     def _deriv(self, x: GradedVar, left: bool) -> "Expr":
         """The graded derivative by x from the left or the right: an odd x
-        picks up the sign of the odd variables it passes on that side."""
+        picks up the sign of the odd variables it passes on that side.
+
+        A canonical monomial holds an odd x at most once and an even x as
+        one run x^k, whose k copies each strip to the same monomial with no
+        sign.  Distinct monomials strip to distinct ones, so each result
+        term is stored once, with no sum."""
         if x.block == BASE_BLOCK:
             return self.partial_base(x.index)
         acc: dict[Monomial, CPoly] = {}
+        odd = x.parity
         for m, c in self.terms.items():
             if x not in m:
                 continue
-            for pos, v in enumerate(m):
-                if v != x:
-                    continue
-                sign = 1
-                if x.parity:
-                    for u in m[:pos] if left else m[pos + 1 :]:
-                        if u.parity:
-                            sign = -sign
-                accumulate(acc, m[:pos] + m[pos + 1 :], c if sign > 0 else -c)
+            pos = m.index(x)
+            if odd:
+                flips = 0
+                for u in m[:pos] if left else m[pos + 1 :]:
+                    flips ^= u.parity
+                acc[m[:pos] + m[pos + 1 :]] = -c if flips else c
+            else:
+                k = m.count(x)
+                acc[m[:pos] + m[pos + 1 :]] = c if k == 1 else c.scale(k)
         return Expr._of(acc, self.scope)
 
     def support(self) -> tuple[set[GradedVar], Union[set[int], _AllIndices]]:
@@ -540,7 +551,9 @@ class Expr(SparseSum):
         """Formal partial derivative with respect to phi_j."""
         acc: dict[Monomial, CPoly] = {}
         for m, c in self.terms.items():
-            accumulate(acc, m, c.diff_base(j))
+            dc = c.diff_base(j)
+            if dc:
+                acc[m] = dc
         return Expr._of(acc, self.scope)
 
     # -- substitution and evaluation -----------------------------------------

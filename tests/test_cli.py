@@ -36,6 +36,11 @@ GOLDEN_CASES = [
         ["derived-table", "--model", "n3_bf_exact_courant.model"],
         0,
     ),
+    (
+        "courant_check_bv",
+        ["check-bv", "--model", "n3_bf_exact_courant.model", "--seed", "0", "--trials", "40"],
+        1,
+    ),
 ]
 
 

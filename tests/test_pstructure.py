@@ -284,6 +284,54 @@ def test_every_block_in_exactly_one_pair():
     assert fibers == {"B2", "A1"}
 
 
+# -- the support-aware Laplacian against the sum over every pair ------------------
+
+def _laplacian_over_every_pair(p, f):
+    """The BV Laplacian summed over every Darboux pair variable, whatever
+    the operand holds."""
+    total = Expr.zero()
+    for pair in p.pairs:
+        for av, bv in zip(p.spec.vars_of(pair.a_block), p.spec.vars_of(pair.b_block)):
+            total = total + f.left_deriv(bv).left_deriv(av).scale((-1) ** pair.p)
+    return total
+
+
+# bf at n = 2..6 (every Darboux pair kind: the base pair, A_p with p < n-p-1
+# and, at odd n, the middle pair A_p = B_p) and cs at n=3 with a self block.
+LAPLACIAN_SPECS = (
+    ModelSpec(n=2, d=3),
+    ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))),
+    ModelSpec(n=6, d=2, bf_blocks=(BfBlock(1, 3), BfBlock(2, 2))),
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(3, K3_SPARSE)),
+)
+
+
+@pytest.mark.parametrize("spec", LAPLACIAN_SPECS, ids=lambda s: s.fingerprint())
+def test_support_aware_laplacian_matches_sum_over_every_pair(spec):
+    # Random operands of every degree (coefficients with base powers and
+    # differentiated symbols), their sums and products, S1, and operands
+    # with a B variable but no partner for it; plain and wrapped.
+    p = PStructure(spec)
+    gen = RandomExprs(p, seed=3)
+    operands = [build_S1_generic(spec).expr]
+    for _ in range(3):
+        ops = [gen.homogeneous(k)[0] for k in gen.degrees]
+        operands += ops
+        operands.append(sum(ops, Expr.zero()))
+        operands += [a * b for a, b in zip(ops, ops[1:])]
+    b = p.spec.vars_of(p.pairs[0].b_block)[0]  # B_{n-1}, the base's partner
+    operands += [Expr.var(b), Expr.var(b) * Expr.base(1), Expr.var(b) * Expr.symbol(CoeffSymbol("u"))]
+    nonzero = 0
+    for f in operands:
+        expected = _laplacian_over_every_pair(p, f)
+        assert p.laplacian(f) == expected
+        assert p.laplacian(Hamiltonian(f)) == expected
+        nonzero += bool(expected)
+    assert nonzero >= len(operands) // 4
+
+
 # -- the support-aware bracket against the sum over every variable -------------
 
 # Rank 3, so the totally antisymmetric three-slot families do not vanish,
@@ -375,10 +423,15 @@ def _bracket_over_every_variable(p, f, g, self_block=True):
 def test_support_aware_bracket_matches_sum_over_every_variable(case):
     p, f, g = case
     full = _bracket_over_every_variable(p, f, g)
-    assert p.bracket(f, g) == full
-    assert p.bracket(Hamiltonian(f), g) == full
+    darboux = _bracket_over_every_variable(p, f, g, self_block=False)
+    qf, qg = Hamiltonian(f), Hamiltonian(g)
+    for a, b in ((f, g), (qf, g), (f, qg), (qf, qg)):
+        assert p.bracket(a, b) == full
+        assert p.bracket_darboux(a, b) == darboux
+    # a wrapper read again lends what it kept: the same values
+    assert p.bracket(qf, qg) == full and p.bracket_darboux(qf, qg) == darboux
     assert p.bracket(f, f) == _bracket_over_every_variable(p, f, f)
-    assert p.bracket_darboux(f, g) == _bracket_over_every_variable(p, f, g, self_block=False)
+    assert p.bracket(qf, qf) == p.bracket(qf, f) == p.bracket(f, qf) == p.bracket(f, f)
 
 
 # -- the square (F,F) over half the conjugate table -------------------------------
@@ -476,6 +529,11 @@ def test_square_rows_only_for_one_homogeneous_odd_shifted_operand(spec, monkeypa
     s1 = build_S1_generic(spec).expr
     assert _rows_read(monkeypatch, p, s1, s1)[0] is p._square_rows
     assert _rows_read(monkeypatch, p, s1, _copy(s1))[0] is p._rows
+    q = Hamiltonian(s1)
+    square = p.bracket(s1, s1)
+    for f, g in ((q, q), (q, s1), (s1, q)):
+        assert _rows_read(monkeypatch, p, f, g) == (p._square_rows, square)
+    assert _rows_read(monkeypatch, p, q, Hamiltonian(_copy(s1)))[0] is p._rows
     # |F| = n - 1, shifted degree 0: (F,F) = 0 by graded antisymmetry, while
     # the A half alone is not zero, since phi1 meets B_{n-1}.
     even = Expr.zero()
@@ -679,5 +737,80 @@ def test_check_bv_computes_each_trial_value_once(monkeypatch):
         monkeypatch.setattr(PStructure, name, counted)
     check_bv_identities(p, trials=trials, seed=0)
     assert calls["bracket"] <= 10 * trials
-    assert calls["bracket_darboux"] <= trials
+    # no self block: the Darboux bracket is the bracket (F,G) already taken
+    assert calls["bracket_darboux"] == 0
     assert calls["laplacian"] <= 4 * trials
+
+
+# The models of the bv-laws benchmark jobs: the so(3), exact Courant and cs
+# su(2) examples (check-bv reads only their [model] section) and the
+# generated n=4 and n=5 bf models.
+I3 = tuple(tuple(Fraction(int(a == b)) for b in range(3)) for a in range(3))
+BV_LAWS_SPECS = (
+    ModelSpec(n=2, d=3),
+    ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(3, I3)),
+    ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),)),
+    ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))),
+)
+
+
+class _SummedOperands(RandomExprs):
+    """Operands built as a running Expr sum, one term at a time, drawing
+    the same numbers in the same order."""
+
+    def homogeneous(self, degree=None):
+        rng = self.rng
+        if degree is None:
+            degree = rng.choice(self.degrees)
+        monos = self._pool[degree]
+        expr = Expr.zero()
+        for _ in range(rng.randint(1, 2)):
+            m = rng.choice(monos)
+            expr = expr + Expr({m: self._coefficient()})
+        if expr.is_zero():
+            expr = Expr({rng.choice(monos): CPoly.scalar(1)})
+        return expr, degree
+
+
+@pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
+def test_random_operands_match_summed_construction(spec):
+    p = PStructure(spec)
+    for seed in range(10):
+        gen, ref = RandomExprs(p, seed), _SummedOperands(p, seed)
+        for _ in range(60):
+            (f, fd), (e, ed) = gen.homogeneous(), ref.homogeneous()
+            assert fd == ed and f == e and f.scope == e.scope
+        assert gen.rng.getstate() == ref.rng.getstate()
+
+
+@pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
+def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
+    # F, G and H of every trial, kept alive so that no other object takes
+    # one of their ids, and the ids.
+    drawn, ids = [], set()
+    taken = {}  # (side, id of the operand, variable) -> times taken
+    orig_homogeneous = RandomExprs.homogeneous
+
+    def recording(self, degree=None):
+        out = orig_homogeneous(self, degree)
+        drawn.append(out[0])
+        ids.add(id(out[0]))
+        return out
+
+    monkeypatch.setattr(RandomExprs, "homogeneous", recording)
+    for side in ("left_deriv", "right_deriv"):
+        orig = getattr(Expr, side)
+
+        def counted(self, v, _orig=orig, _side=side):
+            if id(self) in ids:
+                key = (_side, id(self), v)
+                taken[key] = taken.get(key, 0) + 1
+            return _orig(self, v)
+
+        monkeypatch.setattr(Expr, side, counted)
+    trials = 12
+    check_bv_identities(PStructure(spec), trials=trials, seed=0)
+    assert len(drawn) == 3 * trials
+    assert {k[0] for k in taken} == {"left_deriv", "right_deriv"}
+    assert max(taken.values()) == 1

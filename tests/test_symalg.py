@@ -372,6 +372,52 @@ def test_bracket_matches_naive_reference(case):
     _assert_canonical(br)
 
 
+def _naive_deriv(f, x, left):
+    """d_l f/dx (or d_r) as {monomial: {coefficient key: Fraction}}: every
+    occurrence of a fiber x is stripped, with the sign of the odd variables
+    it passes on its side when x is odd, and the terms are summed; phi_j
+    differentiates each base power and each symbol of a coefficient term."""
+    out = {}
+
+    def add(mono, key, v):
+        slot = out.setdefault(mono, {})
+        slot[key] = slot.get(key, Fraction(0)) + v
+
+    for m, c in f.terms.items():
+        for (syms, base), v in c.terms.items():
+            if x.block == "phi":
+                powers = Counter(dict(base))
+                if powers[x.index]:
+                    lowered = powers.copy()
+                    lowered[x.index] -= 1
+                    key = (syms, tuple(sorted((i, q) for i, q in lowered.items() if q)))
+                    add(m, key, powers[x.index] * Fraction(v))
+                for pos, sym in enumerate(syms):
+                    new = syms[:pos] + (sym.with_deriv(x.index),) + syms[pos + 1 :]
+                    add(m, (tuple(sorted(new)), base), Fraction(v))
+                continue
+            for pos, u in enumerate(m):
+                if u == x:
+                    passed = m[:pos] if left else m[pos + 1 :]
+                    odd_passed = sum(w.parity for w in passed) if x.parity else 0
+                    add(m[:pos] + m[pos + 1 :], (syms, base), (-1) ** odd_passed * Fraction(v))
+    return _nonzero(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_kernel_case())
+def test_derivatives_match_naive_reference(case):
+    # f g holds even powers x^k of the even fiber variables.
+    p, f, g = case
+    phis = [GradedVar("phi", 0, j) for j in range(1, p.spec.d + 1)]
+    for expr in (f, f * g):
+        for x in p.spec.fiber_vars() + phis:
+            for left in (True, False):
+                got = expr.left_deriv(x) if left else expr.right_deriv(x)
+                assert _table(got) == _naive_deriv(expr, x, left)
+                _assert_canonical(got)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_kernel_case())
 def test_stored_scalars_are_canonical(case):
