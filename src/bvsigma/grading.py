@@ -47,7 +47,7 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
 
     Returns (sign, sorted tuple).  Sign is 0 when the product vanishes
     because an odd variable appears twice.  Works on any items with an
-    order and a ``parity``: its two users are the target's graded
+    order and a total ``degree``: its two users are the target's graded
     variables and the worldsheet's component fields (``worldsheet``
     derivations sort a monomial with one generator replaced).  A merge
     sort on :func:`merge_monomials` (see :func:`_sort_run`).
@@ -65,7 +65,7 @@ def _sort_run(items: tuple) -> tuple[int, tuple]:
         if prev is not None:
             if v < prev:
                 break
-            if v == prev and v.parity:
+            if v == prev and v.degree & 1:
                 return 0, ()
         prev = v
     else:
@@ -88,30 +88,32 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     for: a canonical monomial has none.  The one place a Koszul sign is
     computed; its three users are ``symalg.Expr`` products of graded
     variables, ``worldsheet.DgaExpr`` products of component fields and
-    :func:`sort_monomial`, which merges sorted halves with it.
+    :func:`sort_monomial`, which merges sorted halves with it.  Works on
+    any items with an order and a total ``degree``; an item is odd when
+    ``degree & 1`` is, a field read on a :class:`GradedVar`.
     """
     if not left or not right or not right[0] < left[-1]:
         # Already in order; only the meeting items can repeat.
-        if left and right and right[0] == left[-1] and right[0].parity:
+        if left and right and right[0] == left[-1] and right[0].degree & 1:
             return 0, ()
         return 1, tuple(left) + tuple(right)
     out = []
     sign = 1
     odd_left = 0
     for u in left:
-        if u.parity:
+        if u.degree & 1:
             odd_left += 1
     i, nl = 0, len(left)
     for v in right:
         while i < nl and not v < left[i]:
             u = left[i]
-            if u.parity:
+            if u.degree & 1:
                 if u == v:
                     return 0, ()
                 odd_left -= 1
             out.append(u)
             i += 1
-        if odd_left & 1 and v.parity:
+        if odd_left & 1 and v.degree & 1:
             sign = -sign
         out.append(v)
     out.extend(left[i:])

@@ -116,36 +116,15 @@ def _rows_of(ident: IdentitySet, index: dict) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _distinct_rows(rows: list[dict[int, Fraction]]) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """The rows that are not +- an earlier row, and their positions.
-
-    Rows are bucketed by a hash that is the same for a row and its
-    negative, and compared exactly within a bucket; only positions are
-    kept, so the pass holds no copy of a row.
-    """
-    buckets: dict[int, list[int]] = {}
-    kept, at = [], []
-    for i, row in enumerate(rows):
-        neg = {c: -v for c, v in row.items()}
-        bucket = buckets.setdefault(hash(frozenset(row.items())) ^ hash(frozenset(neg.items())), [])
-        if any(rows[j] in (row, neg) for j in bucket):
-            continue
-        bucket.append(i)
-        kept.append(row)
-        at.append(i)
-    return kept, at
-
-
 def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
     """Exact row-space comparison of two identity systems over Q.
 
     Each equation is a sparse rational vector over the shared monomial
     basis of its coefficient polynomials; inclusion both ways is decided by
     Gaussian elimination.  Equations are only defined up to scaling and
-    linear combination, which this comparison is insensitive to.  A row
-    that is +- an earlier row of its side is left out before elimination:
-    it lies in a span exactly when its first occurrence does, which comes
-    first, so the witness is the same.
+    linear combination, which this comparison is insensitive to.
+    ``span_includes`` settles an equation that is a multiple of one on the
+    other side without elimination, and keeps one row per direction.
     """
     alpha_a, alpha_b = a.alphabet(), b.alphabet()
     for name in set(alpha_a) & set(alpha_b):
@@ -155,12 +134,9 @@ def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
                 "and %d/%d in the other" % ((name,) + alpha_a[name] + alpha_b[name])
             )
     index: dict = {}
-    rows_a, at_a = _distinct_rows(_rows_of(a, index))
-    rows_b, at_b = _distinct_rows(_rows_of(b, index))
+    rows_a, rows_b = _rows_of(a, index), _rows_of(b, index)
     missing_b = span_includes(rows_a, rows_b)  # first b-eq outside span(a)
     missing_a = span_includes(rows_b, rows_a)  # first a-eq outside span(b)
-    missing_b = None if missing_b is None else at_b[missing_b]
-    missing_a = None if missing_a is None else at_a[missing_a]
     if missing_a is None and missing_b is None:
         return SpanComparison(EQUAL)
     if missing_a is None:

@@ -10,6 +10,7 @@ integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .symalg import Rat, accumulate, exact
@@ -66,12 +67,51 @@ class RowSpan:
         return len(self.basis)
 
 
+def _direction(row: Row) -> Row:
+    """The primitive integer multiple of a nonzero row of canonical scalars
+    that is positive at its least column; a row that is one already is
+    returned as it is."""
+    vals = list(row.values())
+    den = lcm(*[v.denominator for v in vals])
+    if den != 1:
+        vals = [v.numerator * (den // v.denominator) for v in vals]
+    g = gcd(*vals)
+    if row[min(row)] < 0:
+        g = -g
+    if g == 1 and den == 1:
+        return row
+    return dict(zip(row, [v // g for v in vals]))
+
+
 def span_includes(rows: Sequence[Row], candidates: Sequence[Row]) -> Optional[int]:
-    """Index of the first candidate outside span(rows), or None if included."""
-    span = RowSpan()
+    """Index of the first candidate outside span(rows), or None if included.
+
+    Rows are bucketed by the hash of their direction and compared exactly
+    within a bucket.  A zero candidate, or one whose direction is a row's,
+    lies in the span with no elimination; the span itself is built, from
+    one row per direction, only when some candidate is not matched, and
+    only such candidates are reduced against it.
+    """
+    buckets: dict[int, list[Row]] = {}
     for r in rows:
-        span.add(r)
+        if not r:
+            continue
+        d = _direction(r)
+        bucket = buckets.setdefault(hash(frozenset(d.items())), [])
+        if d not in bucket:
+            bucket.append(d)
+    span = None
     for i, c in enumerate(candidates):
+        if not c:
+            continue
+        d = _direction(c)
+        if d in buckets.get(hash(frozenset(d.items())), ()):
+            continue
+        if span is None:
+            span = RowSpan()
+            for bucket in buckets.values():
+                for r in bucket:
+                    span.add(r)
         if not span.contains(c):
             return i
     return None

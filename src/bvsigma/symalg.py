@@ -69,7 +69,9 @@ class CoeffSymbol(NamedTuple):
     deriv: tuple[int, ...] = ()
 
     def with_deriv(self, j: int) -> "CoeffSymbol":
-        deriv = tuple(sorted(self.deriv + (j,)))
+        deriv = self.deriv + (j,)
+        if len(deriv) > 1 and deriv[-2] > j:  # else already in order
+            deriv = tuple(sorted(deriv))
         return CoeffSymbol(self.name, self.lower, self.upper, deriv)
 
     def __str__(self) -> str:
@@ -182,6 +184,8 @@ def _mul_into(acc: dict, a_terms: Mapping, b_terms: Mapping, sign: Rat = 1) -> N
     for (s1, b1), v1 in a_terms.items():
         if sign != 1:
             v1 = v1 * sign
+            if type(v1) is Fraction and v1.denominator == 1:  # canonical, as in accumulate
+                v1 = v1.numerator
         for (s2, b2), v2 in b_items:
             syms = s1 if not s2 else s2 if not s1 else tuple(sorted(s1 + s2))
             base = b1 if not b2 else b2 if not b1 else _merge_base(b1, b2)
@@ -290,6 +294,9 @@ class CPoly(SparseSum):
                     lowered = ((j, bp - 1),) if bp > 1 else ()
                     accumulate(acc, (syms, base[:pos] + lowered + base[pos + 1 :]), v * bp)
                     break
+            if len(syms) == 1:  # one symbol: nothing to re-sort
+                accumulate(acc, ((syms[0].with_deriv(j),), base), v)
+                continue
             for pos, sym in enumerate(syms):
                 new = tuple(sorted(syms[:pos] + (sym.with_deriv(j),) + syms[pos + 1 :]))
                 accumulate(acc, (new, base), v)
@@ -510,7 +517,7 @@ class Expr(SparseSum):
         if x.block == BASE_BLOCK:
             return self.partial_base(x.index)
         acc: dict[Monomial, CPoly] = {}
-        odd = x.parity
+        odd = x.degree & 1
         for m, c in self.terms.items():
             if x not in m:
                 continue
@@ -518,7 +525,7 @@ class Expr(SparseSum):
             if odd:
                 flips = 0
                 for u in m[:pos] if left else m[pos + 1 :]:
-                    flips ^= u.parity
+                    flips ^= u.degree & 1
                 acc[m[:pos] + m[pos + 1 :]] = -c if flips else c
             else:
                 k = m.count(x)

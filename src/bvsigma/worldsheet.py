@@ -38,8 +38,13 @@ class ComponentField(NamedTuple):
     dimage: bool = False
 
     @property
+    def degree(self) -> int:
+        """Total degree, form plus ghost number (read by the Koszul merge)."""
+        return self.form + self.ghost
+
+    @property
     def parity(self) -> int:
-        return (self.form + self.ghost) & 1
+        return self.degree & 1
 
     def d(self) -> Optional["ComponentField"]:
         if self.dimage:

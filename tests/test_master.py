@@ -16,7 +16,6 @@ from bvsigma.master import (
     compare_identity_spans,
     expand_master,
     SpanComparison,
-    _distinct_rows,
     _rows_of,
     extract_identities,
     transcribe_paper_identities,
@@ -33,7 +32,7 @@ from bvsigma.models import (
     build_S1_generic,
 )
 from bvsigma.pstructure import PStructure
-from bvsigma.rowreduce import span_includes
+from bvsigma.rowreduce import RowSpan, _direction, span_includes
 from bvsigma.symalg import CPoly, Expr, _perm_sign, make_symbol
 
 import oracle
@@ -170,11 +169,22 @@ def _compare_every_row(a, b):
     return SpanComparison(INCOMPARABLE, witness="A: %s = 0" % a.equations[missing_a][1])
 
 
-def test_distinct_rows_drop_plus_minus_repeats_only():
-    rows = [{0: 1, 2: -2}, {0: -1, 2: 2}, {1: Fraction(1, 2)}, {0: 1, 2: -2}, {0: 2, 2: -4}, {}, {}]
-    kept, at = _distinct_rows(rows)
-    assert at == [0, 2, 4, 5]
-    assert kept == [rows[i] for i in at]
+def test_direction_dedup_merges_scaled_repeats(monkeypatch):
+    rows = [
+        {0: 1, 2: -2}, {0: -1, 2: 2}, {1: Fraction(1, 2)}, {2: -2, 0: 1},
+        {0: Fraction(2, 3), 2: Fraction(-4, 3)}, {2: 3, 0: -1},
+    ]
+    dirs = [_direction(r) for r in rows]
+    assert dirs == [{0: 1, 2: -2}, {0: 1, 2: -2}, {1: 1}, {0: 1, 2: -2}, {0: 1, 2: -2}, {0: 1, 2: -3}]
+    assert dirs[0] is rows[0] and dirs[3] is rows[3]  # primitive and positive: no copy
+    assert all(type(v) is int for d in dirs for v in d.values())
+    added = []
+    add = RowSpan.add
+    monkeypatch.setattr(RowSpan, "add", lambda self, row: added.append(row) or add(self, row))
+    assert span_includes(rows + [{}], rows[::-1] + [{}]) is None
+    assert added == []  # every candidate matched: no span is built
+    assert span_includes(rows, [{0: 1}, {0: 1, 1: 1, 2: -5}, {3: 1}]) == 2
+    assert added == [{0: 1, 2: -2}, {1: 1}, {0: 1, 2: -3}]  # one row per direction
 
 
 def test_duplicate_rows_keep_relation_and_witness():

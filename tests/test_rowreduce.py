@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvsigma.rowreduce import RowSpan, _eliminate, span_includes
+from bvsigma.symalg import exact
 
 NCOLS = 6
 
@@ -71,3 +73,45 @@ def test_basis_and_residuals_hold_canonical_scalars(rows, extra):
     assert all(_canonical(v) for row in span.basis.values() for v in row.values())
     for row in rows + [extra]:
         assert all(_canonical(v) for v in _eliminate(row, span.basis).values())
+
+
+def _first_outside(rows, candidates):
+    """span_includes with every row and every candidate eliminated."""
+    span = _span(rows)
+    return next((i for i, c in enumerate(candidates) if not span.contains(c)), None)
+
+
+_A, _B = {0: 1, 3: 2}, {1: -1, 2: Fraction(1, 2)}
+_SPAN_CASES = {
+    "rational_multiples": ([_A, _B], [{0: Fraction(1, 3), 3: Fraction(2, 3)}, {1: 2, 2: -1}, {0: -2, 3: -4}], None),
+    "plus_minus_and_scaled_duplicates": ([_A, {0: -1, 3: -2}, {0: 3, 3: 6}, _B], [_B, {0: 1}, {1: 2, 2: -1}], 1),
+    "zero_rows_and_candidates": ([{}, _A, {}], [{}, {0: 2, 3: 4}, {}], None),
+    "zero_rows_span_nothing": ([{}], [{}, _A], 1),
+    "same_support_other_direction": ([{0: 1, 1: 1}, _A], [{0: 2, 1: 2}, {0: 1, 1: -1}], 1),
+    "sum_of_two_rows": ([{0: 1}, {1: 1}], [{0: 1, 1: 1}, {0: 1, 1: -1}], None),
+    "span_of_sums": ([{0: 1, 1: 1}, {0: 1, 1: -1}], [{0: 1}, {1: 1}], None),
+    "a_in_b": ([_A], [{0: 2, 3: 4}, _B], 1),
+    "b_in_a": ([_A, _B], [{0: 2, 3: 4}], None),
+    "incomparable_first_witness": ([_A, {5: 1}], [_B, {0: 3, 3: 6}, {4: 1}], 0),
+    "incomparable_later_witness": ([_B, {5: 1}], [{5: -2}, {0: 3, 3: 6}, _A], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPAN_CASES))
+def test_span_includes_matches_full_elimination(case):
+    rows, candidates, expected = _SPAN_CASES[case]
+    assert _first_outside(rows, candidates) == expected
+    assert span_includes(rows, candidates) == expected
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(_rows, max_size=6), st.lists(st.tuples(st.integers(0, 9), _values, _rows), max_size=6))
+def test_span_includes_matches_full_elimination_on_scaled_copies(rows, picks):
+    """Candidates are scaled copies of rows (when the pick names one) or
+    random rows, so both the matched and the eliminated routes are taken."""
+    candidates = [
+        {col: exact(v * scale) for col, v in rows[k].items()} if k < len(rows) else other
+        for k, scale, other in picks
+    ]
+    assert span_includes(rows, candidates) == _first_outside(rows, candidates)
+    assert span_includes(rows + candidates, rows) is None
