@@ -26,7 +26,7 @@ from typing import Optional
 
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
-from .rowreduce import span_includes
+from .rowreduce import Directions, span_includes
 from .symalg import (
     ANTISYM, LOWER, CPoly, Expr, _perm_sign, accumulate, exact, make_symbol, monomial_str,
 )
@@ -116,6 +116,18 @@ def _rows_of(ident: IdentitySet, index: dict) -> list[dict[int, Fraction]]:
     return rows
 
 
+def _reject_alphabets(a: IdentitySet, b: IdentitySet) -> None:
+    """Raise the error that names a symbol family used with two index
+    shapes: within one set (ValueError) or across the two (ModelError)."""
+    alpha_a, alpha_b = a.alphabet(), b.alphabet()
+    for name in set(alpha_a) & set(alpha_b):
+        if alpha_a[name] != alpha_b[name]:
+            raise ModelError(
+                "alphabet mismatch: %s has %d lower/%d upper indices in one set "
+                "and %d/%d in the other" % ((name,) + alpha_a[name] + alpha_b[name])
+            )
+
+
 def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
     """Exact row-space comparison of two identity systems over Q.
 
@@ -124,19 +136,21 @@ def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
     Gaussian elimination.  Equations are only defined up to scaling and
     linear combination, which this comparison is insensitive to.
     ``span_includes`` settles an equation that is a multiple of one on the
-    other side without elimination, and keeps one row per direction.
+    other side without elimination, and keeps one row per direction; each
+    equation's direction is taken once for both calls.  Index shapes are
+    checked once per distinct column key; only a clash walks the two sets
+    (:meth:`IdentitySet.alphabet`) to name it.
     """
-    alpha_a, alpha_b = a.alphabet(), b.alphabet()
-    for name in set(alpha_a) & set(alpha_b):
-        if alpha_a[name] != alpha_b[name]:
-            raise ModelError(
-                "alphabet mismatch: %s has %d lower/%d upper indices in one set "
-                "and %d/%d in the other" % ((name,) + alpha_a[name] + alpha_b[name])
-            )
     index: dict = {}
     rows_a, rows_b = _rows_of(a, index), _rows_of(b, index)
-    missing_b = span_includes(rows_a, rows_b)  # first b-eq outside span(a)
-    missing_a = span_includes(rows_b, rows_a)  # first a-eq outside span(b)
+    shapes: dict[str, tuple[int, int]] = {}
+    for s in {s for syms, _ in index for s in syms}:
+        shape = (len(s.lower), len(s.upper))
+        if shapes.setdefault(s.name, shape) != shape:
+            _reject_alphabets(a, b)
+    dir_a, dir_b = Directions(rows_a), Directions(rows_b)
+    missing_b = span_includes(dir_a, dir_b)  # first b-eq outside span(a)
+    missing_a = span_includes(dir_b, dir_a)  # first a-eq outside span(b)
     if missing_a is None and missing_b is None:
         return SpanComparison(EQUAL)
     if missing_a is None:

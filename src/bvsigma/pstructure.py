@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
@@ -55,18 +56,20 @@ class PStructure:
                 "self-paired block of even degree %d cannot carry a symmetric "
                 "metric compatible with graded antisymmetry (n=%d)" % (q, self.n)
             )
-        self._darboux_rows, self._rows, self._square_rows = self._conjugate_tables()
+        (self._darboux_rows, self._rows, self._square_rows,
+         self._laplacian_rows) = self._conjugate_tables()
 
     def _conjugate_tables(self):
         """The partners of each variable in the bracket sum, in summation
         order: rows (v, j, partners) with partners ((w, jw, k), ...), so
         that (F,G) = sum over rows and partners of k F d_r/dv . d_l/dw G.
         j (jw) is the base index of a base variable and 0 for a fiber one.
-        Returns the Darboux rows alone, the Darboux plus self-block rows, and
-        the square rows of (F,F) (see :meth:`bracket`): half of them, doubled.
+        Returns the Darboux rows alone, the Darboux plus self-block rows, the
+        square rows of (F,F) (see :meth:`bracket`): half of them, doubled,
+        and the Laplacian rows (B, ja, A, (-1)^p), one per Darboux pair.
         """
         n, vars_of = self.n, self.spec.vars_of
-        darboux, square = [], []
+        darboux, square, laplacian = [], [], []
         for pair in self.pairs:
             sign = -1 if (n * pair.p) % 2 == 0 else 1  # t2 carries -(-1)^(n p)
             for av, bv in zip(vars_of(pair.a_block), vars_of(pair.b_block)):
@@ -74,6 +77,7 @@ class PStructure:
                 darboux.append((av, ja, ((bv, 0, 1),)))
                 darboux.append((bv, 0, ((av, ja, sign),)))
                 square.append((av, ja, ((bv, 0, 2),)))
+                laplacian.append((bv, ja, av, -1 if pair.p % 2 else 1))
         full = list(darboux)
         for sp in self.self_pairs:
             vs = vars_of(sp.block)
@@ -85,7 +89,7 @@ class PStructure:
                              for b, k in enumerate(sp.metric[a]) if b >= a and k)
                 if half:
                     square.append((va, 0, half))
-        return tuple(darboux), tuple(full), tuple(square)
+        return tuple(darboux), tuple(full), tuple(square), tuple(laplacian)
 
     # -- the bracket ----------------------------------------------------------
     def bracket_darboux(self, f: Operand, g: Operand) -> Expr:
@@ -158,21 +162,17 @@ class PStructure:
 
         A pair is taken only when F holds its B variable and its A partner
         (a fiber variable, or a base index); every other pair's term is
-        exactly zero.  ``f`` may be a :class:`Hamiltonian`, which lends its
-        support and kept left derivatives d_l F/dB.
+        exactly zero.  The pairs are read from the Laplacian rows of
+        :meth:`_conjugate_tables`.  ``f`` may be a :class:`Hamiltonian`,
+        which lends its support and kept left derivatives d_l F/dB.
         """
         f, (fibers, bases), left_deriv = _operand(f, left=True)
         acc: dict = {}
-        vars_of = self.spec.vars_of
-        for pair in self.pairs:
-            neg = pair.p % 2 == 1
-            for av, bv in zip(vars_of(pair.a_block), vars_of(pair.b_block)):
-                if bv not in fibers:
-                    continue
-                if not (av.index in bases if av.block == BASE_BLOCK else av in fibers):
-                    continue
-                for m, c in left_deriv(bv).left_deriv(av).terms.items():
-                    accumulate(acc, m, -c if neg else c)
+        for bv, ja, av, sign in self._laplacian_rows:
+            if bv not in fibers or not (ja in bases if ja else av in fibers):
+                continue
+            for m, c in left_deriv(bv).left_deriv(av).terms.items():
+                accumulate(acc, m, c if sign > 0 else -c)
         return Expr._of(acc, f.scope)
 
 
@@ -298,6 +298,19 @@ class RandomExprs:
         return Expr._of(acc, None), degree
 
 
+def _cleared(f: Expr) -> Expr:
+    """c F for c the lcm of the denominators of F's coefficients: the same
+    law verdicts on int coefficients only (see :func:`check_bv_identities`).
+    F itself when c = 1."""
+    c = lcm(*[v.denominator for p in f.terms.values() for v in p.terms.values()])
+    if c == 1:
+        return f
+    return Expr._of({
+        m: CPoly._of({k: v.numerator * (c // v.denominator) for k, v in p.terms.items()})
+        for m, p in f.terms.items()
+    }, f.scope)
+
+
 BRACKET_LAWS = (
     "graded antisymmetry",
     "left Leibniz",
@@ -341,6 +354,17 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
     generic operand sum_i u[i;] m_i over the fiber monomials m_i of degree
     k, whose fresh coefficients u have free base jets, so it stands for
     every operand of degree k.
+
+    Each trial's laws run on c_F F, c_G G and c_H H, c_X the lcm of the
+    coefficient denominators of the drawn X (:func:`_cleared`), so that
+    their products and brackets stay on int arithmetic.  That is exact:
+    every law is multilinear in its operands (antisymmetry and
+    Delta-Leibniz bilinear, both Leibniz rules and Jacobi trilinear,
+    Delta^2 = 0 linear; the degree laws read only degrees), so each side
+    of a law on the cleared operands is its side on the drawn ones times
+    the product of the c_X of the operands the law reads, a nonzero
+    constant, and the law holds on one triple if and only if on the
+    other.  Witnesses print the drawn operands.
     """
     n = pstruct.n
     gen = RandomExprs(pstruct, seed)
@@ -362,27 +386,28 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
         if bad:
             fail(LAPLACIAN_LAWS[1], "degree %d: Delta^2(u*%s) != 0", k, monomial_str(monos[min(bad)]))
     for trial in range(trials):
-        f, fd = gen.homogeneous()
-        g, gd = gen.homogeneous()
-        h, hd = gen.homogeneous()
+        F, fd = gen.homogeneous()
+        G, gd = gen.homogeneous()
+        H, hd = gen.homogeneous()
         fs, gs, hs = fd + 1 - n, gd + 1 - n, hd + 1 - n
+        f, g, h = _cleared(F), _cleared(G), _cleared(H)
         # Every value below is taken once and read by each law that needs
-        # it; each right and left derivative of F, G and H at most once.
+        # it; each right and left derivative of f, g and h at most once.
         qf, qg, qh = Hamiltonian(f), Hamiltonian(g), Hamiltonian(h)
         fg, gh, hf, fh = br(qf, qg), br(qg, qh), br(qh, qf), br(qf, qh)
         f_g = f * g
         lf = lap(qf)
 
         if not (fg + br(qg, qf).scale((-1) ** (fs * gs))).is_zero():
-            fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s", trial, f, g)
+            fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s", trial, F, G)
 
         rhs = fg * h + (g * fh).scale((-1) ** (fs * gd))
         if br(qf, g * h) != rhs:
-            fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s", trial, f, g, h)
+            fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s", trial, F, G, H)
 
         rhs = f * gh + (fh * g).scale((-1) ** (gd * hs))
         if br(f_g, qh) != rhs:
-            fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s", trial, f, g, h)
+            fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s", trial, F, G, H)
 
         jac = (
             br(qf, gh).scale((-1) ** (fs * hs))
@@ -390,7 +415,7 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
             + br(qh, fg).scale((-1) ** (hs * gs))
         )
         if not jac.is_zero():
-            fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s", trial, f, g, h)
+            fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s", trial, F, G, H)
 
         if fg and fg.homogeneous_degree() != fd + gd - n + 1:
             fail(BRACKET_LAWS[4], "trial %d", trial)
@@ -403,10 +428,10 @@ def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -
             + (f * lap(qg)).scale((-1) ** fd)
         )
         if lap(f_g) != rhs:
-            fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s", trial, f, g)
+            fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s", trial, F, G)
 
         if not lap(lf).is_zero():
-            fail(LAPLACIAN_LAWS[1], "trial %d: F=%s", trial, f)
+            fail(LAPLACIAN_LAWS[1], "trial %d: F=%s", trial, F)
 
         if lf and lf.homogeneous_degree() != fd - (n - 1):
             fail(LAPLACIAN_LAWS[2], "trial %d", trial)

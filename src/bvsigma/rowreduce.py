@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .symalg import Rat, accumulate, exact
 
@@ -83,35 +83,59 @@ def _direction(row: Row) -> Row:
     return dict(zip(row, [v // g for v in vals]))
 
 
-def span_includes(rows: Sequence[Row], candidates: Sequence[Row]) -> Optional[int]:
+class Directions:
+    """The directions of a sequence of rows (see :func:`_direction`), each
+    computed and hashed once: ``keyed`` holds (hash, direction) per row,
+    None for a zero row, and ``buckets`` maps each hash to the distinct
+    directions with it.  A comparison that reads each side once as rows
+    and once as candidates of :func:`span_includes` builds one per side."""
+
+    __slots__ = ("keyed", "buckets")
+
+    def __init__(self, rows: Sequence[Row]):
+        self.keyed: list[Optional[tuple[int, Row]]] = []
+        self.buckets: dict[int, list[Row]] = {}
+        for r in rows:
+            if not r:
+                self.keyed.append(None)
+                continue
+            d = _direction(r)
+            key = hash(frozenset(d.items()))
+            self.keyed.append((key, d))
+            bucket = self.buckets.setdefault(key, [])
+            if d not in bucket:
+                bucket.append(d)
+
+
+def span_includes(
+    rows: Union[Sequence[Row], Directions], candidates: Union[Sequence[Row], Directions]
+) -> Optional[int]:
     """Index of the first candidate outside span(rows), or None if included.
 
     Rows are bucketed by the hash of their direction and compared exactly
     within a bucket.  A zero candidate, or one whose direction is a row's,
     lies in the span with no elimination; the span itself is built, from
     one row per direction, only when some candidate is not matched, and
-    only such candidates are reduced against it.
+    only such candidates are reduced against it.  Either side may be given
+    as its :class:`Directions`, taken once for several calls.
     """
-    buckets: dict[int, list[Row]] = {}
-    for r in rows:
-        if not r:
-            continue
-        d = _direction(r)
-        bucket = buckets.setdefault(hash(frozenset(d.items())), [])
-        if d not in bucket:
-            bucket.append(d)
+    if not isinstance(rows, Directions):
+        rows = Directions(rows)
+    if not isinstance(candidates, Directions):
+        candidates = Directions(candidates)
+    buckets = rows.buckets
     span = None
-    for i, c in enumerate(candidates):
-        if not c:
+    for i, kd in enumerate(candidates.keyed):
+        if kd is None:
             continue
-        d = _direction(c)
-        if d in buckets.get(hash(frozenset(d.items())), ()):
+        key, d = kd
+        if d in buckets.get(key, ()):
             continue
         if span is None:
             span = RowSpan()
             for bucket in buckets.values():
                 for r in bucket:
                     span.add(r)
-        if not span.contains(c):
+        if not span.contains(d):
             return i
     return None

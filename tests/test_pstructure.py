@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvsigma.grading import GradedVar
+from bvsigma import pstructure
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build_S1_generic
 from bvsigma.pstructure import (
     BRACKET_LAWS,
@@ -15,6 +17,7 @@ from bvsigma.pstructure import (
     Hamiltonian,
     PStructure,
     RandomExprs,
+    _cleared,
     _monomials_of_degree,
     check_bv_identities,
 )
@@ -225,12 +228,13 @@ def _reference_conjugate_tables(spec):
     block labels and their degrees, as the structure once did itself, and
     the square rows of (F,F) read off the full rows: a Darboux pair's A row
     doubled, and of the self block's k^{ab} terms those with b >= a, the
-    off-diagonal ones doubled."""
+    off-diagonal ones doubled; and the Laplacian's (B, ja, A, (-1)^p) per
+    Darboux pair."""
     n, q = spec.n, (spec.n - 1) // 2
     pairs = [("phi", "B%d" % (n - 1), 0, spec.d)]
     for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
         pairs.append(("A%d" % blk.p, "B%d" % (n - blk.p - 1), blk.p, blk.rank))
-    darboux, square = [], []
+    darboux, square, laplacian = [], [], []
     for a_block, b_block, p, rank in pairs:
         sign = -1 if (n * p) % 2 == 0 else 1
         for i in range(1, rank + 1):
@@ -239,6 +243,7 @@ def _reference_conjugate_tables(spec):
             darboux.append((av, ja, ((bv, 0, 1),)))
             darboux.append((bv, 0, ((av, ja, sign),)))
             square.append((av, ja, ((bv, 0, 2),)))
+            laplacian.append((bv, ja, av, (-1) ** p))
     full = list(darboux)
     if spec.cs_block is not None:
         vs = [GradedVar("A%d" % q, q, i) for i in range(1, spec.cs_block.rank + 1)]
@@ -253,7 +258,7 @@ def _reference_conjugate_tables(spec):
             )
             if half:
                 square.append((va, 0, half))
-    return tuple(darboux), tuple(full), tuple(square)
+    return tuple(darboux), tuple(full), tuple(square), tuple(laplacian)
 
 
 K3_SPARSE = (
@@ -784,26 +789,34 @@ def test_random_operands_match_summed_construction(spec):
         assert gen.rng.getstate() == ref.rng.getstate()
 
 
+def _coefficients(f):
+    return [v for c in f.terms.values() for v in c.terms.values()]
+
+
 @pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
 def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
-    # F, G and H of every trial, kept alive so that no other object takes
-    # one of their ids, and the ids.
-    drawn, ids = [], set()
+    # F, G and H of every trial as drawn and as the laws run on them (the
+    # denominator-cleared operands), kept alive so that no other object
+    # takes one of their ids, and the ids.
+    drawn, cleared, ids, replaced = [], [], set(), set()
     taken = {}  # (side, id of the operand, variable) -> times taken
-    orig_homogeneous = RandomExprs.homogeneous
+    orig_cleared = pstructure._cleared
 
-    def recording(self, degree=None):
-        out = orig_homogeneous(self, degree)
-        drawn.append(out[0])
-        ids.add(id(out[0]))
+    def recording(f):
+        out = orig_cleared(f)
+        drawn.append(f)
+        cleared.append(out)
+        ids.add(id(out))
+        if out is not f:
+            replaced.add(id(f))
         return out
 
-    monkeypatch.setattr(RandomExprs, "homogeneous", recording)
+    monkeypatch.setattr(pstructure, "_cleared", recording)
     for side in ("left_deriv", "right_deriv"):
         orig = getattr(Expr, side)
 
         def counted(self, v, _orig=orig, _side=side):
-            if id(self) in ids:
+            if id(self) in ids or id(self) in replaced:
                 key = (_side, id(self), v)
                 taken[key] = taken.get(key, 0) + 1
             return _orig(self, v)
@@ -811,6 +824,50 @@ def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
         monkeypatch.setattr(Expr, side, counted)
     trials = 12
     check_bv_identities(PStructure(spec), trials=trials, seed=0)
-    assert len(drawn) == 3 * trials
+    assert len(cleared) == 3 * trials
+    assert any(type(v) is Fraction for f in drawn for v in _coefficients(f))
+    assert replaced
     assert {k[0] for k in taken} == {"left_deriv", "right_deriv"}
     assert max(taken.values()) == 1
+    # no law reads a drawn operand that was cleared into another one
+    assert not any(k[1] in replaced for k in taken)
+
+
+@pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
+def test_cleared_operand_is_the_drawn_one_times_its_denominators_lcm(spec):
+    p = PStructure(spec)
+    fractional = integral = 0
+    for seed in range(10):
+        gen = RandomExprs(p, seed)
+        for _ in range(60):
+            f, _ = gen.homogeneous()
+            c = math.lcm(*(Fraction(v).denominator for v in _coefficients(f)))
+            out = _cleared(f)
+            assert all(type(v) is int for v in _coefficients(out))
+            assert out == f.scale(c) and out.scope == f.scope
+            if c == 1:
+                assert out is f
+                integral += 1
+            else:
+                fractional += 1
+    assert fractional and integral
+
+
+@pytest.mark.parametrize("spec", LAPLACIAN_SPECS, ids=lambda s: s.fingerprint())
+def test_laplacian_reads_no_block_variables_after_construction(spec, monkeypatch):
+    p = PStructure(spec)
+    gen = RandomExprs(p, seed=1)
+    operands = [build_S1_generic(spec).expr] + [gen.homogeneous(k)[0] for k in gen.degrees]
+    calls = []
+    orig = ModelSpec.vars_of
+
+    def counted(self, label):
+        calls.append(label)
+        return orig(self, label)
+
+    monkeypatch.setattr(ModelSpec, "vars_of", counted)
+    results = [p.laplacian(f) for f in operands] + [p.laplacian(Hamiltonian(f)) for f in operands]
+    assert any(results)
+    assert calls == []
+    p.spec.vars_of(p.pairs[0].b_block)  # the counter sees a call
+    assert len(calls) == 1
