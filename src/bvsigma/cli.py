@@ -78,7 +78,7 @@ class SystemExit2(Exception):
 
 def _cmd_check_bv(mf: ModelFile, args) -> int:
     p = PStructure(mf.spec)
-    rep = check_bv_identities(p, trials=args.trials, seed=args.seed)
+    rep = check_bv_identities(p)
     details = ["%s: %s" % (law, "ok" if ok else "FAILED") for law, ok in sorted(rep.results.items())]
     details += ["note: %s" % note for note in rep.notes]
     return _report("check-bv", mf.spec, rep.passed, details, rep.failures, args.format)
@@ -236,15 +236,9 @@ _COMMANDS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for --trials: zero trials would report a vacuous pass."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
-    return value
+# Flags a command takes and ignores, since its checks are exact: perfbench's
+# axioms and bv-laws jobs still pass them.
+_IGNORED_FLAGS = {"check-algebroid": ("--seed",), "check-bv": ("--seed", "--trials")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,11 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.set_defaults(parser=cmd)  # reports the flags it does not take
         cmd.add_argument("--model", required=True, help="path to a model file")
-        if name == "check-bv":
-            cmd.add_argument("--seed", type=int, default=0, help="seed for the randomized trials")
-            cmd.add_argument("--trials", type=_positive_int, default=200, help="randomized trial count")
-        elif name == "check-algebroid":  # perfbench's axioms jobs still pass --seed
-            cmd.add_argument("--seed", type=int, default=0, help="ignored: the checks are exact")
+        for flag in _IGNORED_FLAGS.get(name, ()):
+            cmd.add_argument(flag, type=int, help="ignored: the checks are exact")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         if name == "compare-identities":
             cmd.add_argument(

@@ -9,8 +9,9 @@ plus, for a self-paired block with constant symmetric metric k,
 
     (F,G) += F d_r/dA^a k^{ab} d_l/dA^b G.
 
-Signs are read literally off the Darboux expressions; the identity suite in
-``check_bv_identities`` is the arbiter that the conventions are consistent.
+Signs are read literally off the Darboux expressions; the BV laws, which
+:func:`check_bv_identities` proves on generic operands of bounded length,
+are the arbiter that the conventions are consistent.
 
 The sum runs over the operands' support (:meth:`Expr.support`): a term is
 taken only when F holds the variable it differentiates F by and G holds
@@ -22,7 +23,7 @@ f~ = |F|+1-n, g~ = |G|+1-n, and k is symmetric, so on (S,S) each B half
 repeats its A half and each self-block (a,b) term the (b,a) one.  The
 partners of each variable come from a table built once per structure.  An
 operand that enters many brackets, as the fixed S of the derived brackets of
-``algebroid`` or F, G and H of one ``check_bv_identities`` trial, is wrapped
+``algebroid`` or a generic operand of :func:`check_bv_identities`, is wrapped
 once in a :class:`Hamiltonian`, which keeps each right and left derivative
 a bracket or the Laplacian reads; either bracket side may be wrapped.  The
 Laplacian, too, takes only the pairs its operand's support holds.
@@ -30,15 +31,12 @@ Laplacian, too, takes only the pairs its operand's support holds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
-from typing import Optional, Union
+from typing import Union
 
 from .grading import BASE_BLOCK, GradedVar
 from .models import ModelError, ModelSpec
-from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact, monomial_str
+from .symalg import CoeffSymbol, CPoly, Expr, accumulate
 
 
 class PStructure:
@@ -218,97 +216,36 @@ def _operand(x: Operand, left: bool):
     return x, x.support(), x.left_deriv if left else x.right_deriv
 
 
-# -- randomized identity suite ---------------------------------------------------
+# -- the BV laws on generic operands ---------------------------------------------
 
 
-def _monomials_of_degree(pstruct: PStructure, degree: int, max_len: int = 4):
-    """All canonical fiber monomials of the given total degree.
+def fiber_monomials(spec: ModelSpec, max_len: int) -> dict[int, list[tuple[GradedVar, ...]]]:
+    """Every canonical fiber monomial of at most ``max_len`` factors, the
+    empty one (the scalar) included, keyed by total degree: variables in
+    canonical order, odd ones at most once, even ones repeated."""
+    fibers = spec.fiber_vars()
+    out: dict[int, list] = {}
 
-    Degree-0 fiber variables (the n=1 cotangent partner) extend a finished
-    monomial without changing its degree, bounded by max_len.
-    """
-    vars_ = pstruct.spec.fiber_vars()
-    out: list[tuple[GradedVar, ...]] = []
+    def rec(start: int, mono: tuple, degree: int):
+        out.setdefault(degree, []).append(mono)
+        if len(mono) < max_len:
+            for i in range(start, len(fibers)):
+                v = fibers[i]
+                rec(i + v.parity, mono + (v,), degree + v.degree)
 
-    def rec(start: int, remaining: int, acc: list[GradedVar]):
-        if remaining == 0:
-            out.append(tuple(acc))
-        if len(acc) >= max_len:
-            return
-        for i in range(start, len(vars_)):
-            v = vars_[i]
-            if v.degree > remaining:
-                continue
-            if v.parity and acc and acc[-1] == v:
-                continue
-            acc.append(v)
-            # Odd variables cannot repeat; even ones may.
-            rec(i if not v.parity else i + 1, remaining - v.degree, acc)
-            acc.pop()
-
-    rec(0, degree, [])
-    if degree == 0:
-        out.remove(())  # the empty monomial is the scalar, not a fiber monomial
+    rec(0, (), 0)
     return out
 
 
-class RandomExprs:
-    """Seeded generator of random homogeneous expressions over a structure."""
-
-    def __init__(self, pstruct: PStructure, seed: int = 0, max_degree: Optional[int] = None):
-        self.pstruct = pstruct
-        self.rng = random.Random(seed)
-        self.max_degree = max_degree or pstruct.n + 2
-        self._pool = {
-            deg: _monomials_of_degree(pstruct, deg)
-            for deg in range(0, self.max_degree + 1)
-        }
-        self.degrees = [d for d, monos in self._pool.items() if monos]
-        self._bases = range(1, pstruct.spec.d + 1)
-
-    def _coefficient(self) -> CPoly:
-        """A scalar, times a base power with probability 1/2, times a
-        (possibly differentiated) symbol g1 or g2 with probability 2/5:
-        one coefficient term, built as such."""
-        rng = self.rng
-        num = rng.choice([-3, -2, -1, 1, 2, 3])
-        den = rng.choice([1, 1, 2, 3])
-        base = syms = ()
-        if rng.random() < 0.5:
-            j = rng.choice(self._bases)
-            base = ((j, rng.choice([1, 1, 2])),)
-        if rng.random() < 0.4:
-            deriv = ()
-            if rng.random() < 0.5:
-                deriv = (rng.choice(self._bases),)
-            syms = (CoeffSymbol("g%d" % rng.choice([1, 2]), (), (), deriv),)
-        return CPoly._of({(syms, base): exact(Fraction(num, den))})
-
-    def homogeneous(self, degree: Optional[int] = None) -> tuple[Expr, int]:
-        rng = self.rng
-        if degree is None:
-            degree = rng.choice(self.degrees)
-        monos = self._pool[degree]
-        acc: dict = {}
-        for _ in range(rng.randint(1, 2)):
-            m = rng.choice(monos)
-            accumulate(acc, m, self._coefficient())
-        if not acc:
-            acc = {rng.choice(monos): CPoly.scalar(1)}
-        return Expr._of(acc, None), degree
+def _generic(name: str, monos) -> Expr:
+    """sum_i name[i;] m_i over ``monos``: fresh symbols with free base jets,
+    so the operand stands for every operand spanned by the m_i."""
+    return Expr({m: CPoly.symbol(CoeffSymbol(name, (i,))) for i, m in enumerate(monos)})
 
 
-def _cleared(f: Expr) -> Expr:
-    """c F for c the lcm of the denominators of F's coefficients: the same
-    law verdicts on int coefficients only (see :func:`check_bv_identities`).
-    F itself when c = 1."""
-    c = lcm(*[v.denominator for p in f.terms.values() for v in p.terms.values()])
-    if c == 1:
-        return f
-    return Expr._of({
-        m: CPoly._of({k: v.numerator * (c // v.denominator) for k, v in p.terms.items()})
-        for m, p in f.terms.items()
-    }, f.scope)
+def _off_degree(e: Expr, degree: int) -> Expr:
+    """The terms of ``e`` whose total degree is not ``degree``."""
+    return Expr({m: c for m, c in e.terms.items() if sum(v.degree for v in m) != degree})
 
 
 BRACKET_LAWS = (
@@ -329,7 +266,6 @@ LAPLACIAN_LAWS = (
 @dataclass
 class BvReport:
     structure: str
-    trials: int
     results: dict[str, bool] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -339,102 +275,101 @@ class BvReport:
         return all(self.results.values())
 
 
-def check_bv_identities(pstruct: PStructure, trials: int = 200, seed: int = 0) -> BvReport:
-    """Randomized exact check of the four antibracket laws, the
-    Delta-Leibniz identity and Delta^2 = 0, with counterexamples on failure.
+def check_bv_identities(pstruct: PStructure) -> BvReport:
+    """Exact check of the four antibracket laws, the two degree laws, the
+    Delta-Leibniz identity and Delta^2 = 0, each decided on generic
+    operands of bounded length, with a witness on failure.
 
-    The Delta-Leibniz defect is compared against the Darboux part of the
-    bracket (the part a second-order operator can generate; for structures
-    without a self block that is the full bracket).  For odd n the identity
-    cannot hold at all: the degree -n+1 bracket is then graded-antisymmetric
-    while the Leibniz defect of the even operator Delta is graded-symmetric.
-    The check still runs and reports the failure; see the report notes.
-    Delta^2 lowers degree by 2(n-1), past the largest random operand degree
-    from n=5 on; each degree k beyond it, up to 2(n-1), is checked on one
-    generic operand sum_i u[i;] m_i over the fiber monomials m_i of degree
-    k, whose fresh coefficients u have free base jets, so it stands for
-    every operand of degree k.
+    The generic operand of degree k sums a fresh symbol (u for F, v for
+    G, w for H) times each fiber variable of degree k, and at k = 0 a lone
+    fresh symbol too.  The symbols' base jets are free, so it stands for
+    every operand of length <= 1 (a base function times at most one fiber
+    variable) of degree k.  That suffices, with no degree bound:
+    - the bracket is a sum of products of a right and a left graded
+      derivative, so it is a biderivation; both sides of antisymmetry are
+      biderivations, and the Jacobiator of an antisymmetric biderivation is
+      a triderivation.  So antisymmetry and the bracket degree are decided
+      on pairs, both Leibniz rules (which check the derivatives' sign
+      conventions on a product) and Jacobi on triples of generic operands;
+    - Delta sums products of two derivatives with constant coefficients, so
+      it has order 2: its Leibniz defect Delta(FG) - Delta(F)G -
+      (-1)^|F| F Delta(G) is a biderivation, as is the bracket it is
+      compared with.  Delta-Leibniz and the Delta degree are decided on
+      pairs;
+    - Delta^2 has order 4 and lowers degree by 2(n-1): it is decided on one
+      generic operand of each degree >= 2(n-1) over the fiber monomials of
+      up to 4 factors.
 
-    Each trial's laws run on c_F F, c_G G and c_H H, c_X the lcm of the
-    coefficient denominators of the drawn X (:func:`_cleared`), so that
-    their products and brackets stay on int arithmetic.  That is exact:
-    every law is multilinear in its operands (antisymmetry and
-    Delta-Leibniz bilinear, both Leibniz rules and Jacobi trilinear,
-    Delta^2 = 0 linear; the degree laws read only degrees), so each side
-    of a law on the cleared operands is its side on the drawn ones times
-    the product of the c_X of the operands the law reads, a nonzero
-    constant, and the law holds on one triple if and only if on the
-    other.  Witnesses print the drawn operands.
+    Kernel faults that only long monomials show are left to the kernels'
+    own reference tests.  The Delta-Leibniz defect is compared against the
+    Darboux part of the bracket (the part a second-order operator can
+    generate; for structures without a self block that is the full
+    bracket).  For odd n the identity cannot hold at all: the degree -n+1
+    bracket is then graded-antisymmetric while the Leibniz defect of the
+    even operator Delta is graded-symmetric.  The check still runs and
+    reports the failure; see the report notes.  A failed law's witness
+    names its operands' degrees and the term of least monomial of its first
+    nonzero residual, in the fixed order of degrees.
     """
     n = pstruct.n
-    gen = RandomExprs(pstruct, seed)
-    report = BvReport(structure=pstruct.scope, trials=trials)
+    report = BvReport(structure=pstruct.scope)
     report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
 
-    def fail(law: str, fmt: str, *args):
-        # The witness is formatted only when it is kept.
+    def check(law: str, degrees: tuple, residual: Expr):
+        if not residual:
+            return
+        if report.results[law]:  # the first failure of a law is its witness
+            m = min(residual.terms)
+            report.failures.append("%s: %s = %s: residual term %s" % (
+                law, ",".join("|%s|" % x for x in "FGH"[:len(degrees)]),
+                ",".join(map(str, degrees)), Expr({m: residual.terms[m]})))
         report.results[law] = False
-        if len(report.failures) < 8:
-            report.failures.append("%s: %s" % (law, fmt % args))
 
     br = pstruct.bracket
     lap = pstruct.laplacian
-    for k in range(max(gen.degrees, default=0) + 1, 2 * (n - 1) + 1):
-        monos = _monomials_of_degree(pstruct, k, max_len=k)
-        u = Expr({m: CPoly.symbol(CoeffSymbol("u", (i,))) for i, m in enumerate(monos)})
-        bad = {s.lower[0] for s in lap(lap(u)).symbols()}
-        if bad:
-            fail(LAPLACIAN_LAWS[1], "degree %d: Delta^2(u*%s) != 0", k, monomial_str(monos[min(bad)]))
-    for trial in range(trials):
-        F, fd = gen.homogeneous()
-        G, gd = gen.homogeneous()
-        H, hd = gen.homogeneous()
-        fs, gs, hs = fd + 1 - n, gd + 1 - n, hd + 1 - n
-        f, g, h = _cleared(F), _cleared(G), _cleared(H)
-        # Every value below is taken once and read by each law that needs
-        # it; each right and left derivative of f, g and h at most once.
-        qf, qg, qh = Hamiltonian(f), Hamiltonian(g), Hamiltonian(h)
-        fg, gh, hf, fh = br(qf, qg), br(qg, qh), br(qh, qf), br(qf, qh)
-        f_g = f * g
-        lf = lap(qf)
+    short = fiber_monomials(pstruct.spec, 1)
+    classes = sorted(short)
+    # Every value below is taken once and read by each law that needs it;
+    # each right and left derivative of an operand at most once.
+    F, G, H = ({k: Hamiltonian(_generic(name, short[k])) for k in classes} for name in "uvw")
+    fg = {(a, b): br(F[a], G[b]) for a in classes for b in classes}
+    gh = {(b, c): br(G[b], H[c]) for b in classes for c in classes}
+    hf = {(c, a): br(H[c], F[a]) for c in classes for a in classes}
+    fh = {(a, c): br(F[a], H[c]) for a in classes for c in classes}
+    lap_f = {a: lap(F[a]) for a in classes}
+    lap_g = {b: lap(G[b]) for b in classes}
 
-        if not (fg + br(qg, qf).scale((-1) ** (fs * gs))).is_zero():
-            fail(BRACKET_LAWS[0], "trial %d: F=%s G=%s", trial, F, G)
+    for a in classes:
+        f, fs = F[a].expr, a + 1 - n
+        check(LAPLACIAN_LAWS[2], (a,), _off_degree(lap_f[a], a - (n - 1)))
+        for b in classes:
+            g, gs = G[b].expr, b + 1 - n
+            check(BRACKET_LAWS[0], (a, b), fg[a, b] + br(G[b], F[a]).scale((-1) ** (fs * gs)))
+            check(BRACKET_LAWS[4], (a, b), _off_degree(fg[a, b], a + b - n + 1))
+            # Without a self block the Darboux rows are the full rows.
+            fg_darboux = pstruct.bracket_darboux(F[a], G[b]) if pstruct.self_pairs else fg[a, b]
+            lap_fg = lap(f * g)
+            check(LAPLACIAN_LAWS[0], (a, b), lap_fg - (
+                lap_f[a] * g
+                + fg_darboux.scale((-1) ** ((n + 1) * a))
+                + (f * lap_g[b]).scale((-1) ** a)
+            ))
+            check(LAPLACIAN_LAWS[2], (a, b), _off_degree(lap_fg, a + b - (n - 1)))
+            for c in classes:
+                h, hs = H[c].expr, c + 1 - n
+                check(BRACKET_LAWS[1], (a, b, c), br(F[a], g * h) - (
+                    fg[a, b] * h + (g * fh[a, c]).scale((-1) ** (fs * b))))
+                check(BRACKET_LAWS[2], (a, b, c), br(f * g, H[c]) - (
+                    f * gh[b, c] + (fh[a, c] * g).scale((-1) ** (b * hs))))
+                check(BRACKET_LAWS[3], (a, b, c), (
+                    br(F[a], gh[b, c]).scale((-1) ** (fs * hs))
+                    + br(G[b], hf[c, a]).scale((-1) ** (gs * fs))
+                    + br(H[c], fg[a, b]).scale((-1) ** (hs * gs))
+                ))
 
-        rhs = fg * h + (g * fh).scale((-1) ** (fs * gd))
-        if br(qf, g * h) != rhs:
-            fail(BRACKET_LAWS[1], "trial %d: F=%s G=%s H=%s", trial, F, G, H)
-
-        rhs = f * gh + (fh * g).scale((-1) ** (gd * hs))
-        if br(f_g, qh) != rhs:
-            fail(BRACKET_LAWS[2], "trial %d: F=%s G=%s H=%s", trial, F, G, H)
-
-        jac = (
-            br(qf, gh).scale((-1) ** (fs * hs))
-            + br(qg, hf).scale((-1) ** (gs * fs))
-            + br(qh, fg).scale((-1) ** (hs * gs))
-        )
-        if not jac.is_zero():
-            fail(BRACKET_LAWS[3], "trial %d: F=%s G=%s H=%s", trial, F, G, H)
-
-        if fg and fg.homogeneous_degree() != fd + gd - n + 1:
-            fail(BRACKET_LAWS[4], "trial %d", trial)
-
-        # Without a self block the Darboux rows are the full rows.
-        fg_darboux = pstruct.bracket_darboux(qf, qg) if pstruct.self_pairs else fg
-        rhs = (
-            lf * g
-            + fg_darboux.scale((-1) ** ((n + 1) * fd))
-            + (f * lap(qg)).scale((-1) ** fd)
-        )
-        if lap(f_g) != rhs:
-            fail(LAPLACIAN_LAWS[0], "trial %d: F=%s G=%s", trial, F, G)
-
-        if not lap(lf).is_zero():
-            fail(LAPLACIAN_LAWS[1], "trial %d: F=%s", trial, F)
-
-        if lf and lf.homogeneous_degree() != fd - (n - 1):
-            fail(LAPLACIAN_LAWS[2], "trial %d", trial)
+    for k, monos in sorted(fiber_monomials(pstruct.spec, 4).items()):
+        if k >= 2 * (n - 1):
+            check(LAPLACIAN_LAWS[1], (k,), lap(lap(_generic("u", monos))))
 
     if n % 2 == 1 and not report.results[LAPLACIAN_LAWS[0]]:
         report.notes.append(

@@ -1,7 +1,9 @@
 """Shared structure-function instances used by the algebroid and
-acceptance tests: model specs, passing and failing data, expected tables."""
+acceptance tests: model specs, passing and failing data, expected tables;
+and a seeded generator of random operands for the structure tests."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from bvsigma.models import (
@@ -12,7 +14,8 @@ from bvsigma.models import (
     StructureData,
     ansatz_families,
 )
-from bvsigma.symalg import CPoly, Expr, make_symbol
+from bvsigma.pstructure import fiber_monomials
+from bvsigma.symalg import CoeffSymbol, CPoly, Expr, accumulate, exact, make_symbol
 
 
 def n2_spec():
@@ -160,3 +163,55 @@ def anchored_cs_data(spec):
     data = StructureData(spec)
     data.assign("f1", (1,), (1,), CPoly.scalar(1))
     return fill_zero(data, spec, ["f1", "f2"])
+
+
+# -- random operands ------------------------------------------------------------
+
+
+class RandomExprs:
+    """Seeded generator of random homogeneous expressions over a structure:
+    1-2 terms, each a fiber monomial of up to 4 factors and degree at most
+    ``max_degree`` (default n+2) times one random coefficient term."""
+
+    def __init__(self, pstruct, seed=0, max_degree=None):
+        self.pstruct = pstruct
+        self.rng = random.Random(seed)
+        self.max_degree = max_degree or pstruct.n + 2
+        monos = fiber_monomials(pstruct.spec, 4)
+        self._pool = {
+            deg: [m for m in monos.get(deg, ()) if m]  # () is the scalar
+            for deg in range(0, self.max_degree + 1)
+        }
+        self.degrees = [d for d, pool in self._pool.items() if pool]
+        self._bases = range(1, pstruct.spec.d + 1)
+
+    def _coefficient(self):
+        """A scalar, times a base power with probability 1/2, times a
+        (possibly differentiated) symbol g1 or g2 with probability 2/5:
+        one coefficient term, built as such."""
+        rng = self.rng
+        num = rng.choice([-3, -2, -1, 1, 2, 3])
+        den = rng.choice([1, 1, 2, 3])
+        base = syms = ()
+        if rng.random() < 0.5:
+            j = rng.choice(self._bases)
+            base = ((j, rng.choice([1, 1, 2])),)
+        if rng.random() < 0.4:
+            deriv = ()
+            if rng.random() < 0.5:
+                deriv = (rng.choice(self._bases),)
+            syms = (CoeffSymbol("g%d" % rng.choice([1, 2]), (), (), deriv),)
+        return CPoly._of({(syms, base): exact(Fraction(num, den))})
+
+    def homogeneous(self, degree=None):
+        rng = self.rng
+        if degree is None:
+            degree = rng.choice(self.degrees)
+        monos = self._pool[degree]
+        acc = {}
+        for _ in range(rng.randint(1, 2)):
+            m = rng.choice(monos)
+            accumulate(acc, m, self._coefficient())
+        if not acc:
+            acc = {rng.choice(monos): CPoly.scalar(1)}
+        return Expr._of(acc, None), degree

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Every comparison is by exact Fraction equality (zero tolerance).  Each test
-prints one summary line; randomized parts run at their stated trial counts
-with fixed seeds.
+prints one summary line.
 """
 
 import functools
@@ -83,16 +82,14 @@ BRACKET_FAMILIES = [
     ("self-paired n=3", ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2))),
 ]
 
-TRIALS = 200
-
 
 @functools.lru_cache(maxsize=None)
 def bv_report(name):
-    """check_bv_identities(..., trials=TRIALS, seed=0) on the named
-    BRACKET_FAMILIES entry.  Criteria 1 and 9 read the same seven reports,
-    so each is computed once per test run; no test changes a report."""
+    """check_bv_identities on the named BRACKET_FAMILIES entry.  Criteria 1
+    and 9 read the same seven reports, so each is computed once per test
+    run; no test changes a report."""
     spec = dict(BRACKET_FAMILIES)[name]
-    return check_bv_identities(PStructure(spec), trials=TRIALS, seed=0)
+    return check_bv_identities(PStructure(spec))
 
 
 def conclude(number, description, ok, detail=""):
@@ -111,7 +108,7 @@ def test_criterion_01_antibracket_law_suite():
                 failures.append("%s: %s" % (name, law))
     conclude(
         1,
-        "four antibracket laws, %d random triples per family" % TRIALS,
+        "four antibracket laws, proved on generic operand pairs and triples of every degree class per family",
         not failures,
         "; ".join(failures),
     )
@@ -532,8 +529,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
     -(G,F), the Leibniz defect D(F,G) equals D(G,F), and the published
     equation holds for (F,G) and fails for (G,F).  Delta^2 of
     phi1^2 (B{n-1}_1)^2 is the scalar 4, and the checker flags Delta^2 = 0
-    with a witness at every odd n, n=5 included, where 2(n-1) exceeds every
-    random operand degree.
+    with a witness at every odd n, n=5 included, where 2(n-1) exceeds n+2.
     """
     failures = []
     for name, spec in ODD_FAMILIES:
@@ -543,7 +539,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
 
         if rep.results["Delta-Leibniz"]:
             failures.append("%s: Delta-Leibniz not flagged" % name)
-        if not any(m.startswith("Delta-Leibniz: trial ") for m in rep.failures):
+        if not any(m.startswith("Delta-Leibniz: |F|,|G| = ") for m in rep.failures):
             failures.append("%s: no Delta-Leibniz counterexample" % name)
         if not any("cannot hold for odd n" in note for note in rep.notes):
             failures.append("%s: odd-n note missing" % name)

@@ -157,14 +157,36 @@ def test_graded_var_value_semantics():
 
 @st.composite
 def _canonical_pair(draw):
-    """Two canonical monomials: ascending, odd variables at most once."""
+    """Two canonical monomials: ascending, odd variables at most once.  Half
+    the time the left one holds three or four odd items and the right one
+    sits wholly below them, so that each of its odd items overtakes three or
+    more."""
     pool = [x, y, z, even, V("B2", 2, 2), V("A1", 1, 1), V("A2", 2, 1), V("phi", 0, 1)]
 
-    def mono():
-        seq = sorted(draw(st.lists(st.sampled_from(pool), max_size=5)))
+    def mono(items, min_size=0):
+        seq = sorted(draw(st.lists(st.sampled_from(items), min_size=min_size, max_size=5)))
         return tuple(v for i, v in enumerate(seq) if not (v.parity and i and seq[i - 1] == v))
 
-    return mono(), mono()
+    if draw(st.booleans()):
+        odds = draw(st.lists(st.sampled_from([x, y, z, V("B1", 1, 4)]), min_size=3, max_size=4, unique=True))
+        left = tuple(sorted(odds + draw(st.lists(st.sampled_from([even, V("phi", 0, 1)]), max_size=2))))
+        return left, mono([V("A1", 1, 1), V("A1", 1, 2), V("A2", 2, 1)], min_size=1)
+    return mono(pool), mono(pool)
+
+
+@pytest.mark.parametrize(
+    "left,right,sign",
+    [
+        ((y,), (x,), -1),
+        ((x, y), (V("A1", 1, 1),), 1),
+        ((x, y, z), (V("A1", 1, 1),), -1),  # one odd item overtakes three
+        ((x, even), (V("A1", 1, 1), y), -1),
+        ((x,), (x,), 0),
+    ],
+    ids=["one-odd", "two-odds", "three-odds", "interleaved", "odd-repeat"],
+)
+def test_merge_monomials_table(left, right, sign):
+    assert merge_monomials(left, right) == (sign, tuple(sorted(left + right)) if sign else ())
 
 
 @settings(max_examples=400, derandomize=True)

@@ -1,5 +1,4 @@
 import itertools
-import math
 import re
 from fractions import Fraction
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corpus import RandomExprs
 from bvsigma.grading import GradedVar
 from bvsigma import pstructure
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build_S1_generic
@@ -16,10 +16,8 @@ from bvsigma.pstructure import (
     BvReport,
     Hamiltonian,
     PStructure,
-    RandomExprs,
-    _cleared,
-    _monomials_of_degree,
     check_bv_identities,
+    fiber_monomials,
 )
 from bvsigma.symalg import CoeffSymbol, CPoly, Expr, MixedContextError, make_symbol, monomial_str
 
@@ -105,7 +103,7 @@ def test_zero_rank_self_block_reduces_to_bf_bracket():
     f = Expr.base(1) * Expr.var(GradedVar("B2", 2, 1))
     g = Expr.var(GradedVar("B2", 2, 2)) * Expr.base(2)
     assert plain.bracket(f, g) == with_empty.bracket(f, g)
-    rep = check_bv_identities(with_empty, trials=10, seed=2)
+    rep = check_bv_identities(with_empty)
     assert all(rep.results[law] for law in BRACKET_LAWS)
 
 
@@ -134,16 +132,17 @@ def test_bracket_degree_shift():
 
 @pytest.mark.parametrize("spec", _structures(), ids=lambda s: s.fingerprint())
 def test_bracket_laws_randomized(spec):
+    # proved on generic operands, and never refuted by random long ones
     p = PStructure(spec)
-    rep = check_bv_identities(p, trials=30, seed=7)
+    rep, ref = check_bv_identities(p), _reference_check_bv(p, trials=30, seed=7)
     for law in BRACKET_LAWS:
-        assert rep.results[law], rep.failures
+        assert rep.results[law] and ref.results[law], (rep.failures, ref.failures)
 
 
 @pytest.mark.parametrize("n", (2, 4))
 def test_laplacian_suite_even_n(n):
     spec = ModelSpec(n=n, d=2, bf_blocks=(BfBlock(1, 2),) if n > 2 else ())
-    rep = check_bv_identities(PStructure(spec), trials=30, seed=7)
+    rep = check_bv_identities(PStructure(spec))
     for law in LAPLACIAN_LAWS:
         assert rep.results[law], rep.failures
 
@@ -153,7 +152,7 @@ def test_laplacian_obstruction_reported_for_odd_n():
     # second-order Leibniz defect is graded-symmetric; the checker must
     # report the failure and explain it.
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    rep = check_bv_identities(PStructure(spec), trials=30, seed=7)
+    rep = check_bv_identities(PStructure(spec))
     assert all(rep.results[law] for law in BRACKET_LAWS)
     assert not rep.results["Delta-Leibniz"]
     assert any("odd n" in note for note in rep.notes)
@@ -162,20 +161,26 @@ def test_laplacian_obstruction_reported_for_odd_n():
 @pytest.mark.parametrize("n, unexercised", ((3, False), (5, True), (6, True)))
 def test_unexercised_delta_squared_is_noted(n, unexercised):
     # Delta^2 lowers degree by 2(n-1): 8 at n=5 and 10 at n=6, above every
-    # random operand degree (n+2), where it would pass by degree alone; the
-    # degrees beyond are checked on generic operands.  The law is false at
-    # odd n and true at even n.  At n=3 the random operands reach degree 4.
+    # degree a random operand reaches (n+2), where it would pass by degree
+    # alone; the generic operands reach every degree from 2(n-1) on.  The
+    # law is false at odd n and true at even n.
     p = PStructure(ModelSpec(n=n, d=2))
-    rep = check_bv_identities(p, trials=5, seed=7)
+    rep = check_bv_identities(p)
     assert rep.results["Delta^2 = 0"] == (n % 2 == 0)
-    generic = [m for m in rep.failures if m.startswith("Delta^2 = 0: degree ")]
-    if unexercised and n % 2:
-        # The first fiber monomial of degree 8, and Delta^2(u*B4_1^2) != 0.
-        assert generic == ["Delta^2 = 0: degree 8: Delta^2(u*B4_1*B4_1) != 0"]
-        b = Expr.var(GradedVar("B4", 4, 1))
+    witnesses = [m for m in rep.failures if m.startswith("Delta^2 = 0: ")]
+    if n % 2:
+        # At |F| = 2(n-1) the operand is u[0;] B_1^2 + u[1;] B_1 B_2 +
+        # u[2;] B_2^2 (B = B{n-1}, even); Delta^2 pairs each B with its phi
+        # and leaves a scalar.
+        assert witnesses == [
+            "Delta^2 = 0: |F| = %d: residual term "
+            "(2*d(1,1)u[0;] + 2*d(1,2)u[1;] + 2*d(2,2)u[2;])" % (2 * (n - 1))
+        ]
+        b = Expr.var(GradedVar("B%d" % (n - 1), n - 1, 1))
         assert p.laplacian(p.laplacian(Expr.symbol(CoeffSymbol("u")) * b * b))
     else:
-        assert generic == []
+        assert witnesses == []
+    assert (2 * (n - 1) > n + 2) == unexercised
     assert not any("Delta^2" in note for note in rep.notes)
 
 
@@ -478,7 +483,7 @@ def _odd_shifted_case(spec):
     pools = {}
     for deg in range(0, spec.n + 3):
         if (deg + 1 - spec.n) % 2:
-            pool = set(_monomials_of_degree(p, deg))
+            pool = {m for m in fiber_monomials(spec, 4).get(deg, ()) if m}
             pool.update(m for m in monos if sum(v.degree for v in m) == deg)
             if pool:
                 pools[deg] = sorted(pool)
@@ -542,7 +547,7 @@ def test_square_rows_only_for_one_homogeneous_odd_shifted_operand(spec, monkeypa
     # |F| = n - 1, shifted degree 0: (F,F) = 0 by graded antisymmetry, while
     # the A half alone is not zero, since phi1 meets B_{n-1}.
     even = Expr.zero()
-    for m in _monomials_of_degree(p, spec.n - 1):
+    for m in fiber_monomials(spec, 4)[spec.n - 1]:
         even = even + Expr({m: CPoly.base(1)})
     inhomogeneous = s1 + even
     for f in (even, inhomogeneous, Expr.zero()):
@@ -596,7 +601,7 @@ def test_hamiltonian_takes_each_right_derivative_once_and_only_when_read(monkeyp
     assert taken == [(id(small), b)]
 
 
-# -- check_bv_identities against its one-call-per-use form ------------------------
+# -- the generic route against random long operands ------------------------------
 
 # The families of acceptance criterion 9 (every even and odd one).
 CRITERION_9_FAMILIES = (
@@ -631,14 +636,16 @@ class _ProductCoefficients(RandomExprs):
 
 
 def _reference_check_bv(pstruct, trials, seed):
-    """The trial loop with one bracket, Laplacian and product call per use
-    (15 brackets, 1 Darboux bracket, 6 Laplacians per trial), filling the
-    same report.  Delta^2 = 0 past the random operand degrees is applied to
-    each single-monomial operand u*m, in canonical order, up to the first
-    failure per degree."""
+    """Every law on ``trials`` random triples F, G, H (fiber monomials of up
+    to 4 factors, see :class:`corpus.RandomExprs`), with one bracket,
+    Laplacian and product call per use, filling a report as
+    check_bv_identities does; a witness names the trial and its operands.
+    Delta^2 = 0 past the random operand degrees, up to 2(n-1), is applied
+    to each single-monomial operand u*m of up to k factors, in canonical
+    order, up to the first failure per degree k."""
     n = pstruct.n
     gen = _ProductCoefficients(pstruct, seed)
-    report = BvReport(structure=pstruct.scope or "n=%d" % n, trials=trials)
+    report = BvReport(structure=pstruct.scope)
     report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
 
     def fail(law, msg):
@@ -716,19 +723,67 @@ def _reference_check_bv(pstruct, trials, seed):
 @pytest.mark.parametrize("spec", CRITERION_9_FAMILIES, ids=lambda s: s.fingerprint())
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_check_bv_matches_one_call_per_use_reference(spec, seed):
+    # An exactness oracle: a law the generic route proves never fails on
+    # random long operands, and every law a random trial refutes is refuted
+    # by the generic route.  At odd n the random trials meet the obstruction
+    # too, so the two reports carry the same notes.
     p = PStructure(spec)
-    rep = check_bv_identities(p, trials=12, seed=seed)
+    rep = check_bv_identities(p)
     ref = _reference_check_bv(p, trials=12, seed=seed)
-    assert (rep.structure, rep.trials) == (ref.structure, ref.trials)
-    assert rep.results == ref.results
-    assert rep.failures == ref.failures  # same trials, operands and order
+    assert rep.structure == ref.structure
+    assert set(rep.results) == set(ref.results)
+    for law, proved in rep.results.items():
+        assert ref.results[law] or not proved, (law, ref.failures)
     assert rep.notes == ref.notes
-    if spec.n % 2:  # the odd-n obstruction is found, so failures are compared
-        assert rep.failures
+    assert ref.results["Delta-Leibniz"] == (spec.n % 2 == 0)
+
+
+# Each law's verdict, pinned: cotangent n=1..5 (n=2 over a three-dimensional
+# base), bf and cs at n=3 and 4, two-block bf at n=5 and 6, and cs_bf at
+# n=7.  At odd n exactly Delta-Leibniz and Delta^2 = 0 fail (the documented
+# obstruction); at even n every law holds.
+I3 = tuple(tuple(Fraction(int(a == b)) for b in range(3)) for a in range(3))
+ODD_N_FAILURES = ["Delta-Leibniz", "Delta^2 = 0"]
+VERDICTS = (
+    (ModelSpec(n=1, d=2), ODD_N_FAILURES),
+    (ModelSpec(n=2, d=3), []),
+    (ModelSpec(n=3, d=2), ODD_N_FAILURES),
+    (ModelSpec(n=4, d=2), []),
+    (ModelSpec(n=5, d=2), ODD_N_FAILURES),
+    (ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),)), ODD_N_FAILURES),
+    (ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),)), []),
+    (ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2)), ODD_N_FAILURES),
+    (ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(3, I3)), ODD_N_FAILURES),
+    (ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))), ODD_N_FAILURES),
+    (ModelSpec(n=6, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))), []),
+    (
+        ModelSpec(n=7, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 2),), cs_block=CsBlock(2, K2)),
+        ODD_N_FAILURES,
+    ),
+)
+
+
+@pytest.mark.parametrize("spec, failed", VERDICTS, ids=[v[0].fingerprint() for v in VERDICTS])
+def test_check_bv_verdict_per_law(spec, failed):
+    rep = check_bv_identities(PStructure(spec))
+    assert set(rep.results) == set(BRACKET_LAWS + LAPLACIAN_LAWS)
+    assert sorted(law for law, ok in rep.results.items() if not ok) == failed
+    # one witness per failed law: the law, its operands' degrees and a term
+    assert [w.split(": ")[0] for w in rep.failures] == failed
+    assert all(re.match(r"[^:]+: \|F\|(,\|G\|)? = \d+(,\d+)?: residual term \S", w) for w in rep.failures)
+
+
+def _sizes(spec):
+    """The number of degree classes of the generic operands, and that of
+    the degrees of the Delta^2 operands."""
+    classes = len(fiber_monomials(spec, 1))
+    squares = sum(1 for k in fiber_monomials(spec, 4) if k >= 2 * (spec.n - 1))
+    return classes, squares
 
 
 def test_check_bv_computes_each_trial_value_once(monkeypatch):
-    trials = 7
+    # Each bracket, Darboux bracket and Laplacian of one pair or triple of
+    # degree classes is taken once and read by every law that needs it.
     spec = ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 2),))
     p = PStructure(spec)
     calls = {"bracket": 0, "bracket_darboux": 0, "laplacian": 0}
@@ -740,17 +795,22 @@ def test_check_bv_computes_each_trial_value_once(monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(PStructure, name, counted)
-    check_bv_identities(p, trials=trials, seed=0)
-    assert calls["bracket"] <= 10 * trials
+    check_bv_identities(p)
+    c, squares = _sizes(spec)
+    assert (c, squares) == (4, 5)
+    # (F,G), (G,H), (H,F), (F,H) and (G,F) per pair; (F,GH), (FG,H) and
+    # the three of Jacobi per triple
+    assert calls["bracket"] == 5 * c * c + 5 * c ** 3
     # no self block: the Darboux bracket is the bracket (F,G) already taken
     assert calls["bracket_darboux"] == 0
-    assert calls["laplacian"] <= 4 * trials
+    # Delta F and Delta G per class, Delta(FG) per pair, and Delta twice
+    # per Delta^2 operand
+    assert calls["laplacian"] == 2 * c + c * c + 2 * squares
 
 
 # The models of the bv-laws benchmark jobs: the so(3), exact Courant and cs
 # su(2) examples (check-bv reads only their [model] section) and the
 # generated n=4 and n=5 bf models.
-I3 = tuple(tuple(Fraction(int(a == b)) for b in range(3)) for a in range(3))
 BV_LAWS_SPECS = (
     ModelSpec(n=2, d=3),
     ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),)),
@@ -789,68 +849,36 @@ def test_random_operands_match_summed_construction(spec):
         assert gen.rng.getstate() == ref.rng.getstate()
 
 
-def _coefficients(f):
-    return [v for c in f.terms.values() for v in c.terms.values()]
-
-
 @pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
 def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
-    # F, G and H of every trial as drawn and as the laws run on them (the
-    # denominator-cleared operands), kept alive so that no other object
-    # takes one of their ids, and the ids.
-    drawn, cleared, ids, replaced = [], [], set(), set()
+    # The generic operands, kept alive so that no other object takes one of
+    # their ids, and the ids.
+    operands, ids = [], set()
     taken = {}  # (side, id of the operand, variable) -> times taken
-    orig_cleared = pstructure._cleared
+    orig_generic = pstructure._generic
 
-    def recording(f):
-        out = orig_cleared(f)
-        drawn.append(f)
-        cleared.append(out)
+    def recording(name, monos):
+        out = orig_generic(name, monos)
+        operands.append(out)
         ids.add(id(out))
-        if out is not f:
-            replaced.add(id(f))
         return out
 
-    monkeypatch.setattr(pstructure, "_cleared", recording)
+    monkeypatch.setattr(pstructure, "_generic", recording)
     for side in ("left_deriv", "right_deriv"):
         orig = getattr(Expr, side)
 
         def counted(self, v, _orig=orig, _side=side):
-            if id(self) in ids or id(self) in replaced:
+            if id(self) in ids:
                 key = (_side, id(self), v)
                 taken[key] = taken.get(key, 0) + 1
             return _orig(self, v)
 
         monkeypatch.setattr(Expr, side, counted)
-    trials = 12
-    check_bv_identities(PStructure(spec), trials=trials, seed=0)
-    assert len(cleared) == 3 * trials
-    assert any(type(v) is Fraction for f in drawn for v in _coefficients(f))
-    assert replaced
+    check_bv_identities(PStructure(spec))
+    classes, squares = _sizes(spec)
+    assert len(operands) == 3 * classes + squares  # F, G and H per class
     assert {k[0] for k in taken} == {"left_deriv", "right_deriv"}
     assert max(taken.values()) == 1
-    # no law reads a drawn operand that was cleared into another one
-    assert not any(k[1] in replaced for k in taken)
-
-
-@pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
-def test_cleared_operand_is_the_drawn_one_times_its_denominators_lcm(spec):
-    p = PStructure(spec)
-    fractional = integral = 0
-    for seed in range(10):
-        gen = RandomExprs(p, seed)
-        for _ in range(60):
-            f, _ = gen.homogeneous()
-            c = math.lcm(*(Fraction(v).denominator for v in _coefficients(f)))
-            out = _cleared(f)
-            assert all(type(v) is int for v in _coefficients(out))
-            assert out == f.scale(c) and out.scope == f.scope
-            if c == 1:
-                assert out is f
-                integral += 1
-            else:
-                fractional += 1
-    assert fractional and integral
 
 
 @pytest.mark.parametrize("spec", LAPLACIAN_SPECS, ids=lambda s: s.fingerprint())
