@@ -19,18 +19,17 @@ base function it is evaluated on a generic one: an unassigned coefficient
 symbol F (and G where a second function is needed), whose formal base
 derivatives of every order stay independent.  An axiom that holds as a
 polynomial identity in the jets of F and G therefore holds for every
-function.
+function.  Each checker returns a ``Verdicts`` with one verdict per axiom.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .models import Action, ModelError, ModelSpec, StructureData
-from .pstructure import Hamiltonian, PStructure
+from .pstructure import Hamiltonian, PStructure, Verdicts
 from .symalg import CoeffSymbol, Expr
 
 
@@ -97,35 +96,21 @@ F = Expr.symbol(CoeffSymbol("F"))
 G = Expr.symbol(CoeffSymbol("G"))
 
 
-def first_failure(cases: Iterable[tuple[str, object, object]]) -> Optional[str]:
-    """Witness of the first (witness, lhs, rhs) case with lhs != rhs, or None.
+def first_failure(report: Verdicts, law: str, cases: Iterable[tuple[str, object, object]]):
+    """Record ``law`` in ``report`` from its (witness, lhs, rhs) cases: it
+    fails, named ``law: witness``, at the first case with lhs != rhs.
 
     ``cases`` is consumed lazily, so nothing after the first mismatch is
     computed.
     """
     for witness, lhs, rhs in cases:
         if lhs != rhs:
-            return witness
-    return None
+            report.record(law, "%s: %s" % (law, witness))
+            return
+    report.record(law)
 
 
-@dataclass
-class AxiomReport:
-    model: str
-    passed: bool = True
-    checks: list[tuple[str, bool]] = field(default_factory=list)
-    witnesses: list[str] = field(default_factory=list)
-
-    def record(self, name: str, witness: Optional[str]):
-        """Record one axiom; ``witness`` names its first failing case, or is None."""
-        self.checks.append((name, witness is None))
-        if witness is not None:
-            self.passed = False
-            if len(self.witnesses) < 6:
-                self.witnesses.append("%s: %s" % (name, witness))
-
-
-def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport:
+def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
     """Verify the five Courant axioms on the basis under substituted data.
 
     Properties taking a base function use the generic F and G, so every
@@ -134,7 +119,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport
     """
     reps = section_representatives(p.spec)  # refuses an unsupported n first
     q = Hamiltonian(s1.expr.substitute(data))
-    rep = AxiomReport(model=p.scope)
+    rep = Verdicts()
     pairs = list(itertools.product(reps, reps))
     triples = list(itertools.product(reps, reps, reps))
     circ = functools.cache(lambda x, y: derived_bracket(p, q, x, y))
@@ -148,7 +133,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport
     # of the anchor image) first bite.
 
     # 1: e1 o (e2 o e3) = (e1 o e2) o e3 + e2 o (e1 o e3)
-    rep.record("leibniz-jacobi for o", first_failure(
+    first_failure(rep, "leibniz-jacobi for o", (
         ("(%s,%s,%s) %s" % (l1, l2, l3, variant),
          circ(e1, circ(x2, e3)),
          circ(circ(e1, x2), e3) + circ(x2, circ(e1, e3)))
@@ -159,7 +144,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport
     # 2: rho(e1 o e2) = [rho(e1), rho(e2)], basis and scaled, on G.  Each
     # anchor is a first-order operator, so the second jets of G cancel and
     # the coefficient of d(i)G compares the i-th components of both sides.
-    rep.record("anchor homomorphism", first_failure(
+    first_failure(rep, "anchor homomorphism", (
         ("(%s,%s) %s" % (l1, l2, variant),
          rho(x1, rho(e2, G)) - rho(e2, rho(x1, G)),
          rho(circ(x1, e2), G))
@@ -168,20 +153,20 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport
     ))
 
     # 3: e1 o (F e2) = F (e1 o e2) + (rho(e1)F) e2
-    rep.record("anchored Leibniz", first_failure(
+    first_failure(rep, "anchored Leibniz", (
         ("(%s,%s)" % (l1, l2), circ(e1, F * e2), F * circ(e1, e2) + rho(e1, F) * e2)
         for (l1, e1), (l2, e2) in pairs
     ))
 
     # 4: e1 o e2 + e2 o e1 = D<e1,e2>, also with a function-scaled section.
-    rep.record("symmetrized bracket = D<,>", first_failure(
+    first_failure(rep, "symmetrized bracket = D<,>", (
         (wit % (l1, l2), circ(x1, e2) + circ(e2, x1), D(pair(x1, e2)))
         for (l1, e1), (l2, e2) in pairs
         for wit, x1 in (("(%s,%s)", e1), ("(F*%s,%s)", F * e1))
     ))
 
     # 5: rho(e1)<e2,e3> = <e1 o e2, e3> + <e2, e1 o e3>, with a scaled e2.
-    rep.record("anchor invariance of <,>", first_failure(
+    first_failure(rep, "anchor invariance of <,>", (
         (wit % (l1, l2, l3),
          rho(e1, pair(x2, e3)),
          pair(circ(e1, x2), e3) + pair(x2, circ(e1, e3)))
@@ -190,13 +175,13 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> AxiomReport
     ))
 
     # D-pairing consistency: <DF, e> = rho(e) F.
-    rep.record("<DF,e> = rho(e)F", first_failure(
+    first_failure(rep, "<DF,e> = rho(e)F", (
         (l1, pair(D(F), e1), rho(e1, F)) for l1, e1 in reps
     ))
     return rep
 
 
-def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> AxiomReport:
+def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
     """Verify the Lie algebroid axioms of the n=2 model under data.
 
     The bracket of exact sections is the derived bracket on potentials,
@@ -204,9 +189,12 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Axiom
     the Leibniz extension of the coordinate bracket.  Functions and
     potentials are the generic F and G, so every comparison is exact.  Each
     derived bracket is computed once per distinct operand pair of this call.
+    Only the anchor homomorphism (the Jacobi identity) depends on the data:
+    f1 is antisymmetric and ``bracket_sections`` builds the Leibniz
+    extension in, so the other three axioms hold for every bivector.
     """
     q = Hamiltonian(s1.expr.substitute(data))
-    rep = AxiomReport(model=p.scope)
+    rep = Verdicts()
     base = range(1, p.spec.d + 1)
     pb = functools.cache(lambda f, g: derived_bracket(p, q, f, g))
     pairs = list(itertools.product(section_representatives(p.spec), repeat=2))
@@ -217,11 +205,11 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Axiom
             yield "(%s,%s)" % (l1, l2), pb(e1, e2), -pb(e2, e1)
         yield "generic potentials (F,G)", pb(F, G), -pb(G, F)
 
-    rep.record("bracket antisymmetry", first_failure(antisymmetry()))
+    first_failure(rep, "bracket antisymmetry", antisymmetry())
 
     # Property 1: anchor homomorphism on F; the anchor is first order, so
     # the coefficient of d(i)F compares the i-th vector-field components.
-    rep.record("anchor homomorphism", first_failure(
+    first_failure(rep, "anchor homomorphism", (
         ("(%s,%s)" % (l1, l2), pb(e1, pb(e2, F)) - pb(e2, pb(e1, F)), pb(pb(e1, e2), F))
         for (l1, e1), (l2, e2) in pairs
     ))
@@ -259,22 +247,22 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Axiom
             rhs[j - 1] = rhs[j - 1] + rho_section(ei, F)
             yield "(e%d, F e%d)" % (i, j), bracket_sections(ei, [F * c for c in ej]), rhs
 
-    rep.record("Leibniz rule", first_failure(leibniz()))
+    first_failure(rep, "Leibniz rule", leibniz())
 
     # Consistency: the component bracket of exact sections matches the
     # derived bracket of their potentials.
     h = pb(F, G)
     exact_f = [F.partial_base(i) for i in base]
     exact_g = [G.partial_base(i) for i in base]
-    rep.record("exact sections close under the bracket", first_failure([(
+    first_failure(rep, "exact sections close under the bracket", [(
         "[dF,dG] vs d{F,G}",
         bracket_sections(exact_f, exact_g),
         [h.partial_base(i) for i in base],
-    )]))
+    )])
     return rep
 
 
-def check_algebroid(p: PStructure, s1: Action, data: StructureData) -> AxiomReport:
+def check_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
     """Dispatch to the Lie (n=2) or Courant (n=3) axiom checker."""
     if p.n == 2:
         return check_lie_algebroid(p, s1, data)

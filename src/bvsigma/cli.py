@@ -25,7 +25,7 @@ from .master import (
 )
 from .models import ModelError, ModelSpec, build_S1_generic
 from .modelfile import ModelFile, ParseError, parse_model
-from .pstructure import PStructure, check_bv_identities
+from .pstructure import PStructure, Verdicts, check_bv_identities
 from .symalg import MissingSymbolError
 from .worldsheet import (
     component_exprs,
@@ -77,11 +77,8 @@ class SystemExit2(Exception):
 
 
 def _cmd_check_bv(mf: ModelFile, args) -> int:
-    p = PStructure(mf.spec)
-    rep = check_bv_identities(p)
-    details = ["%s: %s" % (law, "ok" if ok else "FAILED") for law, ok in sorted(rep.results.items())]
-    details += ["note: %s" % note for note in rep.notes]
-    return _report("check-bv", mf.spec, rep.passed, details, rep.failures, args.format)
+    rep = check_bv_identities(PStructure(mf.spec))
+    return _report("check-bv", mf.spec, rep.passed, rep.details(), rep.witnesses, args.format)
 
 
 def _cmd_check_master(mf: ModelFile, args) -> int:
@@ -98,17 +95,11 @@ def _cmd_verify_data(mf: ModelFile, args) -> int:
     _require_data(mf, "verify-data")
     p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
-    idents = extract_identities(p, s1)
-    details, witnesses = [], []
-    passed = True
-    for tag, poly in idents.equations:
+    rep = Verdicts()
+    for tag, poly in extract_identities(p, s1).equations:
         value = poly.substitute(mf.data.value_of)
-        ok = not value
-        passed = passed and ok
-        details.append("%s: %s" % (tag, "ok" if ok else "FAILED"))
-        if not ok and len(witnesses) < 10:
-            witnesses.append("%s -> %s" % (tag, value))
-    return _report("verify-data", mf.spec, passed, details, witnesses, args.format)
+        rep.record(tag, "%s -> %s" % (tag, value) if value else None)
+    return _report("verify-data", mf.spec, rep.passed, rep.details(), rep.witnesses[:10], args.format)
 
 
 def _cmd_extract(mf: ModelFile, args) -> int:
@@ -156,8 +147,7 @@ def _cmd_check_algebroid(mf: ModelFile, args) -> int:
     _require_data(mf, "check-algebroid")
     p = PStructure(mf.spec)
     rep = check_algebroid(p, build_S1_generic(mf.spec), mf.data)
-    details = ["%s: %s" % (name, "ok" if ok else "FAILED") for name, ok in rep.checks]
-    return _report("check-algebroid", mf.spec, rep.passed, details, rep.witnesses, args.format)
+    return _report("check-algebroid", mf.spec, rep.passed, rep.details(), rep.witnesses, args.format)
 
 
 def _cmd_derived_table(mf: ModelFile, args) -> int:
@@ -190,8 +180,7 @@ def _cmd_laplacian(mf: ModelFile, args) -> int:
 
 def _cmd_theorem1(mf: ModelFile, args) -> int:
     n = mf.spec.n
-    details, witnesses = [], []
-    passed = True
+    rep = Verdicts()
     for pf in (0, 1):
         for pg in (0, 1):
             fc = component_exprs(n, "F", pf)
@@ -200,20 +189,14 @@ def _cmd_theorem1(mf: ModelFile, args) -> int:
             t, w = theorem1_witness(n, fc, gc)
             exact = (total - t.delta0() - w.d()).is_zero()
             reduced = integrate(total - t.delta0()).is_zero()
-            ok = exact and reduced
-            passed = passed and ok
-            details.append("parities (|F|,|G|)=(%d,%d): %s" % (pf, pg, "ok" if ok else "FAILED"))
-            if not ok:
-                witnesses.append("parities (%d,%d)" % (pf, pg))
-    return _report("theorem1", mf.spec, passed, details, witnesses, args.format)
+            rep.record("parities (|F|,|G|)=(%d,%d)" % (pf, pg),
+                       None if exact and reduced else "parities (%d,%d)" % (pf, pg))
+    return _report("theorem1", mf.spec, rep.passed, rep.details(), rep.witnesses, args.format)
 
 
 def _cmd_first_order(mf: ModelFile, args) -> int:
-    s1 = build_S1_generic(mf.spec)
-    rep = first_order_check(mf.spec, s1)
-    details = ["%s: %s" % (mono, "ok" if ok else "FAILED") for mono, ok in rep.monomials]
-    witnesses = [mono for mono, ok in rep.monomials if not ok]
-    return _report("first-order", mf.spec, rep.passed, details, witnesses, args.format)
+    rep = first_order_check(mf.spec, build_S1_generic(mf.spec))
+    return _report("first-order", mf.spec, rep.passed, rep.details(), rep.witnesses, args.format)
 
 
 def _cmd_kinetic_master(mf: ModelFile, args) -> int:

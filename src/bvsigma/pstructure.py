@@ -27,12 +27,16 @@ operand that enters many brackets, as the fixed S of the derived brackets of
 once in a :class:`Hamiltonian`, which keeps each right and left derivative
 a bracket or the Laplacian reads; either bracket side may be wrapped.  The
 Laplacian, too, takes only the pairs its operand's support holds.
+
+:class:`Verdicts`, each law's verdict and the witness of its first failing
+case, is the one report of every law check of the engine, these BV laws,
+the algebroid axioms and the first-order check included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
 from .models import ModelError, ModelSpec
@@ -264,18 +268,33 @@ LAPLACIAN_LAWS = (
 
 
 @dataclass
-class BvReport:
-    structure: str
+class Verdicts:
+    """The report of a law check: each law's verdict in the order first
+    recorded, the witness of each law's first failing case, and notes."""
+
     results: dict[str, bool] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    def record(self, law: str, witness: Optional[str] = None):
+        """Record one case of ``law``: it holds when ``witness`` is None and
+        fails otherwise.  Only a law's first failing case keeps its witness."""
+        ok = self.results.get(law, True)
+        if ok and witness is not None:
+            self.witnesses.append(witness)
+        self.results[law] = ok and witness is None
 
     @property
     def passed(self) -> bool:
         return all(self.results.values())
 
+    def details(self) -> list[str]:
+        """One verdict line per law, then one ``note:`` line per note."""
+        return (["%s: %s" % (law, "ok" if ok else "FAILED") for law, ok in self.results.items()]
+                + ["note: %s" % note for note in self.notes])
 
-def check_bv_identities(pstruct: PStructure) -> BvReport:
+
+def check_bv_identities(pstruct: PStructure) -> Verdicts:
     """Exact check of the four antibracket laws, the two degree laws, the
     Delta-Leibniz identity and Delta^2 = 0, each decided on generic
     operands of bounded length, with a witness on failure.
@@ -312,18 +331,16 @@ def check_bv_identities(pstruct: PStructure) -> BvReport:
     nonzero residual, in the fixed order of degrees.
     """
     n = pstruct.n
-    report = BvReport(structure=pstruct.scope)
-    report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
+    report = Verdicts()
+    for law in sorted(BRACKET_LAWS + LAPLACIAN_LAWS):
+        report.record(law)
 
     def check(law: str, degrees: tuple, residual: Expr):
-        if not residual:
-            return
-        if report.results[law]:  # the first failure of a law is its witness
+        if residual and report.results[law]:  # the first failure is the witness
             m = min(residual.terms)
-            report.failures.append("%s: %s = %s: residual term %s" % (
+            report.record(law, "%s: %s = %s: residual term %s" % (
                 law, ",".join("|%s|" % x for x in "FGH"[:len(degrees)]),
                 ",".join(map(str, degrees)), Expr({m: residual.terms[m]})))
-        report.results[law] = False
 
     br = pstruct.bracket
     lap = pstruct.laplacian

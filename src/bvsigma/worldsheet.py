@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .grading import merge_monomials, sort_monomial
 from .models import Action, ModelSpec
+from .pstructure import Verdicts
 from .rowreduce import RowSpan, _eliminate
 from .symalg import SparseSum, _join_signed, accumulate, exact
 
@@ -368,33 +369,24 @@ def theorem1_witness(
 # -- first order of the master equation ----------------------------------------------
 
 
-@dataclass
-class FirstOrderReport:
-    passed: bool
-    monomials: list[tuple[str, bool]]
-
-
-def first_order_check(spec: ModelSpec, s1: Action) -> FirstOrderReport:
+def first_order_check(spec: ModelSpec, s1: Action) -> Verdicts:
     """(S0,S1) = 0 for deformations without d: the top form part of
     delta0(S1) is d-exact, term by term.
 
     Every factor of a monomial (coefficient symbols, explicit base
     variables, fiber variables) is lifted to a free component family with
     the same total parity; exactness of delta0 [M]_n = d [M]_{n-1} in the
-    free algebra covers every substitution instance.
+    free algebra covers every substitution instance.  A monomial is one
+    law, recorded once however many coefficient-factor counts reach it.
     """
     from .symalg import monomial_str
 
     n = spec.n
-    results = []
-    ok_all = True
+    report = Verdicts()
     seen_signatures = set()
     for mono in sorted(s1.expr.terms):
         cpoly = s1.expr.terms[mono]
-        signatures = set()
-        for (syms, base) in cpoly.terms:
-            coeff_factors = len(syms) + sum(p for _, p in base)
-            signatures.add(coeff_factors)
+        signatures = {len(syms) + sum(p for _, p in base) for syms, base in cpoly.terms}
         for coeff_factors in sorted(signatures):
             signature = (coeff_factors, tuple(v.degree for v in mono))
             if signature in seen_signatures:
@@ -405,7 +397,6 @@ def first_order_check(spec: ModelSpec, s1: Action) -> FirstOrderReport:
                 factors.append(component_exprs(n, "x%d_%s" % (pos, v), v.degree))
             top = product_form_part(n, factors, n)
             below = product_form_part(n, factors, n - 1)
-            ok = top.delta0() == below.d()
-            results.append((monomial_str(mono), ok))
-            ok_all = ok_all and ok
-    return FirstOrderReport(ok_all, results)
+            label = monomial_str(mono)
+            report.record(label, None if top.delta0() == below.d() else label)
+    return report

@@ -539,7 +539,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
 
         if rep.results["Delta-Leibniz"]:
             failures.append("%s: Delta-Leibniz not flagged" % name)
-        if not any(m.startswith("Delta-Leibniz: |F|,|G| = ") for m in rep.failures):
+        if not any(m.startswith("Delta-Leibniz: |F|,|G| = ") for m in rep.witnesses):
             failures.append("%s: no Delta-Leibniz counterexample" % name)
         if not any("cannot hold for odd n" in note for note in rep.notes):
             failures.append("%s: odd-n note missing" % name)
@@ -562,7 +562,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
 
         if p.laplacian(p.laplacian(f * f * g * g)) != Expr.scalar(4):
             failures.append("%s: Delta^2(phi1^2 B^2) != 4" % name)
-        if rep.results["Delta^2 = 0"] or not any(m.startswith("Delta^2 = 0: ") for m in rep.failures):
+        if rep.results["Delta^2 = 0"] or not any(m.startswith("Delta^2 = 0: ") for m in rep.witnesses):
             failures.append("%s: Delta^2 = 0 not flagged with a witness" % name)
     conclude(
         "9 (odd-n clause)",

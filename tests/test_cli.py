@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +11,8 @@ import pytest
 
 from bvsigma import cli
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "src" / "bvsigma" / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "src" / "bvsigma" / "examples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_CASES = [
@@ -41,6 +44,11 @@ GOLDEN_CASES = [
         ["check-bv", "--model", "n3_bf_exact_courant.model"],
         1,
     ),
+    ("bivector_check_algebroid", ["check-algebroid", "--model", "n2_bivector_fail.model"], 1),
+    ("bivector_verify_data", ["verify-data", "--model", "n2_bivector_fail.model"], 1),
+    ("so3_check_bv", ["check-bv", "--model", "n2_poisson_so3.model"], 0),
+    ("exact_courant_first_order", ["first-order", "--model", "n3_bf_exact_courant.model"], 0),
+    ("exact_courant_theorem1", ["theorem1", "--model", "n3_bf_exact_courant.model"], 0),
 ]
 
 
@@ -205,6 +213,28 @@ def test_verify_data_lists_failing_identities():
     doc = json.loads(out)
     assert doc["result"] == "fail"
     assert doc["witnesses"]
+
+
+def test_verify_data_reports_every_identity_and_caps_its_witnesses(tmp_path):
+    # The exact Courant algebroid over a 3-dimensional base with every
+    # f1[a;i] set to phi((a+i) mod 3 + 1): 15 of its 66 identities fail.
+    loader = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    text = re.sub(
+        r"f1\[(\d);(\d)\] = 0",
+        lambda m: "f1[%s;%s] = phi%d" % (m[1], m[2], (int(m[1]) + int(m[2])) % 3 + 1),
+        workloads.exact_courant_model(3),
+    )
+    model = tmp_path / "courant_f1.model"
+    model.write_text(text)
+    code, out = run_cli(["verify-data", "--model", str(model)])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["result"] == "fail" and len(doc["details"]) == 66
+    failed = [line[: -len(": FAILED")] for line in doc["details"] if line.endswith(": FAILED")]
+    assert len(failed) == 15
+    assert [w.split(" -> ")[0] for w in doc["witnesses"]] == failed[:10]
 
 
 def test_module_entry_point():

@@ -13,9 +13,9 @@ from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build
 from bvsigma.pstructure import (
     BRACKET_LAWS,
     LAPLACIAN_LAWS,
-    BvReport,
     Hamiltonian,
     PStructure,
+    Verdicts,
     check_bv_identities,
     fiber_monomials,
 )
@@ -136,7 +136,7 @@ def test_bracket_laws_randomized(spec):
     p = PStructure(spec)
     rep, ref = check_bv_identities(p), _reference_check_bv(p, trials=30, seed=7)
     for law in BRACKET_LAWS:
-        assert rep.results[law] and ref.results[law], (rep.failures, ref.failures)
+        assert rep.results[law] and ref.results[law], (rep.witnesses, ref.witnesses)
 
 
 @pytest.mark.parametrize("n", (2, 4))
@@ -144,7 +144,7 @@ def test_laplacian_suite_even_n(n):
     spec = ModelSpec(n=n, d=2, bf_blocks=(BfBlock(1, 2),) if n > 2 else ())
     rep = check_bv_identities(PStructure(spec))
     for law in LAPLACIAN_LAWS:
-        assert rep.results[law], rep.failures
+        assert rep.results[law], rep.witnesses
 
 
 def test_laplacian_obstruction_reported_for_odd_n():
@@ -167,7 +167,7 @@ def test_unexercised_delta_squared_is_noted(n, unexercised):
     p = PStructure(ModelSpec(n=n, d=2))
     rep = check_bv_identities(p)
     assert rep.results["Delta^2 = 0"] == (n % 2 == 0)
-    witnesses = [m for m in rep.failures if m.startswith("Delta^2 = 0: ")]
+    witnesses = [m for m in rep.witnesses if m.startswith("Delta^2 = 0: ")]
     if n % 2:
         # At |F| = 2(n-1) the operand is u[0;] B_1^2 + u[1;] B_1 B_2 +
         # u[2;] B_2^2 (B = B{n-1}, even); Delta^2 pairs each B with its phi
@@ -182,6 +182,27 @@ def test_unexercised_delta_squared_is_noted(n, unexercised):
         assert witnesses == []
     assert (2 * (n - 1) > n + 2) == unexercised
     assert not any("Delta^2" in note for note in rep.notes)
+
+
+def test_verdicts_keep_first_witness_and_first_recorded_order():
+    rep = Verdicts()
+    assert rep.passed and rep.details() == []
+    rep.record("b")
+    rep.record("a", "a: first")
+    rep.record("b")
+    rep.record("a", "a: second")  # a law keeps the witness of its first failure
+    rep.record("c")
+    rep.record("a")  # a later passing case does not undo a failure
+    rep.record("c", "c: only")
+    rep.notes.append("something to know")
+    assert list(rep.results.items()) == [("b", True), ("a", False), ("c", False)]
+    assert rep.witnesses == ["a: first", "c: only"]
+    assert not rep.passed
+    assert rep.details() == ["b: ok", "a: FAILED", "c: FAILED", "note: something to know"]
+    passing = Verdicts()
+    passing.record("x")
+    passing.notes.append("n")
+    assert passing.passed and passing.details() == ["x: ok", "note: n"]
 
 
 def test_laplacian_examples():
@@ -645,13 +666,12 @@ def _reference_check_bv(pstruct, trials, seed):
     order, up to the first failure per degree k."""
     n = pstruct.n
     gen = _ProductCoefficients(pstruct, seed)
-    report = BvReport(structure=pstruct.scope)
-    report.results = {law: True for law in BRACKET_LAWS + LAPLACIAN_LAWS}
+    report = Verdicts()
+    for law in BRACKET_LAWS + LAPLACIAN_LAWS:
+        report.record(law)
 
     def fail(law, msg):
-        report.results[law] = False
-        if len(report.failures) < 8:
-            report.failures.append("%s: %s" % (law, msg))
+        report.record(law, "%s: %s" % (law, msg))
 
     br = pstruct.bracket
     lap = pstruct.laplacian
@@ -730,10 +750,9 @@ def test_check_bv_matches_one_call_per_use_reference(spec, seed):
     p = PStructure(spec)
     rep = check_bv_identities(p)
     ref = _reference_check_bv(p, trials=12, seed=seed)
-    assert rep.structure == ref.structure
     assert set(rep.results) == set(ref.results)
     for law, proved in rep.results.items():
-        assert ref.results[law] or not proved, (law, ref.failures)
+        assert ref.results[law] or not proved, (law, ref.witnesses)
     assert rep.notes == ref.notes
     assert ref.results["Delta-Leibniz"] == (spec.n % 2 == 0)
 
@@ -766,11 +785,11 @@ VERDICTS = (
 @pytest.mark.parametrize("spec, failed", VERDICTS, ids=[v[0].fingerprint() for v in VERDICTS])
 def test_check_bv_verdict_per_law(spec, failed):
     rep = check_bv_identities(PStructure(spec))
-    assert set(rep.results) == set(BRACKET_LAWS + LAPLACIAN_LAWS)
+    assert list(rep.results) == sorted(BRACKET_LAWS + LAPLACIAN_LAWS)  # detail lines sorted
     assert sorted(law for law, ok in rep.results.items() if not ok) == failed
     # one witness per failed law: the law, its operands' degrees and a term
-    assert [w.split(": ")[0] for w in rep.failures] == failed
-    assert all(re.match(r"[^:]+: \|F\|(,\|G\|)? = \d+(,\d+)?: residual term \S", w) for w in rep.failures)
+    assert [w.split(": ")[0] for w in rep.witnesses] == failed
+    assert all(re.match(r"[^:]+: \|F\|(,\|G\|)? = \d+(,\d+)?: residual term \S", w) for w in rep.witnesses)
 
 
 def _sizes(spec):

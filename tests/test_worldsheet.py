@@ -241,7 +241,7 @@ def test_product_form_part_expands_compositions():
 def test_first_order_of_generic_ansatz(spec):
     rep = first_order_check(spec, build_S1_generic(spec))
     assert rep.passed
-    assert rep.monomials
+    assert rep.results
 
 
 def test_first_order_of_zero_action():
@@ -250,7 +250,22 @@ def test_first_order_of_zero_action():
 
     spec = ModelSpec(n=2, d=3)
     rep = first_order_check(spec, Action(Expr.zero(), 2))
-    assert rep.passed and rep.monomials == []
+    assert rep.passed and rep.results == {}
+
+
+def test_first_order_records_a_monomial_once():
+    # The coefficient a + a*b of one monomial has one and two coefficient
+    # factors: both counts are checked, and the monomial is one law.
+    from bvsigma.models import Action
+    from bvsigma.symalg import CoeffSymbol, CPoly, Expr, monomial_str
+
+    spec = ModelSpec(n=2, d=3)
+    mono = min(build_S1_generic(spec).expr.terms)
+    a, b = CPoly.symbol(CoeffSymbol("a")), CPoly.symbol(CoeffSymbol("b"))
+    rep = first_order_check(spec, Action(Expr({mono: a + a * b}), 2))
+    assert rep.results == {monomial_str(mono): True}
+    assert rep.passed and rep.witnesses == []
+    assert rep.details() == ["%s: ok" % monomial_str(mono)]
 
 
 # -- the product, derivations and form parts against their direct forms -------------
