@@ -1,6 +1,6 @@
 """Exact symbolic engine for graded BV structures of topological sigma models."""
 
-from .grading import GradedVar, parity
+from .grading import GradedVar
 from .symalg import (
     CPoly,
     CoeffSymbol,
@@ -25,7 +25,6 @@ from .pstructure import PStructure, check_bv_identities
 
 __all__ = [
     "GradedVar",
-    "parity",
     "CPoly",
     "CoeffSymbol",
     "Expr",

@@ -8,17 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-EVEN = 0
-ODD = 1
-
 BASE_BLOCK = "phi"
-
-
-def parity(degree: int) -> int:
-    """Parity of a total degree: 0 for even (commuting), 1 for odd."""
-    if degree < 0:
-        raise ValueError("total degrees are nonnegative, got %d" % degree)
-    return degree & 1
 
 
 class GradedVar(NamedTuple):

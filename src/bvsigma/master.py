@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
@@ -35,13 +34,18 @@ EXTRACTED = "extracted"
 TRANSCRIBED = "transcribed-from-paper"
 
 
-@dataclass
 class IdentitySet:
     """Coefficient equations (CoeffPoly = 0) indexed by graded monomial tag."""
 
-    spec: str
-    provenance: str
-    equations: list[tuple[str, CPoly]] = field(default_factory=list)
+    def __init__(self, spec: str, provenance: str,
+                 equations: Optional[list[tuple[str, CPoly]]] = None):
+        self.spec = spec
+        self.provenance = provenance
+        self.equations = [] if equations is None else equations
+
+    def __repr__(self) -> str:
+        return "IdentitySet(spec=%r, provenance=%r, equations=%r)" % (
+            self.spec, self.provenance, self.equations)
 
     def alphabet(self) -> dict[str, tuple[int, int]]:
         """Symbol families in use, as name -> (lower slots, upper slots)."""
@@ -85,8 +89,7 @@ def verify_structure_data(p: PStructure, s1: Action, data: StructureData):
     return VerifyReport(passed=residual.is_zero(), residual=details)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     passed: bool
     residual: list[tuple[str, str]]
 
@@ -99,8 +102,7 @@ B_IN_A = "B<A"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass
-class SpanComparison:
+class SpanComparison(NamedTuple):
     relation: str
     witness: Optional[str] = None  # an equation outside the other span
 

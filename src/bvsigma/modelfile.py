@@ -1,4 +1,4 @@
-"""Line-oriented model-definition files: parser and canonical printer.
+"""Line-oriented model-definition files and their validating parser.
 
 A model file has sections ``[model]``, optional ``[data]`` and optional
 ``[symmetry]``.  Polynomial literals use phi1, phi2, ... with ``+ - * ^``,
@@ -16,13 +16,12 @@ integer or rational coefficients and parentheses.  Example::
 
 Parsing is validating: block ranges, metric shape and symmetry, index
 ranges, base variables (phi1..phid) and symmetry-consistent assignments are
-all checked with line-numbered diagnostics.  ``parse(print(parse(x)))`` equals ``parse(x)``.
+all checked with line-numbered diagnostics.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -160,10 +159,13 @@ _BLOCK = re.compile(r"^block\s+p\s*=\s*(\d+)\s+rank\s*=\s*(\d+)$")
 _CS = re.compile(r"^cs\s+rank\s*=\s*(\d+)$")
 
 
-@dataclass
 class ModelFile:
-    spec: ModelSpec
-    data: Optional[StructureData]
+    def __init__(self, spec: ModelSpec, data: Optional[StructureData]):
+        self.spec = spec
+        self.data = data
+
+    def __repr__(self) -> str:
+        return "ModelFile(spec=%r, data=%r)" % (self.spec, self.data)
 
     def __eq__(self, other):
         if not isinstance(other, ModelFile):
@@ -311,30 +313,3 @@ def parse_model(text: str) -> ModelFile:
         except (ModelError, KeyError) as exc:
             raise ParseError(str(exc), lineno)
     return ModelFile(spec, data if data_lines else None)
-
-
-def print_model(mf: ModelFile) -> str:
-    """Canonical text form; stable under parse-print round trips."""
-    spec = mf.spec
-    lines = ["[model]", "n = %d" % spec.n, "d = %d" % spec.d, "flavor = %s" % spec.flavor]
-    for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
-        lines.append("block p=%d rank=%d" % (blk.p, blk.rank))
-    if spec.cs_block is not None:
-        lines.append("cs rank=%d" % spec.cs_block.rank)
-        lines.append(
-            "k = " + " ; ".join(" ".join(str(x) for x in row) for row in spec.cs_block.metric)
-        )
-    if mf.data is not None and mf.data.values:
-        lines.append("")
-        lines.append("[data]")
-        for (name, lower, upper), poly in mf.data.items():
-            lines.append(
-                "%s[%s;%s] = %s"
-                % (
-                    name,
-                    ",".join(map(str, lower)),
-                    ",".join(map(str, upper)),
-                    str(poly),
-                )
-            )
-    return "\n".join(lines) + "\n"

@@ -11,10 +11,9 @@ graded monomial class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .grading import BASE_BLOCK, GradedVar, sort_monomial
 from .rowreduce import RowSpan
@@ -42,20 +41,17 @@ class ModelError(ValueError):
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class BfBlock:
+class BfBlock(NamedTuple):
     p: int
     rank: int
 
 
-@dataclass(frozen=True)
-class CsBlock:
+class CsBlock(NamedTuple):
     rank: int
     metric: Matrix  # k^{ab}, symmetric with nonzero determinant
 
 
-@dataclass(frozen=True)
-class DarbouxPair:
+class DarbouxPair(NamedTuple):
     """Conjugate blocks (A_p, B_{n-p-1}); p=0 is the (phi, B_{n-1}) pair."""
 
     a_block: str
@@ -64,8 +60,7 @@ class DarbouxPair:
     rank: int
 
 
-@dataclass(frozen=True)
-class SelfPair:
+class SelfPair(NamedTuple):
     """The block A_{(n-1)/2} paired with itself through the metric k."""
 
     block: str
@@ -73,29 +68,31 @@ class SelfPair:
     metric: Matrix
 
 
-@dataclass(frozen=True)
-class BlockInfo:
+class BlockInfo(NamedTuple):
     label: str
     degree: int
     rank: int
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Dimensions, bundle ranks and flavor of one sigma-model target.
-
-    ``pairs`` holds the Darboux pairs in p order, p=0 first, and
-    ``self_pairs`` the self-paired block, if any: the one statement of
-    which blocks are conjugate.
-    """
-
+class _SpecFields(NamedTuple):
     n: int
     d: int
     flavor: str = BF
     bf_blocks: tuple[BfBlock, ...] = ()
     cs_block: Optional[CsBlock] = None
 
-    def __post_init__(self):
+
+class ModelSpec(_SpecFields):
+    """Dimensions, bundle ranks and flavor of one sigma-model target.
+
+    A named tuple of its five fields, validated on construction.
+    ``pairs`` holds the Darboux pairs in p order, p=0 first, and
+    ``self_pairs`` the self-paired block, if any: the one statement of
+    which blocks are conjugate.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ModelError("n must be >= 1, got %d" % self.n)
         if self.d < 1:
@@ -135,8 +132,8 @@ class ModelSpec:
             if span.rank < r:
                 raise ModelError("metric k must be nondegenerate")
         # The conjugate pairs, p=0 first, and the label -> block table, in
-        # blocks() order.  Set once here and kept out of the dataclass
-        # fields, so equality, hash and fingerprint ignore them.
+        # blocks() order.  Set once here as instance attributes, not tuple
+        # fields, so equality, hash, repr and fingerprint ignore them.
         n, q = self.n, self.cs_degree
         pairs = [DarbouxPair(BASE_BLOCK, "B%d" % (n - 1), 0, self.d)]
         for blk in sorted(self.bf_blocks, key=lambda b: b.p):
@@ -149,9 +146,10 @@ class ModelSpec:
             table.append(BlockInfo(pair.a_block, pair.p, pair.rank))
             table.append(BlockInfo(pair.b_block, n - pair.p - 1, pair.rank))
         table.extend(BlockInfo(sp.block, q, sp.rank) for sp in self_pairs)
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "self_pairs", tuple(self_pairs))
-        object.__setattr__(self, "_blocks", {b.label: b for b in table})
+        self.pairs = tuple(pairs)
+        self.self_pairs = tuple(self_pairs)
+        self._blocks = {b.label: b for b in table}
+        return self
 
     # -- block geometry -----------------------------------------------------
     @property
@@ -190,8 +188,7 @@ class ModelSpec:
         return ";".join(bits)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """A BV action: target-level expression plus its declared total degree."""
 
     expr: Expr
@@ -201,8 +198,7 @@ class Action:
 # -- generic deformation ansatz ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyDecl:
+class FamilyDecl(NamedTuple):
     """One coefficient-symbol family of the deformation ansatz.
 
     Lower slots are indexed by the A-type factors, upper slots by the

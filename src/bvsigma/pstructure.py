@@ -35,7 +35,6 @@ the algebroid axioms and the first-order check included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
@@ -267,14 +266,19 @@ LAPLACIAN_LAWS = (
 )
 
 
-@dataclass
 class Verdicts:
     """The report of a law check: each law's verdict in the order first
     recorded, the witness of each law's first failing case, and notes."""
 
-    results: dict[str, bool] = field(default_factory=dict)
-    witnesses: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, results: Optional[dict[str, bool]] = None,
+                 witnesses: Optional[list[str]] = None, notes: Optional[list[str]] = None):
+        self.results = {} if results is None else results
+        self.witnesses = [] if witnesses is None else witnesses
+        self.notes = [] if notes is None else notes
+
+    def __repr__(self) -> str:
+        return "Verdicts(results=%r, witnesses=%r, notes=%r)" % (
+            self.results, self.witnesses, self.notes)
 
     def record(self, law: str, witness: Optional[str] = None):
         """Record one case of ``law``: it holds when ``witness`` is None and

@@ -15,7 +15,6 @@ sum or product of DgaExprs of different n raises MixedContextError.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -290,8 +289,7 @@ def kinetic_action_dga(spec: ModelSpec) -> DgaExpr:
     return s0
 
 
-@dataclass
-class KineticMasterReport:
+class KineticMasterReport(NamedTuple):
     passed: bool
     detail: str
 

@@ -30,6 +30,7 @@ from corpus import (
     zero_n2_data,
     zero_n3_data,
 )
+from test_modelfile import print_model
 
 from bvsigma import cli
 from bvsigma.algebroid import check_courant, check_lie_algebroid, operation_table
@@ -52,7 +53,7 @@ from bvsigma.models import (
     ModelSpec,
     build_S1_generic,
 )
-from bvsigma.modelfile import parse_model, print_model
+from bvsigma.modelfile import parse_model
 from bvsigma.pstructure import (
     BRACKET_LAWS,
     LAPLACIAN_LAWS,

@@ -132,7 +132,8 @@ def test_span_comparison_basics():
     assert compare_identity_spans(a, same).relation == EQUAL
     scaled = IdentitySet(a.spec, "scaled", [(t, poly.scale(2)) for t, poly in a.equations])
     assert compare_identity_spans(a, scaled).relation == EQUAL
-    empty = IdentitySet(a.spec, "empty", [])
+    empty, other = IdentitySet(a.spec, "empty"), IdentitySet(a.spec, "other")
+    assert empty.equations == [] and empty.equations is not other.equations
     cmp = compare_identity_spans(a, empty)
     assert cmp.relation == "B<A"
     assert cmp.witness is not None  # the Jacobiator itself

@@ -3,11 +3,39 @@ from pathlib import Path
 
 import pytest
 
-from bvsigma.modelfile import ParseError, parse_model, parse_poly, print_model
+from bvsigma.modelfile import ParseError, parse_model, parse_poly
 from bvsigma.symalg import CPoly
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "src" / "bvsigma" / "examples"
 FIXTURES = sorted(EXAMPLES.glob("*.model"))
+
+
+def print_model(mf) -> str:
+    """Canonical text form of a parsed model file; the round-trip tests
+    check that parsing it gives the same model back."""
+    spec = mf.spec
+    lines = ["[model]", "n = %d" % spec.n, "d = %d" % spec.d, "flavor = %s" % spec.flavor]
+    for blk in sorted(spec.bf_blocks, key=lambda b: b.p):
+        lines.append("block p=%d rank=%d" % (blk.p, blk.rank))
+    if spec.cs_block is not None:
+        lines.append("cs rank=%d" % spec.cs_block.rank)
+        lines.append(
+            "k = " + " ; ".join(" ".join(str(x) for x in row) for row in spec.cs_block.metric)
+        )
+    if mf.data is not None and mf.data.values:
+        lines.append("")
+        lines.append("[data]")
+        for (name, lower, upper), poly in mf.data.items():
+            lines.append(
+                "%s[%s;%s] = %s"
+                % (
+                    name,
+                    ",".join(map(str, lower)),
+                    ",".join(map(str, upper)),
+                    str(poly),
+                )
+            )
+    return "\n".join(lines) + "\n"
 
 
 def test_fixture_inventory():

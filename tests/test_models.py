@@ -27,20 +27,37 @@ ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "src" / "bvsigma" / "examples"
 
 
+INVALID_SPECS = [
+    (dict(n=0, d=2), "n must be >= 1, got 0"),
+    (dict(n=2, d=0), "d must be >= 1, got 0"),
+    (dict(n=2, d=2, flavor="cs"), "unknown flavor 'cs'"),
+    (dict(n=3, d=2, cs_block=CsBlock(2, K2)), "bf flavor does not take a cs block"),
+    (dict(n=4, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2)), "cs block requires odd n, got n=4"),
+    (dict(n=3, d=2, flavor=CS_BF), "cs_bf flavor requires a cs block"),
+    (dict(n=2, d=3, bf_blocks=(BfBlock(1, 2),)), "block degree p=1 out of range 1..0 for n=2 (bf)"),
+    (dict(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(1, 3))), "duplicate block degree p=1"),
+    (dict(n=5, d=2, bf_blocks=(BfBlock(1, 0),)), "block rank must be >= 1"),
+    (dict(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(3, K2)), "metric k must be 3x3"),
+    (dict(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((0, 1), (-1, 0)))), "metric k must be symmetric"),
+    (dict(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((1, 0), (0, 0)))), "metric k must be nondegenerate"),
+    # the p = (n-1)/2 block is absorbed into the self block for cs models
+    (
+        dict(n=3, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 2),), cs_block=CsBlock(2, K2)),
+        "block degree p=1 out of range 1..0 for n=3 (cs_bf)",
+    ),
+]
+
+
 def test_spec_validation():
-    with pytest.raises(ModelError):
-        ModelSpec(n=2, d=3, bf_blocks=(BfBlock(1, 2),))  # p out of range for n=2
-    with pytest.raises(ModelError):
-        ModelSpec(n=4, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2))  # even n
-    with pytest.raises(ModelError):
-        ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(1, 3)))  # duplicate p
-    with pytest.raises(ModelError):
-        ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((1, 0), (0, 0))))  # degenerate k
-    with pytest.raises(ModelError):
-        ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, ((0, 1), (-1, 0))))  # not symmetric
-    with pytest.raises(ModelError):
-        # the p = (n-1)/2 block is absorbed into the self block for cs models
-        ModelSpec(n=3, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 2),), cs_block=CsBlock(2, K2))
+    """Every invalid spec raises its own message, from keyword or
+    positional arguments alike."""
+    for kwargs, message in INVALID_SPECS:
+        args = (kwargs["n"], kwargs["d"], kwargs.get("flavor", BF),
+                kwargs.get("bf_blocks", ()), kwargs.get("cs_block"))
+        for build in (lambda: ModelSpec(**kwargs), lambda: ModelSpec(*args)):
+            with pytest.raises(ModelError) as err:
+                build()
+            assert str(err.value) == message
 
 
 def test_blocks_and_degrees():
@@ -202,6 +219,14 @@ def test_block_table_is_not_a_field():
     a = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2),))
     b = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2),))
     assert a == b and hash(a) == hash(b)
+    b.pairs, b.self_pairs, b._blocks = (), (a.pairs[0],), {}
+    assert a == b and hash(a) == hash(b)  # equality and hash read the five fields only
+    assert a != ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 3),))
+    assert repr(b) == "ModelSpec(n=5, d=2, flavor='bf', bf_blocks=(BfBlock(p=1, rank=2),), cs_block=None)"
+    assert repr(ModelSpec(3, 2, CS_BF, (), CsBlock(2, K2))) == (
+        "ModelSpec(n=3, d=2, flavor='cs_bf', bf_blocks=(), cs_block=CsBlock(rank=2, metric="
+        "((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)))))"
+    )
     assert a.block("B3").rank == 2
     assert [blk.label for blk in a.blocks()] == ["phi", "B4", "A1", "B3"]
     with pytest.raises(ModelError):

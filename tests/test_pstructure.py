@@ -199,7 +199,8 @@ def test_verdicts_keep_first_witness_and_first_recorded_order():
     assert rep.witnesses == ["a: first", "c: only"]
     assert not rep.passed
     assert rep.details() == ["b: ok", "a: FAILED", "c: FAILED", "note: something to know"]
-    passing = Verdicts()
+    passing, other = Verdicts(), Verdicts()
+    assert all(getattr(passing, f) is not getattr(other, f) for f in ("results", "witnesses", "notes"))
     passing.record("x")
     passing.notes.append("n")
     assert passing.passed and passing.details() == ["x: ok", "note: n"]

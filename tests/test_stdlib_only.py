@@ -4,10 +4,14 @@ numpy, sympy or hypothesis may be installed next to the package; this test
 fails as soon as a module under src/bvsigma imports one of them (or any
 other non-stdlib name), at module level or inside a function.  It also
 fails on an import that its module never uses (pyflakes' F401, by the same
-``ast`` walk, since no linter is a dependency).
+``ast`` walk, since no linter is a dependency), and when importing the CLI
+loads ``dataclasses`` or ``inspect``, which every command would pay for at
+start-up.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +78,18 @@ def test_checker_sees_a_third_party_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert not unused_imports(path), "%s never uses %s" % (path.name, unused_imports(path))
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """``dataclasses`` imports ``inspect``, and with it ``ast``, ``dis`` and
+    ``tokenize``: about 10 ms of every command's start-up, for nothing the
+    engine uses."""
+    code = "import sys, bvsigma.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_checker_sees_an_unused_import(tmp_path):
