@@ -14,6 +14,10 @@ is represented by the base coordinate phi^i, so [phi^i,phi^j] and
 rho(phi^i) come straight out of the bracket, and general sections are
 handled componentwise through the Leibniz extension.
 
+Derived brackets and anchors take the map D: x -> (S,x), not S.  Each
+checker and ``operation_table`` memoizes D for that one call, so (S,x) is
+computed once per distinct x and shared by every bracket and anchor.
+
 The axiom checkers are exact and sample nothing.  Where an axiom takes a
 base function it is evaluated on a generic one: an unassigned coefficient
 symbol F (and G where a second function is needed), whose formal base
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .models import Action, ModelError, ModelSpec, StructureData
 from .pstructure import Hamiltonian, PStructure, Verdicts
@@ -49,16 +53,17 @@ def section_representatives(spec: ModelSpec) -> list[tuple[str, Expr]]:
     return [(str(v), Expr.var(v)) for label in labels for v in spec.vars_of(label)]
 
 
-def derived_bracket(p: PStructure, q: Hamiltonian, e1: Expr, e2: Expr) -> Expr:
-    """((S,e1),e2), with S given as q = Hamiltonian(S)."""
-    return p.bracket(p.bracket(q, e1), e2)
+def derived_bracket(p: PStructure, D: Callable[[Expr], Expr], e1: Expr, e2: Expr) -> Expr:
+    """((S,e1),e2), with D(x) = (S,x), e.g. ``lambda x: d_op(p, q, x)``."""
+    return p.bracket(D(e1), e2)
 
 
-def anchor(p: PStructure, q: Hamiltonian, e: Expr, f: Expr) -> Expr:
-    """rho(e) F = (e,(S,F)); F must depend on base variables only."""
+def anchor(p: PStructure, D: Callable[[Expr], Expr], e: Expr, f: Expr) -> Expr:
+    """rho(e) F = (e,(S,F)), with D as in :func:`derived_bracket`; F must
+    depend on base variables only."""
     if f.monomial_degrees() not in (set(), {0}):
         raise ValueError("anchor argument must be a base-variable function")
-    return p.bracket(e, p.bracket(q, f))
+    return p.bracket(e, D(f))
 
 
 def pairing(p: PStructure, e1: Expr, e2: Expr) -> Expr:
@@ -79,13 +84,14 @@ def operation_table(p: PStructure, s1: Action):
     reps = section_representatives(p.spec)
     rows = []
     q = Hamiltonian(s1.expr)
+    D = functools.cache(lambda x: d_op(p, q, x))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
-        rows.append(("circ", la, lb, derived_bracket(p, q, ea, eb)))
+        rows.append(("circ", la, lb, derived_bracket(p, D, ea, eb)))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
         rows.append(("pair", la, lb, pairing(p, ea, eb)))
     for la, ea in reps:
         for i in range(1, p.spec.d + 1):
-            rows.append(("anchor", la, "phi%d" % i, anchor(p, q, ea, Expr.base(i))))
+            rows.append(("anchor", la, "phi%d" % i, anchor(p, D, ea, Expr.base(i))))
     return rows
 
 
@@ -115,16 +121,19 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
 
     Properties taking a base function use the generic F and G, so every
     comparison is an exact polynomial identity, not a sample.  Each derived
-    operation is computed once per distinct operand tuple of this call.
+    operation is computed once per distinct operand tuple of this call, and
+    (S,x) once per distinct x, shared by the brackets, anchors and D.
     """
-    reps = section_representatives(p.spec)  # refuses an unsupported n first
+    # Each generator e with its F-scaled section F e, formed once (an
+    # unsupported n is refused first).
+    reps = [(label, e, F * e) for label, e in section_representatives(p.spec)]
     q = Hamiltonian(s1.expr.substitute(data))
     rep = Verdicts()
     pairs = list(itertools.product(reps, reps))
     triples = list(itertools.product(reps, reps, reps))
-    circ = functools.cache(lambda x, y: derived_bracket(p, q, x, y))
-    rho = functools.cache(lambda e, f: anchor(p, q, e, f))
     D = functools.cache(lambda x: d_op(p, q, x))
+    circ = functools.cache(lambda x, y: derived_bracket(p, D, x, y))
+    rho = functools.cache(lambda e, f: anchor(p, D, e, f))
     pair = functools.cache(lambda x, y: pairing(p, x, y))
 
     # The axioms quantify over the whole section space, not just the fiber
@@ -137,8 +146,8 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
         ("(%s,%s,%s) %s" % (l1, l2, l3, variant),
          circ(e1, circ(x2, e3)),
          circ(circ(e1, x2), e3) + circ(x2, circ(e1, e3)))
-        for (l1, e1), (l2, e2), (l3, e3) in triples
-        for variant, x2 in (("basis", e2), ("scaled", F * e2))
+        for (l1, e1, _), (l2, e2, f2), (l3, e3, _) in triples
+        for variant, x2 in (("basis", e2), ("scaled", f2))
     ))
 
     # 2: rho(e1 o e2) = [rho(e1), rho(e2)], basis and scaled, on G.  Each
@@ -148,21 +157,21 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
         ("(%s,%s) %s" % (l1, l2, variant),
          rho(x1, rho(e2, G)) - rho(e2, rho(x1, G)),
          rho(circ(x1, e2), G))
-        for (l1, e1), (l2, e2) in pairs
-        for variant, x1 in (("basis", e1), ("scaled", F * e1))
+        for (l1, e1, f1), (l2, e2, _) in pairs
+        for variant, x1 in (("basis", e1), ("scaled", f1))
     ))
 
     # 3: e1 o (F e2) = F (e1 o e2) + (rho(e1)F) e2
     first_failure(rep, "anchored Leibniz", (
-        ("(%s,%s)" % (l1, l2), circ(e1, F * e2), F * circ(e1, e2) + rho(e1, F) * e2)
-        for (l1, e1), (l2, e2) in pairs
+        ("(%s,%s)" % (l1, l2), circ(e1, f2), F * circ(e1, e2) + rho(e1, F) * e2)
+        for (l1, e1, _), (l2, e2, f2) in pairs
     ))
 
     # 4: e1 o e2 + e2 o e1 = D<e1,e2>, also with a function-scaled section.
     first_failure(rep, "symmetrized bracket = D<,>", (
         (wit % (l1, l2), circ(x1, e2) + circ(e2, x1), D(pair(x1, e2)))
-        for (l1, e1), (l2, e2) in pairs
-        for wit, x1 in (("(%s,%s)", e1), ("(F*%s,%s)", F * e1))
+        for (l1, e1, f1), (l2, e2, _) in pairs
+        for wit, x1 in (("(%s,%s)", e1), ("(F*%s,%s)", f1))
     ))
 
     # 5: rho(e1)<e2,e3> = <e1 o e2, e3> + <e2, e1 o e3>, with a scaled e2.
@@ -170,13 +179,13 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
         (wit % (l1, l2, l3),
          rho(e1, pair(x2, e3)),
          pair(circ(e1, x2), e3) + pair(x2, circ(e1, e3)))
-        for (l1, e1), (l2, e2), (l3, e3) in triples
-        for wit, x2 in (("(%s,%s,%s)", e2), ("(%s,F*%s,%s)", F * e2))
+        for (l1, e1, _), (l2, e2, f2), (l3, e3, _) in triples
+        for wit, x2 in (("(%s,%s,%s)", e2), ("(%s,F*%s,%s)", f2))
     ))
 
     # D-pairing consistency: <DF, e> = rho(e) F.
     first_failure(rep, "<DF,e> = rho(e)F", (
-        (l1, pair(D(F), e1), rho(e1, F)) for l1, e1 in reps
+        (l1, pair(D(F), e1), rho(e1, F)) for l1, e1, _ in reps
     ))
     return rep
 
@@ -188,7 +197,8 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdi
     [dF,dG] -> ((S,F),G); general sections are component tuples handled by
     the Leibniz extension of the coordinate bracket.  Functions and
     potentials are the generic F and G, so every comparison is exact.  Each
-    derived bracket is computed once per distinct operand pair of this call.
+    derived bracket is computed once per distinct operand pair of this call,
+    and its inner (S,f) once per distinct f.
     Only the anchor homomorphism (the Jacobi identity) depends on the data:
     f1 is antisymmetric and ``bracket_sections`` builds the Leibniz
     extension in, so the other three axioms hold for every bivector.
@@ -196,7 +206,8 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdi
     q = Hamiltonian(s1.expr.substitute(data))
     rep = Verdicts()
     base = range(1, p.spec.d + 1)
-    pb = functools.cache(lambda f, g: derived_bracket(p, q, f, g))
+    D = functools.cache(lambda x: d_op(p, q, x))
+    pb = functools.cache(lambda f, g: derived_bracket(p, D, f, g))
     pairs = list(itertools.product(section_representatives(p.spec), repeat=2))
 
     # Antisymmetry on basis pairs, then on generic potentials.
@@ -223,29 +234,33 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdi
     def rho_section(xi, h):
         out = Expr.zero()
         for i in base:
-            out = out + xi[i - 1] * pb(coord[i - 1], h)
+            if xi[i - 1] and h:
+                out = out + xi[i - 1] * pb(coord[i - 1], h)
         return out
 
     def bracket_sections(xi, eta):
+        # xi^i eta^j, once per (i,j) with both components nonzero.
+        weights = [(i, j, xi[i - 1] * eta[j - 1])
+                   for i in base if xi[i - 1] for j in base if eta[j - 1]]
         comps = []
         for k in base:
             acc = Expr.zero()
-            for i in base:
-                for j in base:
-                    acc = acc + xi[i - 1] * eta[j - 1] * dcmat[(i, j, k)]
+            for i, j, w in weights:
+                acc = acc + w * dcmat[(i, j, k)]
             acc = acc + rho_section(xi, eta[k - 1]) - rho_section(eta, xi[k - 1])
             comps.append(acc)
         return comps
 
-    def unit_section(j):
-        return [Expr.scalar(1) if i == j else Expr.zero() for i in base]
+    # Each unit section e_j, and F e_j, formed once.
+    units = [[Expr.scalar(1) if i == j else Expr.zero() for i in base] for j in base]
+    f_units = [[F * c for c in e] for e in units]
 
     def leibniz():
         for i, j in itertools.product(base, base):
-            ei, ej = unit_section(i), unit_section(j)
+            ei, ej = units[i - 1], units[j - 1]
             rhs = [F * b for b in bracket_sections(ei, ej)]
             rhs[j - 1] = rhs[j - 1] + rho_section(ei, F)
-            yield "(e%d, F e%d)" % (i, j), bracket_sections(ei, [F * c for c in ej]), rhs
+            yield "(e%d, F e%d)" % (i, j), bracket_sections(ei, f_units[j - 1]), rhs
 
     first_failure(rep, "Leibniz rule", leibniz())
 

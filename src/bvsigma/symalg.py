@@ -15,8 +15,9 @@ zero test of :class:`CPoly`, :class:`Expr` and :class:`bvsigma.worldsheet.DgaExp
 combining two of different scope (model fingerprint, or n for a DgaExpr)
 raises :class:`MixedContextError`.
 
-Exprs are immutable once built, so every operation is safe to run
-concurrently on shared inputs.
+Sums are immutable once built: no code changes ``terms`` after a sum is
+wrapped, so every operation is safe to run concurrently on shared inputs,
+and a sum's hash is taken once, on first use, and kept.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class SparseSum:
     the hash ignore scope.  Each subclass wraps results with its own
     ``_of(terms, scope)``."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     scope = None
 
     def _merged_scope(self, other: "SparseSum"):
@@ -218,7 +219,12 @@ class SparseSum:
 
     def __hash__(self):
         # Agrees with __eq__: unordered, scope-free, hash(Fraction(k)) == hash(k).
-        return hash(frozenset(self.terms.items()))
+        # Kept after the first call, since terms never change once wrapped.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.terms.items()))
+            return h
 
     def __add__(self, other):
         scope = self._merged_scope(other)

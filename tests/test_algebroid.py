@@ -144,12 +144,14 @@ def test_n2_noncommutative_coordinates_and_anchor():
     p = PStructure(spec)
     s1 = build_S1_generic(spec)
     # [phi^i, phi^j] = -f^{ij}
+    q = Hamiltonian(s1.expr)
+    D = partial(d_op, p, q)
     for i, j in itertools.combinations((1, 2, 3), 2):
-        got = derived_bracket(p, Hamiltonian(s1.expr), Expr.base(i), Expr.base(j))
+        got = derived_bracket(p, D, Expr.base(i), Expr.base(j))
         assert got == sym_expr(spec, "f1", (), (i, j), coeff=-1)
     # rho(phi^i) F = -f^{ij} d_j F on a monomial test function
     F = Expr.base(1) * Expr.base(2)
-    got = anchor(p, Hamiltonian(s1.expr), Expr.base(1), F)
+    got = anchor(p, D, Expr.base(1), F)
     expected = Expr.zero()
     for j in (1, 2, 3):
         expected = expected + sym_expr(spec, "f1", (), (1, j), coeff=-1) * F.partial_base(j)
@@ -170,8 +172,9 @@ def test_anchor_rejects_fiber_arguments():
     spec = n3_spec()
     p = PStructure(spec)
     s1 = build_S1_generic(spec)
+    q = Hamiltonian(s1.expr)
     with pytest.raises(ValueError):
-        anchor(p, Hamiltonian(s1.expr), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
+        anchor(p, partial(d_op, p, q), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
 
 
 # -- axiom checkers against the master equation --------------------------------------
@@ -262,10 +265,11 @@ def test_n2_bracket_antisymmetry_on_basis():
     spec = n2_spec()
     p = PStructure(spec)
     s1 = build_S1_generic(spec)
-    sub = s1.expr.substitute(so3_data())
+    q = Hamiltonian(s1.expr.substitute(so3_data()))
+    D = partial(d_op, p, q)
     for i, j in itertools.product((1, 2, 3), repeat=2):
-        lhs = derived_bracket(p, Hamiltonian(sub), Expr.base(i), Expr.base(j))
-        rhs = derived_bracket(p, Hamiltonian(sub), Expr.base(j), Expr.base(i))
+        lhs = derived_bracket(p, D, Expr.base(i), Expr.base(j))
+        rhs = derived_bracket(p, D, Expr.base(j), Expr.base(i))
         assert (lhs + rhs).is_zero()
 
 
@@ -330,19 +334,20 @@ def component_anchor_homomorphism(p, s1, data):
     a generic function, as the Courant checker scales it.
     """
     q = Hamiltonian(s1.expr.substitute(data))
+    D = partial(d_op, p, q)
     base = range(1, p.spec.d + 1)
     if p.n == 2:
-        rho = partial(derived_bracket, p, q)
+        rho = partial(derived_bracket, p, D)
         scalings = (Expr.scalar(1),)
     else:
-        rho = partial(anchor, p, q)
+        rho = partial(anchor, p, D)
         scalings = (Expr.scalar(1), Expr.symbol(CoeffSymbol("F")))
     reps = [e for _, e in section_representatives(p.spec)]
     for e1, e2, s in itertools.product(reps, reps, scalings):
         x1 = s * e1
         v1 = [rho(x1, Expr.base(i)) for i in base]
         v2 = [rho(e2, Expr.base(i)) for i in base]
-        x12 = derived_bracket(p, q, x1, e2)
+        x12 = derived_bracket(p, D, x1, e2)
         for i_pos, i in enumerate(base):
             comm = Expr.zero()
             for j_pos, j in enumerate(base):
@@ -395,20 +400,30 @@ def count_operation_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mkspec,maker,checker,ops", [
-    (n3_spec, exact_courant_data, check_courant, ("derived_bracket", "anchor", "d_op", "pairing")),
-    (n2_spec, so3_data, check_lie_algebroid, ("derived_bracket",)),
-], ids=["exact-courant", "so3"])
-def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, maker, checker, ops):
+ALL_OPERATIONS = ("derived_bracket", "anchor", "d_op", "pairing")
+
+
+@pytest.mark.parametrize("mkspec,run,ops", [
+    (n3_spec, lambda p, s1: check_courant(p, s1, exact_courant_data()).passed, ALL_OPERATIONS),
+    (n2_spec, lambda p, s1: check_lie_algebroid(p, s1, so3_data()).passed, ("derived_bracket", "d_op")),
+    (n3_spec, operation_table, ALL_OPERATIONS),
+], ids=["exact-courant", "so3", "operation-table"])
+def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, run, ops):
     spec = mkspec()
     p = PStructure(spec)
     s1 = build_S1_generic(spec)
     calls = count_operation_calls(monkeypatch)
-    assert checker(p, s1, maker()).passed
+    assert run(p, s1)
     for name, seen in calls.items():
         assert bool(seen) == (name in ops), name
         # Compared by value, pairwise, so the check does not lean on the hash.
         assert all(a != b for a, b in itertools.combinations(seen, 2)), name
+    if run is operation_table:
+        # One derived bracket per basis pair; (S,x) once per representative
+        # and once per base coordinate the anchor acts on.
+        n_reps = len(section_representatives(spec))
+        assert len(calls["derived_bracket"]) == n_reps ** 2
+        assert len(calls["d_op"]) == n_reps + spec.d
 
 
 @pytest.mark.parametrize("name,spec,data", CORPUS_MODELS, ids=[c[0] for c in CORPUS_MODELS])

@@ -49,6 +49,8 @@ GOLDEN_CASES = [
     ("so3_check_bv", ["check-bv", "--model", "n2_poisson_so3.model"], 0),
     ("exact_courant_first_order", ["first-order", "--model", "n3_bf_exact_courant.model"], 0),
     ("exact_courant_theorem1", ["theorem1", "--model", "n3_bf_exact_courant.model"], 0),
+    ("so3_check_algebroid", ["check-algebroid", "--model", "n2_poisson_so3.model"], 0),
+    ("cs_su2_check_algebroid", ["check-algebroid", "--model", "n3_cs_su2.model"], 0),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvsigma import symalg
 from bvsigma.algebroid import operation_table
 from bvsigma.grading import GradedVar, sort_monomial
 from bvsigma.master import expand_master, extract_identities, verify_structure_data
@@ -501,6 +502,28 @@ def test_equal_sums_hash_equal():
     assert e1 == e2 == e3 and e1.scope != e2.scope
     assert hash(e1) == hash(e2) == hash(e3)
     assert len({e1, e2, e3, c1, c2, c3}) == 2
+
+
+@pytest.mark.parametrize("make", (_cpoly_sums, _expr_sums, _dga_sums), ids=("CPoly", "Expr", "DgaExpr"))
+def test_a_sum_is_hashed_once(make, monkeypatch):
+    """The hash is that of the frozenset of the terms, equal for a sum built
+    in either order, and taken once: a second hash(x) builds no frozenset."""
+    a, b, _, _ = make()
+    x, y = a + b, b + a
+    assert list(x.terms) != list(y.terms)
+    assert hash(x) == hash(frozenset(x.terms.items())) == hash(y)
+    built = []
+
+    def counting_frozenset(items):
+        built.append(1)
+        return frozenset(items)
+
+    monkeypatch.setattr(symalg, "frozenset", counting_frozenset, raising=False)
+    fresh = a - b
+    first = hash(fresh)
+    assert built  # the first hash builds it (an Expr's CPoly terms too)
+    count = len(built)
+    assert hash(fresh) == first and hash(x) == hash(y) and len(built) == count
 
 
 def test_coeff_symbol_value_semantics():
