@@ -23,7 +23,12 @@ base function it is evaluated on a generic one: an unassigned coefficient
 symbol F (and G where a second function is needed), whose formal base
 derivatives of every order stay independent.  An axiom that holds as a
 polynomial identity in the jets of F and G therefore holds for every
-function.  Each checker returns a ``Verdicts`` with one verdict per axiom.
+function.  The Courant checker (n=3) likewise puts a generic section
+X = sum_a X[a;] e_a in each slot, so each axiom is one residual, zero
+exactly when the axiom holds for every section; a failing axiom's witness
+is the residual's least term.  The Lie checker (n=2) walks basis pairs
+and stops each axiom at its first failing case.  Each checker returns a
+``Verdicts`` with one verdict per axiom.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import itertools
 from typing import Callable, Iterable
 
 from .models import Action, ModelError, ModelSpec, StructureData
-from .pstructure import Hamiltonian, PStructure, Verdicts
+from .pstructure import Hamiltonian, PStructure, Verdicts, generic_operand
 from .symalg import CoeffSymbol, Expr
 
 
@@ -117,76 +122,32 @@ def first_failure(report: Verdicts, law: str, cases: Iterable[tuple[str, object,
 
 
 def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
-    """Verify the five Courant axioms on the basis under substituted data.
+    """Decide the six Courant axioms on generic sections under substituted data.
 
-    Properties taking a base function use the generic F and G, so every
-    comparison is an exact polynomial identity, not a sample.  Each derived
-    operation is computed once per distinct operand tuple of this call, and
-    (S,x) once per distinct x, shared by the brackets, anchors and D.
+    Each slot holds a generic section X = sum_a X[a;] e_a over the section
+    generators e_a (Y and Z likewise), and each base function is the generic
+    F or G, so each axiom is one polynomial identity in their jets: its
+    residual is zero exactly when the axiom holds for every section and
+    function.  A failing row's witness is the residual's least term.  Each
+    operation is computed once, and (S,x) once per distinct x.
     """
-    # Each generator e with its F-scaled section F e, formed once (an
-    # unsupported n is refused first).
-    reps = [(label, e, F * e) for label, e in section_representatives(p.spec)]
+    monos = [min(e.terms) for _, e in section_representatives(p.spec)]
+    X, Y, Z = (generic_operand(name, monos) for name in "XYZ")
     q = Hamiltonian(s1.expr.substitute(data))
     rep = Verdicts()
-    pairs = list(itertools.product(reps, reps))
-    triples = list(itertools.product(reps, reps, reps))
     D = functools.cache(lambda x: d_op(p, q, x))
-    circ = functools.cache(lambda x, y: derived_bracket(p, D, x, y))
-    rho = functools.cache(lambda e, f: anchor(p, D, e, f))
-    pair = functools.cache(lambda x, y: pairing(p, x, y))
-
-    # The axioms quantify over the whole section space, not just the fiber
-    # basis; each check therefore also runs with one generator scaled by F,
-    # which is where several master-equation constraints (e.g. the isotropy
-    # of the anchor image) first bite.
-
-    # 1: e1 o (e2 o e3) = (e1 o e2) o e3 + e2 o (e1 o e3)
-    first_failure(rep, "leibniz-jacobi for o", (
-        ("(%s,%s,%s) %s" % (l1, l2, l3, variant),
-         circ(e1, circ(x2, e3)),
-         circ(circ(e1, x2), e3) + circ(x2, circ(e1, e3)))
-        for (l1, e1, _), (l2, e2, f2), (l3, e3, _) in triples
-        for variant, x2 in (("basis", e2), ("scaled", f2))
-    ))
-
-    # 2: rho(e1 o e2) = [rho(e1), rho(e2)], basis and scaled, on G.  Each
-    # anchor is a first-order operator, so the second jets of G cancel and
-    # the coefficient of d(i)G compares the i-th components of both sides.
-    first_failure(rep, "anchor homomorphism", (
-        ("(%s,%s) %s" % (l1, l2, variant),
-         rho(x1, rho(e2, G)) - rho(e2, rho(x1, G)),
-         rho(circ(x1, e2), G))
-        for (l1, e1, f1), (l2, e2, _) in pairs
-        for variant, x1 in (("basis", e1), ("scaled", f1))
-    ))
-
-    # 3: e1 o (F e2) = F (e1 o e2) + (rho(e1)F) e2
-    first_failure(rep, "anchored Leibniz", (
-        ("(%s,%s)" % (l1, l2), circ(e1, f2), F * circ(e1, e2) + rho(e1, F) * e2)
-        for (l1, e1, _), (l2, e2, f2) in pairs
-    ))
-
-    # 4: e1 o e2 + e2 o e1 = D<e1,e2>, also with a function-scaled section.
-    first_failure(rep, "symmetrized bracket = D<,>", (
-        (wit % (l1, l2), circ(x1, e2) + circ(e2, x1), D(pair(x1, e2)))
-        for (l1, e1, f1), (l2, e2, _) in pairs
-        for wit, x1 in (("(%s,%s)", e1), ("(F*%s,%s)", f1))
-    ))
-
-    # 5: rho(e1)<e2,e3> = <e1 o e2, e3> + <e2, e1 o e3>, with a scaled e2.
-    first_failure(rep, "anchor invariance of <,>", (
-        (wit % (l1, l2, l3),
-         rho(e1, pair(x2, e3)),
-         pair(circ(e1, x2), e3) + pair(x2, circ(e1, e3)))
-        for (l1, e1, _), (l2, e2, f2), (l3, e3, _) in triples
-        for wit, x2 in (("(%s,%s,%s)", e2), ("(%s,F*%s,%s)", f2))
-    ))
-
-    # D-pairing consistency: <DF, e> = rho(e) F.
-    first_failure(rep, "<DF,e> = rho(e)F", (
-        (l1, pair(D(F), e1), rho(e1, F)) for l1, e1, _ in reps
-    ))
+    xy, xz, yz = (derived_bracket(p, D, a, b) for a, b in ((X, Y), (X, Z), (Y, Z)))
+    rho_x_f = anchor(p, D, X, F)
+    rep.record_residual("leibniz-jacobi for o", derived_bracket(p, D, X, yz)
+                        - derived_bracket(p, D, xy, Z) - derived_bracket(p, D, Y, xz))
+    rep.record_residual("anchor homomorphism", anchor(p, D, X, anchor(p, D, Y, G))
+                        - anchor(p, D, Y, anchor(p, D, X, G)) - anchor(p, D, xy, G))
+    rep.record_residual("anchored Leibniz", derived_bracket(p, D, X, F * Y) - F * xy - rho_x_f * Y)
+    rep.record_residual("symmetrized bracket = D<,>",
+                        xy + derived_bracket(p, D, Y, X) - D(pairing(p, X, Y)))
+    rep.record_residual("anchor invariance of <,>", anchor(p, D, X, pairing(p, Y, Z))
+                        - pairing(p, xy, Z) - pairing(p, Y, xz))
+    rep.record_residual("<DF,e> = rho(e)F", pairing(p, D(F), X) - rho_x_f)
     return rep
 
 

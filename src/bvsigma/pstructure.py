@@ -240,7 +240,7 @@ def fiber_monomials(spec: ModelSpec, max_len: int) -> dict[int, list[tuple[Grade
     return out
 
 
-def _generic(name: str, monos) -> Expr:
+def generic_operand(name: str, monos) -> Expr:
     """sum_i name[i;] m_i over ``monos``: fresh symbols with free base jets,
     so the operand stands for every operand spanned by the m_i."""
     return Expr({m: CPoly.symbol(CoeffSymbol(name, (i,))) for i, m in enumerate(monos)})
@@ -287,6 +287,17 @@ class Verdicts:
         if ok and witness is not None:
             self.witnesses.append(witness)
         self.results[law] = ok and witness is None
+
+    def record_residual(self, law: str, residual: Expr, where: Optional[str] = None):
+        """Record one case of ``law`` decided by ``residual``: it holds when
+        the residual is zero.  A failure's witness is the residual's term of
+        least monomial, after ``where`` (the case) when given."""
+        witness = None
+        if residual and self.results.get(law, True):
+            m = min(residual.terms)
+            witness = "%s: %sresidual term %s" % (
+                law, "" if where is None else where + ": ", Expr({m: residual.terms[m]}))
+        self.record(law, witness)
 
     @property
     def passed(self) -> bool:
@@ -340,11 +351,9 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
         report.record(law)
 
     def check(law: str, degrees: tuple, residual: Expr):
-        if residual and report.results[law]:  # the first failure is the witness
-            m = min(residual.terms)
-            report.record(law, "%s: %s = %s: residual term %s" % (
-                law, ",".join("|%s|" % x for x in "FGH"[:len(degrees)]),
-                ",".join(map(str, degrees)), Expr({m: residual.terms[m]})))
+        if residual:  # every law is recorded above, so a zero adds nothing
+            report.record_residual(law, residual, "%s = %s" % (
+                ",".join("|%s|" % x for x in "FGH"[:len(degrees)]), ",".join(map(str, degrees))))
 
     br = pstruct.bracket
     lap = pstruct.laplacian
@@ -352,7 +361,7 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
     classes = sorted(short)
     # Every value below is taken once and read by each law that needs it;
     # each right and left derivative of an operand at most once.
-    F, G, H = ({k: Hamiltonian(_generic(name, short[k])) for k in classes} for name in "uvw")
+    F, G, H = ({k: Hamiltonian(generic_operand(name, short[k])) for k in classes} for name in "uvw")
     fg = {(a, b): br(F[a], G[b]) for a in classes for b in classes}
     gh = {(b, c): br(G[b], H[c]) for b in classes for c in classes}
     hf = {(c, a): br(H[c], F[a]) for c in classes for a in classes}
@@ -390,7 +399,7 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
 
     for k, monos in sorted(fiber_monomials(pstruct.spec, 4).items()):
         if k >= 2 * (n - 1):
-            check(LAPLACIAN_LAWS[1], (k,), lap(lap(_generic("u", monos))))
+            check(LAPLACIAN_LAWS[1], (k,), lap(lap(generic_operand("u", monos))))
 
     if n % 2 == 1 and not report.results[LAPLACIAN_LAWS[0]]:
         report.notes.append(

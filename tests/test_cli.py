@@ -103,6 +103,51 @@ def test_exit_code_2_for_base_variable_outside_the_base(tmp_path, capsys, var):
     assert "line 8: base variable %s out of range phi1..phi3" % var in capsys.readouterr().err
 
 
+N2_MODEL = "[model]\nn = 2\nd = 3\n"
+CS_MODEL = "[model]\nn = 3\nd = 2\nflavor = cs_bf\ncs rank=2\n"
+
+# One model file per parse error message, with the message it must print.
+PARSE_ERRORS = [
+    ("trailing-token", N2_MODEL + "\n[data]\nf1[;1,2] = phi1 phi2\n",
+     "line 6, column 6: unexpected 'phi2' after polynomial"),
+    ("bad-exponent", N2_MODEL + "\n[data]\nf1[;1,2] = phi1^phi2\n",
+     "line 6, column 6: exponent must be a nonnegative integer"),
+    ("unclosed-paren", N2_MODEL + "\n[data]\nf1[;1,2] = (phi1 + 1 phi2\n",
+     "line 6, column 11: expected ')'"),
+    ("zero-denominator", N2_MODEL + "\n[data]\nf1[;1,2] = 1/0\n",
+     "line 6, column 3: invalid rational denominator"),
+    ("bad-index", N2_MODEL + "\n[data]\nf1[;1 2] = phi1\n", "line 6: invalid index '1 2'"),
+    ("bad-assignment", N2_MODEL + "\n[data]\nf1 = phi1\n",
+     "line 6: expected 'name[lower;upper] = polynomial'"),
+    ("no-key-value", N2_MODEL + "bogus\n", "line 4: expected 'key = value'"),
+    ("n-not-integer", "[model]\nn = two\nd = 3\n", "line 2: n must be a positive integer"),
+    ("bad-flavor", N2_MODEL + "flavor = ab\n", "line 4: flavor must be bf or cs_bf"),
+    ("bad-metric-entry", CS_MODEL + "k = 1 0 ; 0 z\n", "line 6: invalid metric entry 'z'"),
+    ("unknown-model-key", N2_MODEL + "rank = 2\n", "line 4: unknown model key 'rank'"),
+    ("missing-d", "[model]\nn = 2\n", "line 1: missing 'd' in [model] section"),
+    ("cs-without-metric", CS_MODEL, "line 5: cs block requires a metric line 'k = ...'"),
+    ("metric-without-cs", N2_MODEL + "k = 1 0 ; 0 1\n",
+     "line 4: metric k given without a cs block"),
+    ("symmetry-no-equals", N2_MODEL + "\n[symmetry]\nf1 antisym upper\n",
+     "line 6: expected 'family = antisym|sym lower|upper'"),
+    ("symmetry-unknown-family", N2_MODEL + "\n[symmetry]\nf9 = antisym upper\n",
+     "line 6: unknown symbol family 'f9'"),
+    ("symmetry-bad-kind", N2_MODEL + "\n[symmetry]\nf1 = skew upper\n",
+     "line 6: expected 'antisym|sym lower|upper'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message", [c[1:] for c in PARSE_ERRORS], ids=[c[0] for c in PARSE_ERRORS]
+)
+def test_exit_code_2_and_message_for_each_parse_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.model"
+    bad.write_text(text)
+    code, out = run_cli(["check-master", "--model", str(bad)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+
+
 def test_exit_code_2_when_data_is_required(tmp_path):
     nodata = tmp_path / "nodata.model"
     nodata.write_text("[model]\nn = 2\nd = 3\n")
@@ -115,6 +160,13 @@ def test_exit_code_2_for_unsupported_paper_comparison(tmp_path):
     model.write_text("[model]\nn = 4\nd = 2\nblock p=1 rank=2\n")
     code, _ = run_cli(["compare-identities", "--model", str(model), "--against", "paper"])
     assert code == 2
+
+
+def test_compare_n2_model_against_paper():
+    argv = ["compare-identities", "--model", "n2_poisson_so3.model", "--against", "paper"]
+    code, out = run_cli(resolve(argv))
+    assert code == 0
+    assert "relation: equal" in json.loads(out)["details"]
 
 
 def test_compare_against_other_model_file(tmp_path):

@@ -875,7 +875,7 @@ def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
     # their ids, and the ids.
     operands, ids = [], set()
     taken = {}  # (side, id of the operand, variable) -> times taken
-    orig_generic = pstructure._generic
+    orig_generic = pstructure.generic_operand
 
     def recording(name, monos):
         out = orig_generic(name, monos)
@@ -883,7 +883,7 @@ def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
         ids.add(id(out))
         return out
 
-    monkeypatch.setattr(pstructure, "_generic", recording)
+    monkeypatch.setattr(pstructure, "generic_operand", recording)
     for side in ("left_deriv", "right_deriv"):
         orig = getattr(Expr, side)
 
