@@ -76,6 +76,18 @@ class SystemExit2(Exception):
     """Usage-level error: exit code 2."""
 
 
+def _read_model(path: str) -> ModelFile:
+    """The model file at ``path``; a missing file or a parse error is a
+    usage error that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_model(fh.read())
+    except FileNotFoundError:
+        raise SystemExit2("no such model file: %s" % path) from None
+    except ParseError as exc:
+        raise SystemExit2("%s: %s" % (path, exc)) from None
+
+
 def _cmd_check_bv(mf: ModelFile, args) -> int:
     rep = check_bv_identities(PStructure(mf.spec))
     return _report("check-bv", mf.spec, rep.passed, rep.details(), rep.witnesses, args.format)
@@ -122,17 +134,15 @@ def _paper_family(spec: ModelSpec) -> str:
 
 
 def _cmd_compare(mf: ModelFile, args) -> int:
-    p = PStructure(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    ours = extract_identities(p, s1)
+    # The other side first, so that a usage error in it costs no extraction.
     if args.against == "paper":
         theirs = transcribe_paper_identities(_paper_family(mf.spec), mf.spec)
         label = "paper"
     else:
-        with open(args.against, "r", encoding="utf-8") as fh:
-            other = parse_model(fh.read())
+        other = _read_model(args.against)
         theirs = extract_identities(PStructure(other.spec), build_S1_generic(other.spec))
         label = args.against
+    ours = extract_identities(PStructure(mf.spec), build_S1_generic(mf.spec))
     cmp = compare_identity_spans(ours, theirs)
     details = [
         "extracted equations: %d" % len(ours),
@@ -262,19 +272,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.parser.error("unrecognized arguments: %s" % " ".join(unknown))
     except SystemExit as exc:
         return USAGE if exc.code else PASS
-    try:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            mf = parse_model(fh.read())
-    except FileNotFoundError:
-        sys.stderr.write("error: no such model file: %s\n" % args.model)
-        return USAGE
-    except ParseError as exc:
-        sys.stderr.write("error: %s: %s\n" % (args.model, exc))
-        return USAGE
     # Only errors in what the user gave are usage errors; any other
     # exception is a fault of the engine and propagates.
     try:
-        return _COMMANDS[args.command](mf, args)
+        return _COMMANDS[args.command](_read_model(args.model), args)
     except (SystemExit2, ModelError, MissingSymbolError, ParseError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE

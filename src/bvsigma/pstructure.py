@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
 from .models import ModelError, ModelSpec
-from .symalg import CoeffSymbol, CPoly, Expr, accumulate
+from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact
 
 
 class PStructure:
@@ -63,7 +63,8 @@ class PStructure:
     def _conjugate_tables(self):
         """The partners of each variable in the bracket sum, in summation
         order: rows (v, j, partners) with partners ((w, jw, k), ...), so
-        that (F,G) = sum over rows and partners of k F d_r/dv . d_l/dw G.
+        that (F,G) = sum over rows and partners of k F d_r/dv . d_l/dw G,
+        k a canonical scalar (see :func:`bvsigma.symalg.exact`).
         j (jw) is the base index of a base variable and 0 for a fiber one.
         Returns the Darboux rows alone, the Darboux plus self-block rows, the
         square rows of (F,F) (see :meth:`bracket`): half of them, doubled,
@@ -83,10 +84,10 @@ class PStructure:
         for sp in self.self_pairs:
             vs = vars_of(sp.block)
             for a, va in enumerate(vs):
-                partners = tuple((vb, 0, k) for vb, k in zip(vs, sp.metric[a]) if k)
+                partners = tuple((vb, 0, exact(k)) for vb, k in zip(vs, sp.metric[a]) if k)
                 if partners:
                     full.append((va, 0, partners))
-                half = tuple((vs[b], 0, k if b == a else 2 * k)
+                half = tuple((vs[b], 0, exact(k if b == a else 2 * k))
                              for b, k in enumerate(sp.metric[a]) if b >= a and k)
                 if half:
                     square.append((va, 0, half))
@@ -359,13 +360,16 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
     lap = pstruct.laplacian
     short = fiber_monomials(pstruct.spec, 1)
     classes = sorted(short)
-    # Every value below is taken once and read by each law that needs it;
-    # each right and left derivative of an operand at most once.
+    # Every value below is taken once and read by each law that needs it.
+    # FG = F G and fg = (F,G) of one pair are wrapped, so that Delta(FG),
+    # (FG,H) and (H,(F,G)) read each of their derivatives once; a wrapped
+    # table would keep every derivative for the whole check.
     F, G, H = ({k: Hamiltonian(generic_operand(name, short[k])) for k in classes} for name in "uvw")
-    fg = {(a, b): br(F[a], G[b]) for a in classes for b in classes}
-    gh = {(b, c): br(G[b], H[c]) for b in classes for c in classes}
-    hf = {(c, a): br(H[c], F[a]) for c in classes for a in classes}
-    fh = {(a, c): br(F[a], H[c]) for a in classes for c in classes}
+    pairs = [(a, b) for a in classes for b in classes]
+    GH = {(b, c): G[b].expr * H[c].expr for b, c in pairs}
+    gh = {(b, c): br(G[b], H[c]) for b, c in pairs}
+    hf = {(c, a): br(H[c], F[a]) for c, a in pairs}
+    fh = {(a, c): br(F[a], H[c]) for a, c in pairs}
     lap_f = {a: lap(F[a]) for a in classes}
     lap_g = {b: lap(G[b]) for b in classes}
 
@@ -374,11 +378,12 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
         check(LAPLACIAN_LAWS[2], (a,), _off_degree(lap_f[a], a - (n - 1)))
         for b in classes:
             g, gs = G[b].expr, b + 1 - n
-            check(BRACKET_LAWS[0], (a, b), fg[a, b] + br(G[b], F[a]).scale((-1) ** (fs * gs)))
-            check(BRACKET_LAWS[4], (a, b), _off_degree(fg[a, b], a + b - n + 1))
+            FG, fg = Hamiltonian(f * g), Hamiltonian(br(F[a], G[b]))
+            check(BRACKET_LAWS[0], (a, b), fg.expr + br(G[b], F[a]).scale((-1) ** (fs * gs)))
+            check(BRACKET_LAWS[4], (a, b), _off_degree(fg.expr, a + b - n + 1))
             # Without a self block the Darboux rows are the full rows.
-            fg_darboux = pstruct.bracket_darboux(F[a], G[b]) if pstruct.self_pairs else fg[a, b]
-            lap_fg = lap(f * g)
+            fg_darboux = pstruct.bracket_darboux(F[a], G[b]) if pstruct.self_pairs else fg.expr
+            lap_fg = lap(FG)
             check(LAPLACIAN_LAWS[0], (a, b), lap_fg - (
                 lap_f[a] * g
                 + fg_darboux.scale((-1) ** ((n + 1) * a))
@@ -387,15 +392,19 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
             check(LAPLACIAN_LAWS[2], (a, b), _off_degree(lap_fg, a + b - (n - 1)))
             for c in classes:
                 h, hs = H[c].expr, c + 1 - n
-                check(BRACKET_LAWS[1], (a, b, c), br(F[a], g * h) - (
-                    fg[a, b] * h + (g * fh[a, c]).scale((-1) ** (fs * b))))
-                check(BRACKET_LAWS[2], (a, b, c), br(f * g, H[c]) - (
+                check(BRACKET_LAWS[1], (a, b, c), br(F[a], GH[b, c]) - (
+                    fg.expr * h + (g * fh[a, c]).scale((-1) ** (fs * b))))
+                check(BRACKET_LAWS[2], (a, b, c), br(FG, H[c]) - (
                     f * gh[b, c] + (fh[a, c] * g).scale((-1) ** (b * hs))))
-                check(BRACKET_LAWS[3], (a, b, c), (
-                    br(F[a], gh[b, c]).scale((-1) ** (fs * hs))
-                    + br(G[b], hf[c, a]).scale((-1) ** (gs * fs))
-                    + br(H[c], fg[a, b]).scale((-1) ** (hs * gs))
-                ))
+                # The Jacobiator is cyclically invariant: on (b, c, a) it is
+                # this one with u, v, w renamed.  So it is decided once per
+                # cyclic orbit, on its least triple, the first one met.
+                if (a, b, c) <= (b, c, a) and (a, b, c) <= (c, a, b):
+                    check(BRACKET_LAWS[3], (a, b, c), (
+                        br(F[a], gh[b, c]).scale((-1) ** (fs * hs))
+                        + br(G[b], hf[c, a]).scale((-1) ** (gs * fs))
+                        + br(H[c], fg).scale((-1) ** (hs * gs))
+                    ))
 
     for k, monos in sorted(fiber_monomials(pstruct.spec, 4).items()):
         if k >= 2 * (n - 1):

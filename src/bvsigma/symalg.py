@@ -15,9 +15,11 @@ zero test of :class:`CPoly`, :class:`Expr` and :class:`bvsigma.worldsheet.DgaExp
 combining two of different scope (model fingerprint, or n for a DgaExpr)
 raises :class:`MixedContextError`.
 
-Sums are immutable once built: no code changes ``terms`` after a sum is
-wrapped, so every operation is safe to run concurrently on shared inputs,
-and a sum's hash is taken once, on first use, and kept.
+Every product of two CPolys or two Exprs is one call of one kernel,
+:func:`_mul_into`.  Sums are immutable once built: no code changes
+``terms`` after a sum is wrapped, so every operation is safe to run
+concurrently on shared inputs, and a sum's hash is taken once, on first
+use, and kept.
 """
 
 from __future__ import annotations
@@ -171,26 +173,38 @@ def _merge_base(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
     return tuple(sorted((j, p) for j, p in acc.items() if p))
 
 
-def _mul_into(acc: dict, a_terms: Mapping, b_terms: Mapping, sign: Rat = 1) -> None:
-    """acc += sign * (a x b) on coefficient-term dicts, in place.
-
-    The one product kernel of the coefficient ring: ``CPoly.__mul__`` and
-    ``Expr.mul_into`` (hence every Expr product and bracket) run on it.
-    ``sign`` is a canonical exact scalar, usually +-1.  A sum that cancels
-    drops its key.  When one side of a pair has no symbols or no base
-    monomial, the other side's (already canonical) part is reused without
-    the symbol sort or the base merge.
-    """
-    b_items = list(b_terms.items())
-    for (s1, b1), v1 in a_terms.items():
-        if sign != 1:
-            v1 = v1 * sign
-            if type(v1) is Fraction and v1.denominator == 1:  # canonical, as in accumulate
-                v1 = v1.numerator
-        for (s2, b2), v2 in b_items:
-            syms = s1 if not s2 else s2 if not s1 else tuple(sorted(s1 + s2))
-            base = b1 if not b2 else b2 if not b1 else _merge_base(b1, b2)
-            accumulate(acc, (syms, base), v1 * v2)
+def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> None:
+    """acc += sign * f g, in place: the one product kernel, called once per
+    ``Expr.__mul__`` and per ``CPoly.__mul__`` (on the empty monomial).  f
+    and g map monomials to CPolys; acc maps monomials to term dicts.  Per
+    left term, its items times sign times each Koszul sign are formed once
+    (times 1 they are reused).  Symbol runs that do not interleave (single
+    symbols never do) are joined unsorted; an empty part reuses the other."""
+    g_items = list(g_terms.items())
+    for m1, c1 in f_terms.items():
+        scaled = [None, None]  # c1's items times sign, times -sign: formed when first met
+        for m2, c2 in g_items:
+            s, mono = merge_monomials(m1, m2)
+            if not s:
+                continue
+            a_items = scaled[s < 0]
+            if a_items is None:
+                k = sign * s
+                a_items = scaled[s < 0] = (
+                    c1.terms.items() if k == 1 else [(key, exact(v * k)) for key, v in c1.terms.items()])
+            t = acc.get(mono) or acc.setdefault(mono, {})
+            for (s1, b1), v1 in a_items:
+                for (s2, b2), v2 in c2.terms.items():
+                    if not (s1 and s2):
+                        syms = s1 or s2
+                    elif s1[-1] <= s2[0]:
+                        syms = s1 + s2
+                    elif s2[-1] <= s1[0]:
+                        syms = s2 + s1
+                    else:
+                        syms = tuple(sorted(s1 + s2))
+                    base = b1 if not b2 else b2 if not b1 else _merge_base(b1, b2)
+                    accumulate(t, (syms, base), v1 * v2)
 
 
 class SparseSum:
@@ -280,9 +294,9 @@ class CPoly(SparseSum):
 
     # -- ring operations ---------------------------------------------------
     def __mul__(self, other: "CPoly") -> "CPoly":
-        acc: dict[CKey, Rat] = {}
-        _mul_into(acc, self.terms, other.terms)
-        return CPoly._of(acc)
+        acc: dict = {}
+        _mul_into(acc, {(): self}, {(): other})
+        return CPoly._of(acc[()])
 
     def scale(self, c) -> "CPoly":
         c = exact(c)
@@ -320,9 +334,13 @@ class CPoly(SparseSum):
         for (syms, base), v in self.terms.items():
             part = CPoly._of({((), base): v})
             for sym in syms:
-                part = part * lookup(sym)
-            for k, pv in part.terms.items():
-                accumulate(acc, k, pv)
+                value = lookup(sym)
+                if not value:  # the term vanishes
+                    break
+                part = part * value
+            else:
+                for k, pv in part.terms.items():
+                    accumulate(acc, k, pv)
         return CPoly._of(acc)
 
     # -- presentation --------------------------------------------------------
@@ -335,31 +353,25 @@ class CPoly(SparseSum):
         """
         if not self.terms:
             return "0"
-        bodies = sorted(((_ckey_str(k, memo), v) for k, v in self.terms.items()), key=itemgetter(0))
-        return _join_signed([_cterm_str(v, body) for body, v in bodies])
+        parts = []
+        for (syms, base), v in self.terms.items():
+            bits = []
+            for s in syms:
+                bits.append(memo.get(s) or memo.setdefault(s, str(s)))
+            for j, p in base:
+                bits.append("phi%d^%d" % (j, p) if p > 1 else "phi%d" % j)
+            body = "*".join(bits) or "1"
+            sep, v = (" - ", -v) if v < 0 else (" + ", v)
+            parts.append((body, sep + (body if v == 1 else str(v) if body == "1" else "%s*%s" % (v, body))))
+        parts.sort(key=itemgetter(0))
+        text = "".join(map(itemgetter(1), parts))
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __str__(self) -> str:
         return self.render({})
 
     def __repr__(self) -> str:
         return "CPoly(%s)" % self
-
-
-def _ckey_str(key: CKey, memo: dict) -> str:
-    syms, base = key
-    bits = [memo.get(s) or memo.setdefault(s, str(s)) for s in syms]
-    bits += ["phi%d%s" % (j, "^%d" % p if p > 1 else "") for j, p in base]
-    return "*".join(bits) if bits else "1"
-
-
-def _cterm_str(coeff: Rat, body: str) -> str:
-    if body == "1":
-        return str(coeff)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return "%s*%s" % (coeff, body)
 
 
 def _join_signed(parts: list[str]) -> str:
@@ -448,31 +460,19 @@ class Expr(SparseSum):
 
     # -- arithmetic ---------------------------------------------------------
     def __mul__(self, other: "Expr", into: Optional[dict] = None, sign: Rat = 1) -> Optional["Expr"]:
-        """The product ``self * other``.
+        """The product ``self * other``: one call of the kernel :func:`_mul_into`.
 
         Given an accumulator ``into`` (see :meth:`mul_into`), adds ``sign *
         self * other`` to it in place and returns None instead, so that
         every Expr product, summed into a bracket or not, is one call of
         this method (the product layer that profiles and
-        ``perfbench/tracing.py`` time).  Monomials of an Expr are canonical,
-        so each pair of them is one merge.
+        ``perfbench/tracing.py`` time).
         """
-        scope = self._merged_scope(other) if into is None else None
-        acc: dict[Monomial, dict] = {} if into is None else into
-        sign = exact(sign)
-        g_items = list(other.terms.items())
-        for m1, c1 in self.terms.items():
-            for m2, c2 in g_items:
-                s, mono = merge_monomials(m1, m2)
-                if not s:
-                    continue
-                t = acc.get(mono)
-                if t is None:
-                    t = acc[mono] = {}
-                _mul_into(t, c1.terms, c2.terms, sign if s > 0 else -sign)
-        if into is None:
-            return Expr._collect(acc, scope)
-        return None
+        if into is not None:
+            return _mul_into(into, self.terms, other.terms, sign)
+        scope, acc = self._merged_scope(other), {}
+        _mul_into(acc, self.terms, other.terms, sign)
+        return Expr._collect(acc, scope)
 
     @staticmethod
     def mul_into(acc: dict, f: "Expr", g: "Expr", sign: Rat = 1) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import json
@@ -148,6 +149,25 @@ def test_exit_code_2_and_message_for_each_parse_error(tmp_path, capsys, text, me
     assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
 
 
+def test_compare_against_missing_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Found before any extraction, so the error costs none.
+    monkeypatch.setattr(cli, "extract_identities", lambda *args: pytest.fail("extracted first"))
+    missing = tmp_path / "no-such-file.model"
+    argv = ["compare-identities", "--model", str(EXAMPLES / "n3_cs_rank2.model"), "--against", str(missing)]
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: no such model file: %s\n" % missing
+
+
+def test_compare_against_parse_error_names_its_path(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text(N2_MODEL + "\n[symmetry]\nf9 = antisym upper\n")
+    argv = ["compare-identities", "--model", str(EXAMPLES / "n3_cs_rank2.model"), "--against", str(bad)]
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: %s: line 6: unknown symbol family 'f9'\n" % bad
+
+
 def test_exit_code_2_when_data_is_required(tmp_path):
     nodata = tmp_path / "nodata.model"
     nodata.write_text("[model]\nn = 2\nd = 3\n")
@@ -269,16 +289,21 @@ def test_verify_data_lists_failing_identities():
     assert doc["witnesses"]
 
 
-def test_verify_data_reports_every_identity_and_caps_its_witnesses(tmp_path):
-    # The exact Courant algebroid over a 3-dimensional base with every
-    # f1[a;i] set to phi((a+i) mod 3 + 1): 15 of its 66 identities fail.
+def load_workloads():
+    """The benchmark's job and model generator module, perfbench/workloads.py."""
     loader = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
+    return workloads
+
+
+def test_verify_data_reports_every_identity_and_caps_its_witnesses(tmp_path):
+    # The exact Courant algebroid over a 3-dimensional base with every
+    # f1[a;i] set to phi((a+i) mod 3 + 1): 15 of its 66 identities fail.
     text = re.sub(
         r"f1\[(\d);(\d)\] = 0",
         lambda m: "f1[%s;%s] = phi%d" % (m[1], m[2], (int(m[1]) + int(m[2])) % 3 + 1),
-        workloads.exact_courant_model(3),
+        load_workloads().exact_courant_model(3),
     )
     model = tmp_path / "courant_f1.model"
     model.write_text(text)
@@ -289,6 +314,23 @@ def test_verify_data_reports_every_identity_and_caps_its_witnesses(tmp_path):
     failed = [line[: -len(": FAILED")] for line in doc["details"] if line.endswith(": FAILED")]
     assert len(failed) == 15
     assert [w.split(" -> ")[0] for w in doc["witnesses"]] == failed[:10]
+
+
+# SHA-256 of the extract-identities reports of two benchmark models, too
+# large (280 KB and 200 KB) for a golden file.
+BIG_EXTRACT_DIGESTS = {
+    "bf_n5_d4_r44": "42abe2d41e34c27601870e4a4626ad98ebfa4359f23a2485c4eeccf8f779c782",
+    "bf_n7_d3_r333": "db8254562392476253ffc55d87a54190391a6fe35b959022e7c518131b465a81",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(BIG_EXTRACT_DIGESTS))
+def test_big_extraction_reports_are_pinned(tmp_path, stem):
+    model = tmp_path / (stem + ".model")
+    model.write_text(load_workloads().GENERATED[stem]())
+    code, out = run_cli(["extract-identities", "--model", str(model)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BIG_EXTRACT_DIGESTS[stem]
 
 
 def test_module_entry_point():

@@ -818,9 +818,10 @@ def test_check_bv_computes_each_trial_value_once(monkeypatch):
     check_bv_identities(p)
     c, squares = _sizes(spec)
     assert (c, squares) == (4, 5)
-    # (F,G), (G,H), (H,F), (F,H) and (G,F) per pair; (F,GH), (FG,H) and
-    # the three of Jacobi per triple
-    assert calls["bracket"] == 5 * c * c + 5 * c ** 3
+    # (F,G), (G,H), (H,F), (F,H) and (G,F) per pair; (F,GH) and (FG,H) per
+    # triple; the three of Jacobi per cyclic orbit of triples, of which
+    # there are (c^3 + 2c) / 3
+    assert calls["bracket"] == 5 * c * c + 3 * c ** 3 + 2 * c == 280
     # no self block: the Darboux bracket is the bracket (F,G) already taken
     assert calls["bracket_darboux"] == 0
     # Delta F and Delta G per class, Delta(FG) per pair, and Delta twice

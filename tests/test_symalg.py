@@ -364,6 +364,38 @@ def test_mul_matches_naive_reference(case):
     _assert_canonical(prod)
 
 
+@st.composite
+def _two_products(draw):
+    """Two products for one accumulator, with their signs.  The second
+    often shares a factor with the first, or both, and its sign is often
+    the first's negated, so that sums cancel."""
+    p, pool = draw(st.sampled_from(KERNEL_CASES))
+    d = p.spec.d
+    f1, g1 = draw(_operand(pool, d)), draw(_operand(pool, d))
+    share = draw(st.sampled_from(("none", "f", "g", "both")))
+    f2 = f1 if share in ("f", "both") else draw(_operand(pool, d))
+    g2 = g1 if share in ("g", "both") else draw(_operand(pool, d))
+    s1 = draw(st.sampled_from(SCALARS))
+    s2 = -s1 if draw(st.booleans()) else draw(st.sampled_from(SCALARS))
+    return (f1, g1, s1), (f2, g2, s2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_two_products())
+def test_mul_into_sums_products_in_one_accumulator(products):
+    acc = {}
+    want = {}
+    for f, g, sign in products:
+        Expr.mul_into(acc, f, g, sign)
+        for mono, coeffs in _naive_mul(f, g).items():
+            slot = want.setdefault(mono, {})
+            for k, v in coeffs.items():
+                slot[k] = slot.get(k, Fraction(0)) + sign * v
+    got = Expr._collect(acc, None)
+    assert _table(got) == _nonzero(want)
+    _assert_canonical(got)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_kernel_case())
 def test_bracket_matches_naive_reference(case):
