@@ -209,7 +209,10 @@ def parse_model(text: str) -> ModelFile:
         if section == "model":
             m = _BLOCK.match(line)
             if m:
-                model["bf_blocks"].append((lineno, int(m.group(1)), int(m.group(2))))
+                p = int(m.group(1))
+                if any(q == p for _, q, _ in model["bf_blocks"]):
+                    raise ParseError("duplicate block degree p=%d" % p, lineno)
+                model["bf_blocks"].append((lineno, p, int(m.group(2))))
                 continue
             m = _CS.match(line)
             if m:
@@ -220,7 +223,7 @@ def parse_model(text: str) -> ModelFile:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key in ("n", "d"):
-                if not value.isdigit():
+                if not value.isdecimal() or int(value) < 1:
                     raise ParseError("%s must be a positive integer" % key, lineno)
                 model[key] = int(value)
             elif key == "flavor":

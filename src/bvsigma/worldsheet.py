@@ -7,7 +7,8 @@ its images are independent generators subject only to d^2 = 0 and the form
 truncation at n.  The gauge differential delta0 sends the form-r component
 to d of the form-(r-1) component of the same family.  Both are left
 derivations of odd total parity; "modulo d-exact" questions are decided by
-exact linear algebra over the finite truncated monomial basis.
+the contracting homotopy h: dg -> g of the untruncated algebra, which
+gives each class one canonical representative (:func:`integrate`).
 A :class:`DgaExpr` is a :class:`bvsigma.symalg.SparseSum` scoped by n: a
 sum or product of DgaExprs of different n raises MixedContextError.
 """
@@ -21,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence
 from .grading import merge_monomials, sort_monomial
 from .models import Action, ModelSpec
 from .pstructure import Verdicts
-from .rowreduce import RowSpan, _eliminate
 from .symalg import SparseSum, _join_signed, accumulate, exact
 
 
@@ -210,53 +210,30 @@ def product_form_part(n: int, factors: Sequence[list[DgaExpr]], r: int) -> DgaEx
 # -- integration modulo d-exact terms ---------------------------------------------
 
 
-def _d_preimage_candidates(mono: tuple[ComponentField, ...]):
-    """Monomials m with d(m) possibly supported on ``mono``."""
-    for pos, g in enumerate(mono):
-        if g.dimage:
-            plain = ComponentField(g.family, g.form - 1, g.ghost)
-            sign, cand = sort_monomial(mono[:pos] + (plain,) + mono[pos + 1 :])
-            if sign:
-                yield cand
+def _contract(g: ComponentField) -> Optional[ComponentField]:
+    """The contracting homotopy h on generators: dg -> g, g -> 0."""
+    if g.dimage:
+        return ComponentField(g.family, g.form - 1, g.ghost)
+    return None
 
 
 def integrate(expr: DgaExpr) -> DgaExpr:
-    """The class of the form-n part modulo d(anything): zero iff exact.
+    """The class of the form-n part T modulo d(anything): zero iff exact.
 
-    Decided on the finite basis the form-n part reaches through d-preimage
-    candidates: the canonical representative is the residual of the form-n
-    part against the row span of their d-images.
+    Untruncated, the algebra is free on the generators g and their images
+    dg, and the odd derivation h: dg -> g contracts it: dh + hd multiplies
+    a monomial by its length w.  So h(dT)/w = T - d(hT)/w is the canonical
+    representative of T's class, with dT taken in scope n+1, where nothing
+    is cut off; it vanishes iff T is exact and is unchanged by adding an
+    exact term.  A constant (w = 0) is closed and not exact: its own class.
     """
     n = expr.n
-    top = expr.form_part(n)
-    if top.is_zero():
-        return top
-    support = set(top.terms)
-    images: dict[Monomial, DgaExpr] = {}  # candidate -> its d-image
-    frontier = set(support)
-    while frontier:
-        new_candidates = set()
-        for mono in frontier:
-            for cand in _d_preimage_candidates(mono):
-                if cand not in images:
-                    new_candidates.add(cand)
-        frontier = set()
-        for cand in new_candidates:
-            image = images[cand] = DgaExpr._of({cand: 1}, n).d()
-            for mono in image.terms:
-                if mono not in support:
-                    support.add(mono)
-                    frontier.add(mono)
-    index = {m: i for i, m in enumerate(sorted(support))}
-    span = RowSpan()
-    for cand in sorted(images):
-        image = images[cand]
-        if not image.is_zero():
-            span.add({index[m]: c for m, c in image.terms.items()})
-    row = {index[m]: c for m, c in top.terms.items()}
-    residual = _eliminate(row, span.basis)
-    back = {m: residual[i] for m, i in index.items() if i in residual}
-    return DgaExpr(n, back)
+    top = expr.form_part(n).terms
+    closed = DgaExpr._of(top, n + 1).d()._derive(_contract)
+    out = {m: exact(Fraction(c, len(m))) for m, c in closed.terms.items()}
+    if () in top:
+        out[()] = top[()]
+    return DgaExpr._of(out, n)
 
 
 # -- the kinetic master equation ----------------------------------------------------

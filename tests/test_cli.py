@@ -50,6 +50,7 @@ GOLDEN_CASES = [
     ("so3_check_bv", ["check-bv", "--model", "n2_poisson_so3.model"], 0),
     ("exact_courant_first_order", ["first-order", "--model", "n3_bf_exact_courant.model"], 0),
     ("exact_courant_theorem1", ["theorem1", "--model", "n3_bf_exact_courant.model"], 0),
+    ("exact_courant_kinetic_master", ["kinetic-master", "--model", "n3_bf_exact_courant.model"], 0),
     ("so3_check_algebroid", ["check-algebroid", "--model", "n2_poisson_so3.model"], 0),
     ("cs_su2_check_algebroid", ["check-algebroid", "--model", "n3_cs_su2.model"], 0),
 ]
@@ -122,6 +123,11 @@ PARSE_ERRORS = [
      "line 6: expected 'name[lower;upper] = polynomial'"),
     ("no-key-value", N2_MODEL + "bogus\n", "line 4: expected 'key = value'"),
     ("n-not-integer", "[model]\nn = two\nd = 3\n", "line 2: n must be a positive integer"),
+    ("n-superscript-digit", "[model]\nn = \u00b2\nd = 3\n", "line 2: n must be a positive integer"),
+    ("n-zero", "[model]\nd = 3\nn = 0\n", "line 3: n must be a positive integer"),
+    ("d-zero", "[model]\nn = 2\n\nd = 0\n", "line 4: d must be a positive integer"),
+    ("duplicate-block", "[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=1 rank=1\n",
+     "line 5: duplicate block degree p=1"),
     ("bad-flavor", N2_MODEL + "flavor = ab\n", "line 4: flavor must be bf or cs_bf"),
     ("bad-metric-entry", CS_MODEL + "k = 1 0 ; 0 z\n", "line 6: invalid metric entry 'z'"),
     ("unknown-model-key", N2_MODEL + "rank = 2\n", "line 4: unknown model key 'rank'"),
