@@ -274,16 +274,24 @@ def parse_model(text: str) -> ModelFile:
     elif model["k_rows"] is not None:
         raise ParseError("metric k given without a cs block", model["k_rows"][0])
 
+    def build_spec(blocks) -> ModelSpec:
+        return ModelSpec(n=model["n"], d=model["d"], flavor=flavor, cs_block=cs_block,
+                         bf_blocks=tuple(BfBlock(p, r) for _, p, r in blocks))
+
+    blocks = model["bf_blocks"]
     try:
-        spec = ModelSpec(
-            n=model["n"],
-            d=model["d"],
-            flavor=flavor,
-            bf_blocks=tuple(BfBlock(p, r) for _, p, r in model["bf_blocks"]),
-            cs_block=cs_block,
-        )
+        spec = build_spec(blocks)
     except ModelError as exc:
-        where = model["bf_blocks"][0][0] if model["bf_blocks"] else 1
+        # The line of the first block whose prefix of the block list gives
+        # this error; an error that no block causes stays at the first block.
+        where = blocks[0][0] if blocks else 1
+        for k, (lineno, _, _) in enumerate(blocks, 1):
+            try:
+                build_spec(blocks[:k])
+            except ModelError as prefix_exc:
+                if str(prefix_exc) == str(exc):
+                    where = lineno
+                    break
         if cs_block is not None and "odd n" in str(exc):
             where = model["cs_rank"][0]
         raise ParseError(str(exc), where)

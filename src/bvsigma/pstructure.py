@@ -271,11 +271,10 @@ class Verdicts:
     """The report of a law check: each law's verdict in the order first
     recorded, the witness of each law's first failing case, and notes."""
 
-    def __init__(self, results: Optional[dict[str, bool]] = None,
-                 witnesses: Optional[list[str]] = None, notes: Optional[list[str]] = None):
-        self.results = {} if results is None else results
-        self.witnesses = [] if witnesses is None else witnesses
-        self.notes = [] if notes is None else notes
+    def __init__(self):
+        self.results: dict[str, bool] = {}
+        self.witnesses: list[str] = []
+        self.notes: list[str] = []
 
     def __repr__(self) -> str:
         return "Verdicts(results=%r, witnesses=%r, notes=%r)" % (

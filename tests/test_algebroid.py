@@ -319,18 +319,32 @@ def test_n2_bracket_antisymmetry_on_basis():
 # -- witnesses and the component route of the anchor homomorphism ---------------------
 
 
-def test_bivector_witness_names_the_first_failing_case():
+def test_bivector_witness_is_the_least_residual_term():
+    # The Jacobiator of the bivector is J^{123} = phi1, so the residual is
+    # phi1 dF^dG^dH: every term of it is the least one.
     with open(EXAMPLES / "n2_bivector_fail.model", encoding="utf-8") as fh:
         mf = parse_model(fh.read())
     p = PStructure(mf.spec)
     rep = check_algebroid(p, build_S1_generic(mf.spec), mf.data)
-    assert list(rep.results.items()) == [
-        ("bracket antisymmetry", True),
-        ("anchor homomorphism", False),
-        ("Leibniz rule", True),
-        ("exact sections close under the bracket", True),
+    assert list(rep.results.items()) == [("bracket antisymmetry", True), ("anchor homomorphism", False)]
+    assert rep.witnesses == [
+        "anchor homomorphism: residual term (d(1)F[;]*d(2)G[;]*d(3)H[;]*phi1"
+        " - d(1)F[;]*d(3)G[;]*d(2)H[;]*phi1 - d(2)F[;]*d(1)G[;]*d(3)H[;]*phi1"
+        " + d(2)F[;]*d(3)G[;]*d(1)H[;]*phi1 + d(3)F[;]*d(1)G[;]*d(2)H[;]*phi1"
+        " - d(3)F[;]*d(2)G[;]*d(1)H[;]*phi1)"
     ]
-    assert rep.witnesses == ["anchor homomorphism: (dphi1,dphi2)"]
+
+
+def test_a_symmetric_bracket_term_fails_antisymmetry(monkeypatch):
+    # No bivector can fail the row, since f1 is antisymmetric; a derived
+    # bracket with a symmetric term e1 e2 added does.
+    spec = n2_spec()
+    p = PStructure(spec)
+    exact = algebroid.derived_bracket
+    monkeypatch.setattr(algebroid, "derived_bracket", lambda p, D, e1, e2: exact(p, D, e1, e2) + e1 * e2)
+    rep = check_lie_algebroid(p, build_S1_generic(spec), so3_data())
+    assert rep.details()[0] == "bracket antisymmetry: FAILED"
+    assert rep.witnesses[0] == "bracket antisymmetry: residual term 2*F[;]*G[;]"
 
 
 def random_bivector(d, seed):
@@ -348,24 +362,20 @@ def random_bivector(d, seed):
     return data
 
 
-@pytest.mark.parametrize("d,seed", [(3, 0), (3, 1), (4, 0), (4, 1)])
+@pytest.mark.parametrize("d,seed", [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 1)])
 def test_only_the_anchor_homomorphism_depends_on_the_bivector(d, seed):
-    # At n=2, f1 is antisymmetric, so the derived bracket is, and the
-    # component bracket builds the Leibniz extension in, which also closes
-    # the exact sections: three of the four rows hold for every bivector.
-    # Only the anchor homomorphism is the Jacobi identity, so a bivector
-    # that is not Poisson fails exactly that row.
+    # At n=2, f1 is antisymmetric, so the derived bracket is: antisymmetry
+    # holds for every bivector.  Only the anchor homomorphism is the Jacobi
+    # identity, so a bivector that is not Poisson fails exactly that row.
     spec = ModelSpec(n=2, d=d)
     p = PStructure(spec)
     s1 = build_S1_generic(spec)
     data = random_bivector(d, seed)
-    assert not verify_structure_data(p, s1, data).passed
-    assert list(check_lie_algebroid(p, s1, data).results.items()) == [
-        ("bracket antisymmetry", True),
-        ("anchor homomorphism", False),
-        ("Leibniz rule", True),
-        ("exact sections close under the bracket", True),
-    ]
+    master = verify_structure_data(p, s1, data)
+    axioms = check_lie_algebroid(p, s1, data)
+    assert not master.passed
+    assert axioms.passed == master.passed
+    assert list(axioms.results.items()) == [("bracket antisymmetry", True), ("anchor homomorphism", False)]
 
 
 def component_anchor_homomorphism(p, s1, data):

@@ -128,6 +128,10 @@ PARSE_ERRORS = [
     ("d-zero", "[model]\nn = 2\n\nd = 0\n", "line 4: d must be a positive integer"),
     ("duplicate-block", "[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=1 rank=1\n",
      "line 5: duplicate block degree p=1"),
+    ("second-block-out-of-range", "[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=3 rank=1\n",
+     "line 5: block degree p=3 out of range 1..2 for n=5 (bf)"),
+    ("second-block-rank-zero", "[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=2 rank=0\n",
+     "line 5: block rank must be >= 1"),
     ("bad-flavor", N2_MODEL + "flavor = ab\n", "line 4: flavor must be bf or cs_bf"),
     ("bad-metric-entry", CS_MODEL + "k = 1 0 ; 0 z\n", "line 6: invalid metric entry 'z'"),
     ("unknown-model-key", N2_MODEL + "rank = 2\n", "line 4: unknown model key 'rank'"),
@@ -217,6 +221,20 @@ def test_text_format():
     )
     assert code == 0
     assert out.startswith("check-master: pass")
+
+
+def test_check_algebroid_text_format_on_a_failing_bivector():
+    code, out = run_cli(resolve(["check-algebroid", "--model", "n2_bivector_fail.model", "--format", "text"]))
+    assert code == 1
+    assert out == (
+        "check-algebroid: fail\n"
+        "  bracket antisymmetry: ok\n"
+        "  anchor homomorphism: FAILED\n"
+        "  witness: anchor homomorphism: residual term (d(1)F[;]*d(2)G[;]*d(3)H[;]*phi1"
+        " - d(1)F[;]*d(3)G[;]*d(2)H[;]*phi1 - d(2)F[;]*d(1)G[;]*d(3)H[;]*phi1"
+        " + d(2)F[;]*d(3)G[;]*d(1)H[;]*phi1 + d(3)F[;]*d(1)G[;]*d(2)H[;]*phi1"
+        " - d(3)F[;]*d(2)G[;]*d(1)H[;]*phi1)\n"
+    )
 
 
 @pytest.mark.parametrize(
