@@ -14,16 +14,16 @@ integer or rational coefficients and parentheses.  Example::
     f1[;1,3] = -phi2
     f1[;2,3] = phi1
 
-Parsing is validating: block ranges, metric shape and symmetry, index
-ranges, base variables (phi1..phid) and symmetry-consistent assignments are
-all checked with line-numbered diagnostics.
+Parsing is validating: ``ModelSpec`` checks the ``[model]`` fields, and its
+error is reported at the line of the field it names; index ranges, base
+variables (phi1..phid) and symmetry-consistent assignments are checked too.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .models import (
     BF,
@@ -34,7 +34,7 @@ from .models import (
     ModelSpec,
     StructureData,
 )
-from .symalg import ANTISYM, SYM, CPoly
+from .symalg import ANTISYM, SYM, CPoly, SymGroup
 
 
 class ParseError(ValueError):
@@ -88,15 +88,9 @@ class _PolyParser:
         return poly
 
     def expr(self) -> CPoly:
-        negate = False
-        if self.peek() == "-":
-            self.next()
-            negate = True
-        elif self.peek() == "+":
+        if self.peek() == "+":
             self.next()
         acc = self.term()
-        if negate:
-            acc = -acc
         while self.peek() in ("+", "-"):
             op, _ = self.next()
             rhs = self.term()
@@ -111,6 +105,11 @@ class _PolyParser:
         return acc
 
     def factor(self) -> CPoly:
+        """A unary minus negates the whole factor, its power included:
+        ``2*-phi1^2`` is -2*phi1^2."""
+        if self.peek() == "-":
+            self.next()
+            return -self.factor()
         base = self.atom()
         if self.peek() == "^":
             _, col = self.next()
@@ -132,8 +131,6 @@ class _PolyParser:
             if closer != ")":
                 raise ParseError("expected ')'", self.line, ccol)
             return inner
-        if tok == "-":
-            return -self.atom()
         if tok.startswith("phi"):
             return CPoly.base(int(tok[3:]))
         if tok.isdigit():
@@ -159,20 +156,9 @@ _BLOCK = re.compile(r"^block\s+p\s*=\s*(\d+)\s+rank\s*=\s*(\d+)$")
 _CS = re.compile(r"^cs\s+rank\s*=\s*(\d+)$")
 
 
-class ModelFile:
-    def __init__(self, spec: ModelSpec, data: Optional[StructureData]):
-        self.spec = spec
-        self.data = data
-
-    def __repr__(self) -> str:
-        return "ModelFile(spec=%r, data=%r)" % (self.spec, self.data)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        mine = None if self.data is None else sorted(self.data.values.items())
-        theirs = None if other.data is None else sorted(other.data.values.items())
-        return self.spec == other.spec and mine == theirs
+class ModelFile(NamedTuple):
+    spec: ModelSpec
+    data: Optional[StructureData]
 
 
 def _indices(text: str, line: int) -> tuple[int, ...]:
@@ -191,7 +177,9 @@ def _indices(text: str, line: int) -> tuple[int, ...]:
 def parse_model(text: str) -> ModelFile:
     """Parse and validate a model file; raises ParseError with position."""
     section = None
-    model: dict = {"bf_blocks": [], "k_rows": None, "cs_rank": None}
+    model: dict = {"flavor": BF}
+    lines: dict = {}  # [model] field (as in ModelError.field) -> its line
+    blocks: list[BfBlock] = []
     data_lines: list[tuple[int, str, tuple, tuple, str]] = []
     symmetry_lines: list[tuple[int, str, str]] = []
 
@@ -209,14 +197,12 @@ def parse_model(text: str) -> ModelFile:
         if section == "model":
             m = _BLOCK.match(line)
             if m:
-                p = int(m.group(1))
-                if any(q == p for _, q, _ in model["bf_blocks"]):
-                    raise ParseError("duplicate block degree p=%d" % p, lineno)
-                model["bf_blocks"].append((lineno, p, int(m.group(2))))
+                lines[len(blocks)] = lineno
+                blocks.append(BfBlock(int(m.group(1)), int(m.group(2))))
                 continue
             m = _CS.match(line)
             if m:
-                model["cs_rank"] = (lineno, int(m.group(1)))
+                model["cs"], lines["cs"] = int(m.group(1)), lineno
                 continue
             if "=" not in line:
                 raise ParseError("expected 'key = value'", lineno)
@@ -225,11 +211,10 @@ def parse_model(text: str) -> ModelFile:
             if key in ("n", "d"):
                 if not value.isdecimal() or int(value) < 1:
                     raise ParseError("%s must be a positive integer" % key, lineno)
-                model[key] = int(value)
+                value = int(value)
             elif key == "flavor":
                 if value not in (BF, CS_BF):
                     raise ParseError("flavor must be bf or cs_bf", lineno)
-                model["flavor"] = value
             elif key == "k":
                 rows = []
                 for row_text in value.split(";"):
@@ -240,17 +225,17 @@ def parse_model(text: str) -> ModelFile:
                         except (ValueError, ZeroDivisionError):
                             raise ParseError("invalid metric entry %r" % entry, lineno)
                     rows.append(tuple(row))
-                model["k_rows"] = (lineno, tuple(rows))
+                value = tuple(rows)
             else:
                 raise ParseError("unknown model key %r" % key, lineno)
+            model[key] = value
+            lines[key] = lineno
         elif section == "data":
             m = _ASSIGN.match(line)
             if m is None:
                 raise ParseError("expected 'name[lower;upper] = polynomial'", lineno)
-            name = m.group(1)
-            lower = _indices(m.group(2), lineno)
-            upper = _indices(m.group(3), lineno)
-            data_lines.append((lineno, name, lower, upper, m.group(4)))
+            lower, upper = _indices(m.group(2), lineno), _indices(m.group(3), lineno)
+            data_lines.append((lineno, m.group(1), lower, upper, m.group(4)))
         else:
             if "=" not in line:
                 raise ParseError("expected 'family = antisym|sym lower|upper'", lineno)
@@ -261,40 +246,17 @@ def parse_model(text: str) -> ModelFile:
         if required not in model:
             raise ParseError("missing '%s' in [model] section" % required, 1)
 
-    flavor = model.get("flavor", BF)
     cs_block = None
-    if model["cs_rank"] is not None:
-        lineno, rank = model["cs_rank"]
-        if model["k_rows"] is None:
-            raise ParseError("cs block requires a metric line 'k = ...'", lineno)
-        krow_line, rows = model["k_rows"]
-        if len(rows) != rank or any(len(r) != rank for r in rows):
-            raise ParseError("metric k must be %dx%d" % (rank, rank), krow_line)
-        cs_block = CsBlock(rank, rows)
-    elif model["k_rows"] is not None:
-        raise ParseError("metric k given without a cs block", model["k_rows"][0])
-
-    def build_spec(blocks) -> ModelSpec:
-        return ModelSpec(n=model["n"], d=model["d"], flavor=flavor, cs_block=cs_block,
-                         bf_blocks=tuple(BfBlock(p, r) for _, p, r in blocks))
-
-    blocks = model["bf_blocks"]
+    if "cs" in model:
+        if "k" not in model:
+            raise ParseError("cs block requires a metric line 'k = ...'", lines["cs"])
+        cs_block = CsBlock(model["cs"], model["k"])
+    elif "k" in model:
+        raise ParseError("metric k given without a cs block", lines["k"])
     try:
-        spec = build_spec(blocks)
+        spec = ModelSpec(model["n"], model["d"], model["flavor"], tuple(blocks), cs_block)
     except ModelError as exc:
-        # The line of the first block whose prefix of the block list gives
-        # this error; an error that no block causes stays at the first block.
-        where = blocks[0][0] if blocks else 1
-        for k, (lineno, _, _) in enumerate(blocks, 1):
-            try:
-                build_spec(blocks[:k])
-            except ModelError as prefix_exc:
-                if str(prefix_exc) == str(exc):
-                    where = lineno
-                    break
-        if cs_block is not None and "odd n" in str(exc):
-            where = model["cs_rank"][0]
-        raise ParseError(str(exc), where)
+        raise ParseError(str(exc), lines.get(exc.field, 1))
 
     data = StructureData(spec)
     for lineno, name, kind in symmetry_lines:
@@ -305,17 +267,9 @@ def parse_model(text: str) -> ModelFile:
         if len(parts) != 2 or parts[0] not in (ANTISYM, SYM) or parts[1] not in ("lower", "upper"):
             raise ParseError("expected 'antisym|sym lower|upper'", lineno)
         slots = fam.lower_blocks if parts[1] == "lower" else fam.upper_blocks
-        declared = [
-            g
-            for g in fam.groups
-            if g.variance == parts[1] and len(g.slots) == len(slots) and g.kind == parts[0]
-        ]
-        if len(slots) < 2 or not declared:
-            raise ParseError(
-                "family %s does not carry a full %s %s symmetry"
-                % (name, parts[0], parts[1]),
-                lineno,
-            )
+        if SymGroup(parts[0], parts[1], tuple(range(len(slots)))) not in fam.groups:
+            message = "family %s does not carry a full %s %s symmetry"
+            raise ParseError(message % (name, parts[0], parts[1]), lineno)
 
     for lineno, name, lower, upper, poly_text in data_lines:
         poly = parse_poly(poly_text, lineno)

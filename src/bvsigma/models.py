@@ -35,7 +35,12 @@ CS_BF = "cs_bf"
 
 
 class ModelError(ValueError):
-    """Raised for inconsistent model specifications."""
+    """Raised for inconsistent model specifications; ``field`` names the
+    input at fault: "n", "d", "flavor", "cs", "k" or a block's position."""
+
+    def __init__(self, message: str, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -94,43 +99,42 @@ class ModelSpec(_SpecFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
-            raise ModelError("n must be >= 1, got %d" % self.n)
+            raise ModelError("n must be >= 1, got %d" % self.n, "n")
         if self.d < 1:
-            raise ModelError("d must be >= 1, got %d" % self.d)
+            raise ModelError("d must be >= 1, got %d" % self.d, "d")
         if self.flavor not in (BF, CS_BF):
-            raise ModelError("unknown flavor %r" % self.flavor)
+            raise ModelError("unknown flavor %r" % self.flavor, "flavor")
         if self.flavor == BF and self.cs_block is not None:
-            raise ModelError("bf flavor does not take a cs block")
+            raise ModelError("bf flavor does not take a cs block", "cs")
         if self.flavor == CS_BF:
             if self.n % 2 == 0:
-                raise ModelError("cs block requires odd n, got n=%d" % self.n)
+                where = "flavor" if self.cs_block is None else "cs"
+                raise ModelError("cs block requires odd n, got n=%d" % self.n, where)
             if self.cs_block is None:
-                raise ModelError("cs_bf flavor requires a cs block")
+                raise ModelError("cs_bf flavor requires a cs block", "flavor")
         pmax = (self.n - 3) // 2 if self.flavor == CS_BF else (self.n - 1) // 2
         seen = set()
-        for blk in self.bf_blocks:
+        for i, blk in enumerate(self.bf_blocks):
             if not 1 <= blk.p <= pmax:
-                raise ModelError(
-                    "block degree p=%d out of range 1..%d for n=%d (%s)"
-                    % (blk.p, pmax, self.n, self.flavor)
-                )
+                message = "block degree p=%d out of range 1..%d for n=%d (%s)"
+                raise ModelError(message % (blk.p, pmax, self.n, self.flavor), i)
             if blk.p in seen:
-                raise ModelError("duplicate block degree p=%d" % blk.p)
+                raise ModelError("duplicate block degree p=%d" % blk.p, i)
             if blk.rank < 1:
-                raise ModelError("block rank must be >= 1")
+                raise ModelError("block rank must be >= 1", i)
             seen.add(blk.p)
         if self.cs_block is not None:
             k = self.cs_block.metric
             r = self.cs_block.rank
             if len(k) != r or any(len(row) != r for row in k):
-                raise ModelError("metric k must be %dx%d" % (r, r))
+                raise ModelError("metric k must be %dx%d" % (r, r), "k")
             if any(k[a][b] != k[b][a] for a in range(r) for b in range(r)):
-                raise ModelError("metric k must be symmetric")
+                raise ModelError("metric k must be symmetric", "k")
             span = RowSpan()
             for row in k:
                 span.add({b: x for b, x in enumerate(row) if x})
             if span.rank < r:
-                raise ModelError("metric k must be nondegenerate")
+                raise ModelError("metric k must be nondegenerate", "k")
         # The conjugate pairs, p=0 first, and the label -> block table, in
         # blocks() order.  Set once here as instance attributes, not tuple
         # fields, so equality, hash, repr and fingerprint ignore them.
@@ -325,10 +329,7 @@ class StructureData:
                 "%s takes %d lower and %d upper indices"
                 % (name, len(lo_ranges), len(up_ranges))
             )
-        for i, r in zip(lower, lo_ranges):
-            if not 1 <= i <= r:
-                raise ModelError("index %d out of range 1..%d for %s" % (i, r, name))
-        for i, r in zip(upper, up_ranges):
+        for i, r in zip((*lower, *upper), lo_ranges + up_ranges):
             if not 1 <= i <= r:
                 raise ModelError("index %d out of range 1..%d for %s" % (i, r, name))
         if poly.symbols():
@@ -352,6 +353,9 @@ class StructureData:
                 "conflicting assignments for %s (symmetry-normalized)" % str(sym)
             )
         self.values[key] = value
+
+    def __eq__(self, other):
+        return isinstance(other, StructureData) and (self.spec, self.values) == (other.spec, other.values)
 
     def value_of(self, sym: CoeffSymbol) -> CPoly:
         if sym.name not in self.families:

@@ -147,8 +147,6 @@ class PStructure:
                 if jw in g_bases if jw else w in g_fibers:
                     if fv is None:
                         fv = right_deriv(v)
-                    if not fv:
-                        break
                     Expr.mul_into(acc, fv, left_deriv(w), k)
         return Expr._collect(acc, scope)
 

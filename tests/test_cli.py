@@ -126,6 +126,14 @@ PARSE_ERRORS = [
     ("n-superscript-digit", "[model]\nn = \u00b2\nd = 3\n", "line 2: n must be a positive integer"),
     ("n-zero", "[model]\nd = 3\nn = 0\n", "line 3: n must be a positive integer"),
     ("d-zero", "[model]\nn = 2\n\nd = 0\n", "line 4: d must be a positive integer"),
+    ("metric-not-symmetric", CS_MODEL + "k = 0 1 ; 2 0\n", "line 6: metric k must be symmetric"),
+    ("metric-degenerate", CS_MODEL + "k = 1 0 ; 0 0\n", "line 6: metric k must be nondegenerate"),
+    ("cs-under-bf", "[model]\nn = 3\nd = 2\nblock p=1 rank=2\ncs rank=2\nk = 1 0 ; 0 1\n",
+     "line 5: bf flavor does not take a cs block"),
+    ("cs-bf-without-cs", "[model]\nn = 3\nd = 2\nblock p=1 rank=2\nflavor = cs_bf\n",
+     "line 5: cs_bf flavor requires a cs block"),
+    ("lower-index-out-of-range", "[model]\nn = 3\nd = 2\nblock p=1 rank=2\n\n[data]\nf1[7;1] = 0\n",
+     "line 7: index 7 out of range 1..2 for f1"),
     ("duplicate-block", "[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=1 rank=1\n",
      "line 5: duplicate block degree p=1"),
     ("second-block-out-of-range", "[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=3 rank=1\n",

@@ -130,6 +130,21 @@ def test_poly_parsing_and_errors():
     assert err.value.line == 1
 
 
+def test_a_unary_minus_negates_its_whole_factor():
+    square = CPoly.base(1) * CPoly.base(1)
+    assert parse_poly("1*-phi1^2") == parse_poly("-phi1^2") == -square
+    assert parse_poly("2*-phi1^2") == square.scale(-2)
+    assert parse_poly("2*-phi1") == CPoly.base(1).scale(-2)
+    assert parse_poly("+phi1 - 2") == CPoly.base(1) - CPoly.scalar(2)
+
+
+@pytest.mark.parametrize("text,column", [("2*+phi1", 3), ("phi1 + + phi2", 8), ("-+phi1", 2)])
+def test_a_plus_is_accepted_only_at_the_start(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == "line 1, column %d: unexpected token '+'" % column
+
+
 def test_unknown_section_and_stray_content():
     with pytest.raises(ParseError):
         parse_model("[stuff]\n")
