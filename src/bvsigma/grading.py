@@ -6,27 +6,36 @@ nonnegative integers and parity is degree mod 2 (odd parity = Grassmann odd).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 BASE_BLOCK = "phi"
 
 
-class GradedVar(NamedTuple):
-    """A declared coordinate of the target graded bundle.
+class GradedVar(int):
+    """A declared coordinate of the target graded bundle, as a small int.
 
-    Sorting is (block, degree, index), which is the canonical variable
-    order used for monomials throughout.  A named tuple, so that ordering,
-    equality and hashing (the inner loop of every product) run as tuple
-    operations.
+    Numbered once per variable by :class:`bvsigma.models.ModelSpec`: the
+    value is 2 * (position in the spec's canonical (block, degree, index)
+    order) + parity, so int order is canonical order, ``v & 1`` is the
+    parity, and comparing and hashing (the inner loop of every product) are
+    int operations.  Two specs' codes coincide, so ``Expr.var`` scopes a
+    variable to ``scope``, its spec's fingerprint.
     """
 
-    block: str
-    degree: int
-    index: int
+    def __new__(cls, position: int, block: str, degree: int, index: int, scope: str):
+        self = super().__new__(cls, 2 * position + (degree & 1))
+        self.block, self.degree, self.index, self.scope = block, degree, index, scope
+        return self
 
     @property
     def parity(self) -> int:
-        return self.degree & 1
+        return self & 1
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return int(self) >> 1, self.block, self.degree, self.index, self.scope
+
+    def __repr__(self) -> str:
+        return "GradedVar(%s=%d)" % (self, int(self))
 
     def __str__(self) -> str:
         return "%s_%d" % (self.block, self.index)
@@ -75,12 +84,12 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     A stable merge of the two ascending runs; each odd item of ``right``
     that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
     when an odd item occurs in both.  Repeats inside one run are not looked
-    for: a canonical monomial has none.  The one place a Koszul sign is
-    computed; its three users are ``symalg.Expr`` products of graded
-    variables, ``worldsheet.DgaExpr`` products of component fields and
-    :func:`sort_monomial`, which merges sorted halves with it.  Works on
-    any items with an order and a total ``degree``; an item is odd when
-    ``degree & 1`` is, a field read on a :class:`GradedVar`.
+    for: a canonical monomial has none.  The reference Koszul sign; its
+    users are ``worldsheet.DgaExpr`` products of component fields and
+    :func:`sort_monomial`, which merges sorted halves with it, and the
+    ``symalg`` product kernel reads the same sign off the codes of
+    :class:`GradedVar` as a bitmask.  Works on any items with an order and
+    a total ``degree``; an item is odd when ``degree & 1`` is.
     """
     if not left or not right or not right[0] < left[-1]:
         # Already in order; only the meeting items can repeat.

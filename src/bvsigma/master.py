@@ -65,9 +65,6 @@ class IdentitySet:
 
 def expand_master(p: PStructure, s1: Action) -> Expr:
     """The g^2 term (S1,S1) of the master equation, canonical."""
-    deg = s1.expr.homogeneous_degree()
-    if s1.expr and deg != s1.total_degree:
-        raise ValueError("S1 is not homogeneous of its declared degree")
     return p.bracket(s1.expr, s1.expr)
 
 

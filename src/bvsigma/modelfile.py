@@ -105,23 +105,22 @@ class _PolyParser:
         return acc
 
     def factor(self) -> CPoly:
-        """A unary minus negates the whole factor, its power included:
-        ``2*-phi1^2`` is -2*phi1^2."""
-        if self.peek() == "-":
+        """A run of unary minuses negates the whole factor, its power
+        included, once per minus: ``2*-phi1^2`` is -2*phi1^2."""
+        minuses = 0
+        while self.peek() == "-":
             self.next()
-            return -self.factor()
-        base = self.atom()
+            minuses += 1
+        out = base = self.atom()
         if self.peek() == "^":
-            _, col = self.next()
+            self.next()
             tok, tcol = self.next()
             if not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", self.line, tcol)
-            power = int(tok)
             out = CPoly.scalar(1)
-            for _ in range(power):
+            for _ in range(int(tok)):
                 out = out * base
-            return out
-        return base
+        return -out if minuses & 1 else out
 
     def atom(self) -> CPoly:
         tok, col = self.next()
@@ -146,7 +145,10 @@ class _PolyParser:
 
 
 def parse_poly(text: str, line: int = 1) -> CPoly:
-    return _PolyParser(text, line).parse()
+    try:
+        return _PolyParser(text, line).parse()
+    except RecursionError:  # one level per "(": nesting deeper than Python's stack
+        raise ParseError("polynomial nested too deeply", line) from None
 
 
 # -- model files -------------------------------------------------------------------
@@ -202,6 +204,8 @@ def parse_model(text: str) -> ModelFile:
                 continue
             m = _CS.match(line)
             if m:
+                if "cs" in lines:
+                    raise ParseError("repeated model key 'cs rank'", lineno)
                 model["cs"], lines["cs"] = int(m.group(1)), lineno
                 continue
             if "=" not in line:
@@ -228,6 +232,8 @@ def parse_model(text: str) -> ModelFile:
                 value = tuple(rows)
             else:
                 raise ParseError("unknown model key %r" % key, lineno)
+            if key in lines:
+                raise ParseError("repeated model key %r" % key, lineno)
             model[key] = value
             lines[key] = lineno
         elif section == "data":

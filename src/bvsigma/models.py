@@ -93,7 +93,7 @@ class ModelSpec(_SpecFields):
     A named tuple of its five fields, validated on construction.
     ``pairs`` holds the Darboux pairs in p order, p=0 first, and
     ``self_pairs`` the self-paired block, if any: the one statement of
-    which blocks are conjugate.
+    which blocks are conjugate; ``vars_of`` reads its variable table.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -153,6 +153,11 @@ class ModelSpec(_SpecFields):
         self.pairs = tuple(pairs)
         self.self_pairs = tuple(self_pairs)
         self._blocks = {b.label: b for b in table}
+        self._vars = {b.label: [] for b in table}
+        scope = self.fingerprint()
+        order = sorted((b.label, b.degree, i) for b in table for i in range(1, b.rank + 1))
+        for pos, (label, degree, i) in enumerate(order):
+            self._vars[label].append(GradedVar(pos, label, degree, i, scope))
         return self
 
     # -- block geometry -----------------------------------------------------
@@ -174,14 +179,10 @@ class ModelSpec(_SpecFields):
             raise ModelError("unknown block %r" % label) from None
 
     def vars_of(self, label: str) -> list[GradedVar]:
-        b = self.block(label)
-        return [GradedVar(b.label, b.degree, i) for i in range(1, b.rank + 1)]
+        return list(self._vars[self.block(label).label])
 
     def fiber_vars(self) -> list[GradedVar]:
-        out: list[GradedVar] = []
-        for b in self.fiber_blocks():
-            out.extend(self.vars_of(b.label))
-        return sorted(out)
+        return sorted(v for b in self.fiber_blocks() for v in self._vars[b.label])
 
     def fingerprint(self) -> str:
         bits = ["n=%d" % self.n, "d=%d" % self.d, self.flavor]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .grading import BASE_BLOCK, GradedVar, merge_monomials
+from .grading import BASE_BLOCK, GradedVar
 from .grading import sort_monomial  # noqa: F401  (perfbench/tracing.py patches this import site)
 
 Rat = Union[int, Fraction]
@@ -101,8 +101,8 @@ def exact(c) -> Rat:
 def accumulate(acc: dict, key, value) -> None:
     """acc[key] += value, dropping the key when the sum is zero.
 
-    The one add-and-drop-zeros step of the sparse sums here; a scalar sum
-    is stored canonically (see :func:`exact`).
+    The add-and-drop-zeros step of the sparse sums here, inlined in
+    :func:`_mul_into`; a scalar sum is stored canonically (:func:`exact`).
     """
     prev = acc.get(key)
     if prev is not None:
@@ -176,25 +176,34 @@ def _merge_base(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
 def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> None:
     """acc += sign * f g, in place: the one product kernel, called once per
     ``Expr.__mul__`` and per ``CPoly.__mul__`` (on the empty monomial).  f
-    and g map monomials to CPolys; acc maps monomials to term dicts.  Per
-    left term, its items times sign times each Koszul sign are formed once
-    (times 1 they are reused).  Symbol runs that do not interleave (single
-    symbols never do) are joined unsorted; an empty part reuses the other."""
-    g_items = list(g_terms.items())
+    and g map monomials to CPolys; acc maps monomials to term dicts.  Odd
+    codes v (see :class:`GradedVar`) are read once per monomial as bits v >>
+    1: a pair whose masks meet vanishes, else its Koszul sign (that of
+    :func:`merge_monomials`) is the parity of mask2 & above1, bit i of
+    above1 the parity of m1's odd bits above i.  Runs in order join unsorted."""
+    g_rows = []
+    for m2, c2 in g_terms.items():
+        mask2 = 0
+        for v in m2:
+            if v & 1:
+                mask2 |= 1 << (v >> 1)
+        g_rows.append((m2, mask2, c2.terms.items()))
     for m1, c1 in f_terms.items():
-        scaled = [None, None]  # c1's items times sign, times -sign: formed when first met
-        for m2, c2 in g_items:
-            s, mono = merge_monomials(m1, m2)
-            if not s:
+        mask1 = above1 = 0
+        for v in m1:
+            if v & 1:
+                mask1 |= 1 << (v >> 1)
+                above1 ^= (1 << (v >> 1)) - 1
+        a_items = c1.terms.items()
+        for m2, mask2, b_items in g_rows:
+            if mask1 & mask2:
                 continue
-            a_items = scaled[s < 0]
-            if a_items is None:
-                k = sign * s
-                a_items = scaled[s < 0] = (
-                    c1.terms.items() if k == 1 else [(key, exact(v * k)) for key, v in c1.terms.items()])
+            k = -sign if (mask2 & above1).bit_count() & 1 else sign
+            mono = m1 + m2 if not (m1 and m2) or m1[-1] <= m2[0] else tuple(sorted(m1 + m2))
             t = acc.get(mono) or acc.setdefault(mono, {})
             for (s1, b1), v1 in a_items:
-                for (s2, b2), v2 in c2.terms.items():
+                v1 *= k
+                for (s2, b2), v2 in b_items:
                     if not (s1 and s2):
                         syms = s1 or s2
                     elif s1[-1] <= s2[0]:
@@ -203,8 +212,15 @@ def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> N
                         syms = s2 + s1
                     else:
                         syms = tuple(sorted(s1 + s2))
-                    base = b1 if not b2 else b2 if not b1 else _merge_base(b1, b2)
-                    accumulate(t, (syms, base), v1 * v2)
+                    key = (syms, b1 if not b2 else b2 if not b1 else _merge_base(b1, b2))
+                    v = v1 * v2
+                    prev = t.get(key)
+                    if prev is not None:
+                        v += prev
+                    if v:  # accumulate(t, key, v), inlined
+                        t[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                    elif prev is not None:
+                        del t[key]
 
 
 class SparseSum:
@@ -433,6 +449,7 @@ class Expr(SparseSum):
 
     @staticmethod
     def var(v: GradedVar, scope: Optional[str] = None) -> "Expr":
+        scope = v.scope if scope is None else scope
         if v.block == BASE_BLOCK:
             return Expr({(): CPoly.base(v.index)}, scope)
         return Expr({(v,): CPoly.scalar(1)}, scope)
@@ -523,7 +540,7 @@ class Expr(SparseSum):
         if x.block == BASE_BLOCK:
             return self.partial_base(x.index)
         acc: dict[Monomial, CPoly] = {}
-        odd = x.degree & 1
+        odd = x & 1
         for m, c in self.terms.items():
             if x not in m:
                 continue
@@ -531,7 +548,7 @@ class Expr(SparseSum):
             if odd:
                 flips = 0
                 for u in m[:pos] if left else m[pos + 1 :]:
-                    flips ^= u.degree & 1
+                    flips ^= u & 1
                 acc[m[:pos] + m[pos + 1 :]] = -c if flips else c
             else:
                 k = m.count(x)

@@ -34,7 +34,6 @@ from test_modelfile import print_model
 
 from bvsigma import cli
 from bvsigma.algebroid import check_courant, check_lie_algebroid, operation_table
-from bvsigma.grading import GradedVar
 from bvsigma.master import (
     EQUAL,
     N2_JACOBI,
@@ -179,7 +178,7 @@ def test_criterion_03_n2_identity_recovery():
 
     # Engine and oracle agree on the full expansions.
     sub = expand_master(p, s1).substitute(bad_bivector_data())
-    ids = {GradedVar("B1", 1, i): i - 1 for i in (1, 2, 3)}
+    ids = {v: i for i, v in enumerate(spec.vars_of("B1"))}
     okay.append(_engine_to_oracle(sub, ids, 3) == expansion)
 
     conclude(3, "n=2 identities: span equality, so(3) passes, bad bivector fails", all(okay))
@@ -262,9 +261,9 @@ def test_criterion_04_n3_bf_identity_recovery():
     # oracle agreement on both expansions
     ids = {}
     for a in (1, 2):
-        ids[GradedVar("A1", 1, a)] = a - 1
-        ids[GradedVar("B1", 1, a)] = 2 + a - 1
-        ids[GradedVar("B2", 2, a)] = 4 + a - 1
+        ids[spec.vars_of("A1")[a - 1]] = a - 1
+        ids[spec.vars_of("B1")[a - 1]] = 2 + a - 1
+        ids[spec.vars_of("B2")[a - 1]] = 4 + a - 1
     for data, expect_zero in ((exact_courant_data(), True), (perturbed_courant_data(), False)):
         _, expansion = _oracle_n3_bf_expansion(data)
         sub = expand_master(p, s1).substitute(data)
@@ -335,9 +334,9 @@ def test_criterion_05_n3_cs_identity_recovery():
         r = spec.cs_block.rank
         ids = {}
         for a in range(1, r + 1):
-            ids[GradedVar("A1", 1, a)] = a - 1
+            ids[spec.vars_of("A1")[a - 1]] = a - 1
         for i in (1, 2):
-            ids[GradedVar("B2", 2, i)] = r + i - 1
+            ids[spec.vars_of("B2")[i - 1]] = r + i - 1
         _, expansion = _oracle_cs_expansion(spec, data)
         p = PStructure(spec)
         sub = expand_master(p, s1).substitute(data)
@@ -355,10 +354,10 @@ def test_criterion_06_derived_bracket_tables():
     rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
 
     def A(c):
-        return Expr.var(GradedVar("A1", 1, c))
+        return Expr.var(spec.vars_of("A1")[c - 1])
 
     def B(c):
-        return Expr.var(GradedVar("B1", 1, c))
+        return Expr.var(spec.vars_of("B1")[c - 1])
 
     for a, b in itertools.product((1, 2), (1, 2)):
         expected = Expr.zero()
@@ -408,7 +407,7 @@ def test_criterion_06_derived_bracket_tables():
             coeff = k[a - 1][c - 1] * k[b - 1][dd - 1]
             if coeff:
                 expected = expected + sym_expr(speccs, "f2", (c, dd, e), (), coeff=-coeff) * Expr.var(
-                    GradedVar("A1", 1, e)
+                    speccs.vars_of("A1")[e - 1]
                 )
         okay.append(rows[("circ", "A1_%d" % a, "A1_%d" % b)] == expected)
         okay.append(rows[("pair", "A1_%d" % a, "A1_%d" % b)] == Expr.scalar(k[a - 1][b - 1]))
@@ -549,7 +548,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
                 failures.append("%s: %s" % (name, law))
 
         f = Expr.base(1)
-        g = Expr.var(GradedVar("B%d" % (n - 1), n - 1, 1))
+        g = Expr.var(spec.vars_of("B%d" % (n - 1))[0])
         if p.bracket(f, g) != Expr.scalar(1) or p.bracket(g, f) != Expr.scalar(-1):
             failures.append("%s: (F,G) = 1 = -(G,F) fails" % name)
         defect_fg = p.laplacian(f * g) - p.laplacian(f) * g - f * p.laplacian(g)

@@ -18,7 +18,6 @@ from bvsigma.algebroid import (
     pairing,
     section_representatives,
 )
-from bvsigma.grading import GradedVar
 from bvsigma.master import extract_identities, verify_structure_data
 from bvsigma.modelfile import parse_model
 from bvsigma.models import ModelSpec, StructureData, build_S1_generic
@@ -58,10 +57,10 @@ def test_bf_operation_table_matches_published_lines():
     r_range = (1, 2)
 
     def A(c):
-        return Expr.var(GradedVar("A1", 1, c))
+        return Expr.var(spec.vars_of("A1")[c - 1])
 
     def B(c):
-        return Expr.var(GradedVar("B1", 1, c))
+        return Expr.var(spec.vars_of("B1")[c - 1])
 
     for a, b in itertools.product(r_range, r_range):
         # A^a o A^b = -f5_c^{ab} A^c - f6^{abc} B_c
@@ -112,7 +111,7 @@ def test_cs_operation_table_matches_published_lines():
     R = (1, 2, 3)
 
     def A(c):
-        return Expr.var(GradedVar("A1", 1, c))
+        return Expr.var(spec.vars_of("A1")[c - 1])
 
     for a, b in itertools.product(R, R):
         # A^a o A^b = -k^{ac} k^{bd} f2_{cde} A^e
@@ -174,7 +173,7 @@ def test_anchor_rejects_fiber_arguments():
     s1 = build_S1_generic(spec)
     q = Hamiltonian(s1.expr)
     with pytest.raises(ValueError):
-        anchor(p, partial(d_op, p, q), Expr.var(GradedVar("A1", 1, 1)), Expr.var(GradedVar("B1", 1, 1)))
+        anchor(p, partial(d_op, p, q), Expr.var(spec.vars_of("A1")[0]), Expr.var(spec.vars_of("B1")[0]))
 
 
 # -- axiom checkers against the master equation --------------------------------------

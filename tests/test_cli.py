@@ -77,6 +77,24 @@ def test_golden_reports_are_byte_identical(name, argv, expected_code):
     json.loads(out1)  # valid JSON
 
 
+# SHA-256 of the extract-identities report of two large generated bf models
+# (the benchmark's bf_n5_d4_r44 and bf_n7_d3_r333), which no golden covers.
+LARGE_EXTRACT_DIGESTS = [
+    ((5, 4, (4, 4)), "42abe2d41e34c27601870e4a4626ad98ebfa4359f23a2485c4eeccf8f779c782"),
+    ((7, 3, (3, 3, 3)), "db8254562392476253ffc55d87a54190391a6fe35b959022e7c518131b465a81"),
+]
+
+
+@pytest.mark.parametrize("shape,digest", LARGE_EXTRACT_DIGESTS, ids=["n5_d4_r44", "n7_d3_r333"])
+def test_large_extract_reports_are_pinned(tmp_path, shape, digest):
+    n, d, ranks = shape
+    blocks = "".join("block p=%d rank=%d\n" % (p, r) for p, r in enumerate(ranks, 1))
+    model = tmp_path / "large.model"
+    model.write_text("[model]\nn = %d\nd = %d\nflavor = bf\n%s" % (n, d, blocks))
+    code, out = run_cli(["extract-identities", "--model", str(model)])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reports_are_schema_stable():
     _, out = run_cli(resolve(["check-master", "--model", "n2_poisson_so3.model"]))
     doc = json.loads(out)
@@ -147,6 +165,15 @@ PARSE_ERRORS = [
     ("cs-without-metric", CS_MODEL, "line 5: cs block requires a metric line 'k = ...'"),
     ("metric-without-cs", N2_MODEL + "k = 1 0 ; 0 1\n",
      "line 4: metric k given without a cs block"),
+    ("minus-run", N2_MODEL + "\n[data]\nf1[;1,2] = " + "-" * 3000 + "phi1 phi2\n",
+     "line 6, column 3006: unexpected 'phi2' after polynomial"),
+    ("deep-nesting", N2_MODEL + "\n[data]\nf1[;1,2] = " + "(" * 3000 + "phi1" + ")" * 3000 + "\n",
+     "line 6: polynomial nested too deeply"),
+    ("repeated-n", "[model]\nn = 5\nd = 2\nn = 2\n", "line 4: repeated model key 'n'"),
+    ("repeated-d", N2_MODEL + "d = 3\n", "line 4: repeated model key 'd'"),
+    ("repeated-flavor", N2_MODEL + "flavor = bf\nflavor = bf\n", "line 5: repeated model key 'flavor'"),
+    ("repeated-k", CS_MODEL + "k = 1 0 ; 0 1\nk = 1 0 ; 0 1\n", "line 7: repeated model key 'k'"),
+    ("repeated-cs", CS_MODEL + "cs rank=2\nk = 1 0 ; 0 1\n", "line 6: repeated model key 'cs rank'"),
     ("symmetry-no-equals", N2_MODEL + "\n[symmetry]\nf1 antisym upper\n",
      "line 6: expected 'family = antisym|sym lower|upper'"),
     ("symmetry-unknown-family", N2_MODEL + "\n[symmetry]\nf9 = antisym upper\n",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracle
 from corpus import n3_spec
 
-from bvsigma.grading import GradedVar
 from bvsigma.master import (
     EQUAL,
     N3_BF,
@@ -22,12 +21,9 @@ from bvsigma.models import BfBlock, ModelSpec, build_S1_generic
 from bvsigma.pstructure import PStructure
 from bvsigma.symalg import CPoly, Expr
 
-A1 = GradedVar("A1", 1, 1)
-A2 = GradedVar("A1", 1, 2)
-B1 = GradedVar("B1", 1, 1)
-B2 = GradedVar("B1", 1, 2)
-C1 = GradedVar("B2", 2, 1)
-C2 = GradedVar("B2", 2, 2)
+A1, A2 = n3_spec().vars_of("A1")
+B1, B2 = n3_spec().vars_of("B1")
+C1, C2 = n3_spec().vars_of("B2")
 VARS = [A1, A2, B1, B2, C1, C2]
 ORACLE_IDS = {A1: 0, A2: 1, B1: 2, B2: 3, C1: 4, C2: 5}
 ORACLE_PARITIES = {0: 1, 1: 1, 2: 1, 3: 1, 4: 0, 5: 0}

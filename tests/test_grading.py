@@ -1,18 +1,25 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvsigma.grading import GradedVar, merge_monomials, sort_monomial
+from bvsigma.models import BfBlock, ModelSpec
+
+# Blocks A1 (odd), A2, B2 (even), B3 (odd), B4 (even) and phi, in that order.
+SPEC = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 4), BfBlock(2, 1)))
 
 
-def V(block, degree, index=1):
-    return GradedVar(block, degree, index)
+def V(block, index=1):
+    return SPEC.vars_of(block)[index - 1]
 
 
-x = V("B1", 1, 1)
-y = V("B1", 1, 2)
-z = V("B1", 1, 3)
-even = V("B2", 2, 1)
+x = V("B3", 1)
+y = V("B3", 2)
+z = V("B3", 3)
+even = V("B4", 1)
 
 
 def koszul_sign(before, after):
@@ -52,7 +59,7 @@ def koszul_sign(before, after):
 
 
 def test_parity_values():
-    assert [V("B", k).parity for k in range(4)] == [0, 1, 0, 1]
+    assert [V(b).parity for b in ("phi", "A1", "A2", "B2", "B3", "B4")] == [0, 1, 0, 0, 1, 0]
 
 
 def test_single_odd_swap():
@@ -81,7 +88,7 @@ def test_not_a_permutation():
 
 @st.composite
 def _sequences(draw):
-    pool = [x, y, z, even, V("B2", 2, 2), V("A1", 1, 1)]
+    pool = [x, y, z, even, V("B4", 2), V("A1", 1)]
     seq = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=6, unique=True))
     perm1 = draw(st.permutations(seq))
     perm2 = draw(st.permutations(seq))
@@ -116,7 +123,7 @@ def test_sort_monomial_keeps_even_powers():
 def _products(draw):
     """Variable sequences with repeated odd and even variables; half of them
     are two ascending runs, the shape of a product of two monomials."""
-    pool = [x, y, z, even, V("B2", 2, 2), V("A1", 1, 1), V("A2", 2, 1)]
+    pool = [x, y, z, even, V("B4", 2), V("A1", 1), V("A2")]
     seq = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=8))
     if draw(st.booleans()):
         cut = draw(st.integers(0, len(seq)))
@@ -136,19 +143,23 @@ def test_sort_monomial_matches_koszul_sign_and_sorted(seq):
 
 
 def test_canonical_order_is_block_degree_index():
-    vars_ = [V("phi", 0, 2), V("A1", 1, 2), V("A1", 1, 1), V("B1", 1, 1)]
-    assert sorted(vars_) == [V("A1", 1, 1), V("A1", 1, 2), V("B1", 1, 1), V("phi", 0, 2)]
+    vars_ = [V("phi", 2), V("A1", 2), V("A1", 1), V("B3", 1)]
+    assert sorted(vars_) == [V("A1", 1), V("A1", 2), V("B3", 1), V("phi", 2)]
 
 
 def test_graded_var_value_semantics():
-    v = GradedVar("A1", 1, 2)
-    assert repr(v) == "GradedVar(block='A1', degree=1, index=2)"
-    assert str(v) == "A1_2"
-    assert hash(v) == hash(("A1", 1, 2))  # the hash of its fields, as before
-    assert (v.block, v.degree, v.index, v.parity) == ("A1", 1, 2, 1)
-    assert V("B2", 2, 1).parity == 0
-    assert v == GradedVar("A1", 1, 2) and v != GradedVar("A1", 1, 3)
-    assert V("A1", 1, 3) < V("A2", 2, 1) < V("B1", 1, 1) < V("B1", 2, 1)
+    """A variable is the int 2 * (canonical position) + parity of its spec."""
+    v = V("A1", 2)
+    assert v == 3 and type(v) is GradedVar and isinstance(v, int)
+    assert repr(v) == "GradedVar(A1_2=3)"
+    assert str(v) == "A1_2" and "%s" % v == "A1_2" and "{}".format(v) == "A1_2"
+    assert hash(v) == hash(3)  # an int's hash: equal codes hash equal
+    assert (v.block, v.degree, v.index, v.parity, v.scope) == ("A1", 1, 2, 1, SPEC.fingerprint())
+    assert V("B2").parity == 0
+    assert v == SPEC.vars_of("A1")[1] and v != V("A1", 3)
+    for w in (copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(w) is GradedVar and (w, str(w), w.degree, w.scope) == (v, str(v), v.degree, v.scope)
+    assert V("A1", 4) < V("A2") < V("B2") < V("B3", 1) < V("B4", 1)
 
 
 @st.composite
@@ -157,16 +168,16 @@ def _canonical_pair(draw):
     the time the left one holds three or four odd items and the right one
     sits wholly below them, so that each of its odd items overtakes three or
     more."""
-    pool = [x, y, z, even, V("B2", 2, 2), V("A1", 1, 1), V("A2", 2, 1), V("phi", 0, 1)]
+    pool = [x, y, z, even, V("B4", 2), V("A1", 1), V("A2"), V("phi")]
 
     def mono(items, min_size=0):
         seq = sorted(draw(st.lists(st.sampled_from(items), min_size=min_size, max_size=5)))
         return tuple(v for i, v in enumerate(seq) if not (v.parity and i and seq[i - 1] == v))
 
     if draw(st.booleans()):
-        odds = draw(st.lists(st.sampled_from([x, y, z, V("B1", 1, 4)]), min_size=3, max_size=4, unique=True))
-        left = tuple(sorted(odds + draw(st.lists(st.sampled_from([even, V("phi", 0, 1)]), max_size=2))))
-        return left, mono([V("A1", 1, 1), V("A1", 1, 2), V("A2", 2, 1)], min_size=1)
+        odds = draw(st.lists(st.sampled_from([x, y, z, V("B3", 4)]), min_size=3, max_size=4, unique=True))
+        left = tuple(sorted(odds + draw(st.lists(st.sampled_from([even, V("phi")]), max_size=2))))
+        return left, mono([V("A1", 1), V("A1", 2), V("A2")], min_size=1)
     return mono(pool), mono(pool)
 
 
@@ -174,9 +185,9 @@ def _canonical_pair(draw):
     "left,right,sign",
     [
         ((y,), (x,), -1),
-        ((x, y), (V("A1", 1, 1),), 1),
-        ((x, y, z), (V("A1", 1, 1),), -1),  # one odd item overtakes three
-        ((x, even), (V("A1", 1, 1), y), -1),
+        ((x, y), (V("A1", 1),), 1),
+        ((x, y, z), (V("A1", 1),), -1),  # one odd item overtakes three
+        ((x, even), (V("A1", 1), y), -1),
         ((x,), (x,), 0),
     ],
     ids=["one-odd", "two-odds", "three-odds", "interleaved", "odd-repeat"],

@@ -138,6 +138,11 @@ def test_a_unary_minus_negates_its_whole_factor():
     assert parse_poly("+phi1 - 2") == CPoly.base(1) - CPoly.scalar(2)
 
 
+def test_a_run_of_minuses_is_read_in_one_loop():
+    assert parse_poly("-" * 3000 + "phi1") == CPoly.base(1)
+    assert parse_poly("2*" + "-" * 3001 + "phi1^2") == (CPoly.base(1) * CPoly.base(1)).scale(-2)
+
+
 @pytest.mark.parametrize("text,column", [("2*+phi1", 3), ("phi1 + + phi2", 8), ("-+phi1", 2)])
 def test_a_plus_is_accepted_only_at_the_start(text, column):
     with pytest.raises(ParseError) as err:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bvsigma.grading import GradedVar, sort_monomial
+from bvsigma.grading import sort_monomial
 from bvsigma.modelfile import parse_model
 from bvsigma.models import (
     BF,
@@ -124,8 +124,8 @@ def test_n2_ansatz_is_half_f_bb():
         for j in range(i + 1, 4):
             _, sym = make_symbol("f1", (), (i, j), (), group)
             expected = expected + Expr({(): CPoly.symbol(sym)}) * Expr.var(
-                GradedVar("B1", 1, i)
-            ) * Expr.var(GradedVar("B1", 1, j))
+                spec.vars_of("B1")[i - 1]
+            ) * Expr.var(spec.vars_of("B1")[j - 1])
     assert s1.expr == expected
     assert s1.total_degree == 2
 
@@ -219,7 +219,7 @@ def test_block_table_is_not_a_field():
     a = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2),))
     b = ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2),))
     assert a == b and hash(a) == hash(b)
-    b.pairs, b.self_pairs, b._blocks = (), (a.pairs[0],), {}
+    b.pairs, b.self_pairs, b._blocks, b._vars = (), (a.pairs[0],), {}, {}
     assert a == b and hash(a) == hash(b)  # equality and hash read the five fields only
     assert a != ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 3),))
     assert repr(b) == "ModelSpec(n=5, d=2, flavor='bf', bf_blocks=(BfBlock(p=1, rank=2),), cs_block=None)"
@@ -231,6 +231,27 @@ def test_block_table_is_not_a_field():
     assert [blk.label for blk in a.blocks()] == ["phi", "B4", "A1", "B3"]
     with pytest.raises(ModelError):
         a.block("A2")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [parse_model(path.read_text()).spec for path in sorted(EXAMPLES.glob("*.model"))]
+    + [ModelSpec(n=11, d=2, bf_blocks=tuple(BfBlock(p, 2) for p in range(1, 6)))],
+    ids=lambda spec: spec.fingerprint(),
+)
+def test_variable_codes_follow_canonical_order(spec):
+    """Each variable is the int 2 * (its position in sorted (block, degree,
+    index) order) + parity, in the scope of its spec; at n=11 the label
+    B10 sorts before B5 as a string, and so does its code."""
+    table = [v for blk in spec.blocks() for v in spec.vars_of(blk.label)]
+    canonical = sorted(table, key=lambda v: (v.block, v.degree, v.index))
+    assert sorted(table) == canonical
+    assert [v >> 1 for v in canonical] == list(range(len(table)))
+    assert all(v & 1 == v.degree & 1 == v.parity for v in table)
+    assert {v.scope for v in table} == {spec.fingerprint()}
+    assert spec.fiber_vars() == [v for v in canonical if v.block != "phi"]
+    if spec.n == 11:
+        assert canonical.index(spec.vars_of("B10")[0]) < canonical.index(spec.vars_of("B5")[0])
 
 
 def test_ansatz_deterministic():

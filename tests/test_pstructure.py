@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import RandomExprs
-from bvsigma.grading import GradedVar
 from bvsigma import pstructure
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build_S1_generic
 from bvsigma.pstructure import (
@@ -39,9 +38,9 @@ def _structures():
 def test_darboux_pairings_n3():
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
     p = PStructure(spec)
-    a = Expr.var(GradedVar("A1", 1, 1))
-    b = Expr.var(GradedVar("B1", 1, 1))
-    b2 = Expr.var(GradedVar("B1", 1, 2))
+    a = Expr.var(spec.vars_of("A1")[0])
+    b = Expr.var(spec.vars_of("B1")[0])
+    b2 = Expr.var(spec.vars_of("B1")[1])
     assert p.bracket(a, b) == Expr.scalar(1)
     assert p.bracket(a, b2).is_zero()
     assert p.bracket(b, a) == Expr.scalar(1)  # graded-symmetric at these degrees
@@ -50,8 +49,8 @@ def test_darboux_pairings_n3():
 def test_self_block_pairing_is_k():
     spec = ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, KOFF))
     p = PStructure(spec)
-    a1 = Expr.var(GradedVar("A1", 1, 1))
-    a2 = Expr.var(GradedVar("A1", 1, 2))
+    a1 = Expr.var(spec.vars_of("A1")[0])
+    a2 = Expr.var(spec.vars_of("A1")[1])
     assert p.bracket(a1, a2) == Expr.scalar(1)
     assert p.bracket(a1, a1).is_zero()
     assert p.bracket(a2, a2) == Expr.scalar(2)
@@ -68,15 +67,15 @@ def test_self_block_pairing_is_k():
 def test_bracket_keeps_scope_and_rejects_mixed_contexts(spec):
     p = PStructure(spec)
     scope = spec.fingerprint()
-    a = Expr.var(GradedVar("A1", 1, 1), scope)
-    b = Expr.var(GradedVar("B2", 2, 1), scope)
-    stray = Expr.var(GradedVar("B2", 2, 1), "another model")
+    a = Expr.var(spec.vars_of("A1")[0])
+    b = Expr.var(spec.vars_of("B2")[0])
+    stray = Expr.var(spec.vars_of("B2")[0], "another model")
     for br in (p.bracket, p.bracket_darboux):
         assert br(a, b).scope == scope
         assert br(a, a * b).scope == scope
         # an unscoped operand adopts the other's scope, on either side
-        assert br(a, Expr.var(GradedVar("B2", 2, 1))).scope == scope
-        assert br(Expr.var(GradedVar("A1", 1, 1)), b).scope == scope
+        assert br(a, Expr(b.terms)).scope == scope
+        assert br(Expr(a.terms), b).scope == scope
         with pytest.raises(MixedContextError):
             br(a, stray)
         with pytest.raises(MixedContextError):
@@ -100,9 +99,12 @@ def test_zero_rank_self_block_reduces_to_bf_bracket():
     with_empty = PStructure(
         ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(0, ()))
     )
-    f = Expr.base(1) * Expr.var(GradedVar("B2", 2, 1))
-    g = Expr.var(GradedVar("B2", 2, 2)) * Expr.base(2)
-    assert plain.bracket(f, g) == with_empty.bracket(f, g)
+
+    def operands(spec):
+        c1, c2 = spec.vars_of("B2")
+        return Expr.base(1) * Expr.var(c1), Expr.var(c2) * Expr.base(2)
+
+    assert plain.bracket(*operands(plain.spec)) == with_empty.bracket(*operands(with_empty.spec))
     rep = check_bv_identities(with_empty)
     assert all(rep.results[law] for law in BRACKET_LAWS)
 
@@ -123,8 +125,8 @@ def test_even_degree_self_block_rejected():
 def test_bracket_degree_shift():
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
     p = PStructure(spec)
-    f = Expr.var(GradedVar("A1", 1, 1)) * Expr.var(GradedVar("B2", 2, 1))
-    g = Expr.var(GradedVar("B1", 1, 1))
+    f = Expr.var(spec.vars_of("A1")[0]) * Expr.var(spec.vars_of("B2")[0])
+    g = Expr.var(spec.vars_of("B1")[0])
     res = p.bracket(f, g)
     assert not res.is_zero()
     assert res.homogeneous_degree() == 3 + 1 - p.n + 1  # |F|+|G|-n+1 = 2
@@ -176,7 +178,7 @@ def test_unexercised_delta_squared_is_noted(n, unexercised):
             "Delta^2 = 0: |F| = %d: residual term "
             "(2*d(1,1)u[0;] + 2*d(1,2)u[1;] + 2*d(2,2)u[2;])" % (2 * (n - 1))
         ]
-        b = Expr.var(GradedVar("B%d" % (n - 1), n - 1, 1))
+        b = Expr.var(p.spec.vars_of("B%d" % (n - 1))[0])
         assert p.laplacian(p.laplacian(Expr.symbol(CoeffSymbol("u")) * b * b))
     else:
         assert witnesses == []
@@ -213,7 +215,7 @@ def test_laplacian_examples():
     # Delta(phi^i B_j) = delta^i_j
     for i in (1, 2):
         for j in (1, 2):
-            e = Expr.base(i) * Expr.var(GradedVar("B1", 1, j))
+            e = Expr.base(i) * Expr.var(spec.vars_of("B1")[j - 1])
             expected = Expr.scalar(1) if i == j else Expr.zero()
             assert p.laplacian(e) == expected
 
@@ -236,7 +238,7 @@ def test_laplacian_of_poisson_deformation_is_divergence():
     expected = Expr.zero()
     for i in range(1, 4):
         for j in range(1, 4):
-            expected = expected + f(i, j, deriv=(i,)) * Expr.var(GradedVar("B1", 1, j))
+            expected = expected + f(i, j, deriv=(i,)) * Expr.var(spec.vars_of("B1")[j - 1])
     assert p.laplacian(s1.expr) == expected
 
 
@@ -245,8 +247,8 @@ def test_antisymmetry_law_on_a_specific_pair():
     # the shifted parities are even, so the bracket is symmetric here.
     spec = ModelSpec(n=2, d=3)
     p = PStructure(spec)
-    f = Expr.var(GradedVar("B1", 1, 1))
-    g = Expr.var(GradedVar("B1", 1, 2))
+    f = Expr.var(spec.vars_of("B1")[0])
+    g = Expr.var(spec.vars_of("B1")[1])
     assert p.bracket(f, g) == p.bracket(g, f).scale(-((-1) ** ((1 + 1 - 2) * (1 + 1 - 2))))
 
 
@@ -265,7 +267,8 @@ def _reference_conjugate_tables(spec):
     for a_block, b_block, p, rank in pairs:
         sign = -1 if (n * p) % 2 == 0 else 1
         for i in range(1, rank + 1):
-            av, bv = GradedVar(a_block, p, i), GradedVar(b_block, n - p - 1, i)
+            av, bv = spec.vars_of(a_block)[i - 1], spec.vars_of(b_block)[i - 1]
+            assert (av.degree, bv.degree, av.index, bv.index) == (p, n - p - 1, i, i)
             ja = i if p == 0 else 0
             darboux.append((av, ja, ((bv, 0, 1),)))
             darboux.append((bv, 0, ((av, ja, sign),)))
@@ -273,7 +276,8 @@ def _reference_conjugate_tables(spec):
             laplacian.append((bv, ja, av, (-1) ** p))
     full = list(darboux)
     if spec.cs_block is not None:
-        vs = [GradedVar("A%d" % q, q, i) for i in range(1, spec.cs_block.rank + 1)]
+        vs = spec.vars_of("A%d" % q)
+        assert [(v.degree, v.index) for v in vs] == [(q, i) for i in range(1, spec.cs_block.rank + 1)]
         for a, va in enumerate(vs):
             partners = tuple((vb, 0, k) for vb, k in zip(vs, spec.cs_block.metric[a]) if k)
             if partners:
@@ -584,7 +588,7 @@ def test_square_rows_only_for_one_homogeneous_odd_shifted_operand(spec, monkeypa
 def test_support_marks_every_base_index_once_a_symbol_appears():
     spec = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
     sym = sorted(build_S1_generic(spec).expr.symbols())[0]
-    b = GradedVar("B1", 1, 2)
+    b = spec.vars_of("B1")[1]
     powers = Expr({(b,): CPoly.base(2, 2)})
     assert powers.support() == ({b}, {2})
     fibers, bases = (powers + Expr.symbol(sym)).support()
@@ -597,7 +601,7 @@ def test_hamiltonian_takes_each_right_derivative_once_and_only_when_read(monkeyp
     p = PStructure(spec)
     s = build_S1_generic(spec).expr
     f = Expr.base(1) * Expr.base(3)  # (S,F) pairs F's phi with B2 in S
-    a = Expr.var(GradedVar("A1", 1, 2))  # (S,A1_2) reads d_r S/dB1_2 only
+    a = Expr.var(spec.vars_of("A1")[1])  # (S,A1_2) reads d_r S/dB1_2 only
     operands = (f, a, f, a * f, a)
     expected = [_bracket_over_every_variable(p, s, g) for g in operands]
     taken = []
@@ -611,14 +615,14 @@ def test_hamiltonian_takes_each_right_derivative_once_and_only_when_read(monkeyp
     q = Hamiltonian(s)
     assert taken == []  # nothing is taken up front
     assert [p.bracket(q, g) for g in operands] == expected
-    read = {GradedVar("B2", 2, 1), GradedVar("B2", 2, 3), GradedVar("B1", 1, 2)}
+    read = {spec.vars_of("B2")[0], spec.vars_of("B2")[2], spec.vars_of("B1")[1]}
     assert sorted(v for _, v in taken) == sorted(read)  # once each, only those read
     assert {i for i, _ in taken} == {id(s)}
     # a zero derivative is kept too, so it is not taken again
     taken.clear()
-    small = Expr.var(GradedVar("B1", 1, 1))
+    small = Expr.var(spec.vars_of("B1")[0])
     z = Hamiltonian(small)
-    b = GradedVar("B1", 1, 2)
+    b = spec.vars_of("B1")[1]
     assert z.right_deriv(b).is_zero() and z.right_deriv(b).is_zero()
     assert taken == [(id(small), b)]
 

@@ -3,12 +3,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvsigma import symalg
 from bvsigma.algebroid import operation_table
-from bvsigma.grading import GradedVar, sort_monomial
+from bvsigma.grading import merge_monomials, sort_monomial
 from bvsigma.master import expand_master, extract_identities, verify_structure_data
 from bvsigma.models import (
     CS_BF,
@@ -38,11 +38,11 @@ from bvsigma.worldsheet import ComponentField, DgaExpr
 
 from corpus import cs_spec
 
-B1 = GradedVar("B1", 1, 1)
-B2 = GradedVar("B1", 1, 2)
-B3 = GradedVar("B1", 1, 3)
-C1 = GradedVar("B2", 2, 1)
-PHI1 = GradedVar("phi", 0, 1)
+SPEC = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
+M = SPEC.fingerprint()
+B1, B2, B3 = SPEC.vars_of("B1")
+C1 = SPEC.vars_of("B2")[0]
+PHI1 = SPEC.vars_of("phi")[0]
 
 ANTI_UP = (SymGroup(ANTISYM, UPPER, (0, 1)),)
 
@@ -231,7 +231,20 @@ def test_mixed_context_rejected():
     with pytest.raises(MixedContextError):
         a * b
     # a scoped and an unscoped expression combine fine
-    assert not (a + Expr.var(B2)).is_zero()
+    assert not (a + Expr({(B2,): CPoly.scalar(1)})).is_zero()
+
+
+def test_variables_of_two_specs_never_meet():
+    """Codes of two specs coincide (B1_1 of n=2 is A1_1 here, both code 1),
+    so Expr.var scopes a variable to its spec and such a product raises."""
+    other = ModelSpec(n=2, d=3).vars_of("B1")[0]
+    mine = SPEC.vars_of("A1")[0]
+    assert other == mine == 1 and (str(other), str(mine)) == ("B1_1", "A1_1")
+    assert Expr.var(mine).scope == M and Expr.var(other).scope == "n=2;d=3;bf"
+    with pytest.raises(MixedContextError):
+        Expr.var(mine) * Expr.var(other)
+    with pytest.raises(MixedContextError):
+        Expr.var(PHI1) + Expr.var(ModelSpec(n=2, d=3).vars_of("phi")[0])
 
 
 # -- the product kernel against a naive reference ----------------------------------
@@ -364,6 +377,43 @@ def test_mul_matches_naive_reference(case):
     _assert_canonical(prod)
 
 
+# Odd blocks A1, B3 and even blocks A2, B2, B4 of rank 5, the most factors
+# of one block in a degree-5 monomial.
+CODE_SPEC = ModelSpec(n=5, d=5, bf_blocks=(BfBlock(1, 5), BfBlock(2, 5)))
+A1_1, A1_2 = CODE_SPEC.vars_of("A1")[:2]
+B4_1 = CODE_SPEC.vars_of("B4")[0]
+
+
+@st.composite
+def _canonical_pair(draw):
+    """Two canonical monomials of CODE_SPEC of up to 5 factors; half the
+    time the right one also holds a variable of the left one, so that an
+    odd variable meets itself or an even one repeats."""
+
+    def canonical(seq):
+        seq = sorted(seq)
+        return tuple(v for i, v in enumerate(seq) if not (v & 1 and i and seq[i - 1] == v))
+
+    fibers = CODE_SPEC.fiber_vars()
+    left = canonical(draw(st.lists(st.sampled_from(fibers), max_size=5)))
+    right = draw(st.lists(st.sampled_from(fibers), max_size=4))
+    if left and draw(st.booleans()):
+        right.append(draw(st.sampled_from(left)))
+    return left, canonical(right)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_canonical_pair())
+@example(((A1_1,), (A1_1,)))
+@example(((A1_2, B4_1, B4_1), (A1_1, B4_1)))
+def test_kernel_sign_and_monomial_match_merge_monomials(pair):
+    left, right = pair
+    acc = {}
+    symalg._mul_into(acc, {left: CPoly.scalar(1)}, {right: CPoly.scalar(1)})
+    sign, mono = merge_monomials(left, right)
+    assert acc == ({mono: {((), ()): sign}} if sign else {})
+
+
 @st.composite
 def _two_products(draw):
     """Two products for one accumulator, with their signs.  The second
@@ -442,7 +492,7 @@ def _naive_deriv(f, x, left):
 def test_derivatives_match_naive_reference(case):
     # f g holds even powers x^k of the even fiber variables.
     p, f, g = case
-    phis = [GradedVar("phi", 0, j) for j in range(1, p.spec.d + 1)]
+    phis = p.spec.vars_of("phi")
     for expr in (f, f * g):
         for x in p.spec.fiber_vars() + phis:
             for left in (True, False):
@@ -489,10 +539,10 @@ def _cpoly_sums():
 
 
 def _expr_sums():
-    a = Expr.var(B1, scope="m") * Expr.var(C1).scale(-2) + Expr.base(1, scope="m").scale(Fraction(1, 2))
-    b = Expr.var(B2) + Expr.var(C1, scope="m").scale(Fraction(-2, 3)) + f_up(1, 2)
+    a = Expr.var(B1) * Expr.var(C1).scale(-2) + Expr.base(1, scope=M).scale(Fraction(1, 2))
+    b = Expr.var(B2) + Expr.var(C1).scale(Fraction(-2, 3)) + f_up(1, 2)
     half = (Expr.var(B1) + Expr.scalar(3)).scale(Fraction(1, 2))
-    return a, b, Expr.zero("m"), half
+    return a, b, Expr.zero(M), half
 
 
 def _dga_sums():
