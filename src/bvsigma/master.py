@@ -19,45 +19,24 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
-from .rowreduce import Directions, span_includes
+from .rowreduce import Directions, Row, span_includes
 from .symalg import (
     ANTISYM, LOWER, CPoly, Expr, _perm_sign, accumulate, exact, make_symbol, monomial_str,
 )
 
-EXTRACTED = "extracted"
-TRANSCRIBED = "transcribed-from-paper"
-
-
 class IdentitySet:
-    """Coefficient equations (CoeffPoly = 0) indexed by graded monomial tag."""
+    """Coefficient equations (CoeffPoly = 0), each with its graded monomial tag."""
 
-    def __init__(self, spec: str, provenance: str,
-                 equations: Optional[list[tuple[str, CPoly]]] = None):
-        self.spec = spec
-        self.provenance = provenance
+    def __init__(self, equations: Optional[list[tuple[str, CPoly]]] = None):
         self.equations = [] if equations is None else equations
 
     def __repr__(self) -> str:
-        return "IdentitySet(spec=%r, provenance=%r, equations=%r)" % (
-            self.spec, self.provenance, self.equations)
-
-    def alphabet(self) -> dict[str, tuple[int, int]]:
-        """Symbol families in use, as name -> (lower slots, upper slots)."""
-        distinct = dict.fromkeys(
-            s for _, poly in self.equations for syms, _ in poly.terms for s in syms
-        )
-        shapes: dict[str, tuple[int, int]] = {}
-        for s in distinct:
-            shape = (len(s.lower), len(s.upper))
-            if shapes.setdefault(s.name, shape) != shape:
-                raise ValueError("symbol %s used with inconsistent index shapes" % s.name)
-        return shapes
+        return "IdentitySet(%r)" % (self.equations,)
 
     def __len__(self) -> int:
         return len(self.equations)
@@ -71,7 +50,7 @@ def expand_master(p: PStructure, s1: Action) -> Expr:
 def extract_identities(p: PStructure, s1: Action) -> IdentitySet:
     """Group (S1,S1) by graded monomial; each coefficient is one equation."""
     expanded = expand_master(p, s1)
-    out = IdentitySet(spec=p.scope, provenance=EXTRACTED)
+    out = IdentitySet()
     for mono in sorted(expanded.terms):
         out.equations.append((monomial_str(mono), expanded.terms[mono]))
     return out
@@ -104,27 +83,25 @@ class SpanComparison(NamedTuple):
     witness: Optional[str] = None  # an equation outside the other span
 
 
-def _rows_of(ident: IdentitySet, index: dict) -> list[dict[int, Fraction]]:
-    rows = []
+def _rows_of(ident: IdentitySet, index: dict) -> tuple[list[Row], dict[str, tuple[int, int]]]:
+    """The equations of ``ident`` as rows over the column numbering
+    ``index``, which it extends, and the (lower, upper) index shape of each
+    symbol family in the keys it numbers, in the order first met.  A family
+    met with two shapes raises ValueError."""
+    rows, shapes = [], {}
     for _, poly in ident.equations:
         row = {}
         for key, val in poly.terms.items():
-            col = index.setdefault(key, len(index))
+            col = index.get(key)
+            if col is None:
+                col = index[key] = len(index)
+                for name, lower, upper, _ in key[0]:
+                    shape = (len(lower), len(upper))
+                    if shapes.setdefault(name, shape) != shape:
+                        raise ValueError("symbol %s used with inconsistent index shapes" % name)
             row[col] = val
         rows.append(row)
-    return rows
-
-
-def _reject_alphabets(a: IdentitySet, b: IdentitySet) -> None:
-    """Raise the error that names a symbol family used with two index
-    shapes: within one set (ValueError) or across the two (ModelError)."""
-    alpha_a, alpha_b = a.alphabet(), b.alphabet()
-    for name in set(alpha_a) & set(alpha_b):
-        if alpha_a[name] != alpha_b[name]:
-            raise ModelError(
-                "alphabet mismatch: %s has %d lower/%d upper indices in one set "
-                "and %d/%d in the other" % ((name,) + alpha_a[name] + alpha_b[name])
-            )
+    return rows, shapes
 
 
 def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
@@ -137,16 +114,20 @@ def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
     ``span_includes`` settles an equation that is a multiple of one on the
     other side without elimination, and keeps one row per direction; each
     equation's direction is taken once for both calls.  Index shapes are
-    checked once per distinct column key; only a clash walks the two sets
-    (:meth:`IdentitySet.alphabet`) to name it.
+    checked while the columns are numbered, a's equations first: a family
+    with two shapes in one set raises ValueError, else the first family
+    met in b with a shape other than a's raises ModelError.
     """
     index: dict = {}
-    rows_a, rows_b = _rows_of(a, index), _rows_of(b, index)
-    shapes: dict[str, tuple[int, int]] = {}
-    for s in {s for syms, _ in index for s in syms}:
-        shape = (len(s.lower), len(s.upper))
-        if shapes.setdefault(s.name, shape) != shape:
-            _reject_alphabets(a, b)
+    (rows_a, shapes_a), (rows_b, shapes_b) = _rows_of(a, index), _rows_of(b, index)
+    for name, shape in shapes_b.items():
+        theirs = shapes_a.get(name, shape)
+        if theirs != shape:
+            _rows_of(b, {})  # b's keys also in a were not checked: a clash in b comes first
+            raise ModelError(
+                "alphabet mismatch: %s has %d lower/%d upper indices in one set "
+                "and %d/%d in the other" % ((name,) + theirs + shape)
+            )
     dir_a, dir_b = Directions(rows_a), Directions(rows_b)
     missing_b = span_includes(dir_a, dir_b)  # first b-eq outside span(a)
     missing_a = span_includes(dir_b, dir_a)  # first a-eq outside span(b)
@@ -295,7 +276,7 @@ def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
         if k
     }
     symbols = {fam.name: _Symbols(fam) for fam in ansatz_families(spec)}
-    out = IdentitySet(spec=spec.fingerprint(), provenance=TRANSCRIBED)
+    out = IdentitySet()
     seen = set()
     for tag, terms in PAPER_IDENTITIES[which]:
         name, inner = tag.split("[")

@@ -160,6 +160,11 @@ class ModelSpec(_SpecFields):
             self._vars[label].append(GradedVar(pos, label, degree, i, scope))
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> "ModelSpec":
+        """Build through :meth:`__new__`, so ``_replace`` validates too."""
+        return cls(*iterable)
+
     # -- block geometry -----------------------------------------------------
     @property
     def cs_degree(self) -> int:
@@ -359,8 +364,6 @@ class StructureData:
         return isinstance(other, StructureData) and (self.spec, self.values) == (other.spec, other.values)
 
     def value_of(self, sym: CoeffSymbol) -> CPoly:
-        if sym.name not in self.families:
-            raise MissingSymbolError("no data for symbol family %r" % sym.name)
         key = (sym.name, sym.lower, sym.upper)
         if key not in self.values:
             raise MissingSymbolError("no assignment for symbol %s" % (sym,))

@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 from .grading import BASE_BLOCK, GradedVar
 from .models import ModelError, ModelSpec
-from .symalg import CoeffSymbol, CPoly, Expr, accumulate, exact
+from .symalg import CoeffSymbol, CPoly, Expr, MixedContextError, accumulate, exact
 
 
 class PStructure:
@@ -137,7 +137,7 @@ class PStructure:
             g_fibers, g_bases, left_deriv = f_fibers, f_bases, f.left_deriv
         else:
             g, (g_fibers, g_bases), left_deriv = _operand(g, left=True)
-        scope = f._merged_scope(g)
+        scope = self._own_scope(f._merged_scope(g))
         acc: dict = {}
         for v, j, partners in rows:
             if not (j in f_bases if j else v in f_fibers):
@@ -167,13 +167,21 @@ class PStructure:
         which lends its support and kept left derivatives d_l F/dB.
         """
         f, (fibers, bases), left_deriv = _operand(f, left=True)
+        scope = self._own_scope(f.scope)
         acc: dict = {}
         for bv, ja, av, sign in self._laplacian_rows:
             if bv not in fibers or not (ja in bases if ja else av in fibers):
                 continue
             for m, c in left_deriv(bv).left_deriv(av).terms.items():
                 accumulate(acc, m, c if sign > 0 else -c)
-        return Expr._of(acc, f.scope)
+        return Expr._of(acc, scope)
+
+    def _own_scope(self, scope):
+        """``scope``, the operands' context, if it is None or this model's;
+        variable codes of two models coincide, so any other raises."""
+        if scope is not None and scope != self.scope:
+            raise MixedContextError("mixed model contexts: %r vs %r" % (scope, self.scope))
+        return scope
 
 
 class Hamiltonian:

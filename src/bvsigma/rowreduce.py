@@ -67,44 +67,36 @@ class RowSpan:
         return len(self.basis)
 
 
-def _direction(row: Row) -> Row:
-    """The primitive integer multiple of a nonzero row of canonical scalars
-    that is positive at its least column; a row that is one already is
-    returned as it is."""
-    vals = list(row.values())
+def _direction(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The direction of a nonzero row of canonical scalars: its columns,
+    ascending, and the values there of its primitive integer multiple that
+    is positive at the least column.  Two rows are multiples of each other
+    exactly when their directions are equal."""
+    cols = sorted(row)
+    vals = [row[c] for c in cols]
     den = lcm(*[v.denominator for v in vals])
     if den != 1:
         vals = [v.numerator * (den // v.denominator) for v in vals]
     g = gcd(*vals)
-    if row[min(row)] < 0:
+    if vals[0] < 0:
         g = -g
-    if g == 1 and den == 1:
-        return row
-    return dict(zip(row, [v // g for v in vals]))
+    if g != 1:
+        vals = [v // g for v in vals]
+    return tuple(cols), tuple(vals)
 
 
 class Directions:
     """The directions of a sequence of rows (see :func:`_direction`), each
-    computed and hashed once: ``keyed`` holds (hash, direction) per row,
-    None for a zero row, and ``buckets`` maps each hash to the distinct
-    directions with it.  A comparison that reads each side once as rows
-    and once as candidates of :func:`span_includes` builds one per side."""
+    taken once: ``values`` holds one per row, None for a zero row, and
+    ``distinct`` the distinct ones in the order first met (a dict as an
+    ordered set).  A comparison that reads each side once as rows and once
+    as candidates of :func:`span_includes` builds one per side."""
 
-    __slots__ = ("keyed", "buckets")
+    __slots__ = ("values", "distinct")
 
     def __init__(self, rows: Sequence[Row]):
-        self.keyed: list[Optional[tuple[int, Row]]] = []
-        self.buckets: dict[int, list[Row]] = {}
-        for r in rows:
-            if not r:
-                self.keyed.append(None)
-                continue
-            d = _direction(r)
-            key = hash(frozenset(d.items()))
-            self.keyed.append((key, d))
-            bucket = self.buckets.setdefault(key, [])
-            if d not in bucket:
-                bucket.append(d)
+        self.values = [_direction(r) if r else None for r in rows]
+        self.distinct = dict.fromkeys(v for v in self.values if v is not None)
 
 
 def span_includes(
@@ -112,30 +104,24 @@ def span_includes(
 ) -> Optional[int]:
     """Index of the first candidate outside span(rows), or None if included.
 
-    Rows are bucketed by the hash of their direction and compared exactly
-    within a bucket.  A zero candidate, or one whose direction is a row's,
-    lies in the span with no elimination; the span itself is built, from
-    one row per direction, only when some candidate is not matched, and
-    only such candidates are reduced against it.  Either side may be given
-    as its :class:`Directions`, taken once for several calls.
+    A zero candidate, or one whose direction is a row's, lies in the span
+    with no elimination; the span itself is built, from one row per
+    direction, only when some candidate is not matched, and only such
+    candidates are reduced against it.  Either side may be given as its
+    :class:`Directions`, taken once for several calls.
     """
     if not isinstance(rows, Directions):
         rows = Directions(rows)
     if not isinstance(candidates, Directions):
         candidates = Directions(candidates)
-    buckets = rows.buckets
-    span = None
-    for i, kd in enumerate(candidates.keyed):
-        if kd is None:
-            continue
-        key, d = kd
-        if d in buckets.get(key, ()):
+    distinct, span = rows.distinct, None
+    for i, v in enumerate(candidates.values):
+        if v is None or v in distinct:
             continue
         if span is None:
             span = RowSpan()
-            for bucket in buckets.values():
-                for r in bucket:
-                    span.add(r)
-        if not span.contains(d):
+            for cols, vals in distinct:
+                span.add(dict(zip(cols, vals)))
+        if not span.contains(dict(zip(*v))):
             return i
     return None

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -450,6 +451,25 @@ def test_exit_code_2_for_comparing_models_of_different_shape():
         )
     assert code == 2
     assert err.getvalue().startswith("error: alphabet mismatch: f1 has")
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_alphabet_mismatch_names_one_family_under_every_hash_seed(tmp_path, seed):
+    # The first family of --against whose shape differs, in equation order;
+    # a pick by set order named f2 or f3 depending on the seed.
+    n4, n5 = tmp_path / "n4.model", tmp_path / "n5.model"
+    n4.write_text("[model]\nn = 4\nd = 2\nblock p=1 rank=2\n")
+    n5.write_text("[model]\nn = 5\nd = 2\nblock p=1 rank=2\nblock p=2 rank=2\n")
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bvsigma.cli", "compare-identities", "--model", str(n4), "--against", str(n5)],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: alphabet mismatch: f2 has 0 lower/2 upper indices in one set and 1/1 in the other\n"
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -137,5 +137,5 @@ def test_span_comparison_detects_a_corrupted_transcription():
     corrupted = list(transcribed.equations)
     tag, poly = corrupted[3]
     corrupted[3] = (tag, poly + CPoly.symbol(stray, Fraction(7)))
-    bad = type(transcribed)(transcribed.spec, transcribed.provenance, corrupted)
+    bad = type(transcribed)(corrupted)
     assert compare_identity_spans(extracted, bad).relation != EQUAL

@@ -26,13 +26,14 @@ from bvsigma.models import (
     BfBlock,
     CsBlock,
     CS_BF,
+    ModelError,
     ModelSpec,
     StructureData,
     ansatz_families,
     build_S1_generic,
 )
 from bvsigma.pstructure import PStructure
-from bvsigma.rowreduce import RowSpan, _direction, span_includes
+from bvsigma.rowreduce import Directions, RowSpan, _direction, span_includes
 from bvsigma.symalg import CPoly, Expr, _perm_sign, make_symbol
 
 import oracle
@@ -128,11 +129,11 @@ def test_span_comparison_basics():
     spec = n2_spec()
     p = PStructure(spec)
     a = extract_identities(p, build_S1_generic(spec))
-    same = IdentitySet(a.spec, "copy", list(a.equations))
+    same = IdentitySet(list(a.equations))
     assert compare_identity_spans(a, same).relation == EQUAL
-    scaled = IdentitySet(a.spec, "scaled", [(t, poly.scale(2)) for t, poly in a.equations])
+    scaled = IdentitySet([(t, poly.scale(2)) for t, poly in a.equations])
     assert compare_identity_spans(a, scaled).relation == EQUAL
-    empty, other = IdentitySet(a.spec, "empty"), IdentitySet(a.spec, "other")
+    empty, other = IdentitySet(), IdentitySet()
     assert empty.equations == [] and empty.equations is not other.equations
     cmp = compare_identity_spans(a, empty)
     assert cmp.relation == "B<A"
@@ -150,16 +151,21 @@ def test_alphabet_mismatch_rejected():
 def test_alphabet_rejects_inconsistent_shapes():
     _, two_upper = make_symbol("f1", (), (1, 2))
     _, mixed = make_symbol("f1", (1,), (2,))
-    idents = IdentitySet("s", "test", [("x", CPoly.symbol(two_upper)), ("y", CPoly.symbol(mixed))])
-    with pytest.raises(ValueError, match=r"^symbol f1 used with inconsistent index shapes$"):
-        idents.alphabet()
-    assert IdentitySet("s", "test", idents.equations[:1]).alphabet() == {"f1": (0, 2)}
+    idents = IdentitySet([("x", CPoly.symbol(two_upper)), ("y", CPoly.symbol(mixed))])
+    one = IdentitySet(idents.equations[:1])
+    for a, b in ((idents, one), (IdentitySet(), idents), (one, idents), (one, IdentitySet(idents.equations[::-1]))):
+        with pytest.raises(ValueError, match=r"^symbol f1 used with inconsistent index shapes$"):
+            compare_identity_spans(a, b)
+    assert _rows_of(one, {}) == ([{0: 1}], {"f1": (0, 2)})
+    with pytest.raises(ModelError, match=r"^alphabet mismatch: f1 has 0 lower/2 upper indices in one set "
+                       r"and 1/1 in the other$"):
+        compare_identity_spans(one, IdentitySet(idents.equations[1:]))
 
 
 def _compare_every_row(a, b):
     """The comparison with every row eliminated, duplicates included."""
     index = {}
-    rows_a, rows_b = _rows_of(a, index), _rows_of(b, index)
+    (rows_a, _), (rows_b, _) = _rows_of(a, index), _rows_of(b, index)
     missing_b, missing_a = span_includes(rows_a, rows_b), span_includes(rows_b, rows_a)
     if missing_a is None and missing_b is None:
         return SpanComparison(EQUAL)
@@ -176,9 +182,11 @@ def test_direction_dedup_merges_scaled_repeats(monkeypatch):
         {0: Fraction(2, 3), 2: Fraction(-4, 3)}, {2: 3, 0: -1},
     ]
     dirs = [_direction(r) for r in rows]
-    assert dirs == [{0: 1, 2: -2}, {0: 1, 2: -2}, {1: 1}, {0: 1, 2: -2}, {0: 1, 2: -2}, {0: 1, 2: -3}]
-    assert dirs[0] is rows[0] and dirs[3] is rows[3]  # primitive and positive: no copy
-    assert all(type(v) is int for d in dirs for v in d.values())
+    line, half, other = ((0, 2), (1, -2)), ((1,), (1,)), ((0, 2), (1, -3))
+    assert dirs == [line, line, half, line, line, other]
+    assert all(type(v) is int for _, vals in dirs for v in vals)
+    assert Directions(rows + [{}]).values == dirs + [None]
+    assert list(Directions(rows + [{}]).distinct) == [line, half, other]  # in the order first met
     added = []
     add = RowSpan.add
     monkeypatch.setattr(RowSpan, "add", lambda self, row: added.append(row) or add(self, row))
@@ -199,7 +207,7 @@ def test_duplicate_rows_keep_relation_and_witness():
         rows = rng.sample(eqs, rng.randint(1, 3))
         rows += [rng.choice(rows).scale(rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
         rng.shuffle(rows)
-        return IdentitySet(spec.fingerprint(), "test", [("e%d" % i, r) for i, r in enumerate(rows)])
+        return IdentitySet([("e%d" % i, r) for i, r in enumerate(rows)])
 
     for _ in range(40):
         a, b = pick(), pick()
@@ -213,7 +221,7 @@ def test_span_strict_inclusion_has_witness():
     p = PStructure(spec)
     a = extract_identities(p, build_S1_generic(spec))
     # a plus a second, independent equation
-    bigger = IdentitySet(a.spec, "bigger", list(a.equations))
+    bigger = IdentitySet(list(a.equations))
     extra = a.equations[0][1] * CPoly.base(1) + CPoly.symbol(
         next(iter(a.equations[0][1].symbols()))
     )

@@ -19,7 +19,7 @@ from bvsigma.models import (
     ansatz_families,
     build_S1_generic,
 )
-from bvsigma.symalg import ANTISYM, LOWER, UPPER, CPoly, Expr, accumulate, make_symbol
+from bvsigma.symalg import ANTISYM, LOWER, UPPER, CPoly, Expr, MissingSymbolError, accumulate, make_symbol
 from bvsigma.worldsheet import DgaExpr, kinetic_action_dga, superfield
 
 K2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -58,6 +58,16 @@ def test_spec_validation():
             with pytest.raises(ModelError) as err:
                 build()
             assert str(err.value) == message
+
+
+def test_replace_builds_through_the_validator():
+    spec = ModelSpec(2, 3)
+    with pytest.raises(ModelError, match=r"^d must be >= 1, got 0$"):
+        spec._replace(d=0)
+    wider, fresh = spec._replace(d=4), ModelSpec(2, 4)
+    assert wider == fresh
+    assert [(v, str(v), v.scope) for v in wider.vars_of("B1")] == [
+        (v, str(v), v.scope) for v in fresh.vars_of("B1")]
 
 
 def test_blocks_and_degrees():
@@ -292,6 +302,17 @@ def test_structure_data_conflicts_and_ranges():
     with pytest.raises(ModelError):
         data.assign("f1", (), (1, 1), CPoly.base(2))  # vanishing combo, nonzero value
     data.assign("f1", (), (1, 1), CPoly.zero())  # zero on a vanishing combo is fine
+
+
+def test_structure_data_rejects_foreign_families_and_symbolic_values():
+    data = StructureData(ModelSpec(n=2, d=3))
+    _, foreign = make_symbol("f9", (), (1, 2))
+    with pytest.raises(MissingSymbolError, match=r"no assignment for symbol f9\[;1,2\]"):
+        data.value_of(foreign)
+    _, f1 = make_symbol("f1", (), (1, 2), (), data.families["f1"].groups)
+    with pytest.raises(ModelError, match=r"^structure data must be symbol-free polynomials$"):
+        data.assign("f1", (), (1, 2), CPoly.symbol(f1) + CPoly.base(1))
+    assert data.values == {}
 
 
 def _s1_by_full_product(spec):

@@ -84,6 +84,29 @@ def test_bracket_keeps_scope_and_rejects_mixed_contexts(spec):
             br(a, Expr.base(1, "another model"))  # a zero bracket still checks
 
 
+def test_operands_of_another_spec_are_rejected():
+    """Variable codes of two specs coincide, so a structure refuses scoped
+    operands of another spec; unscoped ones it takes as its own."""
+    mine = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),))
+    theirs = ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 2),))
+    p = PStructure(mine)
+    a, b = Expr.var(theirs.vars_of("A1")[0]), Expr.var(theirs.vars_of("B1")[1])
+    assert PStructure(theirs).bracket(a, b).is_zero()  # A1_1 and B1_2 are not conjugate
+    for br in (p.bracket, p.bracket_darboux):
+        for f, g in ((a, b), (Hamiltonian(a), b), (a, Expr(b.terms)), (Expr.base(1), b)):
+            with pytest.raises(MixedContextError, match="p1r2.* vs .*p1r3"):
+                br(f, g)
+    for f in (a * b, Hamiltonian(a * b)):
+        with pytest.raises(MixedContextError, match="p1r2.* vs .*p1r3"):
+            p.laplacian(f)
+    own = Expr.var(mine.vars_of("B1")[0])
+    x = Expr(Expr.var(mine.vars_of("A1")[0]).terms)  # unscoped
+    assert p.bracket(x, own) == Expr.scalar(1) and p.bracket(x, own).scope == p.scope
+    assert p.bracket_darboux(Expr.base(1), Expr.base(2)).is_zero()
+    lap = p.laplacian(x * Expr(own.terms))
+    assert lap == Expr.scalar(1) and lap.scope is None
+
+
 def test_base_functions_bracket_to_zero():
     spec = ModelSpec(n=2, d=3)
     p = PStructure(spec)

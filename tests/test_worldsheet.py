@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +160,22 @@ def test_theorem1_rejects_bad_components():
     bad[2] = component_exprs(n, "H", 1)[2]  # breaks delta0 F_2 = d F_1
     with pytest.raises(ComponentRelationError):
         theorem1_witness(n, bad, component_exprs(n, "G", 0))
+
+
+def test_theorem1_names_each_descent_violation():
+    n = 3
+    f, g = component_exprs(n, "F", 1), component_exprs(n, "G", 0)
+    mixed = [f[0], component_exprs(n, "H", 2)[1], *f[2:]]  # F_1 of even total degree
+    shifted = [f[1], *f[1:]]  # F_0 := F_1, whose delta0 is d F_0
+    for comps, other, message in (
+        (f[:-1], g, "F must have components 0..n"),
+        (f, g + [g[0]], "G must have components 0..n"),
+        (mixed, g, "F components have mixed parity"),
+        (shifted, g, "delta0 F_0 != 0"),
+        (f, [f[1], *g[1:]], "G components have mixed parity"),
+    ):
+        with pytest.raises(ComponentRelationError, match="^%s$" % re.escape(message)):
+            theorem1_witness(n, comps, other)
 
 
 @pytest.mark.parametrize("n,blocks", [(2, ()), (3, (BfBlock(1, 2),)), (4, (BfBlock(1, 2),)), (5, (BfBlock(1, 2), BfBlock(2, 2)))])
