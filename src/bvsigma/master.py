@@ -87,18 +87,21 @@ def _rows_of(ident: IdentitySet, index: dict) -> tuple[list[Row], dict[str, tupl
     """The equations of ``ident`` as rows over the column numbering
     ``index``, which it extends, and the (lower, upper) index shape of each
     symbol family in the keys it numbers, in the order first met.  A family
-    met with two shapes raises ValueError."""
-    rows, shapes = [], {}
+    met with two shapes raises ValueError; each symbol is checked once."""
+    rows, shapes, checked = [], {}, set()
+    n = len(index)
     for _, poly in ident.equations:
         row = {}
         for key, val in poly.terms.items():
-            col = index.get(key)
-            if col is None:
-                col = index[key] = len(index)
-                for name, lower, upper, _ in key[0]:
-                    shape = (len(lower), len(upper))
-                    if shapes.setdefault(name, shape) != shape:
-                        raise ValueError("symbol %s used with inconsistent index shapes" % name)
+            col = index.setdefault(key, n)
+            if col == n:
+                n += 1
+                for sym in key[0]:
+                    if sym not in checked:
+                        checked.add(sym)
+                        shape = (len(sym.lower), len(sym.upper))
+                        if shapes.setdefault(sym.name, shape) != shape:
+                            raise ValueError("symbol %s used with inconsistent index shapes" % sym.name)
             row[col] = val
         rows.append(row)
     return rows, shapes
@@ -159,7 +162,8 @@ N3_CS = "n3_cs"
 #   with no 1/k!: "ab" turns T_ab into T_ab - T_ba, and a reordering within
 #   one antisymmetric slot group of one factor is left out, so "abc" on
 #   f1[a;j] f4[bc;d] gives three terms, one per distinct product, not six;
-# - the weight is an integer, or a letter pair "ef" for the metric k^{ef}.
+# - the weight is an integer, or a letter pair "ef" for the metric k^{ef},
+#   both letters summed.
 PAPER_IDENTITIES = {
     N2_JACOBI: (
         ("jacobi[i,j,k]", (
@@ -227,15 +231,15 @@ class _Symbols(dict):
         return entry
 
 
-def _compile_term(term, free, span, symbols):
+def _compile_term(term, free, span, symbols, metric):
     """One table term as plain products, one per unshuffle of its
-    symmetrizer: (scalar, metric-letters getter or None, (symbol table,
-    getter) per factor, summed values).  A getter reads the indices it
-    needs from the tuple of free then summed values; every factor has at
-    least two indices, so its getter returns a tuple.  A permutation is kept
-    only when it gives ascending letters to each run, the symmetrizer
-    positions in one antisymmetric slot group of one factor: any other
-    repeats a kept term, its sign undone by the factor's antisymmetry."""
+    symmetrizer: ((symbol table, getter) per factor, [(weight, summed
+    values)] where the weight, scalar times any metric entry, is nonzero).
+    A getter reads the indices it needs from the tuple of free then summed
+    values; every factor has at least two indices, so it returns a tuple.  A
+    permutation is kept only when it gives ascending letters to each run, the
+    symmetrizer positions in one antisymmetric slot group of one factor: any
+    other repeats a kept term, its sign undone by the factor's antisymmetry."""
     weight, sym, *factors = term
     parsed = [_FACTOR.match(f).groups("") for f in factors]
     pair = weight if isinstance(weight, str) else ""
@@ -256,9 +260,11 @@ def _compile_term(term, free, span, symbols):
         at = {sym[q]: pos[sym[p]] for q, p in enumerate(perm)}
         get = lambda letters: itemgetter(*(at.get(c, pos[c]) for c in letters))
         scalar = _perm_sign(perm) * (1 if pair else weight)
-        yield (scalar, get(pair) if pair else None, *(
+        k = pair and itemgetter(*(at.get(c, pos[c]) - len(free) for c in pair))
+        weighted = [(w, s) for s in tail if (w := scalar * metric.get(k(s), 0) if k else scalar)]
+        yield (*(
             (symbols[name], get(lower + upper + deriv)) for name, lower, upper, deriv in parsed
-        ), tail)
+        ), weighted)
 
 
 def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
@@ -282,15 +288,12 @@ def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
         name, inner = tag.split("[")
         free = re.findall("[a-z]", inner)
         fmt = name + "[" + re.sub("[a-z]", "%d", inner)
-        plain = [t for term in terms for t in _compile_term(term, free, span, symbols)]
+        plain = [t for term in terms for t in _compile_term(term, free, span, symbols, metric)]
         for values in itertools.product(*map(span, free)):
             acc: dict = {}
-            for scalar, metric_at, (t1, g1), (t2, g2), tail in plain:
-                for summed in tail:
+            for (t1, g1), (t2, g2), weighted in plain:
+                for w, summed in weighted:
                     v = values + summed
-                    w = scalar if metric_at is None else scalar * metric.get(metric_at(v), 0)
-                    if not w:
-                        continue
                     s1, y1 = t1[g1(v)]
                     if not s1:
                         continue

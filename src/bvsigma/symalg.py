@@ -101,8 +101,8 @@ def exact(c) -> Rat:
 def accumulate(acc: dict, key, value) -> None:
     """acc[key] += value, dropping the key when the sum is zero.
 
-    The add-and-drop-zeros step of the sparse sums here, inlined in
-    :func:`_mul_into`; a scalar sum is stored canonically (:func:`exact`).
+    The add-and-drop-zeros step of the sparse sums here; a scalar sum is
+    stored canonically (:func:`exact`).  :func:`_mul_into` inlines it.
     """
     prev = acc.get(key)
     if prev is not None:
@@ -180,7 +180,9 @@ def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> N
     codes v (see :class:`GradedVar`) are read once per monomial as bits v >>
     1: a pair whose masks meet vanishes, else its Koszul sign (that of
     :func:`merge_monomials`) is the parity of mask2 & above1, bit i of
-    above1 the parity of m1's odd bits above i.  Runs in order join unsorted."""
+    above1 the parity of m1's odd bits above i.  Runs in order join unsorted.
+    An f coefficient times the sign is made canonical once per row; a term
+    takes one dict probe (setdefault: the dict grew for a new key)."""
     g_rows = []
     for m2, c2 in g_terms.items():
         mask2 = 0
@@ -202,7 +204,7 @@ def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> N
             mono = m1 + m2 if not (m1 and m2) or m1[-1] <= m2[0] else tuple(sorted(m1 + m2))
             t = acc.get(mono) or acc.setdefault(mono, {})
             for (s1, b1), v1 in a_items:
-                v1 *= k
+                v1 = exact(v1 * k)
                 for (s2, b2), v2 in b_items:
                     if not (s1 and s2):
                         syms = s1 or s2
@@ -214,13 +216,16 @@ def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> N
                         syms = tuple(sorted(s1 + s2))
                     key = (syms, b1 if not b2 else b2 if not b1 else _merge_base(b1, b2))
                     v = v1 * v2
-                    prev = t.get(key)
-                    if prev is not None:
+                    if type(v) is Fraction and v.denominator == 1:
+                        v = v.numerator
+                    n = len(t)
+                    prev = t.setdefault(key, v)
+                    if len(t) == n:  # accumulate(t, key, v), inlined
                         v += prev
-                    if v:  # accumulate(t, key, v), inlined
-                        t[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
-                    elif prev is not None:
-                        del t[key]
+                        if v:
+                            t[key] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                        else:
+                            del t[key]
 
 
 class SparseSum:

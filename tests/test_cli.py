@@ -78,15 +78,20 @@ def test_golden_reports_are_byte_identical(name, argv, expected_code):
     json.loads(out1)  # valid JSON
 
 
-# SHA-256 of the extract-identities report of two large generated bf models
-# (the benchmark's bf_n5_d4_r44 and bf_n7_d3_r333), which no golden covers.
+# SHA-256 of the extract-identities report of three large generated bf models
+# (the benchmark's bf_n5_d4_r44, bf_n7_d3_r333 and bf_n9_d3_r3333), which no
+# golden covers.  The n=5 report has no fractional coefficient, the n=7 one has
+# halves and thirds, and the n=9 one also sixths and twelfths.
 LARGE_EXTRACT_DIGESTS = [
     ((5, 4, (4, 4)), "42abe2d41e34c27601870e4a4626ad98ebfa4359f23a2485c4eeccf8f779c782"),
     ((7, 3, (3, 3, 3)), "db8254562392476253ffc55d87a54190391a6fe35b959022e7c518131b465a81"),
+    ((9, 3, (3, 3, 3, 3)), "ad9cf6d03532513a923d49f8378e48880f8dbad2058b49d7dd7ee81dfb2f4d04"),
 ]
 
 
-@pytest.mark.parametrize("shape,digest", LARGE_EXTRACT_DIGESTS, ids=["n5_d4_r44", "n7_d3_r333"])
+@pytest.mark.parametrize(
+    "shape,digest", LARGE_EXTRACT_DIGESTS, ids=["n5_d4_r44", "n7_d3_r333", "n9_d3_r3333"]
+)
 def test_large_extract_reports_are_pinned(tmp_path, shape, digest):
     n, d, ranks = shape
     blocks = "".join("block p=%d rank=%d\n" % (p, r) for p, r in enumerate(ranks, 1))

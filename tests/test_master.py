@@ -12,6 +12,7 @@ from bvsigma.master import (
     N2_JACOBI,
     N3_BF,
     N3_CS,
+    PAPER_IDENTITIES,
     IdentitySet,
     compare_identity_spans,
     expand_master,
@@ -157,6 +158,10 @@ def test_alphabet_rejects_inconsistent_shapes():
         with pytest.raises(ValueError, match=r"^symbol f1 used with inconsistent index shapes$"):
             compare_identity_spans(a, b)
     assert _rows_of(one, {}) == ([{0: 1}], {"f1": (0, 2)})
+    # numbering goes on from the index it is given; only new columns are checked
+    index = {}
+    _rows_of(one, index)
+    assert _rows_of(idents, index) == ([{0: 1}, {1: 1}], {"f1": (1, 1)})
     with pytest.raises(ModelError, match=r"^alphabet mismatch: f1 has 0 lower/2 upper indices in one set "
                        r"and 1/1 in the other$"):
         compare_identity_spans(one, IdentitySet(idents.equations[1:]))
@@ -665,6 +670,14 @@ def test_table_matches_the_transcription_loops(which, spec):
     assert all(
         type(v) is int or v.denominator != 1 for _, poly in table for v in poly.terms.values()
     )
+
+
+def test_metric_letters_are_summed():
+    # the transcription reads a metric entry from the summed values alone
+    for table in PAPER_IDENTITIES.values():
+        for tag, terms in table:
+            pairs = [weight for weight, *_ in terms if isinstance(weight, str)]
+            assert all(not set(pair) & set(tag.split("[")[1]) for pair in pairs)
 
 
 def test_unknown_identity_family_is_refused():

@@ -138,6 +138,10 @@ def test_a_unary_minus_negates_its_whole_factor():
     assert parse_poly("+phi1 - 2") == CPoly.base(1) - CPoly.scalar(2)
 
 
+def test_trailing_blanks_end_the_token_scan():
+    assert parse_poly("phi1 + 2 \t") == parse_poly("phi1 + 2")
+
+
 def test_a_run_of_minuses_is_read_in_one_loop():
     assert parse_poly("-" * 3000 + "phi1") == CPoly.base(1)
     assert parse_poly("2*" + "-" * 3001 + "phi1^2") == (CPoly.base(1) * CPoly.base(1)).scale(-2)
