@@ -28,6 +28,7 @@ from .modelfile import ModelFile, ParseError, parse_model
 from .pstructure import PStructure, Verdicts, check_bv_identities
 from .symalg import MissingSymbolError
 from .worldsheet import (
+    GeneratorTable,
     component_exprs,
     first_order_check,
     integrate,
@@ -193,10 +194,11 @@ def _cmd_theorem1(mf: ModelFile, args) -> int:
     rep = Verdicts()
     for pf in (0, 1):
         for pg in (0, 1):
-            fc = component_exprs(n, "F", pf)
-            gc = component_exprs(n, "G", pg)
-            total = theorem1_sum(n, fc, gc)
-            t, w = theorem1_witness(n, fc, gc)
+            table = GeneratorTable(n, (("F", pf), ("G", pg)))
+            fc = component_exprs(table, "F", pf)
+            gc = component_exprs(table, "G", pg)
+            total = theorem1_sum(table, fc, gc)
+            t, w = theorem1_witness(table, fc, gc)
             exact = (total - t.delta0() - w.d()).is_zero()
             reduced = integrate(total - t.delta0()).is_zero()
             rep.record("parities (|F|,|G|)=(%d,%d)" % (pf, pg),
@@ -205,7 +207,10 @@ def _cmd_theorem1(mf: ModelFile, args) -> int:
 
 
 def _cmd_first_order(mf: ModelFile, args) -> int:
-    rep = first_order_check(mf.spec, build_S1_generic(mf.spec))
+    s1 = build_S1_generic(mf.spec)
+    if s1.expr.is_zero():  # no law to check: refuse rather than pass
+        raise SystemExit2("first-order: the deformation ansatz of this model is empty, so there is nothing to check")
+    rep = first_order_check(mf.spec, s1)
     return _report("first-order", mf.spec, rep.passed, rep.details(), rep.witnesses, args.format)
 
 

@@ -46,10 +46,10 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
 
     Returns (sign, sorted tuple).  Sign is 0 when the product vanishes
     because an odd variable appears twice.  Works on any items with an
-    order and a total ``degree``: its two users are the target's graded
-    variables and the worldsheet's component fields (``worldsheet``
-    derivations sort a monomial with one generator replaced).  A merge
-    sort on :func:`merge_monomials` (see :func:`_sort_run`).
+    order and a total ``degree``, such as the target's graded variables and
+    the worldsheet's component fields (the reference for the worldsheet
+    kernels in the tests).  A merge sort on :func:`merge_monomials` (see
+    :func:`_sort_run`).
     """
     return _sort_run(tuple(vars_))
 
@@ -85,11 +85,11 @@ def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
     that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
     when an odd item occurs in both.  Repeats inside one run are not looked
     for: a canonical monomial has none.  The reference Koszul sign; its
-    users are ``worldsheet.DgaExpr`` products of component fields and
-    :func:`sort_monomial`, which merges sorted halves with it, and the
-    ``symalg`` product kernel reads the same sign off the codes of
-    :class:`GradedVar` as a bitmask.  Works on any items with an order and
-    a total ``degree``; an item is odd when ``degree & 1`` is.
+    user is :func:`sort_monomial`, which merges sorted halves with it, and
+    the ``symalg`` and ``worldsheet`` product kernels read the same sign off
+    int codes (of :class:`GradedVar`, and of a worldsheet generator table)
+    as a bitmask.  Works on any items with an order and a total ``degree``;
+    an item is odd when ``degree & 1`` is.
     """
     if not left or not right or not right[0] < left[-1]:
         # Already in order; only the meeting items can repeat.

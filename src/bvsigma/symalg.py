@@ -12,8 +12,8 @@ the common case, stay on integer arithmetic.
 
 :class:`SparseSum` is the one sum, negation, difference, equality, hash and
 zero test of :class:`CPoly`, :class:`Expr` and :class:`bvsigma.worldsheet.DgaExpr`;
-combining two of different scope (model fingerprint, or n for a DgaExpr)
-raises :class:`MixedContextError`.
+combining two of different scope (model fingerprint, or generator table
+for a DgaExpr) raises :class:`MixedContextError`.
 
 Every product of two CPolys or two Exprs is one call of one kernel,
 :func:`_mul_into`.  Sums are immutable once built: no code changes

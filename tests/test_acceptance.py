@@ -61,6 +61,7 @@ from bvsigma.pstructure import (
 )
 from bvsigma.symalg import Expr
 from bvsigma.worldsheet import (
+    GeneratorTable,
     component_exprs,
     first_order_check,
     integrate,
@@ -458,10 +459,11 @@ def test_criterion_08_theorem1_and_first_order():
     okay = []
     for n in (2, 3, 4, 5):
         for pf, pg in itertools.product((0, 1), repeat=2):
-            f = component_exprs(n, "F", pf)
-            g = component_exprs(n, "G", pg)
-            total = theorem1_sum(n, f, g)
-            t, w = theorem1_witness(n, f, g)
+            table = GeneratorTable(n, (("F", pf), ("G", pg)))
+            f = component_exprs(table, "F", pf)
+            g = component_exprs(table, "G", pg)
+            total = theorem1_sum(table, f, g)
+            t, w = theorem1_witness(table, f, g)
             okay.append((total - t.delta0() - w.d()).is_zero())
             okay.append(integrate(total - t.delta0()).is_zero())
     ansatz_specs = [

@@ -93,7 +93,7 @@ def _kinetic_weight(s0, n, b_label, b_degree, a_label, a_degree):
     relative to the bare product of the two components."""
     b = superfield(n, b_label + "_1", b_degree)[n - 1]
     da = superfield(n, a_label + "_1", a_degree)[0].d()
-    ((mono, c),) = (DgaExpr.gen(n, b) * DgaExpr.gen(n, da)).terms.items()
+    ((mono, c),) = (DgaExpr.gen(s0.scope, b) * DgaExpr.gen(s0.scope, da)).terms.items()
     return Fraction(s0.terms.get(mono, 0), c)
 
 

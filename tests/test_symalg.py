@@ -34,7 +34,7 @@ from bvsigma.symalg import (
     make_symbol,
     monomial_str,
 )
-from bvsigma.worldsheet import ComponentField, DgaExpr
+from bvsigma.worldsheet import ComponentField, DgaExpr, GeneratorTable
 
 from corpus import cs_spec
 
@@ -547,10 +547,11 @@ def _expr_sums():
 
 def _dga_sums():
     a1, b0, a2 = ComponentField("A", 1, 0), ComponentField("B", 0, 1), ComponentField("A", 2, -1)
-    a = DgaExpr.gen(3, a1) * DgaExpr.gen(3, b0).scale(-2) + DgaExpr.scalar(3, Fraction(1, 2))
-    b = DgaExpr.gen(3, a2).scale(Fraction(-2, 3)) + DgaExpr.gen(3, a1)
-    half = (DgaExpr.gen(3, b0) + DgaExpr.gen(3, a1.d()).scale(3)).scale(Fraction(1, 2))
-    return a, b, DgaExpr.zero(3), half
+    t = GeneratorTable(3, (("A", 1), ("B", 1)))
+    a = DgaExpr.gen(t, a1) * DgaExpr.gen(t, b0).scale(-2) + DgaExpr.scalar(t, Fraction(1, 2))
+    b = DgaExpr.gen(t, a2).scale(Fraction(-2, 3)) + DgaExpr.gen(t, a1)
+    half = (DgaExpr.gen(t, b0) + DgaExpr.gen(t, a1.d()).scale(3)).scale(Fraction(1, 2))
+    return a, b, DgaExpr.zero(t), half
 
 
 @pytest.mark.parametrize("make", (_cpoly_sums, _expr_sums, _dga_sums), ids=("CPoly", "Expr", "DgaExpr"))
