@@ -2,6 +2,7 @@
 
 Everything here is a pure function on immutable values; total degrees are
 nonnegative integers and parity is degree mod 2 (odd parity = Grassmann odd).
+:func:`sort_monomial` is the reference Koszul sign of the product kernels.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ class GradedVar(int):
         return "%s_%d" % (self.block, self.index)
 
 
+def permutation_sign(seq: Sequence) -> int:
+    """(-1) to the number of inverted pairs of ``seq``: for distinct items,
+    the sign of the permutation that sorts them.  The one permutation sign,
+    of Koszul reorderings and of index antisymmetry alike."""
+    inversions = sum(b < a for j, b in enumerate(seq) for a in seq[:j])
+    return -1 if inversions & 1 else 1
+
+
 def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...]]:
     """Canonically sort a product of graded variables.
 
@@ -48,17 +57,10 @@ def sort_monomial(vars_: Sequence[GradedVar]) -> tuple[int, tuple[GradedVar, ...
     because an odd variable appears twice.  Works on any items with an
     order and a total ``degree``, such as the target's graded variables and
     the worldsheet's component fields (the reference for the worldsheet
-    kernels in the tests).  A merge sort on :func:`merge_monomials` (see
-    :func:`_sort_run`).
+    kernels in the tests).  A run in order is returned as it is, else the
+    stable sort, signed by :func:`permutation_sign` of its odd items.
     """
-    return _sort_run(tuple(vars_))
-
-
-def _sort_run(items: tuple) -> tuple[int, tuple]:
-    """:func:`sort_monomial` of a tuple.  A run already in order is
-    returned as it is, sign 1 (0 on an odd repeat); otherwise each half is
-    sorted by this helper and the two are merged by
-    :func:`merge_monomials`, which gives every sign."""
+    items = tuple(vars_)
     prev = None
     for v in items:
         if prev is not None:
@@ -69,52 +71,7 @@ def _sort_run(items: tuple) -> tuple[int, tuple]:
         prev = v
     else:
         return 1, items
-    mid = len(items) // 2
-    s1, left = _sort_run(items[:mid])
-    s2, right = _sort_run(items[mid:]) if s1 else (0, ())
-    if not s2:
+    out = tuple(sorted(items))
+    if any(u == v and v.degree & 1 for u, v in zip(out, out[1:])):
         return 0, ()
-    s, out = merge_monomials(left, right)
-    return s1 * s2 * s, out
-
-
-def merge_monomials(left: Sequence, right: Sequence) -> tuple[int, tuple]:
-    """Product of two canonical monomials: (sign, canonical monomial).
-
-    A stable merge of the two ascending runs; each odd item of ``right``
-    that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
-    when an odd item occurs in both.  Repeats inside one run are not looked
-    for: a canonical monomial has none.  The reference Koszul sign; its
-    user is :func:`sort_monomial`, which merges sorted halves with it, and
-    the ``symalg`` and ``worldsheet`` product kernels read the same sign off
-    int codes (of :class:`GradedVar`, and of a worldsheet generator table)
-    as a bitmask.  Works on any items with an order and a total ``degree``;
-    an item is odd when ``degree & 1`` is.
-    """
-    if not left or not right or not right[0] < left[-1]:
-        # Already in order; only the meeting items can repeat.
-        if left and right and right[0] == left[-1] and right[0].degree & 1:
-            return 0, ()
-        return 1, tuple(left) + tuple(right)
-    out = []
-    sign = 1
-    odd_left = 0
-    for u in left:
-        if u.degree & 1:
-            odd_left += 1
-    i, nl = 0, len(left)
-    for v in right:
-        while i < nl and not v < left[i]:
-            u = left[i]
-            if u.degree & 1:
-                if u == v:
-                    return 0, ()
-                odd_left -= 1
-            out.append(u)
-            i += 1
-        if odd_left & 1 and v.degree & 1:
-            sign = -sign
-        out.append(v)
-    out.extend(left[i:])
-    return sign, tuple(out)
-
+    return permutation_sign([v for v in items if v.degree & 1]), out

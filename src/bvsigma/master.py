@@ -22,12 +22,11 @@ import re
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
+from .grading import permutation_sign
 from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
 from .pstructure import PStructure
 from .rowreduce import Directions, Row, span_includes
-from .symalg import (
-    ANTISYM, LOWER, CPoly, Expr, _perm_sign, accumulate, exact, make_symbol, monomial_str,
-)
+from .symalg import ANTISYM, LOWER, CPoly, Expr, accumulate, exact, make_symbol, monomial_str
 
 class IdentitySet:
     """Coefficient equations (CoeffPoly = 0), each with its graded monomial tag."""
@@ -259,7 +258,7 @@ def _compile_term(term, free, span, symbols, metric):
             continue
         at = {sym[q]: pos[sym[p]] for q, p in enumerate(perm)}
         get = lambda letters: itemgetter(*(at.get(c, pos[c]) for c in letters))
-        scalar = _perm_sign(perm) * (1 if pair else weight)
+        scalar = permutation_sign(perm) * (1 if pair else weight)
         k = pair and itemgetter(*(at.get(c, pos[c]) - len(free) for c in pair))
         weighted = [(w, s) for s in tail if (w := scalar * metric.get(k(s), 0) if k else scalar)]
         yield (*(

@@ -287,7 +287,8 @@ def build_S1_generic(spec: ModelSpec) -> Action:
     walked once, at its sorted representative: ``combinations`` for an odd
     block, ``combinations_with_replacement`` for an even one.  Its weight
     is the orbit size m!/prod(mult!) times 1/m!, that is 1/prod(mult!)
-    over the multiplicities of its repeated indices.
+    over the multiplicities of its repeated indices.  A family lists its
+    blocks in label order and each run ascends, so monomials come out canonical.
     """
     scope = spec.fingerprint()
     terms: dict[tuple[GradedVar, ...], CPoly] = {}

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .grading import BASE_BLOCK, GradedVar
+from .grading import BASE_BLOCK, GradedVar, permutation_sign
 from .grading import sort_monomial  # noqa: F401  (perfbench/tracing.py patches this import site)
 
 Rat = Union[int, Fraction]
@@ -115,24 +115,6 @@ def accumulate(acc: dict, key, value) -> None:
         del acc[key]
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a tuple of images, by cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def make_symbol(
     name: str,
     lower: Sequence[int] = (),
@@ -153,7 +135,7 @@ def make_symbol(
         if g.kind == ANTISYM:
             if len(set(vals)) != len(vals):
                 return 0, None
-            sign *= _perm_sign(sorted(range(len(vals)), key=lambda i: vals[i]))
+            sign *= permutation_sign(vals)
         for s, v in zip(g.slots, sorted(vals)):
             indices[s] = v
     return sign, CoeffSymbol(name, tuple(lower), tuple(upper), tuple(sorted(deriv)))
@@ -179,7 +161,7 @@ def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> N
     and g map monomials to CPolys; acc maps monomials to term dicts.  Odd
     codes v (see :class:`GradedVar`) are read once per monomial as bits v >>
     1: a pair whose masks meet vanishes, else its Koszul sign (that of
-    :func:`merge_monomials`) is the parity of mask2 & above1, bit i of
+    ``sort_monomial(m1 + m2)``) is the parity of mask2 & above1, bit i of
     above1 the parity of m1's odd bits above i.  Runs in order join unsorted.
     An f coefficient times the sign is made canonical once per row; a term
     takes one dict probe (setdefault: the dict grew for a new key)."""
@@ -230,9 +212,9 @@ def _mul_into(acc: dict, f_terms: Mapping, g_terms: Mapping, sign: Rat = 1) -> N
 
 class SparseSum:
     """A sparse sum: ``terms`` maps each key to its nonzero coefficient and
-    ``scope`` is its context (None: any; a CPoly has none).  Equality and
-    the hash ignore scope.  Each subclass wraps results with its own
-    ``_of(terms, scope)``."""
+    ``scope`` is its context (None: any; a CPoly has none).  Equal sums
+    have equal terms and no two set scopes that differ; the hash ignores
+    scope.  Each subclass wraps results with its own ``_of(terms, scope)``."""
 
     __slots__ = ("_hash",)
     scope = None
@@ -250,7 +232,8 @@ class SparseSum:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms and (
+            self.scope == other.scope or self.scope is None or other.scope is None)
 
     def __hash__(self):
         # Agrees with __eq__: unordered, scope-free, hash(Fraction(k)) == hash(k).

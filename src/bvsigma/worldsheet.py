@@ -126,8 +126,8 @@ def _mul_into(acc: dict, n: int, a_rows: list, b_rows: list) -> None:
     """acc += a x b on the :func:`_rows` of canonical code monomials,
     truncated above form n, in place: the one product kernel of the
     algebra.  A pair whose odd masks meet vanishes, else its Koszul sign is
-    the parity of mask2 & above1 (the sign of
-    :func:`bvsigma.grading.merge_monomials`).  Runs in order join unsorted;
+    the parity of mask2 & above1 (that of ``grading.sort_monomial`` on the
+    fields of m1 + m2).  Runs in order join unsorted;
     a term takes one dict probe, as in :func:`bvsigma.symalg._mul_into`."""
     for m1, c1, f1, mask1, above1 in a_rows:
         room = n - f1

@@ -3,7 +3,8 @@
 A from-scratch Grassmann-polynomial calculator plus direct transcriptions
 of the coordinate identity systems, sharing no code with the package under
 test.  Variables are small integers; parities live in an explicit table.
-Base-variable dependence is a dense exponent tuple.
+Base-variable dependence is a dense exponent tuple.  ``merge_monomials`` and
+``perm_sign`` are reference signs for the package's own sort and sign.
 """
 
 from fractions import Fraction
@@ -122,6 +123,53 @@ class GAlg:
                 if self.parities[var] and self.parities[f]:
                     sign = -sign
         return out
+
+
+def merge_monomials(left, right):
+    """Product of two canonical monomials: (sign, canonical monomial).
+
+    A stable merge of the two ascending runs; each odd item of ``right``
+    that overtakes k odd items of ``left`` contributes (-1)^k.  Sign is 0
+    when an odd item occurs in both.  Repeats inside one run are not looked
+    for: a canonical monomial has none.  Works on any items with an order
+    and a total ``degree``; an item is odd when ``degree & 1`` is.
+    """
+    out = []
+    sign = 1
+    odd_left = sum(1 for u in left if u.degree & 1)
+    i, nl = 0, len(left)
+    for v in right:
+        while i < nl and not v < left[i]:
+            u = left[i]
+            if u.degree & 1:
+                if u == v:
+                    return 0, ()
+                odd_left -= 1
+            out.append(u)
+            i += 1
+        if odd_left & 1 and v.degree & 1:
+            sign = -sign
+        out.append(v)
+    out.extend(left[i:])
+    return sign, tuple(out)
+
+
+def perm_sign(perm):
+    """Sign of a permutation given as a tuple of images, by cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def antibracket_full(alg, n, base_pairs, fiber_pairs, self_blocks, f, g):

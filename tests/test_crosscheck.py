@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from bvsigma.master import (
     extract_identities,
     transcribe_paper_identities,
 )
-from bvsigma.models import BfBlock, ModelSpec, build_S1_generic
+from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, build_S1_generic
 from bvsigma.pstructure import PStructure
 from bvsigma.symalg import CPoly, Expr
 
@@ -139,3 +140,111 @@ def test_span_comparison_detects_a_corrupted_transcription():
     corrupted[3] = (tag, poly + CPoly.symbol(stray, Fraction(7)))
     bad = type(transcribed)(corrupted)
     assert compare_identity_spans(extracted, bad).relation != EQUAL
+
+
+# The specs of the oracle comparison at n = 4..7 (ROADMAP item 4): up to
+# three Darboux fiber pairs, and a self-paired block at n=7.
+HIGHER_N_SPECS = (
+    ModelSpec(n=4, d=2, bf_blocks=(BfBlock(1, 3),)),
+    ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))),
+    ModelSpec(n=6, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))),
+    ModelSpec(n=7, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2), BfBlock(3, 2))),
+    ModelSpec(n=7, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 1),),
+              cs_block=CsBlock(2, ((2, Fraction(1, 2)), (Fraction(1, 2), -3)))),
+)
+
+
+def _oracle_frame(spec):
+    """The oracle's variables and pairs for ``spec``, from n and the blocks
+    alone: phi_j with B_{n-1}, A_p with B_{n-p-1}, and A_q (q = (n-1)/2)
+    with itself through k.  Returns (ids by (block, index), parities,
+    base pairs, fiber pairs, self blocks), as ``antibracket_full`` takes."""
+    n = spec.n
+    blocks = [("B%d" % (n - 1), n - 1, spec.d)]
+    for blk in spec.bf_blocks:
+        blocks += [("A%d" % blk.p, blk.p, blk.rank), ("B%d" % (n - blk.p - 1), n - blk.p - 1, blk.rank)]
+    if spec.cs_block is not None:
+        blocks.append(("A%d" % ((n - 1) // 2), (n - 1) // 2, spec.cs_block.rank))
+    ids, parities = {}, {}
+    for label, degree, rank in blocks:
+        for i in range(1, rank + 1):
+            parities[ids.setdefault((label, i), len(ids))] = degree % 2
+    base_pairs = [(j - 1, ids["B%d" % (n - 1), j]) for j in range(1, spec.d + 1)]
+    fiber_pairs = [
+        (ids["A%d" % blk.p, i], ids["B%d" % (n - blk.p - 1), i], blk.p)
+        for blk in spec.bf_blocks for i in range(1, blk.rank + 1)
+    ]
+    self_blocks = []
+    if spec.cs_block is not None:
+        q, cs = (n - 1) // 2, spec.cs_block
+        self_blocks.append(([ids["A%d" % q, i] for i in range(1, cs.rank + 1)], cs.metric))
+    return ids, parities, base_pairs, fiber_pairs, self_blocks
+
+
+def _random_operand(rng, spec, alg, ids, degree=None):
+    """One random operand, as an engine Expr and as an oracle polynomial:
+    up to three terms of a small rational times a phi monomial times a
+    fiber word of at most four variables, repeats allowed.  With
+    ``degree``, every word has that total degree."""
+    fibers = spec.fiber_vars()
+    expr, poly = Expr.zero(spec.fingerprint()), alg.zero()
+    for _ in range(rng.randint(1, 3)):
+        word = [rng.choice(fibers) for _ in range(rng.randint(0, 4))]
+        while degree is not None and sum(v.degree for v in word) != degree:
+            word = [rng.choice(fibers) for _ in range(rng.randint(1, 4))]
+        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        exps = [rng.randint(0, 2) for _ in range(spec.d)]
+        coeffs = CPoly.scalar(coeff)
+        for j, e in enumerate(exps, 1):
+            coeffs = coeffs * CPoly.base(j, e) if e else coeffs
+        part = Expr({(): coeffs})
+        for v in word:
+            part = part * Expr.var(v)
+        expr = expr + part
+        poly = alg.add(poly, alg.term(coeff, exps, [ids[v.block, v.index] for v in word]))
+    return expr, poly
+
+
+def _as_oracle(alg, spec, ids, expr):
+    """An engine Expr as an oracle polynomial, each fiber word re-sorted
+    (and signed) by the oracle."""
+    out = alg.zero()
+    for mono, cpoly in expr.terms.items():
+        for (syms, base), coeff in cpoly.terms.items():
+            assert not syms
+            exps = [0] * spec.d
+            for j, power in base:
+                exps[j - 1] = power
+            out = alg.add(out, alg.term(coeff, exps, [ids[v.block, v.index] for v in mono]))
+    return out
+
+
+@pytest.mark.parametrize("spec", HIGHER_N_SPECS, ids=lambda s: s.fingerprint())
+def test_bracket_agrees_with_oracle_at_higher_n(spec):
+    """(F,G) for distinct operands and the (F,F) square path of a
+    homogeneous F of degree n (as S1 is) or n + 2, against
+    ``oracle.antibracket_full`` on 40 seeded random draws each.  At n=7 with
+    a self block every (F,F) of degree n is zero, since each word holds the
+    one A1; degree n + 2 reaches the self-block terms there."""
+    ids, parities, base_pairs, fiber_pairs, self_blocks = _oracle_frame(spec)
+    assert sorted(ids) == sorted((v.block, v.index) for v in spec.fiber_vars())
+    alg = oracle.GAlg(spec.d, parities)
+    p = PStructure(spec)
+    rng = random.Random(spec.fingerprint())
+
+    def reference(f, g):
+        return oracle.antibracket_full(alg, spec.n, base_pairs, fiber_pairs, self_blocks, f, g)
+
+    nonzero = [0, 0]
+    for _ in range(40):
+        (f, of), (g, og) = (_random_operand(rng, spec, alg, ids) for _ in range(2))
+        got = p.bracket(f, g)
+        assert _as_oracle(alg, spec, ids, got) == reference(of, og)
+        degree = rng.choice((spec.n, spec.n + 2))
+        sq, osq = _random_operand(rng, spec, alg, ids, degree)
+        assert sq.is_zero() or sq.homogeneous_degree() == degree
+        got_sq = p.bracket(sq, sq)
+        assert _as_oracle(alg, spec, ids, got_sq) == reference(osq, osq)
+        nonzero[0] += bool(got)
+        nonzero[1] += bool(got_sq)
+    assert min(nonzero) >= 5, nonzero

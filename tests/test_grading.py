@@ -1,11 +1,14 @@
 import copy
+import itertools
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvsigma.grading import GradedVar, merge_monomials, sort_monomial
+from oracle import merge_monomials, perm_sign
+
+from bvsigma.grading import GradedVar, permutation_sign, sort_monomial
 from bvsigma.models import BfBlock, ModelSpec
 
 # Blocks A1 (odd), A2, B2 (even), B3 (odd), B4 (even) and phi, in that order.
@@ -27,7 +30,7 @@ def koszul_sign(before, after):
 
     The reference for the sort and merge tests: it counts inversions among
     the odd variables of an explicit position mapping, independently of
-    ``sort_monomial`` and ``merge_monomials``.
+    ``sort_monomial`` and the oracle's ``merge_monomials``.
 
     Each transposition of two adjacent odd variables contributes -1; moves
     past even variables are free.  Raises ValueError unless ``after`` is a
@@ -100,6 +103,16 @@ def _sequences(draw):
 def test_multiplicative_under_composition(case):
     seq, mid, end = case
     assert koszul_sign(seq, mid) * koszul_sign(mid, end) == koszul_sign(seq, end)
+
+
+def test_permutation_sign_matches_cycle_count():
+    """Every permutation of length <= 6: its inversion parity equals the
+    oracle's cycle-length sign, of it and of its inverse (the argsort that
+    sorts it, which ``make_symbol`` signed before)."""
+    for size in range(7):
+        for perm in itertools.permutations(range(size)):
+            inverse = sorted(range(size), key=perm.__getitem__)
+            assert permutation_sign(perm) == perm_sign(perm) == perm_sign(inverse), perm
 
 
 def test_sort_monomial_absorbs_sign():

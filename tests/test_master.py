@@ -35,7 +35,7 @@ from bvsigma.models import (
 )
 from bvsigma.pstructure import PStructure
 from bvsigma.rowreduce import Directions, RowSpan, _direction, span_includes
-from bvsigma.symalg import CPoly, Expr, _perm_sign, make_symbol
+from bvsigma.symalg import CPoly, Expr, make_symbol
 
 import oracle
 
@@ -136,6 +136,8 @@ def test_span_comparison_basics():
     assert compare_identity_spans(a, scaled).relation == EQUAL
     empty, other = IdentitySet(), IdentitySet()
     assert empty.equations == [] and empty.equations is not other.equations
+    assert repr(empty) == "IdentitySet([])"
+    assert repr(IdentitySet([("B1_1", CPoly.base(1, 2))])) == "IdentitySet([('B1_1', CPoly(phi1^2))])"
     cmp = compare_identity_spans(a, empty)
     assert cmp.relation == "B<A"
     assert cmp.witness is not None  # the Jacobiator itself
@@ -407,10 +409,11 @@ def _symbols(spec):
 
 
 def _perms_signed(indices):
-    """Every permutation of ``indices`` with its sign."""
+    """Every permutation of ``indices`` with its sign, by the oracle's
+    cycle count."""
     base = list(indices)
     for perm in itertools.permutations(range(len(base))):
-        yield _perm_sign(perm), [base[k] for k in perm]
+        yield oracle.perm_sign(perm), [base[k] for k in perm]
 
 
 def _unshuffles(indices, *sizes):

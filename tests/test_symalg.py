@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import merge_monomials
 
 from bvsigma import symalg
 from bvsigma.algebroid import operation_table
-from bvsigma.grading import merge_monomials, sort_monomial
+from bvsigma.grading import sort_monomial
 from bvsigma.master import expand_master, extract_identities, verify_structure_data
 from bvsigma.models import (
     CS_BF,
@@ -21,6 +22,7 @@ from bvsigma.models import (
 )
 from bvsigma.pstructure import PStructure
 from bvsigma.symalg import (
+    ALL_INDICES,
     ANTISYM,
     LOWER,
     UPPER,
@@ -245,6 +247,27 @@ def test_variables_of_two_specs_never_meet():
         Expr.var(mine) * Expr.var(other)
     with pytest.raises(MixedContextError):
         Expr.var(PHI1) + Expr.var(ModelSpec(n=2, d=3).vars_of("phi")[0])
+
+
+def test_reprs_name_class_and_content():
+    e = Expr.var(B1).scale(Fraction(-1, 2)) + Expr.base(1, scope=M)
+    assert repr(e) == "Expr(phi1 - 1/2*B1_1)"
+    assert repr(CPoly.base(2).scale(3) + CPoly.scalar(1)) == "CPoly(1 + 3*phi2)"
+    assert repr(Expr.zero(M)) == "Expr(0)" and repr(CPoly.zero()) == "CPoly(0)"
+    fibers, bases = (f_up(1, 2) * Expr.var(B1)).support()
+    assert bases is ALL_INDICES and repr(bases) == "ALL_INDICES" and fibers == {B1}
+
+
+def test_sums_of_two_specs_are_unequal():
+    """B1_1 of n=2 has code 1 at d=3 and at d=4, so the two variables' Exprs
+    have equal terms and hashes; their scopes differ, so they are unequal.
+    A None scope is equal to either."""
+    x3, x4 = (Expr.var(ModelSpec(n=2, d=d).vars_of("B1")[0]) for d in (3, 4))
+    assert x3.terms == x4.terms and hash(x3) == hash(x4)
+    assert x3 != x4 and not x3 == x4
+    assert x3 == Expr.var(ModelSpec(n=2, d=3).vars_of("B1")[0])
+    free = Expr._of(x3.terms, None)
+    assert free == x3 and free == x4 and x4 == free
 
 
 # -- the product kernel against a naive reference ----------------------------------
@@ -569,7 +592,8 @@ def test_sum_laws_and_one_sum_implementation(make):
 
 def test_equal_sums_hash_equal():
     """Equal CPolys and Exprs hash equal whatever their term insertion
-    order, integral coefficient type (int or Fraction) and scope."""
+    order, integral coefficient type (int or Fraction) and scope; a None
+    scope is equal to any, two set scopes that differ are not."""
     _, f = make_symbol("f1", (), (1, 2), (), ANTI_UP)
     keys = [((f,), ()), ((), ((1, 2),)), ((), ())]
     coeffs = [3, Fraction(-1, 2), 2]
@@ -580,10 +604,12 @@ def test_equal_sums_hash_equal():
     assert c1 == c2 == c3 and hash(c1) == hash(c2) == hash(c3)
 
     e1 = Expr._of({(B1, C1): c1, (): CPoly.base(2), (B2,): CPoly.scalar(Fraction(1, 3))}, None)
-    e2 = Expr._of({(B2,): CPoly.scalar(Fraction(1, 3)), (): CPoly.base(2), (B1, C1): c2}, "fingerprint")
+    e2 = Expr._of({(B2,): CPoly.scalar(Fraction(1, 3)), (): CPoly.base(2), (B1, C1): c2}, M)
     e3 = Expr.var(B2).scale(Fraction(1, 3)) + Expr.base(2) + Expr.var(B1) * Expr.var(C1) * Expr({(): c3})
     assert e1 == e2 == e3 and e1.scope != e2.scope
     assert hash(e1) == hash(e2) == hash(e3)
+    foreign = Expr._of(e2.terms, "fingerprint")
+    assert foreign != e2 and foreign == e1 and hash(foreign) == hash(e2)
     assert len({e1, e2, e3, c1, c2, c3}) == 2
 
 

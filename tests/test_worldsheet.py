@@ -537,6 +537,16 @@ def test_component_field_value_semantics():
     assert a.d().parity == 0 and ComponentField("E", 0, 0).d().parity == 1
 
 
+def test_dga_exprs_of_two_tables_are_unequal():
+    """Code monomials of two tables coincide, so DgaExprs of equal terms and
+    hash are still unequal when their tables differ."""
+    a = DgaExpr.gen(table(2, A=1), ComponentField("A", 0, 1))
+    b = DgaExpr.gen(table(2, B=1), ComponentField("B", 0, 1))
+    assert a.terms == b.terms and hash(a) == hash(b)
+    assert a != b and not a == b
+    assert a == DgaExpr.gen(a.scope, ComponentField("A", 0, 1))
+
+
 def test_mixed_n_is_rejected():
     a = DgaExpr.gen(table(3, A=3), ComponentField("A", 3, 0))
     b = DgaExpr.gen(table(2, B=1), ComponentField("B", 1, 0))
