@@ -108,10 +108,13 @@ def _cmd_verify_data(mf: ModelFile, args) -> int:
     _require_data(mf, "verify-data")
     p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
+    residual = dict(verify_structure_data(p, s1, mf.data).residual)
     rep = Verdicts()
-    for tag, poly in extract_identities(p, s1).equations:
-        value = poly.substitute(mf.data.value_of)
+    for tag, _ in extract_identities(p, s1).equations:
+        value = residual.pop(tag, None)
         rep.record(tag, "%s -> %s" % (tag, value) if value else None)
+    if residual:  # (S1,S1)|data has a term that (S1,S1) lacks
+        raise RuntimeError("residual monomials outside the extracted identities: %s" % ", ".join(residual))
     return _report("verify-data", mf.spec, rep.passed, rep.details(), rep.witnesses[:10], args.format)
 
 

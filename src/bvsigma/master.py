@@ -56,8 +56,15 @@ def extract_identities(p: PStructure, s1: Action) -> IdentitySet:
 
 
 def verify_structure_data(p: PStructure, s1: Action, data: StructureData):
-    """Substitute concrete data into (S1,S1) and report the residual."""
-    residual = expand_master(p, s1).substitute(data)
+    """The residual (S,S) of the action S = S1|data, canonical.
+
+    Substitution is a ring map that commutes with every derivative (a
+    derived symbol d(j)f takes the phi_j-derivative of f's value), so
+    (S,S) equals (S1,S1)|data exactly, at the cost of a bracket of the
+    small substituted action.  Every symbol of S1 must be assigned: the
+    first unassigned one raises MissingSymbolError.
+    """
+    residual = expand_master(p, Action(s1.expr.substitute(data), s1.total_degree))
     details = [
         (monomial_str(m), str(residual.terms[m])) for m in sorted(residual.terms)
     ]

@@ -34,7 +34,7 @@ from .models import (
     ModelSpec,
     StructureData,
 )
-from .symalg import ANTISYM, SYM, CPoly, SymGroup
+from .symalg import ANTISYM, SYM, CPoly, MissingSymbolError, SymGroup
 
 
 class ParseError(ValueError):
@@ -281,6 +281,6 @@ def parse_model(text: str) -> ModelFile:
         poly = parse_poly(poly_text, lineno)
         try:
             data.assign(name, lower, upper, poly)
-        except (ModelError, KeyError) as exc:
+        except (ModelError, MissingSymbolError) as exc:
             raise ParseError(str(exc), lineno)
     return ModelFile(spec, data if data_lines else None)

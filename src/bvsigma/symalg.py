@@ -46,6 +46,8 @@ class MixedContextError(ValueError):
 class MissingSymbolError(KeyError):
     """Raised by substitution when a symbol has no assigned value."""
 
+    __str__ = Exception.__str__  # the message as given, not KeyError's repr of it
+
 
 class SymGroup(NamedTuple):
     """A declared index symmetry: (anti)symmetric slots of one variance."""

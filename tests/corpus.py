@@ -2,9 +2,11 @@
 acceptance tests: model specs, passing and failing data, expected tables;
 and a seeded generator of random operands for the structure tests."""
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from bvsigma.models import (
     BfBlock,
@@ -16,6 +18,15 @@ from bvsigma.models import (
 )
 from bvsigma.pstructure import fiber_monomials
 from bvsigma.symalg import CoeffSymbol, CPoly, Expr, accumulate, exact, make_symbol
+
+
+def load_workloads():
+    """The benchmark's job and model generator module, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    return workloads
 
 
 def n2_spec():

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -14,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from bvsigma import cli
+from corpus import load_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "src" / "bvsigma" / "examples"
@@ -211,6 +211,8 @@ PARSE_ERRORS = [
      "line 6: unknown symbol family 'f9'"),
     ("symmetry-bad-kind", N2_MODEL + "\n[symmetry]\nf1 = skew upper\n",
      "line 6: expected 'antisym|sym lower|upper'"),
+    ("data-unknown-family", N2_MODEL + "\n[data]\nf9[;1,2] = phi1\n",
+     "line 6: unknown symbol family 'f9'"),
 ]
 
 
@@ -242,6 +244,18 @@ def test_compare_against_parse_error_names_its_path(tmp_path, capsys):
     code, out = run_cli(argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: %s: line 6: unknown symbol family 'f9'\n" % bad
+
+
+@pytest.mark.parametrize("command", ["check-master", "verify-data", "check-algebroid", "laplacian"])
+def test_every_data_command_names_an_unassigned_symbol(tmp_path, capsys, command):
+    # The data is substituted into S1 first, so the symbol named is the
+    # unassigned one itself, not a derivative of it met in (S1,S1).
+    text = (EXAMPLES / "n2_poisson_so3.model").read_text(encoding="utf-8")
+    model = tmp_path / "partial.model"
+    model.write_text(text.replace("f1[;1,2] = phi3\n", ""))
+    code, out = run_cli([command, "--model", str(model)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: no assignment for symbol f1[;1,2]\n"
 
 
 def test_exit_code_2_when_data_is_required(tmp_path):
@@ -393,14 +407,6 @@ def test_verify_data_lists_failing_identities():
     assert doc["witnesses"]
 
 
-def load_workloads():
-    """The benchmark's job and model generator module, perfbench/workloads.py."""
-    loader = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(workloads)
-    return workloads
-
-
 def test_verify_data_reports_every_identity_and_caps_its_witnesses(tmp_path):
     # The exact Courant algebroid over a 3-dimensional base with every
     # f1[a;i] set to phi((a+i) mod 3 + 1): 15 of its 66 identities fail.
@@ -507,6 +513,20 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "check_algebroid", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run_cli(["check-algebroid", "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])
+
+
+def test_verify_data_refuses_a_residual_term_outside_the_identities(monkeypatch):
+    # A residual monomial that no extracted identity tags would go
+    # unreported; it is a fault of the engine, not a usage error.
+    real = cli.verify_structure_data
+
+    def widened(*args):
+        rep = real(*args)
+        return rep._replace(residual=rep.residual + [("B1_9", "phi1")])
+
+    monkeypatch.setattr(cli, "verify_structure_data", widened)
+    with pytest.raises(RuntimeError, match="outside the extracted identities: B1_9"):
+        run_cli(["verify-data", "--model", str(EXAMPLES / "n2_poisson_so3.model")])
 
 
 def test_parser_kept_across_calls_gives_what_a_fresh_one_gives(monkeypatch):

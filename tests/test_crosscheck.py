@@ -1,26 +1,33 @@
 """Dual-route and property-based checks tying the engine to the oracle."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from corpus import n3_spec
+from corpus import cs_spec, load_workloads, n3_spec
 
 from bvsigma.master import (
     EQUAL,
     N3_BF,
     compare_identity_spans,
+    expand_master,
     extract_identities,
     transcribe_paper_identities,
+    verify_structure_data,
 )
-from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, build_S1_generic
+from bvsigma.modelfile import parse_model
+from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, StructureData, build_S1_generic
 from bvsigma.pstructure import PStructure
-from bvsigma.symalg import CPoly, Expr
+from bvsigma.symalg import CPoly, Expr, monomial_str
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "bvsigma" / "examples"
 
 A1, A2 = n3_spec().vars_of("A1")
 B1, B2 = n3_spec().vars_of("B1")
@@ -248,3 +255,80 @@ def test_bracket_agrees_with_oracle_at_higher_n(spec):
         nonzero[0] += bool(got)
         nonzero[1] += bool(got_sq)
     assert min(nonzero) >= 5, nonzero
+
+
+# -- substitution commutes with the bracket ----------------------------------------
+# (S1,S1)|data, the generic square with the data substituted afterwards, is
+# the oracle for (S1|data, S1|data), which verify_structure_data computes.
+
+
+def _models_with_data():
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(EXAMPLES.glob("*.model"))}
+    workloads = load_workloads()
+    for stem in ("courant_d3", "u2_poisson_d4"):
+        texts[stem] = workloads.GENERATED[stem]()
+    models = [(stem, parse_model(text)) for stem, text in texts.items()]
+    return [pytest.param(mf, id=stem) for stem, mf in models if mf.data is not None]
+
+
+def _assert_substitution_commutes(p, s1, square, data):
+    want = square.substitute(data)
+    s = s1.expr.substitute(data)
+    assert p.bracket(s, s) == want
+    rep = verify_structure_data(p, s1, data)
+    assert rep.residual == [(monomial_str(m), str(want.terms[m])) for m in sorted(want.terms)]
+    assert rep.passed == want.is_zero()
+
+
+@pytest.mark.parametrize("mf", _models_with_data())
+def test_substituted_square_equals_square_of_substituted_action(mf):
+    p, s1 = PStructure(mf.spec), build_S1_generic(mf.spec)
+    _assert_substitution_commutes(p, s1, expand_master(p, s1), mf.data)
+
+
+@functools.lru_cache(maxsize=None)
+def _generic(spec):
+    p, s1 = PStructure(spec), build_S1_generic(spec)
+    return p, s1, expand_master(p, s1), sorted(s1.expr.symbols())
+
+
+def _poly_strategy(d):
+    """A polynomial in phi1..phid of up to three terms, each exponent up to 2."""
+    term = st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=d, max_size=d),
+    )
+
+    def build(terms):
+        poly = CPoly.zero()
+        for num, den, exps in terms:
+            mono = CPoly.scalar(1)
+            for j, e in enumerate(exps, 1):
+                if e:
+                    mono = mono * CPoly.base(j, e)
+            poly = poly + mono.scale(Fraction(num, den))
+        return poly
+
+    return st.lists(term, max_size=3).map(build)
+
+
+# Rank 3 reaches every family: f3 and f6 of the two-block model have three
+# antisymmetric slots, and so does the cs model's f2.
+COMMUTATION_SPECS = [
+    pytest.param(ModelSpec(n=2, d=4), id="n2_d4"),
+    pytest.param(ModelSpec(n=3, d=3, bf_blocks=(BfBlock(1, 3),)), id="bf_n3_d3_r3"),
+    pytest.param(cs_spec(rank=3, d=3), id="cs_n3_d3_r3"),
+]
+
+
+@pytest.mark.parametrize("spec", COMMUTATION_SPECS)
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.data())
+def test_substitution_commutes_with_the_square_on_random_data(spec, draw):
+    p, s1, square, symbols = _generic(spec)
+    polys = draw.draw(st.lists(_poly_strategy(spec.d), min_size=len(symbols), max_size=len(symbols)))
+    data = StructureData(spec)
+    for sym, poly in zip(symbols, polys):
+        data.assign(sym.name, sym.lower, sym.upper, poly)
+    _assert_substitution_commutes(p, s1, square, data)

@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import sys
 from fractions import Fraction
@@ -8,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracle
+from corpus import load_workloads
 from bvsigma import grading, models, symalg
 from bvsigma.modelfile import parse_model
 from bvsigma.models import (
@@ -366,10 +366,7 @@ def _s1_by_full_product(spec):
 
 def _generated_specs():
     """The generated model specs of the benchmark workloads."""
-    loader = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(workloads)
-    return [(stem, parse_model(make()).spec) for stem, make in sorted(workloads.GENERATED.items())]
+    return [(stem, parse_model(make()).spec) for stem, make in sorted(load_workloads().GENERATED.items())]
 
 
 def _reference_specs():
