@@ -14,6 +14,7 @@ is represented by the base coordinate phi^i, so [phi^i,phi^j] and
 rho(phi^i) come straight out of the bracket, and an exact section dF by
 its potential F.
 
+The pairing <,> is the antibracket itself, ``p.bracket(e1, e2)``.
 Derived brackets and anchors take the map D: x -> (S,x), not S.  Each
 checker and ``operation_table`` memoizes D for that one call, so (S,x) is
 computed once per distinct x and shared by every bracket and anchor.
@@ -59,7 +60,7 @@ def section_representatives(spec: ModelSpec) -> list[tuple[str, Expr]]:
 
 
 def derived_bracket(p: PStructure, D: Callable[[Expr], Expr], e1: Expr, e2: Expr) -> Expr:
-    """((S,e1),e2), with D(x) = (S,x), e.g. ``lambda x: d_op(p, q, x)``."""
+    """((S,e1),e2), with D(x) = (S,x), e.g. ``lambda x: p.bracket(q, x)``."""
     return p.bracket(D(e1), e2)
 
 
@@ -71,16 +72,6 @@ def anchor(p: PStructure, D: Callable[[Expr], Expr], e: Expr, f: Expr) -> Expr:
     return p.bracket(e, D(f))
 
 
-def pairing(p: PStructure, e1: Expr, e2: Expr) -> Expr:
-    """<e1,e2> = (e1,e2)."""
-    return p.bracket(e1, e2)
-
-
-def d_op(p: PStructure, q: Hamiltonian, f: Expr) -> Expr:
-    """D F = (S,F)."""
-    return p.bracket(q, f)
-
-
 # -- symbolic operation tables ------------------------------------------------
 
 
@@ -89,11 +80,11 @@ def operation_table(p: PStructure, s1: Action):
     reps = section_representatives(p.spec)
     rows = []
     q = Hamiltonian(s1.expr)
-    D = functools.cache(lambda x: d_op(p, q, x))
+    D = functools.cache(lambda x: p.bracket(q, x))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
         rows.append(("circ", la, lb, derived_bracket(p, D, ea, eb)))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
-        rows.append(("pair", la, lb, pairing(p, ea, eb)))
+        rows.append(("pair", la, lb, p.bracket(ea, eb)))
     for la, ea in reps:
         for i in range(1, p.spec.d + 1):
             rows.append(("anchor", la, "phi%d" % i, anchor(p, D, ea, Expr.base(i))))
@@ -123,7 +114,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
     X, Y, Z = (generic_operand(name, monos) for name in "XYZ")
     q = Hamiltonian(s1.expr.substitute(data))
     rep = Verdicts()
-    D = functools.cache(lambda x: d_op(p, q, x))
+    D = functools.cache(lambda x: p.bracket(q, x))
     xy, xz, yz = (derived_bracket(p, D, a, b) for a, b in ((X, Y), (X, Z), (Y, Z)))
     rho_x_f = anchor(p, D, X, F)
     rep.record_residual("leibniz-jacobi for o", derived_bracket(p, D, X, yz)
@@ -132,10 +123,10 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
                         - anchor(p, D, Y, anchor(p, D, X, G)) - anchor(p, D, xy, G))
     rep.record_residual("anchored Leibniz", derived_bracket(p, D, X, F * Y) - F * xy - rho_x_f * Y)
     rep.record_residual("symmetrized bracket = D<,>",
-                        xy + derived_bracket(p, D, Y, X) - D(pairing(p, X, Y)))
-    rep.record_residual("anchor invariance of <,>", anchor(p, D, X, pairing(p, Y, Z))
-                        - pairing(p, xy, Z) - pairing(p, Y, xz))
-    rep.record_residual("<DF,e> = rho(e)F", pairing(p, D(F), X) - rho_x_f)
+                        xy + derived_bracket(p, D, Y, X) - D(p.bracket(X, Y)))
+    rep.record_residual("anchor invariance of <,>", anchor(p, D, X, p.bracket(Y, Z))
+                        - p.bracket(xy, Z) - p.bracket(Y, xz))
+    rep.record_residual("<DF,e> = rho(e)F", p.bracket(D(F), X) - rho_x_f)
     return rep
 
 
@@ -155,7 +146,7 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdi
     """
     q = Hamiltonian(s1.expr.substitute(data))
     rep = Verdicts()
-    D = functools.cache(lambda x: d_op(p, q, x))
+    D = functools.cache(lambda x: p.bracket(q, x))
     fg = derived_bracket(p, D, F, G)
     rep.record_residual("bracket antisymmetry", fg + derived_bracket(p, D, G, F))
     rep.record_residual("anchor homomorphism", derived_bracket(p, D, F, derived_bracket(p, D, G, H))

@@ -26,7 +26,7 @@ from .master import (
 from .models import ModelError, ModelSpec, build_S1_generic
 from .modelfile import ModelFile, ParseError, parse_model
 from .pstructure import PStructure, Verdicts, check_bv_identities
-from .symalg import MissingSymbolError
+from .symalg import MissingSymbolError, monomial_str
 from .worldsheet import (
     GeneratorTable,
     component_exprs,
@@ -98,19 +98,21 @@ def _cmd_check_master(mf: ModelFile, args) -> int:
     _require_data(mf, "check-master")
     p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
-    rep = verify_structure_data(p, s1, mf.data)
-    details = ["(S1,S1) after substitution %s" % ("vanishes" if rep.passed else "does not vanish")]
-    witnesses = ["%s: %s" % (mono, poly) for mono, poly in rep.residual]
-    return _report("check-master", mf.spec, rep.passed, details, witnesses, args.format)
+    residual = verify_structure_data(p, s1, mf.data)
+    passed = not residual
+    details = ["(S1,S1) after substitution %s" % ("vanishes" if passed else "does not vanish")]
+    witnesses = ["%s: %s" % (monomial_str(m), residual.terms[m]) for m in sorted(residual.terms)]
+    return _report("check-master", mf.spec, passed, details, witnesses, args.format)
 
 
 def _cmd_verify_data(mf: ModelFile, args) -> int:
     _require_data(mf, "verify-data")
     p = PStructure(mf.spec)
     s1 = build_S1_generic(mf.spec)
-    residual = dict(verify_structure_data(p, s1, mf.data).residual)
+    terms = verify_structure_data(p, s1, mf.data).terms
+    residual = {monomial_str(m): terms[m] for m in sorted(terms)}
     rep = Verdicts()
-    for tag, _ in extract_identities(p, s1).equations:
+    for tag, _ in extract_identities(p, s1):
         value = residual.pop(tag, None)
         rep.record(tag, "%s -> %s" % (tag, value) if value else None)
     if residual:  # (S1,S1)|data has a term that (S1,S1) lacks
@@ -123,7 +125,7 @@ def _cmd_extract(mf: ModelFile, args) -> int:
     s1 = build_S1_generic(mf.spec)
     idents = extract_identities(p, s1)
     memo: dict = {}  # one string per coefficient symbol of the report
-    details = ["%s: %s = 0" % (tag, poly.render(memo)) for tag, poly in idents.equations]
+    details = ["%s: %s = 0" % (tag, poly.render(memo)) for tag, poly in idents]
     return _report("extract-identities", mf.spec, True, details, [], args.format)
 
 
@@ -218,8 +220,9 @@ def _cmd_first_order(mf: ModelFile, args) -> int:
 
 
 def _cmd_kinetic_master(mf: ModelFile, args) -> int:
-    rep = kinetic_master_check(mf.spec)
-    return _report("kinetic-master", mf.spec, rep.passed, [rep.detail], [], args.format)
+    residue = kinetic_master_check(mf.spec)
+    detail = "residual: %s" % residue if residue else "delta0(S0) is d-exact at form degree n"
+    return _report("kinetic-master", mf.spec, not residue, [detail], [], args.format)
 
 
 _COMMANDS = {

@@ -2,10 +2,12 @@
 
 ``expand_master`` computes the quadratic deformation term (S1,S1);
 ``extract_identities`` groups it by graded monomial, one coefficient
-equation per monomial class.  ``transcribe_paper_identities`` expands the
-published identity systems of the n=2 model, the n=3 two-block model and
-the n=3 self-paired model over explicit indices, so the two routes can be
-compared by exact linear span.
+equation per monomial class; an identity system is a plain list of
+(tag, CPoly) pairs, each CPoly = 0 one equation.
+``transcribe_paper_identities`` expands the published identity systems of
+the n=2 model, the n=3 two-block model and the n=3 self-paired model over
+explicit indices, so the two routes can be compared by exact linear span.
+``verify_structure_data`` returns the residual (S,S) of substituted data.
 
 The published systems are one table, ``PAPER_IDENTITIES``, read by one
 interpreter.  Its conventions: index letters i..l run over the base 1..d
@@ -28,35 +30,21 @@ from .pstructure import PStructure
 from .rowreduce import Directions, Row, span_includes
 from .symalg import ANTISYM, LOWER, CPoly, Expr, accumulate, exact, make_symbol, monomial_str
 
-class IdentitySet:
-    """Coefficient equations (CoeffPoly = 0), each with its graded monomial tag."""
-
-    def __init__(self, equations: Optional[list[tuple[str, CPoly]]] = None):
-        self.equations = [] if equations is None else equations
-
-    def __repr__(self) -> str:
-        return "IdentitySet(%r)" % (self.equations,)
-
-    def __len__(self) -> int:
-        return len(self.equations)
-
 
 def expand_master(p: PStructure, s1: Action) -> Expr:
     """The g^2 term (S1,S1) of the master equation, canonical."""
     return p.bracket(s1.expr, s1.expr)
 
 
-def extract_identities(p: PStructure, s1: Action) -> IdentitySet:
+def extract_identities(p: PStructure, s1: Action) -> list[tuple[str, CPoly]]:
     """Group (S1,S1) by graded monomial; each coefficient is one equation."""
     expanded = expand_master(p, s1)
-    out = IdentitySet()
-    for mono in sorted(expanded.terms):
-        out.equations.append((monomial_str(mono), expanded.terms[mono]))
-    return out
+    return [(monomial_str(m), expanded.terms[m]) for m in sorted(expanded.terms)]
 
 
-def verify_structure_data(p: PStructure, s1: Action, data: StructureData):
-    """The residual (S,S) of the action S = S1|data, canonical.
+def verify_structure_data(p: PStructure, s1: Action, data: StructureData) -> Expr:
+    """The residual (S,S) of the action S = S1|data, canonical: zero
+    exactly when the data solve the classical master equation.
 
     Substitution is a ring map that commutes with every derivative (a
     derived symbol d(j)f takes the phi_j-derivative of f's value), so
@@ -64,16 +52,7 @@ def verify_structure_data(p: PStructure, s1: Action, data: StructureData):
     small substituted action.  Every symbol of S1 must be assigned: the
     first unassigned one raises MissingSymbolError.
     """
-    residual = expand_master(p, Action(s1.expr.substitute(data), s1.total_degree))
-    details = [
-        (monomial_str(m), str(residual.terms[m])) for m in sorted(residual.terms)
-    ]
-    return VerifyReport(passed=residual.is_zero(), residual=details)
-
-
-class VerifyReport(NamedTuple):
-    passed: bool
-    residual: list[tuple[str, str]]
+    return expand_master(p, Action(s1.expr.substitute(data), s1.total_degree))
 
 
 # -- span comparison -------------------------------------------------------------
@@ -89,14 +68,14 @@ class SpanComparison(NamedTuple):
     witness: Optional[str] = None  # an equation outside the other span
 
 
-def _rows_of(ident: IdentitySet, index: dict) -> tuple[list[Row], dict[str, tuple[int, int]]]:
+def _rows_of(ident: list[tuple[str, CPoly]], index: dict) -> tuple[list[Row], dict[str, tuple[int, int]]]:
     """The equations of ``ident`` as rows over the column numbering
     ``index``, which it extends, and the (lower, upper) index shape of each
     symbol family in the keys it numbers, in the order first met.  A family
     met with two shapes raises ValueError; each symbol is checked once."""
     rows, shapes, checked = [], {}, set()
     n = len(index)
-    for _, poly in ident.equations:
+    for _, poly in ident:
         row = {}
         for key, val in poly.terms.items():
             col = index.setdefault(key, n)
@@ -113,7 +92,7 @@ def _rows_of(ident: IdentitySet, index: dict) -> tuple[list[Row], dict[str, tupl
     return rows, shapes
 
 
-def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
+def compare_identity_spans(a: list[tuple[str, CPoly]], b: list[tuple[str, CPoly]]) -> SpanComparison:
     """Exact row-space comparison of two identity systems over Q.
 
     Each equation is a sparse rational vector over the shared monomial
@@ -143,10 +122,10 @@ def compare_identity_spans(a: IdentitySet, b: IdentitySet) -> SpanComparison:
     if missing_a is None and missing_b is None:
         return SpanComparison(EQUAL)
     if missing_a is None:
-        return SpanComparison(A_IN_B, witness="B: %s = 0" % b.equations[missing_b][1])
+        return SpanComparison(A_IN_B, witness="B: %s = 0" % b[missing_b][1])
     if missing_b is None:
-        return SpanComparison(B_IN_A, witness="A: %s = 0" % a.equations[missing_a][1])
-    return SpanComparison(INCOMPARABLE, witness="A: %s = 0" % a.equations[missing_a][1])
+        return SpanComparison(B_IN_A, witness="A: %s = 0" % a[missing_a][1])
+    return SpanComparison(INCOMPARABLE, witness="A: %s = 0" % a[missing_a][1])
 
 
 # -- paper transcriptions ----------------------------------------------------------
@@ -273,7 +252,7 @@ def _compile_term(term, free, span, symbols, metric):
         ), weighted)
 
 
-def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
+def transcribe_paper_identities(which: str, spec: ModelSpec) -> list[tuple[str, CPoly]]:
     """The published identity systems of ``PAPER_IDENTITIES``, expanded
     over explicit indices, one equation per value of the free letters."""
     if which not in PAPER_IDENTITIES:
@@ -288,7 +267,7 @@ def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
         if k
     }
     symbols = {fam.name: _Symbols(fam) for fam in ansatz_families(spec)}
-    out = IdentitySet()
+    out = []
     seen = set()
     for tag, terms in PAPER_IDENTITIES[which]:
         name, inner = tag.split("[")
@@ -309,5 +288,5 @@ def transcribe_paper_identities(which: str, spec: ModelSpec) -> IdentitySet:
             key = frozenset(acc.items())  # equal polynomials, equal keys
             if acc and key not in seen:
                 seen.add(key)
-                out.equations.append((fmt % values, CPoly(acc)))
+                out.append((fmt % values, CPoly(acc)))
     return out

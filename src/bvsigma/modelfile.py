@@ -117,9 +117,13 @@ class _PolyParser:
             tok, tcol = self.next()
             if not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", self.line, tcol)
-            out = CPoly.scalar(1)
-            for _ in range(int(tok)):
-                out = out * base
+            out, power = CPoly.scalar(1), int(tok)
+            while power:  # square and multiply: one product per bit
+                if power & 1:
+                    out = out * base
+                power >>= 1
+                if power:
+                    base = base * base
         return -out if minuses & 1 else out
 
     def atom(self) -> CPoly:

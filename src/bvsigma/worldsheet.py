@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .models import Action, ModelSpec
 from .pstructure import Verdicts
-from .symalg import MixedContextError, SparseSum, _join_signed, exact
+from .symalg import MixedContextError, SparseSum, _join_signed, exact, monomial_str
 
 
 class ComponentField(NamedTuple):
@@ -151,8 +151,8 @@ def _mul_into(acc: dict, n: int, a_rows: list, b_rows: list) -> None:
 class DgaExpr(SparseSum):
     """Polynomial in the generators of one :class:`GeneratorTable` (the
     scope of the sum), truncated above its form degree n.  Equality and the
-    hash, those of SparseSum, read the codes alone: compare DgaExprs of one
-    table only."""
+    hash are those of SparseSum: DgaExprs of two tables are unequal, even
+    with equal codes, while the hash reads the codes alone."""
 
     __slots__ = ("terms", "scope")
 
@@ -348,18 +348,10 @@ def kinetic_action_dga(spec: ModelSpec) -> DgaExpr:
     return DgaExpr._of(acc, table)
 
 
-class KineticMasterReport(NamedTuple):
-    passed: bool
-    detail: str
-
-
-def kinetic_master_check(spec: ModelSpec) -> KineticMasterReport:
-    """(S0,S0) = 0: delta0 of the kinetic action integrates to zero."""
-    s0 = kinetic_action_dga(spec)
-    residue = integrate(s0.delta0())
-    if residue.is_zero():
-        return KineticMasterReport(True, "delta0(S0) is d-exact at form degree n")
-    return KineticMasterReport(False, "residual: %s" % residue)
+def kinetic_master_check(spec: ModelSpec) -> DgaExpr:
+    """The residue of (S0,S0): the canonical representative of delta0 of
+    the kinetic action modulo d-exact terms, zero exactly when the law holds."""
+    return integrate(kinetic_action_dga(spec).delta0())
 
 
 # -- Theorem 1 -----------------------------------------------------------------------
@@ -439,8 +431,6 @@ def first_order_check(spec: ModelSpec, s1: Action) -> Verdicts:
     free algebra covers every substitution instance.  A monomial is one
     law, recorded once however many coefficient-factor counts reach it.
     """
-    from .symalg import monomial_str
-
     n = spec.n
     report = Verdicts()
     seen_signatures = set()

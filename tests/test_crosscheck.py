@@ -25,7 +25,8 @@ from bvsigma.master import (
 from bvsigma.modelfile import parse_model
 from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, StructureData, build_S1_generic
 from bvsigma.pstructure import PStructure
-from bvsigma.symalg import CPoly, Expr, monomial_str
+from bvsigma.symalg import CPoly, Expr
+from bvsigma.worldsheet import DgaExpr, kinetic_master_check
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "bvsigma" / "examples"
 
@@ -129,8 +130,8 @@ def test_extraction_runs_for_higher_n():
     ):
         p = PStructure(spec)
         idents = extract_identities(p, build_S1_generic(spec))
-        assert idents.equations
-        tags = [tag for tag, _ in idents.equations]
+        assert idents
+        tags = [tag for tag, _ in idents]
         assert len(tags) == len(set(tags))
 
 
@@ -141,12 +142,11 @@ def test_span_comparison_detects_a_corrupted_transcription():
     transcribed = transcribe_paper_identities(N3_BF, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL
     # corrupt one equation with a stray symbol term
-    stray = next(iter(transcribed.equations[3][1].symbols()))
-    corrupted = list(transcribed.equations)
+    stray = next(iter(transcribed[3][1].symbols()))
+    corrupted = list(transcribed)
     tag, poly = corrupted[3]
     corrupted[3] = (tag, poly + CPoly.symbol(stray, Fraction(7)))
-    bad = type(transcribed)(corrupted)
-    assert compare_identity_spans(extracted, bad).relation != EQUAL
+    assert compare_identity_spans(extracted, corrupted).relation != EQUAL
 
 
 # The specs of the oracle comparison at n = 4..7 (ROADMAP item 4): up to
@@ -275,15 +275,29 @@ def _assert_substitution_commutes(p, s1, square, data):
     want = square.substitute(data)
     s = s1.expr.substitute(data)
     assert p.bracket(s, s) == want
-    rep = verify_structure_data(p, s1, data)
-    assert rep.residual == [(monomial_str(m), str(want.terms[m])) for m in sorted(want.terms)]
-    assert rep.passed == want.is_zero()
+    assert verify_structure_data(p, s1, data) == want
 
 
 @pytest.mark.parametrize("mf", _models_with_data())
 def test_substituted_square_equals_square_of_substituted_action(mf):
     p, s1 = PStructure(mf.spec), build_S1_generic(mf.spec)
     _assert_substitution_commutes(p, s1, expand_master(p, s1), mf.data)
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.model")), ids=lambda path: path.stem)
+def test_checks_return_their_residuals(path):
+    """On every shipped example, kinetic_master_check returns a zero
+    DgaExpr, and verify_structure_data, where there is data, returns the
+    Expr (S,S) of S = S1|data, scoped to the spec."""
+    mf = parse_model(path.read_text(encoding="utf-8"))
+    residue = kinetic_master_check(mf.spec)
+    assert type(residue) is DgaExpr and residue.is_zero()
+    if mf.data is not None:
+        p, s1 = PStructure(mf.spec), build_S1_generic(mf.spec)
+        s = s1.expr.substitute(mf.data)
+        residual = verify_structure_data(p, s1, mf.data)
+        assert type(residual) is Expr and residual.scope == mf.spec.fingerprint()
+        assert residual == p.bracket(s, s)
 
 
 @functools.lru_cache(maxsize=None)

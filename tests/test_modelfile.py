@@ -138,6 +138,21 @@ def test_a_unary_minus_negates_its_whole_factor():
     assert parse_poly("+phi1 - 2") == CPoly.base(1) - CPoly.scalar(2)
 
 
+def test_a_power_takes_one_product_per_bit(monkeypatch):
+    base = parse_poly("phi1-2*phi2+1/3")
+    want = CPoly.scalar(1)
+    for _ in range(7):
+        want = want * base
+    assert parse_poly("(phi1-2*phi2+1/3)^7") == want
+    assert parse_poly("phi1^0") == CPoly.scalar(1)
+    products = []
+    mul = CPoly.__mul__
+    monkeypatch.setattr(CPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    power = parse_poly("phi1^1000000000")
+    assert power == CPoly.base(1, 1000000000) and str(power) == "phi1^1000000000"
+    assert len(products) <= 2 * (1000000000).bit_length()
+
+
 def test_trailing_blanks_end_the_token_scan():
     assert parse_poly("phi1 + 2 \t") == parse_poly("phi1 + 2")
 

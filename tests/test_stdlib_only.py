@@ -4,9 +4,10 @@ numpy, sympy or hypothesis may be installed next to the package; this test
 fails as soon as a module under src/bvsigma imports one of them (or any
 other non-stdlib name), at module level or inside a function.  It also
 fails on an import that its module never uses (pyflakes' F401, by the same
-``ast`` walk, since no linter is a dependency), and when importing the CLI
-loads ``dataclasses`` or ``inspect``, which every command would pay for at
-start-up.
+``ast`` walk, since no linter is a dependency), on an import below module
+level (inside a function, class, ``if`` or ``try``: every dependency is
+stated at the top), and when importing the CLI loads ``dataclasses`` or
+``inspect``, which every command would pay for at start-up.
 """
 
 import ast
@@ -30,6 +31,17 @@ def imported_top_levels(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
     return names
+
+
+def imports_below_module_level(path):
+    """Line numbers of the imports of the module at ``path`` that are not
+    statements of the module body itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    top = {id(node) for node in tree.body}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    )
 
 
 def unused_imports(path):
@@ -78,6 +90,31 @@ def test_checker_sees_a_third_party_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert not unused_imports(path), "%s never uses %s" % (path.name, unused_imports(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_only_at_module_level(path):
+    assert not imports_below_module_level(path), "%s imports below module level at lines %s" % (
+        path.name, imports_below_module_level(path))
+
+
+def test_checker_sees_an_import_below_module_level(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\n"
+        "if os.sep:\n"
+        "    import re\n"
+        "\n"
+        "class C:\n"
+        "    from json import dumps\n"
+        "\n"
+        "def f():\n"
+        "    try:\n"
+        "        import sympy\n"
+        "    except ImportError:\n"
+        "        pass\n"
+    )
+    assert imports_below_module_level(module) == [3, 6, 10]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

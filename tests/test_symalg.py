@@ -718,7 +718,7 @@ def test_identity_report_renders_through_one_memo(spec):
     """Every equation of an extraction, rendered with one memo shared by
     the whole report, as the CLI does, at ranks where every symbol family
     is nonzero."""
-    equations = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec)).equations]
+    equations = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec))]
     memo = {}
     assert [poly.render(memo) for poly in equations] == [ref_cpoly(poly) for poly in equations]
     symbols = set().union(*(poly.symbols() for poly in equations))
@@ -747,7 +747,10 @@ def test_residual_renders_fractions_and_base_powers():
     data.assign("f1", (), (2, 3), (b(1) * b(1) * b(1)).scale(Fraction(1, 5)) + CPoly.scalar(Fraction(3, 7)))
     p, s1 = PStructure(spec), build_S1_generic(spec)
     residual = expand_master(p, s1).substitute(data)
-    report = verify_structure_data(p, s1, data).residual
+    got = verify_structure_data(p, s1, data)
+    assert got == residual
+    # rendered as check-master renders its witnesses
+    report = [(monomial_str(m), str(got.terms[m])) for m in sorted(got.terms)]
     assert report == [(monomial_str(m), ref_cpoly(residual.terms[m])) for m in sorted(residual.terms)]
     assert report[0][1] == "6/7 + 6/7*phi1 + 2/5*phi1^3 + 2/5*phi1^4 + 2*phi2*phi3 - 4/3*phi2^3"
     memo = {}
