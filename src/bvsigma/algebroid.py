@@ -27,9 +27,8 @@ polynomial identity in the jets of F, G and H therefore holds for every
 function.  The Courant checker (n=3) likewise puts a generic section
 X = sum_a X[a;] e_a in each slot, and the Lie checker (n=2) the exact
 section of a generic potential (F, G, H), so each axiom is one residual,
-zero exactly when the axiom holds for every section; a failing axiom's
-witness is the residual's least term.  Each checker returns a
-``Verdicts`` with one verdict per axiom.
+zero exactly when the axiom holds for every section.  Each checker
+returns {axiom: residual} in report order.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import itertools
 from typing import Callable
 
 from .models import Action, ModelError, ModelSpec, StructureData
-from .pstructure import Hamiltonian, PStructure, Verdicts, generic_operand
+from .pstructure import Hamiltonian, PStructure, generic_operand
 from .symalg import CoeffSymbol, Expr
 
 
@@ -100,62 +99,59 @@ G = Expr.symbol(CoeffSymbol("G"))
 H = Expr.symbol(CoeffSymbol("H"))
 
 
-def check_courant(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
+def check_courant(p: PStructure, s1: Action, data: StructureData) -> dict[str, Expr]:
     """Decide the six Courant axioms on generic sections under substituted data.
 
     Each slot holds a generic section X = sum_a X[a;] e_a over the section
     generators e_a (Y and Z likewise), and each base function is the generic
     F or G, so each axiom is one polynomial identity in their jets: its
     residual is zero exactly when the axiom holds for every section and
-    function.  A failing row's witness is the residual's least term.  Each
-    operation is computed once, and (S,x) once per distinct x.
+    function.  Each operation is computed once, and (S,x) once per
+    distinct x.
     """
     monos = [min(e.terms) for _, e in section_representatives(p.spec)]
     X, Y, Z = (generic_operand(name, monos) for name in "XYZ")
     q = Hamiltonian(s1.expr.substitute(data))
-    rep = Verdicts()
     D = functools.cache(lambda x: p.bracket(q, x))
     xy, xz, yz = (derived_bracket(p, D, a, b) for a, b in ((X, Y), (X, Z), (Y, Z)))
     rho_x_f = anchor(p, D, X, F)
-    rep.record_residual("leibniz-jacobi for o", derived_bracket(p, D, X, yz)
-                        - derived_bracket(p, D, xy, Z) - derived_bracket(p, D, Y, xz))
-    rep.record_residual("anchor homomorphism", anchor(p, D, X, anchor(p, D, Y, G))
-                        - anchor(p, D, Y, anchor(p, D, X, G)) - anchor(p, D, xy, G))
-    rep.record_residual("anchored Leibniz", derived_bracket(p, D, X, F * Y) - F * xy - rho_x_f * Y)
-    rep.record_residual("symmetrized bracket = D<,>",
-                        xy + derived_bracket(p, D, Y, X) - D(p.bracket(X, Y)))
-    rep.record_residual("anchor invariance of <,>", anchor(p, D, X, p.bracket(Y, Z))
-                        - p.bracket(xy, Z) - p.bracket(Y, xz))
-    rep.record_residual("<DF,e> = rho(e)F", p.bracket(D(F), X) - rho_x_f)
-    return rep
+    return {
+        "leibniz-jacobi for o": derived_bracket(p, D, X, yz)
+        - derived_bracket(p, D, xy, Z) - derived_bracket(p, D, Y, xz),
+        "anchor homomorphism": anchor(p, D, X, anchor(p, D, Y, G))
+        - anchor(p, D, Y, anchor(p, D, X, G)) - anchor(p, D, xy, G),
+        "anchored Leibniz": derived_bracket(p, D, X, F * Y) - F * xy - rho_x_f * Y,
+        "symmetrized bracket = D<,>": xy + derived_bracket(p, D, Y, X) - D(p.bracket(X, Y)),
+        "anchor invariance of <,>": anchor(p, D, X, p.bracket(Y, Z))
+        - p.bracket(xy, Z) - p.bracket(Y, xz),
+        "<DF,e> = rho(e)F": p.bracket(D(F), X) - rho_x_f,
+    }
 
 
-def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
+def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> dict[str, Expr]:
     """Decide the Lie algebroid axioms of the n=2 model under substituted data.
 
     The bracket of exact sections is the derived bracket on potentials,
     [dF,dG] = d((S,F),G), and the anchor acts by rho(dF)H = ((S,F),H), so
     each axiom is one residual on the generic potentials F, G and H, zero
-    exactly when the axiom holds; a failing row's witness is the residual's
-    least term.  The anchor homomorphism is the Jacobiator of the Poisson
-    bracket {F,G} = ((S,F),G), trilinear in dF, dG and dH, and the one row
-    the bivector decides; f1 is antisymmetric, so antisymmetry holds for
-    every bivector.  The bracket of all sections is the Leibniz extension
+    exactly when the axiom holds.  The anchor homomorphism is the
+    Jacobiator of the Poisson bracket {F,G} = ((S,F),G), trilinear in dF,
+    dG and dH, and the one row the bivector decides; f1 is antisymmetric,
+    so antisymmetry holds for every bivector.  The bracket of all sections is the Leibniz extension
     of the bracket of exact ones, so the Leibniz rule and the closure of
     exact sections hold for every bivector and are not rows.
     """
     q = Hamiltonian(s1.expr.substitute(data))
-    rep = Verdicts()
     D = functools.cache(lambda x: p.bracket(q, x))
     fg = derived_bracket(p, D, F, G)
-    rep.record_residual("bracket antisymmetry", fg + derived_bracket(p, D, G, F))
-    rep.record_residual("anchor homomorphism", derived_bracket(p, D, F, derived_bracket(p, D, G, H))
-                        - derived_bracket(p, D, G, derived_bracket(p, D, F, H))
-                        - derived_bracket(p, D, fg, H))
-    return rep
+    return {
+        "bracket antisymmetry": fg + derived_bracket(p, D, G, F),
+        "anchor homomorphism": derived_bracket(p, D, F, derived_bracket(p, D, G, H))
+        - derived_bracket(p, D, G, derived_bracket(p, D, F, H)) - derived_bracket(p, D, fg, H),
+    }
 
 
-def check_algebroid(p: PStructure, s1: Action, data: StructureData) -> Verdicts:
+def check_algebroid(p: PStructure, s1: Action, data: StructureData) -> dict[str, Expr]:
     """Dispatch to the Lie (n=2) or Courant (n=3) axiom checker."""
     if p.n == 2:
         return check_lie_algebroid(p, s1, data)

@@ -45,6 +45,15 @@ class ParseError(ValueError):
         super().__init__("%s: %s" % (where, message))
 
 
+def _int(digits: str, line: int, column: Optional[int] = None) -> int:
+    """The integer ``digits`` spells; a number longer than Python converts
+    (``sys.get_int_max_str_digits``) is a ParseError at its position."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer of %d digits is too long" % len(digits), line, column) from None
+
+
 # -- polynomial literals -----------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(phi\d+|\d+|[()+\-*/^])")
@@ -117,7 +126,7 @@ class _PolyParser:
             tok, tcol = self.next()
             if not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", self.line, tcol)
-            out, power = CPoly.scalar(1), int(tok)
+            out, power = CPoly.scalar(1), _int(tok, self.line, tcol)
             while power:  # square and multiply: one product per bit
                 if power & 1:
                     out = out * base
@@ -135,15 +144,16 @@ class _PolyParser:
                 raise ParseError("expected ')'", self.line, ccol)
             return inner
         if tok.startswith("phi"):
-            return CPoly.base(int(tok[3:]))
+            return CPoly.base(_int(tok[3:], self.line, col + 3))
         if tok.isdigit():
-            num = int(tok)
+            num = _int(tok, self.line, col)
             if self.peek() == "/":
                 self.next()
                 den, dcol = self.next()
-                if not den.isdigit() or int(den) == 0:
+                den = _int(den, self.line, dcol) if den.isdigit() else 0
+                if not den:
                     raise ParseError("invalid rational denominator", self.line, dcol)
-                return CPoly.scalar(Fraction(num, int(den)))
+                return CPoly.scalar(Fraction(num, den))
             return CPoly.scalar(num)
         raise ParseError("unexpected token %r" % tok, self.line, col)
 
@@ -176,7 +186,7 @@ def _indices(text: str, line: int) -> tuple[int, ...]:
         piece = piece.strip()
         if not piece.isdigit():
             raise ParseError("invalid index %r" % piece, line)
-        out.append(int(piece))
+        out.append(_int(piece, line))
     return tuple(out)
 
 
@@ -204,22 +214,22 @@ def parse_model(text: str) -> ModelFile:
             m = _BLOCK.match(line)
             if m:
                 lines[len(blocks)] = lineno
-                blocks.append(BfBlock(int(m.group(1)), int(m.group(2))))
+                blocks.append(BfBlock(_int(m.group(1), lineno), _int(m.group(2), lineno)))
                 continue
             m = _CS.match(line)
             if m:
                 if "cs" in lines:
                     raise ParseError("repeated model key 'cs rank'", lineno)
-                model["cs"], lines["cs"] = int(m.group(1)), lineno
+                model["cs"], lines["cs"] = _int(m.group(1), lineno), lineno
                 continue
             if "=" not in line:
                 raise ParseError("expected 'key = value'", lineno)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key in ("n", "d"):
-                if not value.isdecimal() or int(value) < 1:
+                value = _int(value, lineno) if value.isdecimal() else 0
+                if value < 1:
                     raise ParseError("%s must be a positive integer" % key, lineno)
-                value = int(value)
             elif key == "flavor":
                 if value not in (BF, CS_BF):
                     raise ParseError("flavor must be bf or cs_bf", lineno)

@@ -27,10 +27,6 @@ operand that enters many brackets, as the fixed S of the derived brackets of
 once in a :class:`Hamiltonian`, which keeps each right and left derivative
 a bracket or the Laplacian reads; either bracket side may be wrapped.  The
 Laplacian, too, takes only the pairs its operand's support holds.
-
-:class:`Verdicts`, each law's verdict and the witness of its first failing
-case, is the one report of every law check of the engine, these BV laws,
-the algebroid axioms and the first-order check included.
 """
 
 from __future__ import annotations
@@ -273,52 +269,12 @@ LAPLACIAN_LAWS = (
 )
 
 
-class Verdicts:
-    """The report of a law check: each law's verdict in the order first
-    recorded, the witness of each law's first failing case, and notes."""
-
-    def __init__(self):
-        self.results: dict[str, bool] = {}
-        self.witnesses: list[str] = []
-        self.notes: list[str] = []
-
-    def __repr__(self) -> str:
-        return "Verdicts(results=%r, witnesses=%r, notes=%r)" % (
-            self.results, self.witnesses, self.notes)
-
-    def record(self, law: str, witness: Optional[str] = None):
-        """Record one case of ``law``: it holds when ``witness`` is None and
-        fails otherwise.  Only a law's first failing case keeps its witness."""
-        ok = self.results.get(law, True)
-        if ok and witness is not None:
-            self.witnesses.append(witness)
-        self.results[law] = ok and witness is None
-
-    def record_residual(self, law: str, residual: Expr, where: Optional[str] = None):
-        """Record one case of ``law`` decided by ``residual``: it holds when
-        the residual is zero.  A failure's witness is the residual's term of
-        least monomial, after ``where`` (the case) when given."""
-        witness = None
-        if residual and self.results.get(law, True):
-            m = min(residual.terms)
-            witness = "%s: %sresidual term %s" % (
-                law, "" if where is None else where + ": ", Expr({m: residual.terms[m]}))
-        self.record(law, witness)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.results.values())
-
-    def details(self) -> list[str]:
-        """One verdict line per law, then one ``note:`` line per note."""
-        return (["%s: %s" % (law, "ok" if ok else "FAILED") for law, ok in self.results.items()]
-                + ["note: %s" % note for note in self.notes])
-
-
-def check_bv_identities(pstruct: PStructure) -> Verdicts:
+def check_bv_identities(pstruct: PStructure) -> dict[str, Optional[tuple[tuple[int, ...], Expr]]]:
     """Exact check of the four antibracket laws, the two degree laws, the
     Delta-Leibniz identity and Delta^2 = 0, each decided on generic
-    operands of bounded length, with a witness on failure.
+    operands of bounded length.  Returns, for each law in sorted order,
+    (operand degrees, residual) of its first nonzero case in the fixed
+    order of degrees, or None when the law holds.
 
     The generic operand of degree k sums a fresh symbol (u for F, v for
     G, w for H) times each fiber variable of degree k, and at k = 0 a lone
@@ -346,20 +302,15 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
     generate; for structures without a self block that is the full
     bracket).  For odd n the identity cannot hold at all: the degree -n+1
     bracket is then graded-antisymmetric while the Leibniz defect of the
-    even operator Delta is graded-symmetric.  The check still runs and
-    reports the failure; see the report notes.  A failed law's witness
-    names its operands' degrees and the term of least monomial of its first
-    nonzero residual, in the fixed order of degrees.
+    even operator Delta is graded-symmetric; the check still runs and
+    returns the failure.
     """
     n = pstruct.n
-    report = Verdicts()
-    for law in sorted(BRACKET_LAWS + LAPLACIAN_LAWS):
-        report.record(law)
+    first: dict = dict.fromkeys(sorted(BRACKET_LAWS + LAPLACIAN_LAWS))
 
     def check(law: str, degrees: tuple, residual: Expr):
-        if residual:  # every law is recorded above, so a zero adds nothing
-            report.record_residual(law, residual, "%s = %s" % (
-                ",".join("|%s|" % x for x in "FGH"[:len(degrees)]), ",".join(map(str, degrees))))
+        if residual and first[law] is None:
+            first[law] = (degrees, residual)
 
     br = pstruct.bracket
     lap = pstruct.laplacian
@@ -414,17 +365,4 @@ def check_bv_identities(pstruct: PStructure) -> Verdicts:
     for k, monos in sorted(fiber_monomials(pstruct.spec, 4).items()):
         if k >= 2 * (n - 1):
             check(LAPLACIAN_LAWS[1], (k,), lap(lap(generic_operand("u", monos))))
-
-    if n % 2 == 1 and not report.results[LAPLACIAN_LAWS[0]]:
-        report.notes.append(
-            "Delta-Leibniz cannot hold for odd n at target level: the bracket "
-            "is graded-antisymmetric there while any second-order Leibniz "
-            "defect is graded-symmetric"
-        )
-    if pstruct.self_pairs:
-        report.notes.append(
-            "Delta-Leibniz compared against the Darboux sector; the self-block "
-            "k-term has no second-order generator (k^{ab} d_l d_l vanishes "
-            "identically on an odd self-paired block)"
-        )
-    return report
+    return first

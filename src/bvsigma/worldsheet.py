@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .models import Action, ModelSpec
-from .pstructure import Verdicts
 from .symalg import MixedContextError, SparseSum, _join_signed, exact, monomial_str
 
 
@@ -421,18 +420,19 @@ def theorem1_witness(
 # -- first order of the master equation ----------------------------------------------
 
 
-def first_order_check(spec: ModelSpec, s1: Action) -> Verdicts:
+def first_order_check(spec: ModelSpec, s1: Action) -> dict[str, DgaExpr]:
     """(S0,S1) = 0 for deformations without d: the top form part of
     delta0(S1) is d-exact, term by term.
 
     Every factor of a monomial (coefficient symbols, explicit base
     variables, fiber variables) is lifted to a free component family with
     the same total parity; exactness of delta0 [M]_n = d [M]_{n-1} in the
-    free algebra covers every substitution instance.  A monomial is one
-    law, recorded once however many coefficient-factor counts reach it.
+    free algebra covers every substitution instance.  Returns {monomial
+    label: residual delta0 [M]_n - d [M]_{n-1}}; a monomial that several
+    coefficient-factor counts reach keeps its first nonzero residual.
     """
     n = spec.n
-    report = Verdicts()
+    residuals: dict[str, DgaExpr] = {}
     seen_signatures = set()
     for mono in sorted(s1.expr.terms):
         cpoly = s1.expr.terms[mono]
@@ -449,5 +449,5 @@ def first_order_check(spec: ModelSpec, s1: Action) -> Verdicts:
             top = product_form_part(table, factors, n)
             below = product_form_part(table, factors, n - 1)
             label = monomial_str(mono)
-            report.record(label, None if top.delta0() == below.d() else label)
-    return report
+            residuals[label] = residuals.get(label) or top.delta0() - below.d()
+    return residuals

@@ -1,13 +1,20 @@
 """Shared structure-function instances used by the algebroid and
 acceptance tests: model specs, passing and failing data, expected tables;
-and a seeded generator of random operands for the structure tests."""
+a seeded generator of random operands for the structure tests; and the
+CLI's law report on a spec."""
 
 import importlib.util
+import io
 import itertools
+import json
 import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+from bvsigma import cli
+from bvsigma.modelfile import ModelFile
 from bvsigma.models import (
     BfBlock,
     CsBlock,
@@ -18,6 +25,7 @@ from bvsigma.models import (
 )
 from bvsigma.pstructure import fiber_monomials
 from bvsigma.symalg import CoeffSymbol, CPoly, Expr, accumulate, exact, make_symbol
+from test_modelfile import print_model
 
 
 def load_workloads():
@@ -27,6 +35,29 @@ def load_workloads():
     workloads = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(workloads)
     return workloads
+
+
+def cli_report(command, spec):
+    """(exit code, JSON report) of ``bvsigma <command>`` on a model file of
+    ``spec``, without data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.model"
+        path.write_text(print_model(ModelFile(spec, None)), encoding="utf-8")
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli.main([command, "--model", str(path)])
+    return code, json.loads(out.getvalue())
+
+
+def law_rows(report):
+    """({law: holds}, notes) of a law report's detail lines."""
+    results, notes = {}, []
+    for line in report["details"]:
+        if line.startswith("note: "):
+            notes.append(line[len("note: "):])
+        else:
+            law, verdict = line.rsplit(": ", 1)
+            results[law] = verdict == "ok"
+    return results, notes
 
 
 def n2_spec():

@@ -16,6 +16,7 @@ import oracle
 from corpus import (
     anchored_cs_data,
     bad_bivector_data,
+    cli_report,
     cs_spec,
     e_star_lie_data,
     exact_courant_data,
@@ -105,7 +106,7 @@ def test_criterion_01_antibracket_law_suite():
     for name, spec in BRACKET_FAMILIES:
         rep = bv_report(name)
         for law in BRACKET_LAWS:
-            if not rep.results[law]:
+            if rep[law] is not None:
                 failures.append("%s: %s" % (name, law))
     conclude(
         1,
@@ -430,7 +431,7 @@ def test_criterion_07_axiom_equivalence_corpus():
     for maker in (so3_data, quadratic_poisson_data, zero_n2_data, bad_bivector_data):
         data = maker()
         master_ok = verify_structure_data(p2, s12, data).is_zero()
-        axioms_ok = check_lie_algebroid(p2, s12, data).passed
+        axioms_ok = not any(check_lie_algebroid(p2, s12, data).values())
         verdicts.append(master_ok == axioms_ok)
 
     spec3 = n3_spec()
@@ -439,7 +440,7 @@ def test_criterion_07_axiom_equivalence_corpus():
     for maker in (exact_courant_data, e_star_lie_data, zero_n3_data, perturbed_courant_data):
         data = maker()
         master_ok = verify_structure_data(p3, s13, data).is_zero()
-        axioms_ok = check_courant(p3, s13, data).passed
+        axioms_ok = not any(check_courant(p3, s13, data).values())
         verdicts.append(master_ok == axioms_ok)
 
     for rank, maker in ((3, su2_data), (5, non_jacobi_cs_data), (2, anchored_cs_data)):
@@ -448,7 +449,7 @@ def test_criterion_07_axiom_equivalence_corpus():
         s1 = build_S1_generic(spec)
         data = maker(spec)
         master_ok = verify_structure_data(p, s1, data).is_zero()
-        axioms_ok = check_courant(p, s1, data).passed
+        axioms_ok = not any(check_courant(p, s1, data).values())
         verdicts.append(master_ok == axioms_ok)
 
     conclude(7, "master equation passes iff the algebroid axioms pass, full corpus", all(verdicts))
@@ -474,7 +475,7 @@ def test_criterion_08_theorem1_and_first_order():
         ModelSpec(n=5, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 2),), cs_block=CsBlock(2, K2)),
     ]
     for spec in ansatz_specs:
-        okay.append(first_order_check(spec, build_S1_generic(spec)).passed)
+        okay.append(not any(first_order_check(spec, build_S1_generic(spec)).values()))
     conclude(8, "Theorem-1 witness exact for n=2..5; first order vanishes for every ansatz", all(okay))
 
 
@@ -486,12 +487,12 @@ def test_criterion_09_bv_laplacian_even_structures():
     failures = []
     for name, spec in BRACKET_FAMILIES:
         rep = bv_report(name)
-        if not rep.results["Delta degree = |F|-(n-1)"]:
+        if rep["Delta degree = |F|-(n-1)"] is not None:
             failures.append("%s: degree" % name)
     for name, spec in EVEN_FAMILIES:
         rep = bv_report(name)
         for law in LAPLACIAN_LAWS:
-            if not rep.results[law]:
+            if rep[law] is not None:
                 failures.append("%s: %s" % (name, law))
     conclude(
         "9 (even-n clause)",
@@ -522,9 +523,10 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
     where the functional Laplacian stays odd for every n; no
     finite-dimensional sign convention can rescue them.
 
-    For each odd family this checks that check_bv_identities reports
-    Delta-Leibniz failed, with counterexamples and the odd-n note, while
-    the bracket laws and the degree shift pass; and it proves the
+    For each odd family this checks that check_bv_identities returns a
+    Delta-Leibniz residual and that the check-bv report shows its
+    counterexample and the odd-n note, while the bracket laws and the
+    degree shift pass; and it proves the
     obstruction exactly.  F = phi1 and G = B{n-1}_1 both have even degree,
     so no degree-dependent sign tells (F,G) from (G,F): (F,G) = 1 =
     -(G,F), the Leibniz defect D(F,G) equals D(G,F), and the published
@@ -537,15 +539,16 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
         p = PStructure(spec)
         n = p.n
         rep = bv_report(name)
+        _, report = cli_report("check-bv", spec)
 
-        if rep.results["Delta-Leibniz"]:
+        if rep["Delta-Leibniz"] is None:
             failures.append("%s: Delta-Leibniz not flagged" % name)
-        if not any(m.startswith("Delta-Leibniz: |F|,|G| = ") for m in rep.witnesses):
+        if not any(m.startswith("Delta-Leibniz: |F|,|G| = ") for m in report["witnesses"]):
             failures.append("%s: no Delta-Leibniz counterexample" % name)
-        if not any("cannot hold for odd n" in note for note in rep.notes):
+        if not any(line.startswith("note: ") and "cannot hold for odd n" in line for line in report["details"]):
             failures.append("%s: odd-n note missing" % name)
         for law in BRACKET_LAWS + ("Delta degree = |F|-(n-1)",):
-            if not rep.results[law]:
+            if rep[law] is not None:
                 failures.append("%s: %s" % (name, law))
 
         f = Expr.base(1)
@@ -563,7 +566,7 @@ def test_criterion_09_bv_laplacian_odd_structures_unattainable():
 
         if p.laplacian(p.laplacian(f * f * g * g)) != Expr.scalar(4):
             failures.append("%s: Delta^2(phi1^2 B^2) != 4" % name)
-        if rep.results["Delta^2 = 0"] or not any(m.startswith("Delta^2 = 0: ") for m in rep.witnesses):
+        if rep["Delta^2 = 0"] is None or not any(m.startswith("Delta^2 = 0: ") for m in report["witnesses"]):
             failures.append("%s: Delta^2 = 0 not flagged with a witness" % name)
     conclude(
         "9 (odd-n clause)",

@@ -14,6 +14,7 @@ import pytest
 
 from bvsigma import cli
 from bvsigma.symalg import Expr
+from bvsigma.worldsheet import GeneratorTable, component_exprs
 from corpus import load_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,6 +158,9 @@ def test_exit_code_2_for_base_variable_outside_the_base(tmp_path, capsys, var):
 
 N2_MODEL = "[model]\nn = 2\nd = 3\n"
 CS_MODEL = "[model]\nn = 3\nd = 2\nflavor = cs_bf\ncs rank=2\n"
+# Longer than the 4,300 digits Python converts by default.
+LONG = "9" * 5000
+TOO_LONG = "integer of 5000 digits is too long"
 
 # One model file per parse error message, with the message it must print.
 PARSE_ERRORS = [
@@ -214,6 +218,16 @@ PARSE_ERRORS = [
      "line 6: expected 'antisym|sym lower|upper'"),
     ("data-unknown-family", N2_MODEL + "\n[data]\nf9[;1,2] = phi1\n",
      "line 6: unknown symbol family 'f9'"),
+    ("long-n", "[model]\nn = %s\nd = 3\n" % LONG, "line 2: " + TOO_LONG),
+    ("long-d", "[model]\nn = 2\nd = %s\n" % LONG, "line 3: " + TOO_LONG),
+    ("long-block-rank", "[model]\nn = 3\nd = 2\nblock p=1 rank=%s\n" % LONG, "line 4: " + TOO_LONG),
+    ("long-cs-rank", "[model]\nn = 3\nd = 2\nflavor = cs_bf\ncs rank=%s\n" % LONG, "line 5: " + TOO_LONG),
+    ("long-index", N2_MODEL + "\n[data]\nf1[;1,%s] = phi1\n" % LONG, "line 6: " + TOO_LONG),
+    ("long-coefficient", N2_MODEL + "\n[data]\nf1[;1,2] = 2*%s*phi1\n" % LONG,
+     "line 6, column 3: " + TOO_LONG),
+    ("long-denominator", N2_MODEL + "\n[data]\nf1[;1,2] = 1/%s\n" % LONG, "line 6, column 3: " + TOO_LONG),
+    ("long-exponent", N2_MODEL + "\n[data]\nf1[;1,2] = phi3^%s\n" % LONG, "line 6, column 6: " + TOO_LONG),
+    ("long-phi", N2_MODEL + "\n[data]\nf1[;1,2] = 1 + phi%s\n" % LONG, "line 6, column 8: " + TOO_LONG),
 ]
 
 
@@ -365,6 +379,68 @@ def test_seed_and_trials_only_where_read():
         ("check-bv", "--seed"),
         ("check-bv", "--trials"),
     ]
+
+
+def test_verdicts_keep_first_witness_and_first_recorded_order():
+    assert cli._verdicts([]) == (True, [], [])
+    rows = [
+        ("b", None),
+        ("a", "a: first"),
+        ("b", None),
+        ("a", "a: second"),  # a law keeps the witness of its first failure
+        ("c", None),
+        ("a", None),  # a later passing case does not undo a failure
+        ("c", "c: only"),
+    ]
+    passed, details, witnesses = cli._verdicts(rows, ["something to know"])
+    assert witnesses == ["a: first", "c: only"]
+    assert not passed
+    assert details == ["b: ok", "a: FAILED", "c: FAILED", "note: something to know"]
+    passing, other = cli._verdicts([("x", None)], ["n"]), cli._verdicts([("x", None)], ["n"])
+    assert passing == (True, ["x: ok", "note: n"], [])
+    assert all(a is not b for a, b in zip(passing[1:], other[1:]))
+
+
+def test_failing_first_order_report_names_the_monomial(monkeypatch):
+    real = cli.first_order_check
+    table = GeneratorTable(3, (("F", 0),))
+    nonzero = component_exprs(table, "F", 0)[0]
+
+    def broken(spec, s1):
+        residuals = real(spec, s1)
+        assert list(residuals) == ["A1_1*A1_2*B1_1", "A1_1*B2_1"]
+        return dict(residuals, **{"A1_1*B2_1": nonzero})
+
+    monkeypatch.setattr(cli, "first_order_check", broken)
+    code, out = run_cli(["first-order", "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])
+    report = json.loads(out)
+    assert (code, report["result"]) == (1, "fail")
+    assert report["details"] == ["A1_1*A1_2*B1_1: ok", "A1_1*B2_1: FAILED"]
+    assert report["witnesses"] == ["A1_1*B2_1"]
+
+
+def test_failing_theorem1_report_names_the_parities(monkeypatch):
+    # A wrong T on the third case, (|F|,|G|) = (1,0): delta0 of the
+    # doubled T misses the sum by delta0(T), which is not zero.
+    real, calls = cli.theorem1_witness, []
+
+    def broken(table, fc, gc):
+        t, w = real(table, fc, gc)
+        calls.append(t)
+        assert not t.delta0().is_zero()
+        return (t + t if len(calls) == 3 else t), w
+
+    monkeypatch.setattr(cli, "theorem1_witness", broken)
+    code, out = run_cli(["theorem1", "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])
+    report = json.loads(out)
+    assert (code, report["result"], len(calls)) == (1, "fail", 4)
+    assert report["details"] == [
+        "parities (|F|,|G|)=(0,0): ok",
+        "parities (|F|,|G|)=(0,1): ok",
+        "parities (|F|,|G|)=(1,0): FAILED",
+        "parities (|F|,|G|)=(1,1): ok",
+    ]
+    assert report["witnesses"] == ["parities (1,0)"]
 
 
 def test_kinetic_master_and_first_order_commands():

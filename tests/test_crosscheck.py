@@ -1,8 +1,11 @@
 """Dual-route and property-based checks tying the engine to the oracle."""
 
 import functools
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 import oracle
 from corpus import cs_spec, load_workloads, n3_spec
 
+from bvsigma import cli
+from bvsigma.algebroid import check_algebroid
 from bvsigma.master import (
     EQUAL,
     N3_BF,
@@ -288,7 +293,9 @@ def test_substituted_square_equals_square_of_substituted_action(mf):
 def test_checks_return_their_residuals(path):
     """On every shipped example, kinetic_master_check returns a zero
     DgaExpr, and verify_structure_data, where there is data, returns the
-    Expr (S,S) of S = S1|data, scoped to the spec."""
+    Expr (S,S) of S = S1|data, scoped to the spec; check_algebroid returns
+    one Expr per row of the check-algebroid report, zero exactly where the
+    row reads ok."""
     mf = parse_model(path.read_text(encoding="utf-8"))
     residue = kinetic_master_check(mf.spec)
     assert type(residue) is DgaExpr and residue.is_zero()
@@ -298,6 +305,13 @@ def test_checks_return_their_residuals(path):
         residual = verify_structure_data(p, s1, mf.data)
         assert type(residual) is Expr and residual.scope == mf.spec.fingerprint()
         assert residual == p.bracket(s, s)
+        residuals = check_algebroid(p, s1, mf.data)
+        assert all(type(r) is Expr for r in residuals.values())
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["check-algebroid", "--model", str(path)])
+        rows = ["%s: %s" % (law, "FAILED" if r else "ok") for law, r in residuals.items()]
+        assert json.loads(out.getvalue())["details"] == rows
+        assert code == (1 if any(residuals.values()) else 0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import RandomExprs
+from corpus import RandomExprs, cli_report, law_rows
 from bvsigma import pstructure
 from bvsigma.models import BfBlock, CsBlock, CS_BF, ModelError, ModelSpec, build_S1_generic
 from bvsigma.pstructure import (
@@ -14,7 +14,6 @@ from bvsigma.pstructure import (
     LAPLACIAN_LAWS,
     Hamiltonian,
     PStructure,
-    Verdicts,
     check_bv_identities,
     fiber_monomials,
 )
@@ -130,7 +129,7 @@ def test_zero_rank_self_block_reduces_to_bf_bracket():
     # Two specs, so two scopes: the brackets' terms coincide, not the sums.
     assert plain.bracket(*operands(plain.spec)).terms == with_empty.bracket(*operands(with_empty.spec)).terms
     rep = check_bv_identities(with_empty)
-    assert all(rep.results[law] for law in BRACKET_LAWS)
+    assert all(rep[law] is None for law in BRACKET_LAWS)
 
 
 def test_even_degree_self_block_rejected():
@@ -162,7 +161,7 @@ def test_bracket_laws_randomized(spec):
     p = PStructure(spec)
     rep, ref = check_bv_identities(p), _reference_check_bv(p, trials=30, seed=7)
     for law in BRACKET_LAWS:
-        assert rep.results[law] and ref.results[law], (rep.witnesses, ref.witnesses)
+        assert rep[law] is None and ref[law] is None, (rep[law], ref[law])
 
 
 @pytest.mark.parametrize("n", (2, 4))
@@ -170,7 +169,7 @@ def test_laplacian_suite_even_n(n):
     spec = ModelSpec(n=n, d=2, bf_blocks=(BfBlock(1, 2),) if n > 2 else ())
     rep = check_bv_identities(PStructure(spec))
     for law in LAPLACIAN_LAWS:
-        assert rep.results[law], rep.witnesses
+        assert rep[law] is None, rep[law]
 
 
 def test_laplacian_obstruction_reported_for_odd_n():
@@ -178,10 +177,12 @@ def test_laplacian_obstruction_reported_for_odd_n():
     # second-order Leibniz defect is graded-symmetric; the checker must
     # report the failure and explain it.
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    rep = check_bv_identities(PStructure(spec))
-    assert all(rep.results[law] for law in BRACKET_LAWS)
-    assert not rep.results["Delta-Leibniz"]
-    assert any("odd n" in note for note in rep.notes)
+    code, report = cli_report("check-bv", spec)
+    results, notes = law_rows(report)
+    assert code == 1
+    assert all(results[law] for law in BRACKET_LAWS)
+    assert not results["Delta-Leibniz"]
+    assert any("odd n" in note for note in notes)
 
 
 @pytest.mark.parametrize("n, unexercised", ((3, False), (5, True), (6, True)))
@@ -191,9 +192,10 @@ def test_unexercised_delta_squared_is_noted(n, unexercised):
     # alone; the generic operands reach every degree from 2(n-1) on.  The
     # law is false at odd n and true at even n.
     p = PStructure(ModelSpec(n=n, d=2))
-    rep = check_bv_identities(p)
-    assert rep.results["Delta^2 = 0"] == (n % 2 == 0)
-    witnesses = [m for m in rep.witnesses if m.startswith("Delta^2 = 0: ")]
+    _, report = cli_report("check-bv", p.spec)
+    results, notes = law_rows(report)
+    assert results["Delta^2 = 0"] == (n % 2 == 0)
+    witnesses = [m for m in report["witnesses"] if m.startswith("Delta^2 = 0: ")]
     if n % 2:
         # At |F| = 2(n-1) the operand is u[0;] B_1^2 + u[1;] B_1 B_2 +
         # u[2;] B_2^2 (B = B{n-1}, even); Delta^2 pairs each B with its phi
@@ -207,30 +209,7 @@ def test_unexercised_delta_squared_is_noted(n, unexercised):
     else:
         assert witnesses == []
     assert (2 * (n - 1) > n + 2) == unexercised
-    assert not any("Delta^2" in note for note in rep.notes)
-
-
-def test_verdicts_keep_first_witness_and_first_recorded_order():
-    rep = Verdicts()
-    assert rep.passed and rep.details() == []
-    rep.record("b")
-    rep.record("a", "a: first")
-    rep.record("b")
-    rep.record("a", "a: second")  # a law keeps the witness of its first failure
-    rep.record("c")
-    rep.record("a")  # a later passing case does not undo a failure
-    rep.record("c", "c: only")
-    rep.notes.append("something to know")
-    assert list(rep.results.items()) == [("b", True), ("a", False), ("c", False)]
-    assert rep.witnesses == ["a: first", "c: only"]
-    assert not rep.passed
-    assert rep.details() == ["b: ok", "a: FAILED", "c: FAILED", "note: something to know"]
-    passing, other = Verdicts(), Verdicts()
-    assert all(getattr(passing, f) is not getattr(other, f) for f in ("results", "witnesses", "notes"))
-    passing.record("x")
-    passing.notes.append("n")
-    assert passing.passed and passing.details() == ["x: ok", "note: n"]
-    assert repr(passing) == "Verdicts(results={'x': True}, witnesses=[], notes=['n'])"
+    assert not any("Delta^2" in note for note in notes)
 
 
 def test_laplacian_examples():
@@ -690,18 +669,18 @@ def _reference_check_bv(pstruct, trials, seed):
     """Every law on ``trials`` random triples F, G, H (fiber monomials of up
     to 4 factors, see :class:`corpus.RandomExprs`), with one bracket,
     Laplacian and product call per use, filling a report as
-    check_bv_identities does; a witness names the trial and its operands.
-    Delta^2 = 0 past the random operand degrees, up to 2(n-1), is applied
-    to each single-monomial operand u*m of up to k factors, in canonical
-    order, up to the first failure per degree k."""
+    returning law -> witness of its first failing case, or None; a witness
+    names the trial and its operands.  Delta^2 = 0 past the random operand
+    degrees, up to 2(n-1), is applied to each single-monomial operand u*m
+    of up to k factors, in canonical order, up to the first failure per
+    degree k."""
     n = pstruct.n
     gen = _ProductCoefficients(pstruct, seed)
-    report = Verdicts()
-    for law in BRACKET_LAWS + LAPLACIAN_LAWS:
-        report.record(law)
+    report = dict.fromkeys(BRACKET_LAWS + LAPLACIAN_LAWS)
 
     def fail(law, msg):
-        report.record(law, "%s: %s" % (law, msg))
+        if report[law] is None:
+            report[law] = "%s: %s" % (law, msg)
 
     br = pstruct.bracket
     lap = pstruct.laplacian
@@ -755,19 +734,19 @@ def _reference_check_bv(pstruct, trials, seed):
         lf = lap(f)
         if lf and lf.homogeneous_degree() != fd - (n - 1):
             fail(LAPLACIAN_LAWS[2], "trial %d" % trial)
-    if n % 2 == 1 and not report.results[LAPLACIAN_LAWS[0]]:
-        report.notes.append(
-            "Delta-Leibniz cannot hold for odd n at target level: the bracket "
-            "is graded-antisymmetric there while any second-order Leibniz "
-            "defect is graded-symmetric"
-        )
-    if pstruct.self_pairs:
-        report.notes.append(
-            "Delta-Leibniz compared against the Darboux sector; the self-block "
-            "k-term has no second-order generator (k^{ab} d_l d_l vanishes "
-            "identically on an odd self-paired block)"
-        )
     return report
+
+
+ODD_N_NOTE = (
+    "Delta-Leibniz cannot hold for odd n at target level: the bracket "
+    "is graded-antisymmetric there while any second-order Leibniz "
+    "defect is graded-symmetric"
+)
+SELF_BLOCK_NOTE = (
+    "Delta-Leibniz compared against the Darboux sector; the self-block "
+    "k-term has no second-order generator (k^{ab} d_l d_l vanishes "
+    "identically on an odd self-paired block)"
+)
 
 
 @pytest.mark.parametrize("spec", CRITERION_9_FAMILIES, ids=lambda s: s.fingerprint())
@@ -776,15 +755,17 @@ def test_check_bv_matches_one_call_per_use_reference(spec, seed):
     # An exactness oracle: a law the generic route proves never fails on
     # random long operands, and every law a random trial refutes is refuted
     # by the generic route.  At odd n the random trials meet the obstruction
-    # too, so the two reports carry the same notes.
+    # too, so the check-bv report notes it exactly when the reference fails
+    # Delta-Leibniz at odd n.
     p = PStructure(spec)
-    rep = check_bv_identities(p)
+    results, notes = law_rows(cli_report("check-bv", spec)[1])
     ref = _reference_check_bv(p, trials=12, seed=seed)
-    assert set(rep.results) == set(ref.results)
-    for law, proved in rep.results.items():
-        assert ref.results[law] or not proved, (law, ref.witnesses)
-    assert rep.notes == ref.notes
-    assert ref.results["Delta-Leibniz"] == (spec.n % 2 == 0)
+    assert set(results) == set(ref)
+    for law, proved in results.items():
+        assert ref[law] is None or not proved, (law, ref[law])
+    odd_n = spec.n % 2 == 1 and ref["Delta-Leibniz"] is not None
+    assert notes == [ODD_N_NOTE] * odd_n + [SELF_BLOCK_NOTE] * bool(p.self_pairs)
+    assert (ref["Delta-Leibniz"] is None) == (spec.n % 2 == 0)
 
 
 # Each law's verdict, pinned: cotangent n=1..5 (n=2 over a three-dimensional
@@ -815,11 +796,15 @@ VERDICTS = (
 @pytest.mark.parametrize("spec, failed", VERDICTS, ids=[v[0].fingerprint() for v in VERDICTS])
 def test_check_bv_verdict_per_law(spec, failed):
     rep = check_bv_identities(PStructure(spec))
-    assert list(rep.results) == sorted(BRACKET_LAWS + LAPLACIAN_LAWS)  # detail lines sorted
-    assert sorted(law for law, ok in rep.results.items() if not ok) == failed
+    assert list(rep) == sorted(BRACKET_LAWS + LAPLACIAN_LAWS)  # detail lines sorted
+    assert sorted(law for law, case in rep.items() if case is not None) == failed
     # one witness per failed law: the law, its operands' degrees and a term
-    assert [w.split(": ")[0] for w in rep.witnesses] == failed
-    assert all(re.match(r"[^:]+: \|F\|(,\|G\|)? = \d+(,\d+)?: residual term \S", w) for w in rep.witnesses)
+    code, report = cli_report("check-bv", spec)
+    assert code == (1 if failed else 0)
+    assert law_rows(report)[0] == {law: case is None for law, case in rep.items()}
+    assert [w.split(": ")[0] for w in report["witnesses"]] == failed
+    assert all(re.match(r"[^:]+: \|F\|(,\|G\|)? = \d+(,\d+)?: residual term \S", w) for w in report["witnesses"])
+    assert all(len(case[0]) in (1, 2) and case[1] for case in rep.values() if case is not None)
 
 
 def _sizes(spec):
