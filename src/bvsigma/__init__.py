@@ -11,7 +11,6 @@ from .symalg import (
     make_symbol,
 )
 from .models import (
-    Action,
     BfBlock,
     CsBlock,
     FamilyDecl,
@@ -32,7 +31,6 @@ __all__ = [
     "MixedContextError",
     "SymGroup",
     "make_symbol",
-    "Action",
     "BfBlock",
     "CsBlock",
     "FamilyDecl",

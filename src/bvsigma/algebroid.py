@@ -27,8 +27,8 @@ polynomial identity in the jets of F, G and H therefore holds for every
 function.  The Courant checker (n=3) likewise puts a generic section
 X = sum_a X[a;] e_a in each slot, and the Lie checker (n=2) the exact
 section of a generic potential (F, G, H), so each axiom is one residual,
-zero exactly when the axiom holds for every section.  Each checker
-returns {axiom: residual} in report order.
+zero exactly when the axiom holds for every section.  Each checker takes
+an action S (S1|data or S1) and returns {axiom: residual} in report order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import functools
 import itertools
 from typing import Callable
 
-from .models import Action, ModelError, ModelSpec, StructureData
+from .models import ModelError, ModelSpec
 from .pstructure import Hamiltonian, PStructure, generic_operand
 from .symalg import CoeffSymbol, Expr
 
@@ -74,11 +74,11 @@ def anchor(p: PStructure, D: Callable[[Expr], Expr], e: Expr, f: Expr) -> Expr:
 # -- symbolic operation tables ------------------------------------------------
 
 
-def operation_table(p: PStructure, s1: Action):
+def operation_table(p: PStructure, S: Expr):
     """Evaluate o, <,> and rho on the whole basis with symbols opaque."""
     reps = section_representatives(p.spec)
     rows = []
-    q = Hamiltonian(s1.expr)
+    q = Hamiltonian(S)
     D = functools.cache(lambda x: p.bracket(q, x))
     for (la, ea), (lb, eb) in itertools.product(reps, reps):
         rows.append(("circ", la, lb, derived_bracket(p, D, ea, eb)))
@@ -99,8 +99,8 @@ G = Expr.symbol(CoeffSymbol("G"))
 H = Expr.symbol(CoeffSymbol("H"))
 
 
-def check_courant(p: PStructure, s1: Action, data: StructureData) -> dict[str, Expr]:
-    """Decide the six Courant axioms on generic sections under substituted data.
+def check_courant(p: PStructure, S: Expr) -> dict[str, Expr]:
+    """Decide the six Courant axioms of the action S on generic sections.
 
     Each slot holds a generic section X = sum_a X[a;] e_a over the section
     generators e_a (Y and Z likewise), and each base function is the generic
@@ -111,7 +111,7 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> dict[str, E
     """
     monos = [min(e.terms) for _, e in section_representatives(p.spec)]
     X, Y, Z = (generic_operand(name, monos) for name in "XYZ")
-    q = Hamiltonian(s1.expr.substitute(data))
+    q = Hamiltonian(S)
     D = functools.cache(lambda x: p.bracket(q, x))
     xy, xz, yz = (derived_bracket(p, D, a, b) for a, b in ((X, Y), (X, Z), (Y, Z)))
     rho_x_f = anchor(p, D, X, F)
@@ -128,8 +128,8 @@ def check_courant(p: PStructure, s1: Action, data: StructureData) -> dict[str, E
     }
 
 
-def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> dict[str, Expr]:
-    """Decide the Lie algebroid axioms of the n=2 model under substituted data.
+def check_lie_algebroid(p: PStructure, S: Expr) -> dict[str, Expr]:
+    """Decide the Lie algebroid axioms of the n=2 action S.
 
     The bracket of exact sections is the derived bracket on potentials,
     [dF,dG] = d((S,F),G), and the anchor acts by rho(dF)H = ((S,F),H), so
@@ -141,7 +141,7 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> dict[
     of the bracket of exact ones, so the Leibniz rule and the closure of
     exact sections hold for every bivector and are not rows.
     """
-    q = Hamiltonian(s1.expr.substitute(data))
+    q = Hamiltonian(S)
     D = functools.cache(lambda x: p.bracket(q, x))
     fg = derived_bracket(p, D, F, G)
     return {
@@ -150,9 +150,3 @@ def check_lie_algebroid(p: PStructure, s1: Action, data: StructureData) -> dict[
         - derived_bracket(p, D, G, derived_bracket(p, D, F, H)) - derived_bracket(p, D, fg, H),
     }
 
-
-def check_algebroid(p: PStructure, s1: Action, data: StructureData) -> dict[str, Expr]:
-    """Dispatch to the Lie (n=2) or Courant (n=3) axiom checker."""
-    if p.n == 2:
-        return check_lie_algebroid(p, s1, data)
-    return check_courant(p, s1, data)

@@ -12,16 +12,16 @@ import json
 import sys
 from typing import Optional
 
-from .algebroid import check_algebroid, operation_table
+from .algebroid import check_courant, check_lie_algebroid, operation_table, section_representatives
 from .master import (
     EQUAL,
     N2_JACOBI,
     N3_BF,
     N3_CS,
     compare_identity_spans,
+    expand_master,
     extract_identities,
     transcribe_paper_identities,
-    verify_structure_data,
 )
 from .models import ModelError, ModelSpec, build_S1_generic
 from .modelfile import ModelFile, ParseError, parse_model
@@ -93,11 +93,6 @@ def _least_term(law: str, residual: Expr, case: str = "") -> Optional[str]:
     return "%s: %sresidual term %s" % (law, case, Expr({m: residual.terms[m]}))
 
 
-def _require_data(mf: ModelFile, command: str):
-    if mf.data is None:
-        raise SystemExit2("%s requires a [data] section in the model file" % command)
-
-
 class SystemExit2(Exception):
     """Usage-level error: exit code 2."""
 
@@ -112,6 +107,22 @@ def _read_model(path: str) -> ModelFile:
         raise SystemExit2("no such model file: %s" % path) from None
     except ParseError as exc:
         raise SystemExit2("%s: %s" % (path, exc)) from None
+
+
+_DATA_COMMANDS = ("check-master", "verify-data", "check-algebroid")  # refuse a file without data
+
+
+def _action(mf: ModelFile, args, s1: Optional[Expr] = None) -> Expr:
+    """The action S that ``args.command`` evaluates, which the engine's
+    checks take as it is: S1|data for a data command, or ``laplacian`` on
+    a file with data, else the generic S1 (``s1`` if already built).
+    Substitution commutes with every derivative (d(j)f takes the
+    phi_j-derivative of f's value), so (S,S) = (S1,S1)|data exactly; an
+    unassigned symbol of S1 raises MissingSymbolError."""
+    s1 = build_S1_generic(mf.spec).expr if s1 is None else s1
+    if mf.data is None or args.command not in _DATA_COMMANDS + ("laplacian",):
+        return s1
+    return s1.substitute(mf.data)
 
 
 def _cmd_check_bv(mf: ModelFile, args) -> int:
@@ -136,10 +147,7 @@ def _cmd_check_bv(mf: ModelFile, args) -> int:
 
 
 def _cmd_check_master(mf: ModelFile, args) -> int:
-    _require_data(mf, "check-master")
-    p = PStructure(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    residual = verify_structure_data(p, s1, mf.data)
+    residual = expand_master(PStructure(mf.spec), _action(mf, args))
     passed = not residual
     details = ["(S1,S1) after substitution %s" % ("vanishes" if passed else "does not vanish")]
     witnesses = ["%s: %s" % (monomial_str(m), residual.terms[m]) for m in sorted(residual.terms)]
@@ -147,10 +155,9 @@ def _cmd_check_master(mf: ModelFile, args) -> int:
 
 
 def _cmd_verify_data(mf: ModelFile, args) -> int:
-    _require_data(mf, "verify-data")
     p = PStructure(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    terms = verify_structure_data(p, s1, mf.data).terms
+    s1 = build_S1_generic(mf.spec).expr
+    terms = expand_master(p, _action(mf, args, s1)).terms
     residual = {monomial_str(m): terms[m] for m in sorted(terms)}
     rows = []
     for tag, _ in extract_identities(p, s1):
@@ -163,9 +170,7 @@ def _cmd_verify_data(mf: ModelFile, args) -> int:
 
 
 def _cmd_extract(mf: ModelFile, args) -> int:
-    p = PStructure(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    idents = extract_identities(p, s1)
+    idents = extract_identities(PStructure(mf.spec), _action(mf, args))
     memo: dict = {}  # one string per coefficient symbol of the report
     details = ["%s: %s = 0" % (tag, poly.render(memo)) for tag, poly in idents]
     return _report("extract-identities", mf.spec, True, details, [], args.format)
@@ -188,9 +193,9 @@ def _cmd_compare(mf: ModelFile, args) -> int:
         label = "paper"
     else:
         other = _read_model(args.against)
-        theirs = extract_identities(PStructure(other.spec), build_S1_generic(other.spec))
+        theirs = extract_identities(PStructure(other.spec), _action(other, args))
         label = args.against
-    ours = extract_identities(PStructure(mf.spec), build_S1_generic(mf.spec))
+    ours = extract_identities(PStructure(mf.spec), _action(mf, args))
     cmp = compare_identity_spans(ours, theirs)
     details = [
         "extracted equations: %d" % len(ours),
@@ -202,17 +207,17 @@ def _cmd_compare(mf: ModelFile, args) -> int:
 
 
 def _cmd_check_algebroid(mf: ModelFile, args) -> int:
-    _require_data(mf, "check-algebroid")
     p = PStructure(mf.spec)
-    residuals = check_algebroid(p, build_S1_generic(mf.spec), mf.data)
-    rows = [(law, _least_term(law, residual)) for law, residual in residuals.items()]
+    section_representatives(mf.spec)  # refuses an n without section bases before S is built
+    check = check_lie_algebroid if p.n == 2 else check_courant
+    rows = [(law, _least_term(law, residual)) for law, residual in check(p, _action(mf, args)).items()]
     return _report("check-algebroid", mf.spec, *_verdicts(rows), args.format)
 
 
 def _cmd_derived_table(mf: ModelFile, args) -> int:
     p = PStructure(mf.spec)
     details, memo = [], {}
-    for op, left, right, expr in operation_table(p, build_S1_generic(mf.spec)):
+    for op, left, right, expr in operation_table(p, _action(mf, args)):
         expr = expr.render(memo)
         if op == "circ":
             details.append("%s o %s = %s" % (left, right, expr))
@@ -224,12 +229,7 @@ def _cmd_derived_table(mf: ModelFile, args) -> int:
 
 
 def _cmd_laplacian(mf: ModelFile, args) -> int:
-    p = PStructure(mf.spec)
-    s1 = build_S1_generic(mf.spec)
-    expr = s1.expr
-    if mf.data is not None:
-        expr = expr.substitute(mf.data)
-    value = p.laplacian(expr)
+    value = PStructure(mf.spec).laplacian(_action(mf, args))
     details = [
         "Delta(S1) = %s" % value,
         "note: reported at finite-dimensional target level, not asserted zero",
@@ -255,10 +255,10 @@ def _cmd_theorem1(mf: ModelFile, args) -> int:
 
 
 def _cmd_first_order(mf: ModelFile, args) -> int:
-    s1 = build_S1_generic(mf.spec)
-    if s1.expr.is_zero():  # no law to check: refuse rather than pass
+    S = _action(mf, args)
+    if S.is_zero():  # no law to check: refuse rather than pass
         raise SystemExit2("first-order: the deformation ansatz of this model is empty, so there is nothing to check")
-    residuals = first_order_check(mf.spec, s1)
+    residuals = first_order_check(mf.spec, S)
     rows = [(label, label if residual else None) for label, residual in residuals.items()]
     return _report("first-order", mf.spec, *_verdicts(rows), args.format)
 
@@ -330,7 +330,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     # Only errors in what the user gave are usage errors; any other
     # exception is a fault of the engine and propagates.
     try:
-        return _COMMANDS[args.command](_read_model(args.model), args)
+        mf = _read_model(args.model)
+        if mf.data is None and args.command in _DATA_COMMANDS:
+            raise SystemExit2("%s requires a [data] section in the model file" % args.command)
+        return _COMMANDS[args.command](mf, args)
     except (SystemExit2, ModelError, MissingSymbolError, ParseError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE

@@ -1,13 +1,12 @@
 """Classical master equation expansion and the induced identity systems.
 
-``expand_master`` computes the quadratic deformation term (S1,S1);
+``expand_master`` computes (S,S) of an action S, S1 or S1|data;
 ``extract_identities`` groups it by graded monomial, one coefficient
 equation per monomial class; an identity system is a plain list of
 (tag, CPoly) pairs, each CPoly = 0 one equation.
 ``transcribe_paper_identities`` expands the published identity systems of
 the n=2 model, the n=3 two-block model and the n=3 self-paired model over
 explicit indices, so the two routes can be compared by exact linear span.
-``verify_structure_data`` returns the residual (S,S) of substituted data.
 
 The published systems are one table, ``PAPER_IDENTITIES``, read by one
 interpreter.  Its conventions: index letters i..l run over the base 1..d
@@ -25,34 +24,22 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .grading import permutation_sign
-from .models import Action, ModelError, ModelSpec, StructureData, ansatz_families
+from .models import ModelError, ModelSpec, ansatz_families
 from .pstructure import PStructure
 from .rowreduce import Directions, Row, span_includes
 from .symalg import ANTISYM, LOWER, CPoly, Expr, accumulate, exact, make_symbol, monomial_str
 
 
-def expand_master(p: PStructure, s1: Action) -> Expr:
-    """The g^2 term (S1,S1) of the master equation, canonical."""
-    return p.bracket(s1.expr, s1.expr)
+def expand_master(p: PStructure, S: Expr) -> Expr:
+    """The g^2 term (S,S) of the master equation, canonical; for S = S1|data
+    it is zero exactly when the data solve the master equation."""
+    return p.bracket(S, S)
 
 
-def extract_identities(p: PStructure, s1: Action) -> list[tuple[str, CPoly]]:
-    """Group (S1,S1) by graded monomial; each coefficient is one equation."""
-    expanded = expand_master(p, s1)
+def extract_identities(p: PStructure, S: Expr) -> list[tuple[str, CPoly]]:
+    """Group (S,S) by graded monomial; each coefficient is one equation."""
+    expanded = expand_master(p, S)
     return [(monomial_str(m), expanded.terms[m]) for m in sorted(expanded.terms)]
-
-
-def verify_structure_data(p: PStructure, s1: Action, data: StructureData) -> Expr:
-    """The residual (S,S) of the action S = S1|data, canonical: zero
-    exactly when the data solve the classical master equation.
-
-    Substitution is a ring map that commutes with every derivative (a
-    derived symbol d(j)f takes the phi_j-derivative of f's value), so
-    (S,S) equals (S1,S1)|data exactly, at the cost of a bracket of the
-    small substituted action.  Every symbol of S1 must be assigned: the
-    first unassigned one raises MissingSymbolError.
-    """
-    return expand_master(p, Action(s1.expr.substitute(data), s1.total_degree))
 
 
 # -- span comparison -------------------------------------------------------------

@@ -42,7 +42,20 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         where = "line %d" % line if column is None else "line %d, column %d" % (line, column)
+        message = _LONG_NUMBER.sub(lambda m: _echo(m[0], "%s"), message)  # a long number, as in a ModelError, too
         super().__init__("%s: %s" % (where, message))
+
+
+_ECHO = 32  # characters of one input that an error message repeats
+_LONG_NUMBER = re.compile(r"\d{%d,}" % (_ECHO + 1))
+
+
+def _echo(text: str, form: str = "%r") -> str:
+    """``text``, an input, as an error message repeats it through ``form``:
+    whole when short, else its first characters and its length."""
+    if len(text) <= _ECHO:
+        return form % text
+    return form % (text[:_ECHO] + "...") + " (%d characters)" % len(text)
 
 
 def _int(digits: str, line: int, column: Optional[int] = None) -> int:
@@ -93,7 +106,7 @@ class _PolyParser:
         poly = self.expr()
         if self.pos != len(self.tokens):
             tok, col = self.tokens[self.pos]
-            raise ParseError("unexpected %r after polynomial" % tok, self.line, col)
+            raise ParseError("unexpected %s after polynomial" % _echo(tok), self.line, col)
         return poly
 
     def expr(self) -> CPoly:
@@ -185,7 +198,7 @@ def _indices(text: str, line: int) -> tuple[int, ...]:
     for piece in text.split(","):
         piece = piece.strip()
         if not piece.isdigit():
-            raise ParseError("invalid index %r" % piece, line)
+            raise ParseError("invalid index %s" % _echo(piece), line)
         out.append(_int(piece, line))
     return tuple(out)
 
@@ -205,7 +218,7 @@ def parse_model(text: str) -> ModelFile:
             continue
         if line.startswith("["):
             if line not in ("[model]", "[data]", "[symmetry]"):
-                raise ParseError("unknown section %s" % line, lineno)
+                raise ParseError("unknown section %s" % _echo(line, "%s"), lineno)
             section = line[1:-1]
             continue
         if section is None:
@@ -241,11 +254,11 @@ def parse_model(text: str) -> ModelFile:
                         try:
                             row.append(Fraction(entry))
                         except (ValueError, ZeroDivisionError):
-                            raise ParseError("invalid metric entry %r" % entry, lineno)
+                            raise ParseError("invalid metric entry %s" % _echo(entry), lineno)
                     rows.append(tuple(row))
                 value = tuple(rows)
             else:
-                raise ParseError("unknown model key %r" % key, lineno)
+                raise ParseError("unknown model key %s" % _echo(key), lineno)
             if key in lines:
                 raise ParseError("repeated model key %r" % key, lineno)
             model[key] = value
@@ -282,7 +295,7 @@ def parse_model(text: str) -> ModelFile:
     for lineno, name, kind in symmetry_lines:
         fam = data.families.get(name)
         if fam is None:
-            raise ParseError("unknown symbol family %r" % name, lineno)
+            raise ParseError("unknown symbol family %s" % _echo(name), lineno)
         parts = kind.split()
         if len(parts) != 2 or parts[0] not in (ANTISYM, SYM) or parts[1] not in ("lower", "upper"):
             raise ParseError("expected 'antisym|sym lower|upper'", lineno)
@@ -295,6 +308,8 @@ def parse_model(text: str) -> ModelFile:
         poly = parse_poly(poly_text, lineno)
         try:
             data.assign(name, lower, upper, poly)
-        except (ModelError, MissingSymbolError) as exc:
+        except MissingSymbolError:  # the one assign raises: no such family
+            raise ParseError("unknown symbol family %s" % _echo(name), lineno)
+        except ModelError as exc:
             raise ParseError(str(exc), lineno)
     return ModelFile(spec, data if data_lines else None)

@@ -199,10 +199,11 @@ class ModelSpec(_SpecFields):
 
 
 class Action(NamedTuple):
-    """A BV action: target-level expression plus its declared total degree."""
+    """The generic S1 that :func:`build_S1_generic` returns; every check
+    takes the ``expr`` itself.  Kept as a record because
+    ``perfbench/tracing.py`` reads ``.expr`` off that return value."""
 
     expr: Expr
-    total_degree: int
 
 
 # -- generic deformation ansatz ----------------------------------------------
@@ -306,7 +307,7 @@ def build_S1_generic(spec: ModelSpec) -> Action:
             vsign, mono = sort_monomial(fvars)
             weight = prod(factorial(len(list(same))) for rep in reps for _, same in itertools.groupby(rep))
             terms[mono] = CPoly.symbol(sym, Fraction(sign * vsign, weight))
-    return Action(Expr(terms, scope), spec.n)
+    return Action(Expr(terms, scope))
 
 
 # -- structure data ------------------------------------------------------------

@@ -23,8 +23,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .models import Action, ModelSpec
-from .symalg import MixedContextError, SparseSum, _join_signed, exact, monomial_str
+from .models import ModelSpec
+from .symalg import Expr, MixedContextError, SparseSum, _join_signed, exact, monomial_str
 
 
 class ComponentField(NamedTuple):
@@ -420,9 +420,9 @@ def theorem1_witness(
 # -- first order of the master equation ----------------------------------------------
 
 
-def first_order_check(spec: ModelSpec, s1: Action) -> dict[str, DgaExpr]:
-    """(S0,S1) = 0 for deformations without d: the top form part of
-    delta0(S1) is d-exact, term by term.
+def first_order_check(spec: ModelSpec, S: Expr) -> dict[str, DgaExpr]:
+    """(S0,S) = 0 for a deformation S without d: the top form part of
+    delta0(S) is d-exact, term by term.
 
     Every factor of a monomial (coefficient symbols, explicit base
     variables, fiber variables) is lifted to a free component family with
@@ -434,8 +434,8 @@ def first_order_check(spec: ModelSpec, s1: Action) -> dict[str, DgaExpr]:
     n = spec.n
     residuals: dict[str, DgaExpr] = {}
     seen_signatures = set()
-    for mono in sorted(s1.expr.terms):
-        cpoly = s1.expr.terms[mono]
+    for mono in sorted(S.terms):
+        cpoly = S.terms[mono]
         signatures = {len(syms) + sum(p for _, p in base) for syms, base in cpoly.terms}
         for coeff_factors in sorted(signatures):
             signature = (coeff_factors, tuple(v.degree for v in mono))

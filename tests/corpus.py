@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from bvsigma import cli
+from bvsigma.algebroid import check_courant, check_lie_algebroid
 from bvsigma.modelfile import ModelFile
 from bvsigma.models import (
     BfBlock,
@@ -58,6 +59,12 @@ def law_rows(report):
             law, verdict = line.rsplit(": ", 1)
             results[law] = verdict == "ok"
     return results, notes
+
+
+def algebroid_residuals(p, S):
+    """The residuals of the checker that check-algebroid runs on the
+    action S: the Lie algebroid one at n=2, the Courant one at n=3."""
+    return (check_lie_algebroid if p.n == 2 else check_courant)(p, S)
 
 
 def n2_spec():

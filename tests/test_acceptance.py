@@ -44,7 +44,6 @@ from bvsigma.master import (
     expand_master,
     extract_identities,
     transcribe_paper_identities,
-    verify_structure_data,
 )
 from bvsigma.models import (
     BfBlock,
@@ -149,16 +148,16 @@ def _engine_to_oracle(expr, var_ids, d):
 def test_criterion_03_n2_identity_recovery():
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     okay = []
 
     extracted = extract_identities(p, s1)
     transcribed = transcribe_paper_identities(N2_JACOBI, spec)
     okay.append(compare_identity_spans(extracted, transcribed).relation == EQUAL)
 
-    okay.append(verify_structure_data(p, s1, so3_data()).is_zero())
+    okay.append(expand_master(p, s1.substitute(so3_data())).is_zero())
 
-    residual = verify_structure_data(p, s1, bad_bivector_data())
+    residual = expand_master(p, s1.substitute(bad_bivector_data()))
     okay.append({monomial_str(m): str(c) for m, c in residual.terms.items()} == {"B1_1*B1_2*B1_3": "-2*phi1"})
 
     # Independent oracle: its own bracket expansion and the Jacobiator.
@@ -249,15 +248,15 @@ def antibracket_full_ids(alg, n, base_pairs, fiber_pairs, self_blocks, s1):
 def test_criterion_04_n3_bf_identity_recovery():
     spec = n3_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     okay = []
 
     extracted = extract_identities(p, s1)
     transcribed = transcribe_paper_identities(N3_BF, spec)
     okay.append(compare_identity_spans(extracted, transcribed).relation == EQUAL)
 
-    okay.append(verify_structure_data(p, s1, exact_courant_data()).is_zero())
-    okay.append(not verify_structure_data(p, s1, perturbed_courant_data()).is_zero())
+    okay.append(expand_master(p, s1.substitute(exact_courant_data())).is_zero())
+    okay.append(not expand_master(p, s1.substitute(perturbed_courant_data())).is_zero())
 
     # oracle agreement on both expansions
     ids = {}
@@ -311,21 +310,21 @@ def test_criterion_05_n3_cs_identity_recovery():
     okay = []
     spec2 = cs_spec(rank=2)
     p2 = PStructure(spec2)
-    extracted = extract_identities(p2, build_S1_generic(spec2))
+    extracted = extract_identities(p2, build_S1_generic(spec2).expr)
     transcribed = transcribe_paper_identities(N3_CS, spec2)
     okay.append(compare_identity_spans(extracted, transcribed).relation == EQUAL)
 
     spec3 = cs_spec(rank=3)
     p3 = PStructure(spec3)
-    s13 = build_S1_generic(spec3)
+    s13 = build_S1_generic(spec3).expr
     good = su2_data(spec3)
-    okay.append(verify_structure_data(p3, s13, good).is_zero())
+    okay.append(expand_master(p3, s13.substitute(good)).is_zero())
 
     spec5 = cs_spec(rank=5)
     p5 = PStructure(spec5)
-    s15 = build_S1_generic(spec5)
+    s15 = build_S1_generic(spec5).expr
     bad = non_jacobi_cs_data(spec5)
-    okay.append(not verify_structure_data(p5, s15, bad).is_zero())
+    okay.append(not expand_master(p5, s15.substitute(bad)).is_zero())
 
     # oracle agreement for both
     for spec, s1, data, expect_zero in (
@@ -351,7 +350,7 @@ def test_criterion_06_derived_bracket_tables():
     okay = []
     spec = n3_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
 
     def A(c):
@@ -397,7 +396,7 @@ def test_criterion_06_derived_bracket_tables():
     speccs = cs_spec(rank=3)
     k = speccs.cs_block.metric
     pcs = PStructure(speccs)
-    s1cs = build_S1_generic(speccs)
+    s1cs = build_S1_generic(speccs).expr
     rows = {
         (op, l, r): e
         for op, l, r, e in operation_table(pcs, s1cs)
@@ -427,29 +426,28 @@ def test_criterion_07_axiom_equivalence_corpus():
     verdicts = []
     spec2 = n2_spec()
     p2 = PStructure(spec2)
-    s12 = build_S1_generic(spec2)
+    s12 = build_S1_generic(spec2).expr
     for maker in (so3_data, quadratic_poisson_data, zero_n2_data, bad_bivector_data):
-        data = maker()
-        master_ok = verify_structure_data(p2, s12, data).is_zero()
-        axioms_ok = not any(check_lie_algebroid(p2, s12, data).values())
+        S = s12.substitute(maker())
+        master_ok = expand_master(p2, S).is_zero()
+        axioms_ok = not any(check_lie_algebroid(p2, S).values())
         verdicts.append(master_ok == axioms_ok)
 
     spec3 = n3_spec()
     p3 = PStructure(spec3)
-    s13 = build_S1_generic(spec3)
+    s13 = build_S1_generic(spec3).expr
     for maker in (exact_courant_data, e_star_lie_data, zero_n3_data, perturbed_courant_data):
-        data = maker()
-        master_ok = verify_structure_data(p3, s13, data).is_zero()
-        axioms_ok = not any(check_courant(p3, s13, data).values())
+        S = s13.substitute(maker())
+        master_ok = expand_master(p3, S).is_zero()
+        axioms_ok = not any(check_courant(p3, S).values())
         verdicts.append(master_ok == axioms_ok)
 
     for rank, maker in ((3, su2_data), (5, non_jacobi_cs_data), (2, anchored_cs_data)):
         spec = cs_spec(rank=rank)
         p = PStructure(spec)
-        s1 = build_S1_generic(spec)
-        data = maker(spec)
-        master_ok = verify_structure_data(p, s1, data).is_zero()
-        axioms_ok = not any(check_courant(p, s1, data).values())
+        S = build_S1_generic(spec).expr.substitute(maker(spec))
+        master_ok = expand_master(p, S).is_zero()
+        axioms_ok = not any(check_courant(p, S).values())
         verdicts.append(master_ok == axioms_ok)
 
     conclude(7, "master equation passes iff the algebroid axioms pass, full corpus", all(verdicts))
@@ -475,7 +473,7 @@ def test_criterion_08_theorem1_and_first_order():
         ModelSpec(n=5, d=2, flavor=CS_BF, bf_blocks=(BfBlock(1, 2),), cs_block=CsBlock(2, K2)),
     ]
     for spec in ansatz_specs:
-        okay.append(not any(first_order_check(spec, build_S1_generic(spec)).values()))
+        okay.append(not any(first_order_check(spec, build_S1_generic(spec).expr).values()))
     conclude(8, "Theorem-1 witness exact for n=2..5; first order vanishes for every ansatz", all(okay))
 
 

@@ -9,20 +9,20 @@ import pytest
 from bvsigma import algebroid, cli
 from bvsigma.algebroid import (
     anchor,
-    check_algebroid,
     check_courant,
     check_lie_algebroid,
     derived_bracket,
     operation_table,
     section_representatives,
 )
-from bvsigma.master import extract_identities, verify_structure_data
+from bvsigma.master import expand_master, extract_identities
 from bvsigma.modelfile import parse_model
-from bvsigma.models import ModelSpec, StructureData, build_S1_generic
+from bvsigma.models import BfBlock, ModelSpec, StructureData, build_S1_generic
 from bvsigma.pstructure import Hamiltonian, PStructure
 from bvsigma.symalg import CoeffSymbol, CPoly, Expr
 
 from corpus import (
+    algebroid_residuals,
     anchored_cs_data,
     bad_bivector_data,
     courant_spec,
@@ -50,7 +50,7 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "bvsigma" / "examples"
 def test_bf_operation_table_matches_published_lines():
     spec = n3_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
     r_range = (1, 2)
 
@@ -104,7 +104,7 @@ def test_cs_operation_table_matches_published_lines():
     spec = cs_spec(rank=3)
     k = spec.cs_block.metric
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     rows = {(op, l, r): e for op, l, r, e in operation_table(p, s1)}
     R = (1, 2, 3)
 
@@ -139,9 +139,9 @@ def test_cs_operation_table_matches_published_lines():
 def test_n2_noncommutative_coordinates_and_anchor():
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     # [phi^i, phi^j] = -f^{ij}
-    q = Hamiltonian(s1.expr)
+    q = Hamiltonian(s1)
     D = partial(p.bracket, q)
     for i, j in itertools.combinations((1, 2, 3), 2):
         got = derived_bracket(p, D, Expr.base(i), Expr.base(j))
@@ -158,8 +158,8 @@ def test_n2_noncommutative_coordinates_and_anchor():
 def test_d_op_lands_in_section_space():
     spec = n3_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    img = p.bracket(Hamiltonian(s1.expr), Expr.base(1))
+    s1 = build_S1_generic(spec).expr
+    img = p.bracket(Hamiltonian(s1), Expr.base(1))
     assert img.homogeneous_degree() == 1
     blocks = {v.block for mono in img.terms for v in mono}
     assert blocks <= {"A1", "B1"}
@@ -168,8 +168,8 @@ def test_d_op_lands_in_section_space():
 def test_anchor_rejects_fiber_arguments():
     spec = n3_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    q = Hamiltonian(s1.expr)
+    s1 = build_S1_generic(spec).expr
+    q = Hamiltonian(s1)
     with pytest.raises(ValueError):
         anchor(p, partial(p.bracket, q), Expr.var(spec.vars_of("A1")[0]), Expr.var(spec.vars_of("B1")[0]))
 
@@ -188,10 +188,10 @@ N2_CORPUS = [
 def test_lie_axioms_iff_master_n2(name, maker, expect):
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
     data = maker()
-    master_ok = verify_structure_data(p, s1, data).is_zero()
-    axioms = check_lie_algebroid(p, s1, data)
+    S = build_S1_generic(spec).expr.substitute(data)
+    master_ok = expand_master(p, S).is_zero()
+    axioms = check_lie_algebroid(p, S)
     assert master_ok == expect
     assert (not any(axioms.values())) == expect
     if not expect:
@@ -257,15 +257,16 @@ N3_CORPUS = [
 def test_courant_axioms_iff_master_n3(name, mkspec, maker, rows):
     spec = mkspec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     data = maker()
-    master_ok = verify_structure_data(p, s1, data).is_zero()
+    S = s1.substitute(data)
+    master_ok = expand_master(p, S).is_zero()
     # verify-data: every extracted identity vanishes under the data.
     identities_ok = all(
         not poly.substitute(data.value_of) for _, poly in extract_identities(p, s1)
     )
     assert master_ok == identities_ok == all(rows)
-    assert_courant_rows(check_courant(p, s1, data), rows)
+    assert_courant_rows(check_courant(p, S), rows)
 
 
 # (name, rank, maker, data rows)
@@ -280,10 +281,9 @@ CS_CORPUS = [
 def test_courant_axioms_iff_master_cs(name, rank, maker, rows):
     spec = cs_spec(rank=rank)
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    data = maker(spec)
-    assert verify_structure_data(p, s1, data).is_zero() == all(rows)
-    assert_courant_rows(check_courant(p, s1, data), rows)
+    S = build_S1_generic(spec).expr.substitute(maker(spec))
+    assert expand_master(p, S).is_zero() == all(rows)
+    assert_courant_rows(check_courant(p, S), rows)
 
 
 def test_anchored_cs_fails_leibniz_jacobi_on_function_scaled_sections():
@@ -291,20 +291,19 @@ def test_anchored_cs_fails_leibniz_jacobi_on_function_scaled_sections():
     # Jacobiator vanishes unless two slots are scaled by a function.
     spec = cs_spec(rank=2)
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    data = anchored_cs_data(spec)
-    q = Hamiltonian(s1.expr.substitute(data))
+    S = build_S1_generic(spec).expr.substitute(anchored_cs_data(spec))
+    q = Hamiltonian(S)
     circ = partial(derived_bracket, p, partial(p.bracket, q))
     (_, y), _ = section_representatives(spec)
     x = z = Expr.base(1) * y
     assert circ(x, circ(y, z)) - circ(circ(x, y), z) - circ(y, circ(x, z)) == -y
-    assert verdicts(check_courant(p, s1, data))[0] == ("leibniz-jacobi for o", False)
+    assert verdicts(check_courant(p, S))[0] == ("leibniz-jacobi for o", False)
 
 
 def test_courant_witness_is_the_least_residual_term():
     spec = cs_spec(rank=5)
     p = PStructure(spec)
-    rep = check_courant(p, build_S1_generic(spec), non_jacobi_cs_data(spec))
+    rep = check_courant(p, build_S1_generic(spec).expr.substitute(non_jacobi_cs_data(spec)))
     assert witnesses(rep) == [
         "leibniz-jacobi for o: residual term (X[2;]*Y[3;]*Z[4;] - X[2;]*Y[4;]*Z[3;]"
         " - X[3;]*Y[2;]*Z[4;] + X[3;]*Y[4;]*Z[2;] + X[4;]*Y[2;]*Z[3;]"
@@ -315,8 +314,7 @@ def test_courant_witness_is_the_least_residual_term():
 def test_n2_bracket_antisymmetry_on_basis():
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    q = Hamiltonian(s1.expr.substitute(so3_data()))
+    q = Hamiltonian(build_S1_generic(spec).expr.substitute(so3_data()))
     D = partial(p.bracket, q)
     for i, j in itertools.product((1, 2, 3), repeat=2):
         lhs = derived_bracket(p, D, Expr.base(i), Expr.base(j))
@@ -333,7 +331,7 @@ def test_bivector_witness_is_the_least_residual_term():
     with open(EXAMPLES / "n2_bivector_fail.model", encoding="utf-8") as fh:
         mf = parse_model(fh.read())
     p = PStructure(mf.spec)
-    rep = check_algebroid(p, build_S1_generic(mf.spec), mf.data)
+    rep = check_lie_algebroid(p, build_S1_generic(mf.spec).expr.substitute(mf.data))
     assert verdicts(rep) == [("bracket antisymmetry", True), ("anchor homomorphism", False)]
     assert witnesses(rep) == [
         "anchor homomorphism: residual term (d(1)F[;]*d(2)G[;]*d(3)H[;]*phi1"
@@ -350,7 +348,7 @@ def test_a_symmetric_bracket_term_fails_antisymmetry(monkeypatch):
     p = PStructure(spec)
     exact = algebroid.derived_bracket
     monkeypatch.setattr(algebroid, "derived_bracket", lambda p, D, e1, e2: exact(p, D, e1, e2) + e1 * e2)
-    rep = check_lie_algebroid(p, build_S1_generic(spec), so3_data())
+    rep = check_lie_algebroid(p, build_S1_generic(spec).expr.substitute(so3_data()))
     assert verdicts(rep)[0] == ("bracket antisymmetry", False)
     assert witnesses(rep)[0] == "bracket antisymmetry: residual term 2*F[;]*G[;]"
 
@@ -377,24 +375,54 @@ def test_only_the_anchor_homomorphism_depends_on_the_bivector(d, seed):
     # identity, so a bivector that is not Poisson fails exactly that row.
     spec = ModelSpec(n=2, d=d)
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    data = random_bivector(d, seed)
-    assert verify_structure_data(p, s1, data)
-    axioms = check_lie_algebroid(p, s1, data)
+    S = build_S1_generic(spec).expr.substitute(random_bivector(d, seed))
+    assert expand_master(p, S)
+    axioms = check_lie_algebroid(p, S)
     assert any(axioms.values())
     assert verdicts(axioms) == [("bracket antisymmetry", True), ("anchor homomorphism", False)]
 
 
-def component_anchor_homomorphism(p, s1, data):
-    """The anchor homomorphism compared on vector-field components.
+# -- the checkers on the generic S1 ------------------------------------------------
+# The checkers take any action S, so they run on the unsubstituted S1 too: a
+# row that vanishes there holds for all structure data.
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_lie_rows_on_the_generic_action(d):
+    # f1 is antisymmetric, so antisymmetry holds for every bivector; the
+    # Jacobiator of a generic one does not vanish.
+    spec = ModelSpec(n=2, d=d)
+    residuals = check_lie_algebroid(PStructure(spec), build_S1_generic(spec).expr)
+    assert verdicts(residuals) == [("bracket antisymmetry", True), ("anchor homomorphism", False)]
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 3),)),
+    cs_spec(rank=3),
+], ids=["bf-p1r3", "cs-rank3"])
+def test_courant_rows_on_the_generic_action(spec):
+    # Rank 3 fills every antisymmetric slot group (f3, f6), so every symbol
+    # family is nonzero.  Only the Jacobi-type rows depend on the data.
+    residuals = check_courant(PStructure(spec), build_S1_generic(spec).expr)
+    assert verdicts(residuals) == [
+        ("leibniz-jacobi for o", False),
+        ("anchor homomorphism", False),
+        ("anchored Leibniz", True),
+        ("symmetrized bracket = D<,>", True),
+        ("anchor invariance of <,>", True),
+        ("<DF,e> = rho(e)F", True),
+    ]
+
+
+def component_anchor_homomorphism(p, S):
+    """The anchor homomorphism of the action S compared on vector-field components.
 
     With rho(x)^i = rho(x) phi^i, checks [rho(x1), rho(x2)]^i =
     sum_j rho(x1)^j d_j rho(x2)^i - rho(x2)^j d_j rho(x1)^i against
     rho(x1 o x2)^i for every basis pair, and for n=3 also with x1 scaled by
     a generic function F.
     """
-    q = Hamiltonian(s1.expr.substitute(data))
-    D = partial(p.bracket, q)
+    D = partial(p.bracket, Hamiltonian(S))
     base = range(1, p.spec.d + 1)
     if p.n == 2:
         rho = partial(derived_bracket, p, D)
@@ -434,9 +462,9 @@ CORPUS_MODELS = corpus_models()
 @pytest.mark.parametrize("name,spec,data", CORPUS_MODELS, ids=[c[0] for c in CORPUS_MODELS])
 def test_anchor_homomorphism_matches_component_route(name, spec, data):
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    verdict = not check_algebroid(p, s1, data)["anchor homomorphism"]
-    assert verdict == component_anchor_homomorphism(p, s1, data)
+    S = build_S1_generic(spec).expr.substitute(data)
+    verdict = not algebroid_residuals(p, S)["anchor homomorphism"]
+    assert verdict == component_anchor_homomorphism(p, S)
 
 
 # -- per-check operation tables -------------------------------------------------------
@@ -479,14 +507,14 @@ ALL_OPERATIONS = ("derived_bracket", "anchor", "D", "pairing")
 
 
 @pytest.mark.parametrize("mkspec,run,ops", [
-    (n3_spec, lambda p, s1: not any(check_courant(p, s1, exact_courant_data()).values()), ALL_OPERATIONS),
-    (n2_spec, lambda p, s1: not any(check_lie_algebroid(p, s1, so3_data()).values()), ("derived_bracket", "D")),
+    (n3_spec, lambda p, s1: not any(check_courant(p, s1.substitute(exact_courant_data())).values()), ALL_OPERATIONS),
+    (n2_spec, lambda p, s1: not any(check_lie_algebroid(p, s1.substitute(so3_data())).values()), ("derived_bracket", "D")),
     (n3_spec, operation_table, ALL_OPERATIONS),
 ], ids=["exact-courant", "so3", "operation-table"])
 def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, run, ops):
     spec = mkspec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     calls = count_operation_calls(monkeypatch, p)
     assert run(p, s1)
     for name, seen in calls.items():
@@ -504,8 +532,8 @@ def test_each_operation_is_computed_once_per_check(monkeypatch, mkspec, run, ops
 @pytest.mark.parametrize("name,spec,data", CORPUS_MODELS, ids=[c[0] for c in CORPUS_MODELS])
 def test_operation_tables_match_uncached_checks(monkeypatch, name, spec, data):
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    cached = check_algebroid(p, s1, data)
+    S = build_S1_generic(spec).expr.substitute(data)
+    cached = algebroid_residuals(p, S)
     monkeypatch.setattr(algebroid, "functools", SimpleNamespace(cache=lambda fn: fn))
-    plain = check_algebroid(p, s1, data)
+    plain = algebroid_residuals(p, S)
     assert list(cached.items()) == list(plain.items())

@@ -161,6 +161,13 @@ CS_MODEL = "[model]\nn = 3\nd = 2\nflavor = cs_bf\ncs rank=2\n"
 # Longer than the 4,300 digits Python converts by default.
 LONG = "9" * 5000
 TOO_LONG = "integer of 5000 digits is too long"
+# A message repeats at most 32 characters of an input, then its length.
+WIDE = "9" * 3000
+
+
+def clipped(text, quote="'"):
+    return "%s%s...%s (%d characters)" % (quote, text[:32], quote, len(text))
+
 
 # One model file per parse error message, with the message it must print.
 PARSE_ERRORS = [
@@ -228,18 +235,36 @@ PARSE_ERRORS = [
     ("long-denominator", N2_MODEL + "\n[data]\nf1[;1,2] = 1/%s\n" % LONG, "line 6, column 3: " + TOO_LONG),
     ("long-exponent", N2_MODEL + "\n[data]\nf1[;1,2] = phi3^%s\n" % LONG, "line 6, column 6: " + TOO_LONG),
     ("long-phi", N2_MODEL + "\n[data]\nf1[;1,2] = 1 + phi%s\n" % LONG, "line 6, column 8: " + TOO_LONG),
+    ("long-metric-entry", CS_MODEL + "k = %s 0 ; 0 1\n" % LONG, "line 6: invalid metric entry " + clipped(LONG)),
+    ("wide-trailing-token", N2_MODEL + "\n[data]\nf1[;1,2] = phi1 %s\n" % WIDE,
+     "line 6, column 6: unexpected %s after polynomial" % clipped(WIDE)),
+    ("wide-model-key", N2_MODEL + "x%s = 2\n" % WIDE, "line 4: unknown model key " + clipped("x" + WIDE)),
+    ("wide-section", N2_MODEL + "[%s]\n" % WIDE, "line 4: unknown section " + clipped("[%s]" % WIDE, "")),
+    ("wide-index", N2_MODEL + "\n[data]\nf1[;1 %s] = phi1\n" % WIDE, "line 6: invalid index " + clipped("1 " + WIDE)),
+    ("wide-data-family", N2_MODEL + "\n[data]\nf%s[;1,2] = phi1\n" % WIDE,
+     "line 6: unknown symbol family " + clipped("f" + WIDE)),
+    ("wide-symmetry-family", N2_MODEL + "\n[symmetry]\nf%s = antisym upper\n" % WIDE,
+     "line 6: unknown symbol family " + clipped("f" + WIDE)),
+    ("wide-index-out-of-range", N2_MODEL + "\n[data]\nf1[;1,%s] = phi1\n" % WIDE,
+     "line 6: index %s out of range 1..3 for f1" % clipped(WIDE, "")),
+    ("wide-phi-out-of-range", N2_MODEL + "\n[data]\nf1[;1,2] = phi%s\n" % WIDE,
+     "line 6: base variable phi%s out of range phi1..phi3" % clipped(WIDE, "")),
+    ("wide-block-degree", "[model]\nn = 3\nd = 2\nblock p=%s rank=2\n" % WIDE,
+     "line 4: block degree p=%s out of range 1..1 for n=3 (bf)" % clipped(WIDE, "")),
 ]
 
 
 @pytest.mark.parametrize(
     "text,message", [c[1:] for c in PARSE_ERRORS], ids=[c[0] for c in PARSE_ERRORS]
 )
-def test_exit_code_2_and_message_for_each_parse_error(tmp_path, capsys, text, message):
-    bad = tmp_path / "bad.model"
-    bad.write_text(text)
-    code, out = run_cli(["check-master", "--model", str(bad)])
+def test_exit_code_2_and_message_for_each_parse_error(tmp_path, capsys, monkeypatch, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.model").write_text(text)
+    code, out = run_cli(["check-master", "--model", "bad.model"])
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+    err = capsys.readouterr().err
+    assert err == "error: bad.model: %s\n" % message
+    assert len(err.encode()) < 200  # however long the input
 
 
 def test_compare_against_missing_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -587,7 +612,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "check_algebroid", broken)
+    monkeypatch.setattr(cli, "check_courant", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run_cli(["check-algebroid", "--model", str(EXAMPLES / "n3_bf_exact_courant.model")])
 
@@ -595,12 +620,12 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 def test_verify_data_refuses_a_residual_term_outside_the_identities(monkeypatch):
     # A residual monomial that no extracted identity tags would go
     # unreported; it is a fault of the engine, not a usage error.
-    real = cli.verify_structure_data
+    real = cli.expand_master
 
-    def widened(p, s1, data):
-        return real(p, s1, data) + Expr.base(1) * Expr.var(p.spec.vars_of("B1")[0])
+    def widened(p, S):
+        return real(p, S) + Expr.base(1) * Expr.var(p.spec.vars_of("B1")[0])
 
-    monkeypatch.setattr(cli, "verify_structure_data", widened)
+    monkeypatch.setattr(cli, "expand_master", widened)
     with pytest.raises(RuntimeError, match="outside the extracted identities: B1_1$"):
         run_cli(["verify-data", "--model", str(EXAMPLES / "n2_poisson_so3.model")])
 

@@ -8,16 +8,16 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from corpus import cs_spec, load_workloads, n3_spec
+from corpus import algebroid_residuals, cs_spec, load_workloads, n3_spec
 
 from bvsigma import cli
-from bvsigma.algebroid import check_algebroid
 from bvsigma.master import (
     EQUAL,
     N3_BF,
@@ -25,7 +25,6 @@ from bvsigma.master import (
     expand_master,
     extract_identities,
     transcribe_paper_identities,
-    verify_structure_data,
 )
 from bvsigma.modelfile import parse_model
 from bvsigma.models import CS_BF, BfBlock, CsBlock, ModelSpec, StructureData, build_S1_generic
@@ -134,7 +133,7 @@ def test_extraction_runs_for_higher_n():
         ModelSpec(n=5, d=1, bf_blocks=(BfBlock(1, 1), BfBlock(2, 1))),
     ):
         p = PStructure(spec)
-        idents = extract_identities(p, build_S1_generic(spec))
+        idents = extract_identities(p, build_S1_generic(spec).expr)
         assert idents
         tags = [tag for tag, _ in idents]
         assert len(tags) == len(set(tags))
@@ -143,7 +142,7 @@ def test_extraction_runs_for_higher_n():
 def test_span_comparison_detects_a_corrupted_transcription():
     spec = n3_spec()
     p = PStructure(spec)
-    extracted = extract_identities(p, build_S1_generic(spec))
+    extracted = extract_identities(p, build_S1_generic(spec).expr)
     transcribed = transcribe_paper_identities(N3_BF, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL
     # corrupt one equation with a stray symbol term
@@ -264,7 +263,8 @@ def test_bracket_agrees_with_oracle_at_higher_n(spec):
 
 # -- substitution commutes with the bracket ----------------------------------------
 # (S1,S1)|data, the generic square with the data substituted afterwards, is
-# the oracle for (S1|data, S1|data), which verify_structure_data computes.
+# the oracle for (S1|data, S1|data), which check-master and verify-data
+# compute: the CLI substitutes the data into S1 before any bracket.
 
 
 def _models_with_data():
@@ -277,35 +277,35 @@ def _models_with_data():
 
 
 def _assert_substitution_commutes(p, s1, square, data):
-    want = square.substitute(data)
-    s = s1.expr.substitute(data)
-    assert p.bracket(s, s) == want
-    assert verify_structure_data(p, s1, data) == want
+    s = s1.substitute(data)
+    assert expand_master(p, s) == p.bracket(s, s) == square.substitute(data)
 
 
 @pytest.mark.parametrize("mf", _models_with_data())
 def test_substituted_square_equals_square_of_substituted_action(mf):
-    p, s1 = PStructure(mf.spec), build_S1_generic(mf.spec)
+    p, s1 = PStructure(mf.spec), build_S1_generic(mf.spec).expr
     _assert_substitution_commutes(p, s1, expand_master(p, s1), mf.data)
+    # the action every data command evaluates is that S1|data
+    for command in cli._DATA_COMMANDS + ("laplacian",):
+        assert cli._action(mf, SimpleNamespace(command=command)) == s1.substitute(mf.data)
 
 
 @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.model")), ids=lambda path: path.stem)
 def test_checks_return_their_residuals(path):
     """On every shipped example, kinetic_master_check returns a zero
-    DgaExpr, and verify_structure_data, where there is data, returns the
-    Expr (S,S) of S = S1|data, scoped to the spec; check_algebroid returns
+    DgaExpr, and where there is data expand_master returns the Expr (S,S)
+    of S = S1|data, scoped to the spec, and the algebroid checker returns
     one Expr per row of the check-algebroid report, zero exactly where the
     row reads ok."""
     mf = parse_model(path.read_text(encoding="utf-8"))
     residue = kinetic_master_check(mf.spec)
     assert type(residue) is DgaExpr and residue.is_zero()
     if mf.data is not None:
-        p, s1 = PStructure(mf.spec), build_S1_generic(mf.spec)
-        s = s1.expr.substitute(mf.data)
-        residual = verify_structure_data(p, s1, mf.data)
+        p, s = PStructure(mf.spec), build_S1_generic(mf.spec).expr.substitute(mf.data)
+        residual = expand_master(p, s)
         assert type(residual) is Expr and residual.scope == mf.spec.fingerprint()
         assert residual == p.bracket(s, s)
-        residuals = check_algebroid(p, s1, mf.data)
+        residuals = algebroid_residuals(p, s)
         assert all(type(r) is Expr for r in residuals.values())
         with redirect_stdout(io.StringIO()) as out:
             code = cli.main(["check-algebroid", "--model", str(path)])
@@ -316,8 +316,8 @@ def test_checks_return_their_residuals(path):
 
 @functools.lru_cache(maxsize=None)
 def _generic(spec):
-    p, s1 = PStructure(spec), build_S1_generic(spec)
-    return p, s1, expand_master(p, s1), sorted(s1.expr.symbols())
+    p, s1 = PStructure(spec), build_S1_generic(spec).expr
+    return p, s1, expand_master(p, s1), sorted(s1.symbols())
 
 
 def _poly_strategy(d):

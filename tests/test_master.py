@@ -19,10 +19,8 @@ from bvsigma.master import (
     _rows_of,
     extract_identities,
     transcribe_paper_identities,
-    verify_structure_data,
 )
 from bvsigma.models import (
-    Action,
     BfBlock,
     CsBlock,
     CS_BF,
@@ -87,14 +85,13 @@ def bad_bivector_data(spec):
 def test_expand_master_of_zero():
     spec = n2_spec()
     p = PStructure(spec)
-    empty = Action(Expr.zero(), 2)
-    assert expand_master(p, empty).is_zero()
+    assert expand_master(p, Expr.zero()).is_zero()
 
 
 def test_expand_master_degree_is_n_plus_1():
     for spec in (n2_spec(), n3_spec(), cs_spec()):
         p = PStructure(spec)
-        s1 = build_S1_generic(spec)
+        s1 = build_S1_generic(spec).expr
         expanded = expand_master(p, s1)
         assert expanded.homogeneous_degree() == spec.n + 1
 
@@ -102,7 +99,7 @@ def test_expand_master_degree_is_n_plus_1():
 def test_n2_single_identity_class_is_the_jacobiator():
     spec = n2_spec()
     p = PStructure(spec)
-    idents = extract_identities(p, build_S1_generic(spec))
+    idents = extract_identities(p, build_S1_generic(spec).expr)
     assert len(idents) == 1
     assert idents[0][0] == "B1_1*B1_2*B1_3"
     transcribed = transcribe_paper_identities(N2_JACOBI, spec)
@@ -120,7 +117,7 @@ def test_n2_single_identity_class_is_the_jacobiator():
 )
 def test_extracted_equals_transcribed_span(spec, family):
     p = PStructure(spec)
-    extracted = extract_identities(p, build_S1_generic(spec))
+    extracted = extract_identities(p, build_S1_generic(spec).expr)
     transcribed = transcribe_paper_identities(family, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL
 
@@ -128,7 +125,7 @@ def test_extracted_equals_transcribed_span(spec, family):
 def test_span_comparison_basics():
     spec = n2_spec()
     p = PStructure(spec)
-    a = extract_identities(p, build_S1_generic(spec))
+    a = extract_identities(p, build_S1_generic(spec).expr)
     assert compare_identity_spans(a, list(a)).relation == EQUAL
     scaled = [(t, poly.scale(2)) for t, poly in a]
     assert compare_identity_spans(a, scaled).relation == EQUAL
@@ -138,9 +135,9 @@ def test_span_comparison_basics():
 
 
 def test_alphabet_mismatch_rejected():
-    a = extract_identities(PStructure(n2_spec()), build_S1_generic(n2_spec()))
+    a = extract_identities(PStructure(n2_spec()), build_S1_generic(n2_spec()).expr)
     spec = cs_spec()
-    b = extract_identities(PStructure(spec), build_S1_generic(spec))
+    b = extract_identities(PStructure(spec), build_S1_generic(spec).expr)
     with pytest.raises(ValueError):
         compare_identity_spans(a, b)
 
@@ -199,7 +196,7 @@ def test_direction_dedup_merges_scaled_repeats(monkeypatch):
 
 def test_duplicate_rows_keep_relation_and_witness():
     spec = ModelSpec(n=2, d=4)
-    eqs = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec))]
+    eqs = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec).expr)]
     rng = random.Random(12)
     relations = set()
 
@@ -220,7 +217,7 @@ def test_duplicate_rows_keep_relation_and_witness():
 def test_span_strict_inclusion_has_witness():
     spec = n2_spec()
     p = PStructure(spec)
-    a = extract_identities(p, build_S1_generic(spec))
+    a = extract_identities(p, build_S1_generic(spec).expr)
     # a plus a second, independent equation
     extra = a[0][1] * CPoly.base(1) + CPoly.symbol(next(iter(a[0][1].symbols())))
     bigger = a + [("extra", extra)]
@@ -232,8 +229,8 @@ def test_span_strict_inclusion_has_witness():
 def test_so3_data_passes_and_matches_oracle():
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    assert not verify_structure_data(p, s1, so3_data(spec))
+    s1 = build_S1_generic(spec).expr
+    assert not expand_master(p, s1.substitute(so3_data(spec)))
     # independent oracle on the same data
     f = {
         (0, 1): {(0, 0, 1): Fraction(1)},
@@ -248,8 +245,8 @@ def test_so3_data_passes_and_matches_oracle():
 def test_failing_bivector_residual_matches_oracle():
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
-    residual = verify_structure_data(p, s1, bad_bivector_data(spec))
+    s1 = build_S1_generic(spec).expr
+    residual = expand_master(p, s1.substitute(bad_bivector_data(spec)))
     assert {monomial_str(m): str(c) for m, c in residual.terms.items()} == {"B1_1*B1_2*B1_3": "-2*phi1"}
     # oracle route: same expansion built independently
     f = {
@@ -267,7 +264,7 @@ def test_failing_bivector_residual_matches_oracle():
 def test_zero_data_passes():
     spec = n3_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     data = StructureData(spec)
     for a in (1, 2):
         for i in (1, 2):
@@ -275,15 +272,15 @@ def test_zero_data_passes():
             data.assign("f2", (), (a, i), CPoly.zero())
         data.assign("f4", (1, 2), (a,), CPoly.zero())
         data.assign("f5", (a,), (1, 2), CPoly.zero())
-    assert not verify_structure_data(p, s1, data)
+    assert not expand_master(p, s1.substitute(data))
 
 
 def test_verify_equivalent_to_identitywise_evaluation():
-    # verify_structure_data passes iff every extracted equation vanishes
+    # (S1|data, S1|data) vanishes iff every extracted equation vanishes
     # under the data; exercised on passing and failing random data.
     spec = n2_spec()
     p = PStructure(spec)
-    s1 = build_S1_generic(spec)
+    s1 = build_S1_generic(spec).expr
     idents = extract_identities(p, s1)
     rng = random.Random(5)
     for trial in range(12):
@@ -303,7 +300,7 @@ def test_verify_equivalent_to_identitywise_evaluation():
                 polys[pair] = poly
         for (i, j), poly in polys.items():
             data.assign("f1", (), (i, j), poly)
-        verdict = verify_structure_data(p, s1, data).is_zero()
+        verdict = expand_master(p, s1.substitute(data)).is_zero()
         identitywise = all(
             not poly.substitute(data.value_of) for _, poly in idents
         )
@@ -354,7 +351,7 @@ def test_randomized_soundness_of_span_encoding():
     # evaluating an equation agrees with its sparse-vector representation
     spec = n3_spec()
     p = PStructure(spec)
-    idents = extract_identities(p, build_S1_generic(spec))
+    idents = extract_identities(p, build_S1_generic(spec).expr)
     rng = random.Random(11)
     polys = [poly for _, poly in idents]
     index = {}
@@ -680,6 +677,6 @@ def test_unknown_identity_family_is_refused():
 @pytest.mark.parametrize("d,r", [(1, 3), (3, 3), (2, 4)])
 def test_n3_bf_paper_span_at_rank_three_and_up(d, r):
     spec = _bf_spec(d, r)
-    extracted = extract_identities(PStructure(spec), build_S1_generic(spec))
+    extracted = extract_identities(PStructure(spec), build_S1_generic(spec).expr)
     transcribed = transcribe_paper_identities(N3_BF, spec)
     assert compare_identity_spans(extracted, transcribed).relation == EQUAL

@@ -141,7 +141,7 @@ def test_n2_ansatz_is_half_f_bb():
                 spec.vars_of("B1")[i - 1]
             ) * Expr.var(spec.vars_of("B1")[j - 1])
     assert s1.expr == expected
-    assert s1.total_degree == 2
+    assert s1.expr.homogeneous_degree() == 2
 
 
 def test_n3_bf_ansatz_families_match_published_shape():
@@ -280,9 +280,7 @@ def test_s1_has_total_degree_n():
         ModelSpec(n=3, d=2, flavor=CS_BF, cs_block=CsBlock(2, K2)),
         ModelSpec(n=5, d=2, bf_blocks=(BfBlock(1, 2), BfBlock(2, 2))),
     ):
-        s1 = build_S1_generic(spec)
-        assert s1.total_degree == spec.n
-        assert s1.expr.monomial_degrees() == {spec.n}, spec.fingerprint()
+        assert build_S1_generic(spec).expr.homogeneous_degree() == spec.n, spec.fingerprint()
 
 
 def test_structure_data_normalizes_assignments():

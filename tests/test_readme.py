@@ -20,6 +20,6 @@ def test_library_example_prints_one_line_per_equation():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     spec = ModelSpec(n=3, d=2, bf_blocks=(BfBlock(1, 2),))
-    equations = extract_identities(PStructure(spec), build_S1_generic(spec))
+    equations = extract_identities(PStructure(spec), build_S1_generic(spec).expr)
     assert equations
     assert out.getvalue().splitlines() == ["%s = %s" % (tag, poly) for tag, poly in equations]

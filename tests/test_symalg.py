@@ -10,7 +10,7 @@ from oracle import merge_monomials
 from bvsigma import symalg
 from bvsigma.algebroid import operation_table
 from bvsigma.grading import sort_monomial
-from bvsigma.master import expand_master, extract_identities, verify_structure_data
+from bvsigma.master import expand_master, extract_identities
 from bvsigma.models import (
     CS_BF,
     BfBlock,
@@ -718,7 +718,7 @@ def test_identity_report_renders_through_one_memo(spec):
     """Every equation of an extraction, rendered with one memo shared by
     the whole report, as the CLI does, at ranks where every symbol family
     is nonzero."""
-    equations = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec))]
+    equations = [poly for _, poly in extract_identities(PStructure(spec), build_S1_generic(spec).expr)]
     memo = {}
     assert [poly.render(memo) for poly in equations] == [ref_cpoly(poly) for poly in equations]
     symbols = set().union(*(poly.symbols() for poly in equations))
@@ -730,7 +730,7 @@ def test_identity_report_renders_through_one_memo(spec):
 
 def test_operation_table_renders_through_one_memo():
     spec = RANK3_BF
-    rows = operation_table(PStructure(spec), build_S1_generic(spec))
+    rows = operation_table(PStructure(spec), build_S1_generic(spec).expr)
     memo = {}
     assert [expr.render(memo) for *_, expr in rows] == [ref_expr(expr) for *_, expr in rows]
     assert memo and all(memo[x] == ref_symbol(x) for x in memo)
@@ -745,9 +745,9 @@ def test_residual_renders_fractions_and_base_powers():
     data.assign("f1", (), (1, 2), (b(3) * b(3)).scale(Fraction(1, 2)) + b(1) * b(2))
     data.assign("f1", (), (1, 3), (b(2) * b(2)).scale(Fraction(-2, 3)) + b(3))
     data.assign("f1", (), (2, 3), (b(1) * b(1) * b(1)).scale(Fraction(1, 5)) + CPoly.scalar(Fraction(3, 7)))
-    p, s1 = PStructure(spec), build_S1_generic(spec)
+    p, s1 = PStructure(spec), build_S1_generic(spec).expr
     residual = expand_master(p, s1).substitute(data)
-    got = verify_structure_data(p, s1, data)
+    got = expand_master(p, s1.substitute(data))
     assert got == residual
     # rendered as check-master renders its witnesses
     report = [(monomial_str(m), str(got.terms[m])) for m in sorted(got.terms)]
