@@ -128,6 +128,27 @@ def test_big_extraction_reports_are_pinned(shape):
     assert extract_report_digest(text) == (0, LARGE_EXTRACT_DIGESTS[shape])
 
 
+# Exit code and SHA-256 of the check-bv reports that no golden covers: the
+# benchmark's generated n=4 and n=5 bf models (perfbench/workloads.py
+# GENERATED) and the cs su(2) example.  The n=5 and cs reports print a
+# residual term of each failed law, Delta-Leibniz and Delta^2 = 0 among them.
+CHECK_BV_DIGESTS = {
+    "bf_n4_d2_r2": (0, "50bde86f50dcbd0a96d72406aa3deca20a35c041a82773b423c379b42c568c06"),
+    "bf_n5_d2_r22": (1, "aa0ef62b115190292001c32128ce67bfff7d5daae7d5066ac5289cd379e0dd19"),
+    "n3_cs_su2.model": (1, "a17d5f401724d79b5bcd9e8d69d45d92fdba446d67b3a51a06dccf98070b4e1f"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_BV_DIGESTS))
+def test_check_bv_reports_are_pinned(name, tmp_path):
+    model, generated = EXAMPLES / name, load_workloads().GENERATED
+    if name in generated:
+        model = tmp_path / "generated.model"
+        model.write_text(generated[name]())
+    code, out = run_cli(["check-bv", "--model", str(model)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CHECK_BV_DIGESTS[name]
+
+
 def test_reports_are_schema_stable():
     _, out = run_cli(resolve(["check-master", "--model", "n2_poisson_so3.model"]))
     doc = json.loads(out)
