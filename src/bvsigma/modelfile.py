@@ -97,7 +97,7 @@ class _PolyParser:
 
     def next(self) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of polynomial", self.line, len(self.text))
+            raise ParseError("unexpected end of polynomial", self.line, len(self.text) + 1)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -211,6 +211,7 @@ def parse_model(text: str) -> ModelFile:
     blocks: list[BfBlock] = []
     data_lines: list[tuple[int, str, tuple, tuple, str]] = []
     symmetry_lines: list[tuple[int, str, str]] = []
+    has_data = False  # a [data] header, even with no entries
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -220,6 +221,7 @@ def parse_model(text: str) -> ModelFile:
             if line not in ("[model]", "[data]", "[symmetry]"):
                 raise ParseError("unknown section %s" % _echo(line, "%s"), lineno)
             section = line[1:-1]
+            has_data |= section == "data"
             continue
         if section is None:
             raise ParseError("content before any section header", lineno)
@@ -312,4 +314,4 @@ def parse_model(text: str) -> ModelFile:
             raise ParseError("unknown symbol family %s" % _echo(name), lineno)
         except ModelError as exc:
             raise ParseError(str(exc), lineno)
-    return ModelFile(spec, data if data_lines else None)
+    return ModelFile(spec, data if has_data else None)

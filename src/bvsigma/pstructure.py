@@ -26,7 +26,8 @@ operand that enters many brackets, as the fixed S of the derived brackets of
 ``algebroid`` or a generic operand of :func:`check_bv_identities`, is wrapped
 once in a :class:`Hamiltonian`, which keeps each right and left derivative
 a bracket or the Laplacian reads; either bracket side may be wrapped.  The
-Laplacian, too, takes only the pairs its operand's support holds.
+Laplacian, too, takes only the pairs its operand's support holds.  A bracket,
+like a product, may add its terms to an accumulator in place with a sign.
 """
 
 from __future__ import annotations
@@ -99,12 +100,14 @@ class PStructure:
         """
         return self._bracket(self._darboux_rows, f, g)
 
-    def bracket(self, f: Operand, g: Operand) -> Expr:
+    def bracket(self, f: Operand, g: Operand, into: Optional[dict] = None, sign: int = 1) -> Optional[Expr]:
         """Antibracket (F,G); total degree |F|+|G|-n+1 on homogeneous input.
 
         Either operand may be a :class:`Hamiltonian`, whose right (as F)
         and left (as G) derivatives are then reused across the brackets it
-        enters instead of taken again.
+        enters instead of taken again.  Given an accumulator ``into`` (see
+        :meth:`Expr.mul_into`), adds ``sign`` (F,G) to it in place and
+        returns None, as :meth:`Expr.__mul__` does for a product.
 
         (F,F) for one homogeneous F of odd shifted degree f~ = |F|+1-n, as
         S1 is, sums only each pair's A row (weight 2) and the self-block
@@ -118,23 +121,23 @@ class PStructure:
         ge = g.expr if isinstance(g, Hamiltonian) else g
         deg = fe.homogeneous_degree() if fe is ge else None
         square = deg is not None and (deg + 1 - self.n) % 2
-        return self._bracket(self._square_rows if square else self._rows, f, g)
+        return self._bracket(self._square_rows if square else self._rows, f, g, into, sign)
 
-    def _bracket(self, rows, f: Operand, g: Operand) -> Expr:
+    def _bracket(self, rows, f: Operand, g: Operand, into: Optional[dict] = None, sign: int = 1) -> Optional[Expr]:
         """The bracket sum over ``rows`` (see :meth:`_conjugate_tables`),
         restricted to the operands' support: F d_r/dv is taken only when F
         holds v and G holds a partner w of v, and d_l/dw G only when G holds
         w.  The terms left out are exactly zero.  A :class:`Hamiltonian`
         lends its support and kept derivatives; a plain operand has each of
         its derivatives taken directly, since each row variable is read once
-        per bracket."""
+        per bracket.  With ``into``, the terms, times ``sign``, go there."""
         f, (f_fibers, f_bases), right_deriv = _operand(f, left=False)
         if g is f:
             g_fibers, g_bases, left_deriv = f_fibers, f_bases, f.left_deriv
         else:
             g, (g_fibers, g_bases), left_deriv = _operand(g, left=True)
         scope = self._own_scope(f._merged_scope(g))
-        acc: dict = {}
+        acc: dict = {} if into is None else into
         for v, j, partners in rows:
             if not (j in f_bases if j else v in f_fibers):
                 continue
@@ -143,8 +146,9 @@ class PStructure:
                 if jw in g_bases if jw else w in g_fibers:
                     if fv is None:
                         fv = right_deriv(v)
-                    Expr.mul_into(acc, fv, left_deriv(w), k)
-        return Expr._collect(acc, scope)
+                    Expr.mul_into(acc, fv, left_deriv(w), k * sign)
+        if into is None:
+            return Expr._collect(acc, scope)
 
     def laplacian(self, f: Operand) -> Expr:
         """BV Laplacian: sum over pairs of (-1)^p d_l/dA_p d_l/dB, termwise.
@@ -303,7 +307,8 @@ def check_bv_identities(pstruct: PStructure) -> dict[str, Optional[tuple[tuple[i
     bracket).  For odd n the identity cannot hold at all: the degree -n+1
     bracket is then graded-antisymmetric while the Leibniz defect of the
     even operator Delta is graded-symmetric; the check still runs and
-    returns the failure.
+    returns the failure.  Each residual is summed in place in one
+    accumulator, with no intermediate sum, negation or scaled Expr.
     """
     n = pstruct.n
     first: dict = dict.fromkeys(sorted(BRACKET_LAWS + LAPLACIAN_LAWS))
@@ -329,38 +334,52 @@ def check_bv_identities(pstruct: PStructure) -> dict[str, Optional[tuple[tuple[i
     lap_f = {a: lap(F[a]) for a in classes}
     lap_g = {b: lap(G[b]) for b in classes}
 
+    # Brackets and products add into a residual's accumulator with their
+    # signs; an Expr term enters as its product with the unit scalar.  The
+    # shifted degrees fs, gs, hs are kept mod 2, so every sign is an int.
+    one = Expr.scalar(1)
     for a in classes:
-        f, fs = F[a].expr, a + 1 - n
+        f, fs = F[a].expr, (a + 1 - n) % 2
         check(LAPLACIAN_LAWS[2], (a,), _off_degree(lap_f[a], a - (n - 1)))
         for b in classes:
-            g, gs = G[b].expr, b + 1 - n
+            g, gs = G[b].expr, (b + 1 - n) % 2
             FG, fg = Hamiltonian(f * g), Hamiltonian(br(F[a], G[b]))
-            check(BRACKET_LAWS[0], (a, b), fg.expr + br(G[b], F[a]).scale((-1) ** (fs * gs)))
+            acc: dict = {}
+            Expr.mul_into(acc, fg.expr, one)
+            br(G[b], F[a], acc, (-1) ** (fs * gs))
+            check(BRACKET_LAWS[0], (a, b), Expr._collect(acc, None))
             check(BRACKET_LAWS[4], (a, b), _off_degree(fg.expr, a + b - n + 1))
             # Without a self block the Darboux rows are the full rows.
             fg_darboux = pstruct.bracket_darboux(F[a], G[b]) if pstruct.self_pairs else fg.expr
             lap_fg = lap(FG)
-            check(LAPLACIAN_LAWS[0], (a, b), lap_fg - (
-                lap_f[a] * g
-                + fg_darboux.scale((-1) ** ((n + 1) * a))
-                + (f * lap_g[b]).scale((-1) ** a)
-            ))
+            acc = {}
+            Expr.mul_into(acc, lap_fg, one)
+            Expr.mul_into(acc, lap_f[a], g, -1)
+            Expr.mul_into(acc, fg_darboux, one, -(-1) ** ((n + 1) * a))
+            Expr.mul_into(acc, f, lap_g[b], -(-1) ** a)
+            check(LAPLACIAN_LAWS[0], (a, b), Expr._collect(acc, None))
             check(LAPLACIAN_LAWS[2], (a, b), _off_degree(lap_fg, a + b - (n - 1)))
             for c in classes:
-                h, hs = H[c].expr, c + 1 - n
-                check(BRACKET_LAWS[1], (a, b, c), br(F[a], GH[b, c]) - (
-                    fg.expr * h + (g * fh[a, c]).scale((-1) ** (fs * b))))
-                check(BRACKET_LAWS[2], (a, b, c), br(FG, H[c]) - (
-                    f * gh[b, c] + (fh[a, c] * g).scale((-1) ** (b * hs))))
+                h, hs = H[c].expr, (c + 1 - n) % 2
+                acc = {}
+                br(F[a], GH[b, c], acc)
+                Expr.mul_into(acc, fg.expr, h, -1)
+                Expr.mul_into(acc, g, fh[a, c], -(-1) ** (fs * b))
+                check(BRACKET_LAWS[1], (a, b, c), Expr._collect(acc, None))
+                acc = {}
+                br(FG, H[c], acc)
+                Expr.mul_into(acc, f, gh[b, c], -1)
+                Expr.mul_into(acc, fh[a, c], g, -(-1) ** (b * hs))
+                check(BRACKET_LAWS[2], (a, b, c), Expr._collect(acc, None))
                 # The Jacobiator is cyclically invariant: on (b, c, a) it is
                 # this one with u, v, w renamed.  So it is decided once per
                 # cyclic orbit, on its least triple, the first one met.
                 if (a, b, c) <= (b, c, a) and (a, b, c) <= (c, a, b):
-                    check(BRACKET_LAWS[3], (a, b, c), (
-                        br(F[a], gh[b, c]).scale((-1) ** (fs * hs))
-                        + br(G[b], hf[c, a]).scale((-1) ** (gs * fs))
-                        + br(H[c], fg).scale((-1) ** (hs * gs))
-                    ))
+                    acc = {}
+                    br(F[a], gh[b, c], acc, (-1) ** (fs * hs))
+                    br(G[b], hf[c, a], acc, (-1) ** (gs * fs))
+                    br(H[c], fg, acc, (-1) ** (hs * gs))
+                    check(BRACKET_LAWS[3], (a, b, c), Expr._collect(acc, None))
 
     for k, monos in sorted(fiber_monomials(pstruct.spec, 4).items()):
         if k >= 2 * (n - 1):

@@ -194,6 +194,9 @@ def clipped(text, quote="'"):
 PARSE_ERRORS = [
     ("trailing-token", N2_MODEL + "\n[data]\nf1[;1,2] = phi1 phi2\n",
      "line 6, column 6: unexpected 'phi2' after polynomial"),
+    ("empty-value", N2_MODEL + "\n[data]\nf1[;1,2] =\n", "line 6, column 1: unexpected end of polynomial"),
+    ("dangling-plus", N2_MODEL + "\n[data]\nf1[;1,2] = phi1 +\n",
+     "line 6, column 7: unexpected end of polynomial"),
     ("bad-exponent", N2_MODEL + "\n[data]\nf1[;1,2] = phi1^phi2\n",
      "line 6, column 6: exponent must be a nonnegative integer"),
     ("unclosed-paren", N2_MODEL + "\n[data]\nf1[;1,2] = (phi1 + 1 phi2\n",
@@ -324,6 +327,20 @@ def test_exit_code_2_when_data_is_required(tmp_path):
     nodata.write_text("[model]\nn = 2\nd = 3\n")
     code, _ = run_cli(["check-master", "--model", str(nodata)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, model, message", [
+    ("check-master", N2_MODEL, "no assignment for symbol f1[;1,2]"),
+    ("laplacian", N2_MODEL, "no assignment for symbol f1[;1,2]"),
+    ("check-algebroid", "[model]\nn = 5\nd = 2\nblock p=1 rank=1\nblock p=2 rank=1\n",
+     "section bases are defined for the n=2 and n=3 models"),
+])
+def test_an_empty_data_section_is_read_as_data(tmp_path, capsys, command, model, message):
+    empty = tmp_path / "empty.model"
+    empty.write_text(model + "\n[data]\n")
+    code, out = run_cli([command, "--model", str(empty)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_exit_code_2_for_unsupported_paper_comparison(tmp_path):

@@ -72,6 +72,14 @@ def test_so3_file_parses_with_data():
     assert len(mf.data.values) == 3
 
 
+def test_an_empty_data_section_is_data_with_no_assignment():
+    # The header alone gives data, so a data command names the first
+    # unassigned symbol instead of asking for a [data] section.
+    mf = parse_model("[model]\nn = 2\nd = 3\n\n[data]\n")
+    assert mf.data is not None and mf.data.values == {}
+    assert parse_model("[model]\nn = 2\nd = 3\n\n[symmetry]\n").data is None
+
+
 def test_unknown_symbol_family_is_an_error():
     text = "[model]\nn = 2\nd = 3\n\n[data]\nf9[;1,2] = phi1\n"
     with pytest.raises(ParseError) as err:

@@ -885,6 +885,34 @@ def test_random_operands_match_summed_construction(spec):
 
 
 @pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
+def test_bracket_adds_into_an_accumulator(spec):
+    # bracket(F, G, acc, sign) adds sign (F,G) to acc in place, as check-bv
+    # sums each law's residual.
+    p = PStructure(spec)
+    gen = RandomExprs(p, seed=5)
+    for _ in range(20):
+        (f, _), (g, _), (h, _) = gen.homogeneous(), gen.homogeneous(), gen.homogeneous()
+        for sign in (1, -1):
+            acc = {}
+            Expr.mul_into(acc, g, h)
+            assert p.bracket(f, g, acc, sign) is None
+            assert Expr._collect(acc, None) == g * h + p.bracket(f, g).scale(sign)
+        # A bracket and its negation cancel; no empty term survives.
+        acc = {}
+        p.bracket(f, g, acc)
+        p.bracket(f, g, acc, -1)
+        assert not any(acc.values()) and Expr._collect(acc, None).terms == {}
+    # The square rows of (F,F), F of odd shifted degree, sum into an
+    # accumulator as they do alone.
+    for k in gen.degrees:
+        if (k + 1 - p.n) % 2:
+            f = gen.homogeneous(k)[0]
+            acc = {}
+            p.bracket(f, f, acc)
+            assert Expr._collect(acc, None) == p.bracket(f, f)
+
+
+@pytest.mark.parametrize("spec", BV_LAWS_SPECS, ids=lambda s: s.fingerprint())
 def test_check_bv_takes_each_derivative_of_an_operand_once(spec, monkeypatch):
     # The generic operands, kept alive so that no other object takes one of
     # their ids, and the ids.
